@@ -22,6 +22,7 @@ import (
 	"addcrn/internal/pcr"
 	"addcrn/internal/rng"
 	"addcrn/internal/sim"
+	"addcrn/internal/spectrum"
 	"addcrn/internal/stats"
 )
 
@@ -67,8 +68,9 @@ type Options struct {
 	DeployAttempts int
 	// Prebuilt, when non-nil, supplies the deployment and routing tree
 	// instead of building them from Params and Seed (the batch execution
-	// layer shares one memoized topology across channel counts). Both are
-	// treated read-only; they must describe the deployment the (Params,
+	// layer shares one memoized topology across channel counts), and its
+	// Tables, when set, the CSR neighbor tables all C channels share. All
+	// are treated read-only; they must describe the deployment the (Params,
 	// Seed) pair would have produced, or determinism guarantees are void.
 	Prebuilt *core.Prebuilt
 }
@@ -116,11 +118,12 @@ func Run(opts Options) (*Result, error) {
 	// every later stream (backoffs, PU activity) bit-identical.
 	var nw *netmodel.Network
 	var tree *cds.Tree
+	var tables spectrum.NeighborTables
 	if pre := opts.Prebuilt; pre != nil {
 		if pre.Network == nil || pre.Tree == nil {
 			return nil, fmt.Errorf("multichannel: Prebuilt requires Network and Tree")
 		}
-		nw, tree = pre.Network, pre.Tree
+		nw, tree, tables = pre.Network, pre.Tree, pre.Tables
 	} else {
 		var err error
 		nw, err = netmodel.DeployConnected(opts.Params, src, attempts)
@@ -150,6 +153,7 @@ func Run(opts Options) (*Result, error) {
 		pcrRange:  consts.Range,
 		eng:       eng,
 		src:       src,
+		tables:    tables,
 	})
 	if err != nil {
 		return nil, err
