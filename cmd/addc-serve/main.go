@@ -27,8 +27,8 @@
 //
 // Observability: logs are structured (log/slog) on stderr, text by default
 // and JSONL with -log-format json; every job-scoped line carries job_id,
-// client and state. /metrics serves the Prometheus text exposition and
-// /statsz the same snapshot as JSON (deprecated). -debug-addr starts a
+// client and state. /metrics serves the Prometheus text exposition.
+// -debug-addr starts a
 // second listener serving net/http/pprof under /debug/pprof/ — keep it off
 // public interfaces; it is opt-in precisely because profiles expose
 // internals.

@@ -35,8 +35,6 @@ const maxSpecBytes = 1 << 20
 //	GET  /healthz             process liveness (always 200)
 //	GET  /readyz              admission readiness (503 while draining)
 //	GET  /metrics             Prometheus text-format exposition
-//	GET  /statsz              the same snapshot as JSON (deprecated in
-//	                          favor of /metrics; kept for compatibility)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -55,14 +53,11 @@ func (s *Server) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	})
-	mux.HandleFunc("GET /statsz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Telemetry())
-	})
 	return mux
 }
 
-// handleMetrics serves the Prometheus text-format exposition over the same
-// Telemetry snapshot /statsz renders as JSON.
+// handleMetrics serves the Prometheus text-format exposition of one
+// Telemetry snapshot.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", metrics.PromContentType)
 	writeProm(w, s.Telemetry())

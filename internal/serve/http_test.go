@@ -194,7 +194,7 @@ func TestHTTPAdmissionControl(t *testing.T) {
 	resp.Body.Close()
 
 	// Liveness vs readiness across a drain.
-	for _, probe := range []string{"/healthz", "/readyz", "/statsz"} {
+	for _, probe := range []string{"/healthz", "/readyz"} {
 		resp, err := ts.Client().Get(ts.URL + probe)
 		if err != nil {
 			t.Fatal(err)

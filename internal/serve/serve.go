@@ -122,28 +122,29 @@ type serverStats struct {
 	duration  metrics.WallHistogram
 }
 
-// Stats is a point-in-time snapshot of the server for /statsz.
+// Stats is a point-in-time snapshot of the server's counters, bounds and
+// cache/pool state; /metrics exposes it.
 type Stats struct {
-	States           map[string]int               `json:"jobs_by_state"`
-	Submitted        int64                        `json:"submitted"`
-	Completed        int64                        `json:"completed"`
-	Failed           int64                        `json:"failed"`
-	Deadline         int64                        `json:"deadline"`
-	Interrupted      int64                        `json:"interrupted"`
-	Retried          int64                        `json:"retried"`
-	RejectedFull     int64                        `json:"rejected_queue_full"`
-	RejectedRate     int64                        `json:"rejected_rate_limited"`
-	ShardsSpawned    int64                        `json:"shards_spawned"`
-	ShardsCompleted  int64                        `json:"shards_completed"`
-	ShardsFailed     int64                        `json:"shards_failed"`
-	ShardReexecution int64                        `json:"shard_reexecutions"`
-	Queued           int64                        `json:"queued_now"`
-	QueuedPeak       int64                        `json:"queued_peak"`
-	Running          int64                        `json:"running_now"`
-	RunningPeak      int64                        `json:"running_peak"`
-	TopoCache        experiment.TopoCacheStats    `json:"topo_cache"`
-	Workspaces       core.WorkspacePoolStats      `json:"workspace_pool"`
-	Config           struct{ Workers, Queue int } `json:"bounds"`
+	States           map[string]int
+	Submitted        int64
+	Completed        int64
+	Failed           int64
+	Deadline         int64
+	Interrupted      int64
+	Retried          int64
+	RejectedFull     int64
+	RejectedRate     int64
+	ShardsSpawned    int64
+	ShardsCompleted  int64
+	ShardsFailed     int64
+	ShardReexecution int64
+	Queued           int64
+	QueuedPeak       int64
+	Running          int64
+	RunningPeak      int64
+	TopoCache        experiment.TopoCacheStats
+	Workspaces       core.WorkspacePoolStats
+	Config           struct{ Workers, Queue int }
 }
 
 // Server owns the job table, the bounded queue, and the worker pool. Create
@@ -430,8 +431,7 @@ func (s *Server) Stats() Stats {
 }
 
 // Telemetry is the full observability snapshot: Stats plus the wall-clock
-// latency histograms. /statsz and /metrics both render one Telemetry value
-// per request so the two views always agree.
+// latency histograms. /metrics renders one Telemetry value per request.
 func (s *Server) Telemetry() Telemetry {
 	s.mu.Lock()
 	states := make(map[string]int)

@@ -1,7 +1,7 @@
-// Service-layer telemetry: the Telemetry snapshot that /statsz (JSON) and
-// /metrics (Prometheus text format) both render from, the Prometheus
-// exposition of the server's counters, gauges and wall-clock latency
-// histograms, and the spanLog that persists each job's lifecycle spans.
+// Service-layer telemetry: the Telemetry snapshot that /metrics (Prometheus
+// text format) renders from, the Prometheus exposition of the server's
+// counters, gauges and wall-clock latency histograms, and the spanLog that
+// persists each job's lifecycle spans.
 //
 // Determinism boundary: everything in this file measures wall-clock,
 // service-side behavior — queue waits, worker utilization, retry counts,
@@ -21,17 +21,16 @@ import (
 	"addcrn/internal/trace"
 )
 
-// Telemetry is a point-in-time observability snapshot of the server. Both
-// /statsz and /metrics render one shared Telemetry value per request, so
-// the two endpoints can never disagree about what they measured.
+// Telemetry is a point-in-time observability snapshot of the server;
+// /metrics renders one Telemetry value per request.
 type Telemetry struct {
 	Stats
 	// QueueWait, Execution and Duration are the wall-clock latency
 	// distributions: submission-to-pickup, pickup-to-terminal, and
 	// submission-to-terminal.
-	QueueWait metrics.WallHistogramSnapshot `json:"queue_wait_seconds"`
-	Execution metrics.WallHistogramSnapshot `json:"execution_seconds"`
-	Duration  metrics.WallHistogramSnapshot `json:"job_duration_seconds"`
+	QueueWait metrics.WallHistogramSnapshot
+	Execution metrics.WallHistogramSnapshot
+	Duration  metrics.WallHistogramSnapshot
 }
 
 // allStates enumerates every job state so the addc_jobs_state gauge always

@@ -120,17 +120,14 @@ grep -q '"event":"done"' "$workdir/events.jsonl" ||
     { echo "events feed is missing the terminal span"; exit 1; }
 echo "events feed interleaves lifecycle spans with the journal"
 
-# The deprecated JSON view still works, and pprof answers on the debug
-# listener only.
-curl -fsS "$base/statsz" | grep -q '"submitted"' ||
-    { echo "/statsz lost its JSON stats"; exit 1; }
+# pprof answers on the debug listener only.
 curl -fsS "http://127.0.0.1:$DEBUG_PORT/debug/pprof/" >/dev/null ||
     { echo "pprof not serving on the debug listener"; exit 1; }
 if curl -fsS "$base/debug/pprof/" >/dev/null 2>&1; then
     echo "pprof leaked onto the public API listener"
     exit 1
 fi
-echo "statsz and pprof endpoints behave"
+echo "pprof is confined to the debug listener"
 
 curl -fsS "$base/v1/jobs/$id/result?format=csv" >"$workdir/serve.csv"
 # The CLI prefixes its CSV with a "# fig <id>" banner line; strip it.
