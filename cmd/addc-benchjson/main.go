@@ -7,8 +7,15 @@
 // a pipe without hiding the human-readable run. `make bench` uses it to
 // produce BENCH_addc.json.
 //
+// The file also records the machine the numbers came from: NumCPU, the
+// benchmarks' GOMAXPROCS (their name suffix), the CPU model `go test`
+// prints, the Go version and the git commit (with "+dirty" for a modified
+// tree). A BenchmarkSweepParallel row run with more workers than the machine
+// has CPUs gets no speedup or efficiency; it is listed under "unmeasured".
+//
 // With -baseline, the fresh run is additionally diffed against a previously
-// recorded JSON file: per-benchmark ns/op and allocs/op deltas are printed,
+// recorded JSON file, with a warning first when the baseline was recorded
+// on a different machine: per-benchmark ns/op and allocs/op deltas are printed,
 // and the exit status is non-zero when any shared benchmark regressed by more
 // than -max-regress on ns/op (a fraction; 0.20 means 20% slower) or by more
 // than -max-allocs-regress on allocs/op (0.30 means 30% more allocations —
@@ -18,11 +25,14 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,6 +42,56 @@ import (
 type BenchResult struct {
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
+}
+
+// Record is the BENCH_addc.json document.
+type Record struct {
+	Machine Machine `json:"machine"`
+	// Unmeasured lists values the machine could not measure, one line each.
+	Unmeasured []string               `json:"unmeasured,omitempty"`
+	Benchmarks map[string]BenchResult `json:"benchmarks"`
+}
+
+// Machine identifies where and from what a record was measured.
+type Machine struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPU        string `json:"cpu,omitempty"`
+	GoVersion  string `json:"go_version"`
+	Commit     string `json:"commit"`
+}
+
+// differs lists the fields on which two machine records disagree; the
+// commit is expected to differ and is not compared.
+func (m Machine) differs(o Machine) []string {
+	var d []string
+	if m.NumCPU != o.NumCPU {
+		d = append(d, fmt.Sprintf("num_cpu %d vs %d", m.NumCPU, o.NumCPU))
+	}
+	if m.GOMAXPROCS != o.GOMAXPROCS {
+		d = append(d, fmt.Sprintf("gomaxprocs %d vs %d", m.GOMAXPROCS, o.GOMAXPROCS))
+	}
+	if m.CPU != o.CPU {
+		d = append(d, fmt.Sprintf("cpu %q vs %q", m.CPU, o.CPU))
+	}
+	if m.GoVersion != o.GoVersion {
+		d = append(d, fmt.Sprintf("go %s vs %s", m.GoVersion, o.GoVersion))
+	}
+	return d
+}
+
+// gitCommit returns HEAD's hash, suffixed "+dirty" when tracked files are
+// modified, or "unmeasured" outside a git checkout.
+func gitCommit() string {
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unmeasured"
+	}
+	commit := strings.TrimSpace(string(out))
+	if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(bytes.TrimSpace(st)) > 0 {
+		commit += "+dirty"
+	}
+	return commit
 }
 
 func main() {
@@ -74,19 +134,24 @@ type gateConfig struct {
 }
 
 func run(r io.Reader, echo io.Writer, outPath, baselinePath string, gates gateConfig) error {
-	results, err := parse(r, echo)
+	commit := gitCommit()
+	results, machine, err := parse(r, echo)
 	if err != nil {
 		return err
 	}
 	if len(results) == 0 {
 		return fmt.Errorf("no benchmark lines found on stdin")
 	}
-	scaling := augmentScaling(results)
+	machine.NumCPU = runtime.NumCPU()
+	machine.GoVersion = runtime.Version()
+	machine.Commit = commit
+	scaling, unmeasured := augmentScaling(results, machine.NumCPU)
 	if len(scaling) > 0 {
 		printScaling(echo, scaling)
 	}
 	if outPath != "" {
-		data, err := json.MarshalIndent(results, "", "  ")
+		rec := Record{Machine: machine, Unmeasured: unmeasured, Benchmarks: results}
+		data, err := json.MarshalIndent(rec, "", "  ")
 		if err != nil {
 			return err
 		}
@@ -100,10 +165,11 @@ func run(r io.Reader, echo io.Writer, outPath, baselinePath string, gates gateCo
 		if err != nil {
 			return err
 		}
+		warnMachine(echo, base.Machine, machine)
 		if err := scalingGate(echo, scaling, gates); err != nil {
 			return err
 		}
-		return diff(echo, base, results, gates)
+		return diff(echo, base.Benchmarks, results, gates)
 	}
 	return nil
 }
@@ -119,14 +185,19 @@ type scalePoint struct {
 	cores int
 	ns    float64
 	cpus  float64 // machine core count the benchmark self-reported
+	// measured is false when the machine had fewer CPUs than cores, so
+	// the row's speedup cannot be measured there.
+	measured bool
 }
 
 // augmentScaling derives speedup and scaling efficiency for every
 // BenchmarkSweepParallel family present and injects them as metrics on the
 // per-core-count entries (so BENCH_addc.json records them), returning the
 // families keyed by name with points sorted by core count. Speedup is
-// ns/op(c1) / ns/op(cN) within a family; efficiency divides by N.
-func augmentScaling(results map[string]BenchResult) map[string][]scalePoint {
+// ns/op(c1) / ns/op(cN) within a family; efficiency divides by N. A row
+// whose core count exceeds the CPUs it ran on (its self-reported cpus
+// metric, else numCPU) gets neither metric and is returned in unmeasured.
+func augmentScaling(results map[string]BenchResult, numCPU int) (map[string][]scalePoint, []string) {
 	fams := make(map[string][]scalePoint)
 	for name, r := range results {
 		rest, ok := strings.CutPrefix(name, parallelPrefix)
@@ -141,14 +212,21 @@ func augmentScaling(results map[string]BenchResult) map[string][]scalePoint {
 		if err != nil || cores < 1 {
 			continue
 		}
+		cpus := r.Metrics["cpus"]
+		if cpus <= 0 {
+			cpus = float64(numCPU)
+		}
 		fams[rest[:i]] = append(fams[rest[:i]], scalePoint{
-			name:  name,
-			cores: cores,
-			ns:    r.Metrics["ns/op"],
-			cpus:  r.Metrics["cpus"],
+			name:     name,
+			cores:    cores,
+			ns:       r.Metrics["ns/op"],
+			cpus:     cpus,
+			measured: float64(cores) <= cpus,
 		})
 	}
-	for fam, pts := range fams {
+	var unmeasured []string
+	for _, fam := range sortedKeys(fams) {
+		pts := fams[fam]
 		sort.Slice(pts, func(i, j int) bool { return pts[i].cores < pts[j].cores })
 		fams[fam] = pts
 		var base float64
@@ -161,6 +239,10 @@ func augmentScaling(results map[string]BenchResult) map[string][]scalePoint {
 			continue
 		}
 		for _, p := range pts {
+			if !p.measured {
+				unmeasured = append(unmeasured, fmt.Sprintf("%s speedup/efficiency: %d cores on a %.0f-CPU machine", p.name, p.cores, p.cpus))
+				continue
+			}
 			if p.ns <= 0 {
 				continue
 			}
@@ -169,7 +251,7 @@ func augmentScaling(results map[string]BenchResult) map[string][]scalePoint {
 			results[p.name].Metrics["efficiency"] = speedup / float64(p.cores)
 		}
 	}
-	return fams
+	return fams, unmeasured
 }
 
 // printScaling renders the scaling-efficiency table (cores vs speedup per
@@ -189,7 +271,9 @@ func printScaling(w io.Writer, fams map[string][]scalePoint) {
 			}
 		}
 		for _, p := range fams[name] {
-			if base > 0 && p.ns > 0 {
+			if !p.measured {
+				fmt.Fprintf(w, "%-10s %6d %14.0f %9s %11s\n", name, p.cores, p.ns, "unmeasured", "-")
+			} else if base > 0 && p.ns > 0 {
 				s := base / p.ns
 				fmt.Fprintf(w, "%-10s %6d %14.0f %8.2fx %10.1f%%\n",
 					name, p.cores, p.ns, s, 100*s/float64(p.cores))
@@ -255,16 +339,34 @@ func sortedKeys(m map[string][]scalePoint) []string {
 	return keys
 }
 
-func loadBaseline(path string) (map[string]BenchResult, error) {
+// loadBaseline reads a recorded file. A file from before the machine
+// record is a bare benchmark map; it loads with a zero Machine.
+func loadBaseline(path string) (Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return Record{}, err
 	}
-	var base map[string]BenchResult
-	if err := json.Unmarshal(data, &base); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
+	var rec Record
+	if err := json.Unmarshal(data, &rec); err == nil && rec.Benchmarks == nil {
+		err = json.Unmarshal(data, &rec.Benchmarks)
 	}
-	return base, nil
+	if err != nil {
+		return Record{}, fmt.Errorf("parse %s: %w", path, err)
+	}
+	return rec, nil
+}
+
+// warnMachine prints a warning when the baseline was recorded on another
+// machine (or records none): its ns/op deltas then mix code and hardware.
+func warnMachine(w io.Writer, base, fresh Machine) {
+	if base == (Machine{}) {
+		fmt.Fprintln(w, "warning: baseline has no machine record; ns/op deltas may compare different machines")
+		return
+	}
+	if d := base.differs(fresh); len(d) > 0 {
+		fmt.Fprintf(w, "warning: baseline was recorded on a different machine (%s); ns/op deltas mix code and hardware\n",
+			strings.Join(d, ", "))
+	}
 }
 
 // diff prints per-benchmark ns/op and allocs/op deltas of fresh vs base and
@@ -333,9 +435,12 @@ func diff(w io.Writer, base, fresh map[string]BenchResult, gates gateConfig) err
 }
 
 // parse scans benchmark result lines ("BenchmarkName-8  10  123 ns/op  4
-// extra-metric ...") and echoes every input line verbatim.
-func parse(r io.Reader, echo io.Writer) (map[string]BenchResult, error) {
+// extra-metric ...") and echoes every input line verbatim. The returned
+// Machine carries what the stream itself says: GOMAXPROCS from the first
+// benchmark's name suffix (go test omits it at 1) and the "cpu:" header.
+func parse(r io.Reader, echo io.Writer) (map[string]BenchResult, Machine, error) {
 	results := make(map[string]BenchResult)
+	var m Machine
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -343,14 +448,20 @@ func parse(r io.Reader, echo io.Writer) (map[string]BenchResult, error) {
 		if echo != nil {
 			fmt.Fprintln(echo, line)
 		}
-		res, name, ok := parseLine(line)
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok && m.CPU == "" {
+			m.CPU = strings.TrimSpace(cpu)
+		}
+		res, name, procs, ok := parseLine(line)
 		if ok {
+			if m.GOMAXPROCS == 0 {
+				m.GOMAXPROCS = procs
+			}
 			if prev, dup := results[name]; !dup || faster(res, prev) {
 				results[name] = res
 			}
 		}
 	}
-	return results, sc.Err()
+	return results, m, sc.Err()
 }
 
 // faster reports whether rep a beat rep b on ns/op. Reps without ns/op
@@ -364,20 +475,22 @@ func faster(a, b BenchResult) bool {
 	return an < bn
 }
 
-func parseLine(line string) (BenchResult, string, bool) {
+// parseLine parses one result line into its measurement, its name without
+// the -GOMAXPROCS suffix, and that GOMAXPROCS (1 when absent).
+func parseLine(line string) (BenchResult, string, int, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 2 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return BenchResult{}, "", false
+		return BenchResult{}, "", 0, false
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return BenchResult{}, "", false
+		return BenchResult{}, "", 0, false
 	}
 	// Strip the -GOMAXPROCS suffix so names are stable across machines.
-	name := fields[0]
+	name, procs := fields[0], 1
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if p, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], p
 		}
 	}
 	res := BenchResult{Iterations: iters, Metrics: make(map[string]float64)}
@@ -389,7 +502,7 @@ func parseLine(line string) (BenchResult, string, bool) {
 		res.Metrics[fields[i+1]] = v
 	}
 	if len(res.Metrics) == 0 {
-		return BenchResult{}, "", false
+		return BenchResult{}, "", 0, false
 	}
-	return res, name, true
+	return res, name, procs, true
 }

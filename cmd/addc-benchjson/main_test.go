@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -10,6 +14,7 @@ import (
 const sample = `goos: linux
 goarch: amd64
 pkg: addcrn
+cpu: Example CPU @ 2.00GHz
 BenchmarkCollectBare-8         	       3	  27076512 ns/op	      8258 delay-slots
 BenchmarkCollectInstrumented-8 	       3	  27650339 ns/op	      8258 delay-slots
 BenchmarkHotPath-8             	123456789	         9.7 ns/op	       0 B/op	       0 allocs/op
@@ -19,9 +24,12 @@ ok  	addcrn	0.256s
 
 func TestParse(t *testing.T) {
 	var echo bytes.Buffer
-	results, err := parse(strings.NewReader(sample), &echo)
+	results, m, err := parse(strings.NewReader(sample), &echo)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if m.GOMAXPROCS != 8 || m.CPU != "Example CPU @ 2.00GHz" {
+		t.Errorf("stream machine = %+v, want GOMAXPROCS 8 and the cpu header", m)
 	}
 	if len(results) != 3 {
 		t.Fatalf("parsed %d benchmarks, want 3", len(results))
@@ -53,7 +61,7 @@ func TestParseLineRejects(t *testing.T) {
 		"Benchmark only-a-name",
 		"BenchmarkNoMetrics-8 10",
 	} {
-		if _, _, ok := parseLine(line); ok {
+		if _, _, _, ok := parseLine(line); ok {
 			t.Errorf("accepted %q", line)
 		}
 	}
@@ -64,7 +72,7 @@ func TestParseRepeatsKeepFastest(t *testing.T) {
 BenchmarkCollectBare-8 	1	14000000 ns/op	13831 delay-slots
 BenchmarkCollectBare-8 	1	22000000 ns/op	13831 delay-slots
 `
-	results, err := parse(strings.NewReader(reps), nil)
+	results, _, err := parse(strings.NewReader(reps), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +97,13 @@ func gates(maxRegress, gateFloor float64) gateConfig {
 
 func TestDiffGate(t *testing.T) {
 	base := map[string]BenchResult{
-		"BenchmarkA": bench(1000),
-		"BenchmarkB": bench(1000),
+		"BenchmarkA":    bench(1000),
+		"BenchmarkB":    bench(1000),
 		"BenchmarkGone": bench(50),
 	}
 	fresh := map[string]BenchResult{
-		"BenchmarkA": bench(1100), // +10%: within the gate
-		"BenchmarkB": bench(1300), // +30%: regression
+		"BenchmarkA":   bench(1100), // +10%: within the gate
+		"BenchmarkB":   bench(1300), // +30%: regression
 		"BenchmarkNew": bench(42),
 	}
 	var out bytes.Buffer
@@ -163,7 +171,10 @@ func TestAugmentScalingInjectsEfficiency(t *testing.T) {
 		"BenchmarkSweepParallel/scalar-c8": parallelBench(1e8, 8),    // 4.0x
 		"BenchmarkCollectBare":             bench(1000),              // not part of the family
 	}
-	fams := augmentScaling(results)
+	fams, unmeasured := augmentScaling(results, 8)
+	if len(unmeasured) != 0 {
+		t.Errorf("8-CPU rows listed as unmeasured: %v", unmeasured)
+	}
 	pts, ok := fams["scalar"]
 	if !ok || len(pts) != 3 {
 		t.Fatalf("families = %v, want scalar with 3 points", fams)
@@ -258,5 +269,103 @@ func TestDiffAllocsGate(t *testing.T) {
 	fresh["BenchmarkB"] = benchAllocs(5100000, 0)
 	if err := diff(io.Discard, base, fresh, gates(0.20, 1e6)); err != nil {
 		t.Errorf("allocation improvement flagged as regression: %v", err)
+	}
+}
+
+func TestAugmentScalingUnmeasured(t *testing.T) {
+	// On a 1-CPU machine only the c1 row is a measurement; c2 and c4
+	// time-slice one core, so they get no speedup and are listed.
+	results := map[string]BenchResult{
+		"BenchmarkSweepParallel/scalar-c1": parallelBench(1.8e8, 1),
+		"BenchmarkSweepParallel/scalar-c2": parallelBench(1.9e8, 1),
+		"BenchmarkSweepParallel/scalar-c4": parallelBench(2.0e8, 0), // cpus unreported: machine's count
+	}
+	fams, unmeasured := augmentScaling(results, 1)
+	for _, name := range []string{"BenchmarkSweepParallel/scalar-c2", "BenchmarkSweepParallel/scalar-c4"} {
+		if _, ok := results[name].Metrics["speedup"]; ok {
+			t.Errorf("%s got a speedup on a 1-CPU machine", name)
+		}
+		if _, ok := results[name].Metrics["efficiency"]; ok {
+			t.Errorf("%s got an efficiency on a 1-CPU machine", name)
+		}
+		found := false
+		for _, u := range unmeasured {
+			found = found || strings.HasPrefix(u, name+" ")
+		}
+		if !found {
+			t.Errorf("%s missing from unmeasured %v", name, unmeasured)
+		}
+	}
+	if got := results["BenchmarkSweepParallel/scalar-c1"].Metrics["speedup"]; got != 1 {
+		t.Errorf("c1 speedup = %v, want 1", got)
+	}
+	var out bytes.Buffer
+	printScaling(&out, fams)
+	if strings.Count(out.String(), "unmeasured") != 2 {
+		t.Errorf("scaling table should mark two rows unmeasured:\n%s", out.String())
+	}
+}
+
+func TestRunRecordsMachine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := run(strings.NewReader(sample), io.Discard, path, "", gates(0.20, 0)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec Record
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	m := rec.Machine
+	if m.NumCPU != runtime.NumCPU() || m.GOMAXPROCS != 8 || m.GoVersion != runtime.Version() ||
+		m.CPU != "Example CPU @ 2.00GHz" || m.Commit == "" {
+		t.Errorf("machine record = %+v", m)
+	}
+	if len(rec.Benchmarks) != 3 {
+		t.Errorf("recorded %d benchmarks, want 3", len(rec.Benchmarks))
+	}
+}
+
+func TestBaselineMachineWarning(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, v any) string {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	here := Machine{NumCPU: runtime.NumCPU(), GOMAXPROCS: 8, CPU: "Example CPU @ 2.00GHz", GoVersion: runtime.Version()}
+	other := here
+	other.NumCPU += 4
+	benches := map[string]BenchResult{"BenchmarkCollectBare": bench(27076512)}
+	for _, tc := range []struct {
+		name, path, want string
+	}{
+		{"same machine", write("same.json", Record{Machine: here, Benchmarks: benches}), ""},
+		{"other machine", write("other.json", Record{Machine: other, Benchmarks: benches}), "different machine (num_cpu"},
+		{"legacy file", write("legacy.json", benches), "no machine record"},
+	} {
+		var out bytes.Buffer
+		if err := run(strings.NewReader(sample), &out, "", tc.path, gates(10, 0)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		warned := strings.Contains(out.String(), "warning:")
+		if tc.want == "" && warned {
+			t.Errorf("%s: unexpected warning:\n%s", tc.name, out.String())
+		}
+		if tc.want != "" && !strings.Contains(out.String(), tc.want) {
+			t.Errorf("%s: output lacks %q:\n%s", tc.name, tc.want, out.String())
+		}
+		if !strings.Contains(out.String(), "BenchmarkCollectBare") {
+			t.Errorf("%s: baseline benchmarks not diffed:\n%s", tc.name, out.String())
+		}
 	}
 }
