@@ -17,7 +17,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race guard vuln bench bench-diff bench-parallel profile serve-smoke obs-smoke shard-chaos
+.PHONY: check build vet test race guard vuln bench bench-diff bench-parallel profile serve-smoke obs-smoke shard-chaos repro-ext1
 
 check: vet build test
 
@@ -52,6 +52,16 @@ obs-smoke: serve-smoke
 # sharded output must be byte-identical to an uninterrupted unsharded run.
 shard-chaos:
 	./scripts/shard-chaos.sh
+
+# repro-ext1 re-runs the multichannel extension sweep and requires its
+# table to match results/ext1.txt byte for byte, ignoring only the
+# "(wall clock ...)" trailer.
+repro-ext1:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp" "$$tmp.want"' EXIT && \
+	$(GO) run ./cmd/addc-experiments -fig ext1 >"$$tmp" && \
+	grep -v '^(wall clock ' results/ext1.txt >"$$tmp.want" && \
+	grep -v '^(wall clock ' "$$tmp" | diff "$$tmp.want" - && \
+	echo "ext1 reproduces results/ext1.txt"
 
 vuln:
 	@if command -v govulncheck >/dev/null 2>&1; then \
