@@ -17,7 +17,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race guard vuln bench bench-diff bench-parallel profile serve-smoke obs-smoke shard-chaos repro-ext1
+.PHONY: check build vet test race guard vuln bench bench-diff bench-parallel profile serve-smoke obs-smoke shard-chaos repro-ext1 repro-ext2
 
 check: vet build test
 
@@ -62,6 +62,16 @@ repro-ext1:
 	grep -v '^(wall clock ' results/ext1.txt >"$$tmp.want" && \
 	grep -v '^(wall clock ' "$$tmp" | diff "$$tmp.want" - && \
 	echo "ext1 reproduces results/ext1.txt"
+
+# repro-ext2 is repro-ext1 for the fault-tolerance sweep: re-run -fig ext2
+# and require its table to match results/ext2.txt, ignoring only the
+# "(wall clock ...)" trailer.
+repro-ext2:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp" "$$tmp.want"' EXIT && \
+	$(GO) run ./cmd/addc-experiments -fig ext2 >"$$tmp" && \
+	grep -v '^(wall clock ' results/ext2.txt >"$$tmp.want" && \
+	grep -v '^(wall clock ' "$$tmp" | diff "$$tmp.want" - && \
+	echo "ext2 reproduces results/ext2.txt"
 
 vuln:
 	@if command -v govulncheck >/dev/null 2>&1; then \

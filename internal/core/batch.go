@@ -6,7 +6,6 @@ import (
 	"addcrn/internal/mac"
 	"addcrn/internal/metrics"
 	"addcrn/internal/netmodel"
-	"addcrn/internal/rng"
 	"addcrn/internal/trace"
 )
 
@@ -28,13 +27,6 @@ type LaneResult struct {
 	Result *Result
 	Err    error
 }
-
-// batchSeeds memoizes generator seed states process-wide for the batch
-// path. Lanes of a sweep re-derive the same child streams constantly (the
-// ADDC and baseline runs of a pair even share their root seed), and
-// replaying a captured state is ~10x cheaper than stdlib seeding. The
-// scalar path never touches it, so its cost profile is untouched.
-var batchSeeds = rng.NewCache(0)
 
 // CollectBatch runs len(lanes) repetitions of one collection task as a
 // single interleaved simulation: one event loop drives every lane in global
@@ -95,7 +87,7 @@ func CollectBatch(ctx context.Context, nw *netmodel.Network, parent []int32, cfg
 			seed: lc.Seed,
 			met:  lc.Metrics,
 			sink: combineSinks(lc.Trace, lc.Sink),
-		}, batchSeeds.New, &ws.lanes[i], ws.slabs.Lane(i))
+		}, &ws.lanes[i], ws.slabs.Lane(i))
 		if err != nil {
 			return nil, err
 		}

@@ -96,7 +96,7 @@ func runBatchEquivalence(t *testing.T, base CollectConfig, seeds []uint64, ws *W
 	}
 }
 
-func batchSeedsFor(b int) []uint64 {
+func laneSeedsFor(b int) []uint64 {
 	seeds := make([]uint64, b)
 	for i := range seeds {
 		seeds[i] = uint64(1000 + 77*i)
@@ -109,7 +109,7 @@ func batchSeedsFor(b int) []uint64 {
 func TestCollectBatchEquivalence(t *testing.T) {
 	for _, b := range []int{1, 4, 16} {
 		base := CollectConfig{TraceMAC: true}
-		runBatchEquivalence(t, base, batchSeedsFor(b), NewWorkspace())
+		runBatchEquivalence(t, base, laneSeedsFor(b), NewWorkspace())
 	}
 }
 

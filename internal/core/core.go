@@ -570,7 +570,7 @@ func CollectContext(ctx context.Context, nw *netmodel.Network, parent []int32, c
 		seed: cfg.Seed,
 		met:  cfg.Metrics,
 		sink: combineSinks(cfg.Trace, cfg.Sink),
-	}, rng.New, scratch, nil)
+	}, scratch, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -767,12 +767,11 @@ func (ln *lane) stallErr() error {
 }
 
 // prepareLane builds one repetition on eng — result, hooks, MAC, PU model,
-// fault schedule — and starts it, leaving the lane ready to step. newSrc
-// makes the lane's root randomness source (rng.New for scalar runs; a
-// seed-state cache under batching, where lanes repeatedly re-derive the
-// same streams). scratch, when non-nil, is the retained per-lane workspace
-// slot; slab, when non-nil, backs the MAC's dense arrays (see mac.NewSlabs).
-func (env *collectEnv) prepareLane(eng *sim.Engine, io laneIO, newSrc func(uint64) *rng.Source, scratch *laneScratch, slab *mac.LaneSlab) (*lane, error) {
+// fault schedule — and starts it, leaving the lane ready to step. scratch,
+// when non-nil, is the retained per-lane workspace slot, whose root source is
+// reseeded in place; slab, when non-nil, backs the MAC's dense arrays (see
+// mac.NewSlabs).
+func (env *collectEnv) prepareLane(eng *sim.Engine, io laneIO, scratch *laneScratch, slab *mac.LaneSlab) (*lane, error) {
 	cfg := &env.cfg
 	nw := env.nw
 	var src *rng.Source
@@ -780,7 +779,7 @@ func (env *collectEnv) prepareLane(eng *sim.Engine, io laneIO, newSrc func(uint6
 		src = scratch.src
 		src.Reseed(io.seed)
 	} else {
-		src = newSrc(io.seed)
+		src = rng.New(io.seed)
 		if scratch != nil {
 			scratch.src = src
 		}
@@ -791,7 +790,7 @@ func (env *collectEnv) prepareLane(eng *sim.Engine, io laneIO, newSrc func(uint6
 	// leaves every code path below bit-identical to the fault-free run.
 	var plan *fault.Plan
 	if cfg.Faults != nil && !cfg.Faults.Zero() {
-		p, err := fault.Compile(*cfg.Faults, nw, env.consts.Range, newSrc(io.seed).Child("fault/plan"))
+		p, err := fault.Compile(*cfg.Faults, nw, env.consts.Range, src.Child("fault/plan"))
 		if err != nil {
 			return nil, err
 		}

@@ -6,17 +6,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 	"time"
 
-	"addcrn/internal/fault"
 	"addcrn/internal/netmodel"
 )
 
-// batchSweep builds the checkpointed sweep the lane-batch equivalence tests
-// run. Reps is 4 so a batch of 2 spans two full blocks and a batch of 4
-// spans one; Workers stays 1 for byte-comparable journals.
+// batchSweep builds the checkpointed sweep the batch resume test runs. Reps
+// is 4 so a batch of 2 spans two full blocks.
 func batchSweep(dir string, mutate func(*Sweep)) *Sweep {
 	s := &Sweep{
 		ID:     "batchequiv",
@@ -39,75 +36,6 @@ func batchSweep(dir string, mutate func(*Sweep)) *Sweep {
 		mutate(s)
 	}
 	return s
-}
-
-func runBatchSweep(t *testing.T, mutate func(*Sweep)) ([]byte, *SweepResult) {
-	t.Helper()
-	s := batchSweep(t.TempDir(), mutate)
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(s.Checkpoint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data, res
-}
-
-// TestBatchCheckpointEquivalence is the sweep layer of the lane-batch
-// bit-identity guarantee: with the same Batch (hence the same block
-// scheduling and seed derivation), executing each block through the
-// interleaved lane engine and executing its lanes one by one through the
-// scalar engine must journal byte-identical files and summarize to
-// identical points. B = 2 exercises multiple blocks per x; B = 3 leaves a
-// ragged final block; B = 4 puts all reps of an x in one batch.
-func TestBatchCheckpointEquivalence(t *testing.T) {
-	for _, b := range []int{2, 3, 4} {
-		t.Run(fmt.Sprintf("B=%d", b), func(t *testing.T) {
-			lanedCk, lanedRes := runBatchSweep(t, func(s *Sweep) { s.Batch = b })
-			scalarCk, scalarRes := runBatchSweep(t, func(s *Sweep) {
-				s.Batch = b
-				s.noBatchEngine = true
-			})
-			if len(lanedCk) == 0 {
-				t.Fatal("sweep journaled nothing; comparison is vacuous")
-			}
-			if !bytes.Equal(lanedCk, scalarCk) {
-				t.Fatalf("checkpoint files diverge:\n laned:\n%s\n scalar:\n%s", lanedCk, scalarCk)
-			}
-			if !reflect.DeepEqual(lanedRes.Points, scalarRes.Points) {
-				t.Fatalf("sweep points diverge:\n laned:  %+v\n scalar: %+v", lanedRes.Points, scalarRes.Points)
-			}
-		})
-	}
-}
-
-// TestBatchFaultsSharedTopologyEquivalence rides the hard execution modes
-// through one batched sweep: fault injection with guards, plus topology
-// memoization. The laned engine must stay byte-identical to the scalar
-// engine under the same schedule.
-func TestBatchFaultsSharedTopologyEquivalence(t *testing.T) {
-	hard := func(s *Sweep) {
-		s.Batch = 4
-		s.ShareTopology = true
-		s.Faults = &fault.Spec{CrashFrac: 0.05, LinkLoss: 0.02, RecoverAfter: 2 * time.Minute}
-	}
-	lanedCk, lanedRes := runBatchSweep(t, hard)
-	scalarCk, scalarRes := runBatchSweep(t, func(s *Sweep) {
-		hard(s)
-		s.noBatchEngine = true
-		s.noReuse = true
-	})
-	if len(lanedCk) == 0 {
-		t.Fatal("sweep journaled nothing; comparison is vacuous")
-	}
-	if !bytes.Equal(lanedCk, scalarCk) {
-		t.Fatalf("checkpoint files diverge:\n laned:\n%s\n scalar:\n%s", lanedCk, scalarCk)
-	}
-	if !reflect.DeepEqual(lanedRes.Points, scalarRes.Points) {
-		t.Fatalf("sweep points diverge:\n laned:  %+v\n scalar: %+v", lanedRes.Points, scalarRes.Points)
-	}
 }
 
 // TestBatchedShardMerge pins lane independence at the sharding boundary: a

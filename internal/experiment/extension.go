@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"addcrn/internal/multichannel"
@@ -44,8 +45,10 @@ type ChannelSweepResult struct {
 	Elapsed time.Duration
 }
 
-// Run executes the sweep with one goroutine per pending repetition (capped
-// at Workers).
+// Run executes the sweep on up to Workers goroutines, one deterministic
+// simulation per (channel count, repetition) pair. Each pair fills its own
+// result slot and points summarize in repetition order, so the result does
+// not depend on Workers or scheduling.
 func (s *ChannelSweep) Run() (*ChannelSweepResult, error) {
 	if len(s.Channels) == 0 {
 		return nil, fmt.Errorf("experiment: channel sweep has no channel counts")
@@ -54,95 +57,94 @@ func (s *ChannelSweep) Run() (*ChannelSweepResult, error) {
 	if reps <= 0 {
 		reps = 10
 	}
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	start := time.Now()
 
 	type outcome struct {
-		ci       int
 		delay    float64
 		deafness float64
 		err      error
 	}
-	type job struct{ ci, rep int }
 	cache := newTopoCache()
-	jobs := make(chan job)
-	results := make(chan outcome)
+	run := func(ci, rep int) outcome {
+		opts := multichannel.Options{
+			Params:   s.Base,
+			Channels: s.Channels[ci],
+			Assign:   s.Assign,
+		}
+		if s.ShareTopology {
+			seed := rng.New(s.Seed).ChildN("ext1/topo", rep).Uint64()
+			topo, err := cache.get(s.Base, seed)
+			if err != nil {
+				return outcome{err: err}
+			}
+			opts.Seed = seed
+			opts.Prebuilt = topo.prebuilt()
+		} else {
+			opts.Seed = rng.New(s.Seed).ChildN(fmt.Sprintf("ext1/c%d", s.Channels[ci]), rep).Uint64()
+		}
+		res, err := multichannel.Run(opts)
+		if err != nil {
+			return outcome{err: err}
+		}
+		return outcome{delay: res.DelaySlots, deafness: float64(res.DeafnessLosses)}
+	}
+	outs := make([]outcome, len(s.Channels)*reps)
+	claimSlots(s.Workers, len(outs), func() func(int) {
+		return func(i int) { outs[i] = run(i/reps, i%reps) }
+	})
+
+	res := &ChannelSweepResult{}
+	total := 0
+	var firstErr error
+	for ci, c := range s.Channels {
+		p := ChannelPoint{Channels: c}
+		var delays, deaf []float64
+		for _, o := range outs[ci*reps : (ci+1)*reps] {
+			if o.err != nil {
+				p.Failed++
+				if firstErr == nil {
+					firstErr = o.err
+				}
+				continue
+			}
+			delays = append(delays, o.delay)
+			deaf = append(deaf, o.deafness)
+		}
+		p.Delay, p.Deafness = stats.Summarize(delays), stats.Summarize(deaf)
+		res.Points = append(res.Points, p)
+		total += len(delays)
+	}
+	res.Elapsed = time.Since(start)
+	if total == 0 && firstErr != nil {
+		return nil, fmt.Errorf("experiment: channel sweep produced no results: %w", firstErr)
+	}
+	return res, nil
+}
+
+// claimSlots fills n result slots on up to workers goroutines (default
+// GOMAXPROCS). Each goroutine builds its slot handler once with newWorker —
+// the place for per-worker state — then claims slot indices from one atomic
+// cursor until none remain.
+func claimSlots(workers, n int, newWorker func() func(slot int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				opts := multichannel.Options{
-					Params:   s.Base,
-					Channels: s.Channels[j.ci],
-					Assign:   s.Assign,
-				}
-				if s.ShareTopology {
-					seed := rng.New(s.Seed).ChildN("ext1/topo", j.rep).Uint64()
-					topo, err := cache.get(s.Base, seed)
-					if err != nil {
-						results <- outcome{ci: j.ci, err: err}
-						continue
-					}
-					opts.Seed = seed
-					opts.Prebuilt = topo.prebuilt()
-				} else {
-					opts.Seed = rng.New(s.Seed).ChildN(fmt.Sprintf("ext1/c%d", s.Channels[j.ci]), j.rep).Uint64()
-				}
-				res, err := multichannel.Run(opts)
-				if err != nil {
-					results <- outcome{ci: j.ci, err: err}
-					continue
-				}
-				results <- outcome{ci: j.ci, delay: res.DelaySlots, deafness: float64(res.DeafnessLosses)}
+			fill := newWorker()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fill(i)
 			}
 		}()
 	}
-	go func() {
-		for ci := range s.Channels {
-			for rep := 0; rep < reps; rep++ {
-				jobs <- job{ci: ci, rep: rep}
-			}
-		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-
-	delays := make([][]float64, len(s.Channels))
-	deaf := make([][]float64, len(s.Channels))
-	failed := make([]int, len(s.Channels))
-	var firstErr error
-	for out := range results {
-		if out.err != nil {
-			failed[out.ci]++
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			continue
-		}
-		delays[out.ci] = append(delays[out.ci], out.delay)
-		deaf[out.ci] = append(deaf[out.ci], out.deafness)
-	}
-	res := &ChannelSweepResult{Elapsed: time.Since(start)}
-	total := 0
-	for ci, c := range s.Channels {
-		res.Points = append(res.Points, ChannelPoint{
-			Channels: c,
-			Delay:    stats.Summarize(delays[ci]),
-			Deafness: stats.Summarize(deaf[ci]),
-			Failed:   failed[ci],
-		})
-		total += len(delays[ci])
-	}
-	if total == 0 && firstErr != nil {
-		return nil, fmt.Errorf("experiment: channel sweep produced no results: %w", firstErr)
-	}
-	return res, nil
+	wg.Wait()
 }
 
 // FormatTable renders the channel sweep result.

@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"time"
 
 	"addcrn/internal/core"
@@ -49,11 +47,6 @@ type FaultSweep struct {
 	// because it changes the seed derivation to depend only on the
 	// repetition.
 	ShareTopology bool
-
-	// noReuse / noTopoCache are test hooks with the same semantics as
-	// Sweep's: disable per-worker context reuse / the topology cache.
-	noReuse     bool
-	noTopoCache bool
 }
 
 // FaultPoint is one crash-fraction measurement.
@@ -80,15 +73,17 @@ type FaultSweepResult struct {
 	Elapsed time.Duration
 }
 
-// Run executes the sweep with a worker pool, one deterministic simulation
-// per (crash fraction, repetition) pair.
+// Run executes the sweep on up to Workers goroutines, one deterministic
+// simulation per (crash fraction, repetition) pair. Each pair fills its own
+// result slot and points summarize in repetition order, so the result does
+// not depend on Workers or scheduling.
 func (s *FaultSweep) Run() (*FaultSweepResult, error) {
 	return s.RunContext(context.Background())
 }
 
-// RunContext is Run with cooperative cancellation: canceling ctx stops
-// feeding work, interrupts in-flight simulations, and returns the partial
-// result alongside an error wrapping the context's.
+// RunContext is Run with cooperative cancellation: canceling ctx skips the
+// pairs not yet started, interrupts in-flight simulations, and returns the
+// partial result alongside an error wrapping the context's.
 func (s *FaultSweep) RunContext(ctx context.Context) (*FaultSweepResult, error) {
 	if len(s.CrashFracs) == 0 {
 		return nil, fmt.Errorf("experiment: fault sweep has no crash fractions")
@@ -96,10 +91,6 @@ func (s *FaultSweep) RunContext(ctx context.Context) (*FaultSweepResult, error) 
 	reps := s.Reps
 	if reps <= 0 {
 		reps = 10
-	}
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	window := s.CrashWindow
 	if window <= 0 {
@@ -112,7 +103,6 @@ func (s *FaultSweep) RunContext(ctx context.Context) (*FaultSweepResult, error) 
 	start := time.Now()
 
 	type outcome struct {
-		fi       int
 		delivery float64
 		delay    float64
 		repairs  float64
@@ -121,40 +111,34 @@ func (s *FaultSweep) RunContext(ctx context.Context) (*FaultSweepResult, error) 
 		canceled bool
 		err      error
 	}
-	type job struct{ fi, rep int }
 	// runJob isolates one repetition: a panic anywhere in the simulation
 	// stack becomes a per-point failure carrying the stack, never a
 	// process crash.
-	runJob := func(j job, env *runEnv) (out outcome) {
+	runJob := func(fi, rep int, env *runEnv) (out outcome) {
 		defer func() {
 			if r := recover(); r != nil {
-				out = outcome{fi: j.fi, err: fmt.Errorf(
+				out = outcome{err: fmt.Errorf(
 					"experiment: fault sweep f=%g rep %d panicked: %v\n%s",
-					s.CrashFracs[j.fi], j.rep, r, debug.Stack())}
+					s.CrashFracs[fi], rep, r, debug.Stack())}
 				env.discard()
 			}
 		}()
+		if cause := ctx.Err(); cause != nil {
+			return outcome{err: cause, canceled: true}
+		}
 		var seed uint64
 		var pre *core.Prebuilt
 		if s.ShareTopology {
 			// The placement seed depends only on the repetition so every
 			// crash fraction shares one memoized topology build.
-			seed = rng.New(s.Seed).ChildN("ext2/topo", j.rep).Uint64()
-			if s.noTopoCache {
-				topo, err := BuildTopology(s.Base, seed)
-				if err != nil {
-					return outcome{fi: j.fi, err: err}
-				}
-				pre = topo.prebuilt()
-			} else {
-				topo, err := env.cache.get(s.Base, seed)
-				if err != nil {
-					return outcome{fi: j.fi, err: err}
-				}
-				pre = topo.prebuilt()
+			seed = rng.New(s.Seed).ChildN("ext2/topo", rep).Uint64()
+			topo, err := env.cache.get(s.Base, seed)
+			if err != nil {
+				return outcome{err: err}
 			}
+			pre = topo.prebuilt()
 		} else {
-			seed = rng.New(s.Seed).ChildN(fmt.Sprintf("ext2/f%g", s.CrashFracs[j.fi]), j.rep).Uint64()
+			seed = rng.New(s.Seed).ChildN(fmt.Sprintf("ext2/f%g", s.CrashFracs[fi]), rep).Uint64()
 		}
 		res, err := core.RunContext(ctx, core.Options{
 			Params:         s.Base,
@@ -163,7 +147,7 @@ func (s *FaultSweep) RunContext(ctx context.Context) (*FaultSweepResult, error) 
 			Prebuilt:       pre,
 			Workspace:      env.ws,
 			Faults: &fault.Spec{
-				CrashFrac:    s.CrashFracs[j.fi],
+				CrashFrac:    s.CrashFracs[fi],
 				CrashWindow:  window,
 				RecoverAfter: s.RecoverAfter,
 				LinkLoss:     s.LinkLoss,
@@ -173,15 +157,14 @@ func (s *FaultSweep) RunContext(ctx context.Context) (*FaultSweepResult, error) 
 		})
 		var ce *core.CanceledError
 		if errors.As(err, &ce) {
-			return outcome{fi: j.fi, err: err, canceled: true}
+			return outcome{err: err, canceled: true}
 		}
 		var dl *core.DeadlineExceededError
 		deadline := errors.As(err, &dl)
 		if err != nil && !deadline {
-			return outcome{fi: j.fi, err: err}
+			return outcome{err: err}
 		}
 		out = outcome{
-			fi:       j.fi,
 			delivery: res.DeliveryRatio,
 			delay:    res.DelaySlots,
 			deadline: deadline,
@@ -193,83 +176,43 @@ func (s *FaultSweep) RunContext(ctx context.Context) (*FaultSweepResult, error) 
 		return out
 	}
 	cache := newTopoCache()
-	jobs := make(chan job)
-	results := make(chan outcome)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			env := &runEnv{cache: cache}
-			if !s.noReuse {
-				env.ws = core.NewWorkspace()
-			}
-			for j := range jobs {
-				if cause := ctx.Err(); cause != nil {
-					results <- outcome{fi: j.fi, err: cause, canceled: true}
-					continue
-				}
-				results <- runJob(j, env)
-			}
-		}()
-	}
-	go func() {
-		defer func() {
-			close(jobs)
-			wg.Wait()
-			close(results)
-		}()
-		for fi := range s.CrashFracs {
-			for rep := 0; rep < reps; rep++ {
-				select {
-				case jobs <- job{fi: fi, rep: rep}:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}
-	}()
+	outs := make([]outcome, len(s.CrashFracs)*reps)
+	claimSlots(s.Workers, len(outs), func() func(int) {
+		env := &runEnv{cache: cache, ws: core.NewWorkspace()}
+		return func(i int) { outs[i] = runJob(i/reps, i%reps, env) }
+	})
 
-	delivery := make([][]float64, len(s.CrashFracs))
-	delay := make([][]float64, len(s.CrashFracs))
-	repairs := make([][]float64, len(s.CrashFracs))
-	drops := make([][]float64, len(s.CrashFracs))
-	deadlines := make([]int, len(s.CrashFracs))
-	failed := make([]int, len(s.CrashFracs))
-	var firstErr error
-	for out := range results {
-		if out.canceled {
-			continue // cut short, not failed: the point just has fewer reps
-		}
-		if out.err != nil {
-			failed[out.fi]++
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			continue
-		}
-		if out.deadline {
-			deadlines[out.fi]++
-		}
-		delivery[out.fi] = append(delivery[out.fi], out.delivery)
-		delay[out.fi] = append(delay[out.fi], out.delay)
-		repairs[out.fi] = append(repairs[out.fi], out.repairs)
-		drops[out.fi] = append(drops[out.fi], out.drops)
-	}
-	res := &FaultSweepResult{Elapsed: time.Since(start)}
+	res := &FaultSweepResult{}
 	total := 0
+	var firstErr error
 	for fi, f := range s.CrashFracs {
-		res.Points = append(res.Points, FaultPoint{
-			CrashFrac: f,
-			Delivery:  stats.Summarize(delivery[fi]),
-			Delay:     stats.Summarize(delay[fi]),
-			Repairs:   stats.Summarize(repairs[fi]),
-			Drops:     stats.Summarize(drops[fi]),
-			Deadlines: deadlines[fi],
-			Failed:    failed[fi],
-		})
-		total += len(delivery[fi])
+		p := FaultPoint{CrashFrac: f}
+		var delivery, delay, repairs, drops []float64
+		for _, o := range outs[fi*reps : (fi+1)*reps] {
+			if o.canceled {
+				continue // cut short, not failed: the point just has fewer reps
+			}
+			if o.err != nil {
+				p.Failed++
+				if firstErr == nil {
+					firstErr = o.err
+				}
+				continue
+			}
+			if o.deadline {
+				p.Deadlines++
+			}
+			delivery = append(delivery, o.delivery)
+			delay = append(delay, o.delay)
+			repairs = append(repairs, o.repairs)
+			drops = append(drops, o.drops)
+		}
+		p.Delivery, p.Delay = stats.Summarize(delivery), stats.Summarize(delay)
+		p.Repairs, p.Drops = stats.Summarize(repairs), stats.Summarize(drops)
+		res.Points = append(res.Points, p)
+		total += len(delivery)
 	}
+	res.Elapsed = time.Since(start)
 	if cause := ctx.Err(); cause != nil {
 		return res, fmt.Errorf("experiment: fault sweep interrupted: %w", cause)
 	}

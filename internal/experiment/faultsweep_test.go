@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -64,5 +65,43 @@ func TestFaultSweepEmpty(t *testing.T) {
 	s := FaultSweep{Base: tinyBase()}
 	if _, err := s.Run(); err == nil {
 		t.Error("empty fault sweep accepted")
+	}
+}
+
+// TestExtensionSweepsWorkerInvariant: the ext1 and ext2 summaries must not
+// depend on how many workers ran the pairs or in which order they finished.
+// Floating-point sums are order-sensitive, so the points summarize in
+// repetition order regardless of completion order.
+func TestExtensionSweepsWorkerInvariant(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		var chPoints [2][]ChannelPoint
+		var faultPoints [2][]FaultPoint
+		for i, workers := range []int{1, 4} {
+			ch := ChannelSweep{Base: tinyBase(), Channels: []int{1, 3}, Reps: 8, Seed: seed, Workers: workers}
+			chRes, err := ch.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs := FaultSweep{
+				Base:        tinyBase(),
+				CrashFracs:  []float64{0.1, 0.25},
+				LinkLoss:    0.05,
+				CrashWindow: 300 * time.Millisecond,
+				Reps:        8,
+				Seed:        seed,
+				Workers:     workers,
+			}
+			fsRes, err := fs.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			chPoints[i], faultPoints[i] = chRes.Points, fsRes.Points
+		}
+		if !reflect.DeepEqual(chPoints[0], chPoints[1]) {
+			t.Errorf("seed %d: channel sweep points differ between Workers=1 and Workers=4:\n%+v\n%+v", seed, chPoints[0], chPoints[1])
+		}
+		if !reflect.DeepEqual(faultPoints[0], faultPoints[1]) {
+			t.Errorf("seed %d: fault sweep points differ between Workers=1 and Workers=4:\n%+v\n%+v", seed, faultPoints[0], faultPoints[1])
+		}
 	}
 }

@@ -1,0 +1,195 @@
+package experiment
+
+import (
+	"context"
+	"fmt"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"addcrn/internal/coolest"
+	"addcrn/internal/core"
+	"addcrn/internal/fault"
+	"addcrn/internal/metrics"
+	"addcrn/internal/netmodel"
+	"addcrn/internal/pcr"
+	"addcrn/internal/rng"
+)
+
+// referenceEntries computes the checkpoint entries a sweep must journal
+// without going through its execution engine: for every (x, rep) pair in
+// grid order, the documented seed derivation (see runBlockOnce), a freshly
+// built topology, and two plain scalar collections with a nil Workspace and
+// a fresh registry. It shares no block scheduling, lane batching, workspace
+// reuse, topology cache or seed-state cache with Sweep.Run. s must set Reps
+// and MaxVirtualTime and leave Retries at zero.
+func referenceEntries(t *testing.T, s *Sweep) []CheckpointEntry {
+	t.Helper()
+	if s.Reps <= 0 || s.MaxVirtualTime <= 0 || s.Retries != 0 {
+		t.Fatalf("reference needs explicit Reps and MaxVirtualTime and no retries: %+v", s)
+	}
+	batch := s.Batch
+	if batch < 1 {
+		batch = 1
+	}
+	var out []CheckpointEntry
+	for xi, x := range s.Xs {
+		label := fmt.Sprintf("sweep/%s/x%d", s.ID, xi)
+		if s.ShareTopology {
+			label = fmt.Sprintf("sweep/%s/topo", s.ID)
+		}
+		params := s.Apply(s.Base, x)
+		for rep := 0; rep < s.Reps; rep++ {
+			topoSeed := rng.New(s.Seed).ChildN(label, rep-rep%batch).Uint64()
+			seed := rng.New(s.Seed).ChildN(label, rep).Uint64()
+			out = append(out, referencePair(s, xi, rep, params, topoSeed, seed)...)
+		}
+	}
+	return out
+}
+
+// referencePair runs one (x, rep) pair: ADDC over the CDS tree, then Coolest
+// over its accumulated-temperature tree, on one fresh deployment.
+func referencePair(s *Sweep, xi, rep int, params netmodel.Params, topoSeed, seed uint64) []CheckpointEntry {
+	addc := CheckpointEntry{Sweep: s.ID, Xi: xi, Rep: rep, Algo: algoADDC}
+	cool := CheckpointEntry{Sweep: s.ID, Xi: xi, Rep: rep, Algo: algoCoolest}
+	topo, err := BuildTopology(params, topoSeed)
+	if err != nil {
+		addc.Err, cool.Err = err.Error(), err.Error()
+		return []CheckpointEntry{addc, cool}
+	}
+	ctx := context.Background()
+	cfg := core.CollectConfig{
+		Seed:           seed,
+		PUModel:        s.PUModel,
+		MaxVirtualTime: s.MaxVirtualTime,
+		DisableHandoff: s.DisableHandoff,
+		Guard:          s.Guard,
+		Faults:         s.Faults,
+	}
+
+	addcCfg := cfg
+	reg := metrics.NewRegistry()
+	addcCfg.Metrics = reg
+	addcCfg.Tree = topo.Tree
+	addcCfg.TreeStats = topo.Stats
+	if r, err := core.CollectContext(ctx, topo.NW, topo.Tree.Parent, addcCfg); err != nil {
+		addc.Err = err.Error()
+	} else {
+		addc.Delay, addc.Capacity, addc.Aborts = r.DelaySlots, r.Capacity, float64(r.TotalAborts)
+		addc.Tightness = -1
+		if r.Theory != nil {
+			addc.Tightness = r.Theory.ServiceTightness
+		}
+		addc.PUBusy = reg.Gauge("spectrum_pu_busy_fraction").Value()
+		addc.Fairness = r.FairnessIndex
+	}
+
+	coolCfg := cfg
+	coolCfg.GenericCSMA = !s.SameMAC
+	consts, err := pcr.Compute(params)
+	var parents []int32
+	if err == nil {
+		parents, err = coolest.BuildParentsOn(topo.Adj, topo.NW, consts.Range, coolest.MetricAccumulated)
+	}
+	var r *core.Result
+	if err == nil {
+		r, err = core.CollectContext(ctx, topo.NW, parents, coolCfg)
+	}
+	if err != nil {
+		cool.Err = err.Error()
+	} else {
+		cool.Delay, cool.Capacity = r.DelaySlots, r.Capacity
+		cool.Aborts = float64(r.TotalAborts + r.TotalCollisions)
+	}
+	return []CheckpointEntry{addc, cool}
+}
+
+// TestBatchCheckpointEquivalence pins Sweep.Run against the independent
+// reference at every Batch: B = 1 runs one-rep blocks, B = 2 spans two full
+// blocks per x, B = 3 leaves a ragged final block, and B = 4 puts all reps
+// of an x in one block. Each batch size runs with fresh and shared
+// topologies, fault-free and with faults plus guards; the journal must hold
+// exactly the reference's entries in grid order, and the summary must equal
+// the one replayed from the reference entries.
+func TestBatchCheckpointEquivalence(t *testing.T) {
+	type mode struct {
+		name  string
+		share bool
+		hard  bool
+	}
+	modes := []mode{
+		{"fresh", false, false},
+		{"share", true, false},
+		{"fresh+faults", false, true},
+		{"share+faults", true, true},
+	}
+	for _, b := range []int{1, 2, 3, 4} {
+		t.Run(fmt.Sprintf("B=%d", b), func(t *testing.T) {
+			for _, m := range modes {
+				t.Run(m.name, func(t *testing.T) {
+					dir := t.TempDir()
+					s := &Sweep{
+						ID:     "refequiv",
+						Title:  "reference equivalence",
+						XLabel: "p_t",
+						Base:   tinyBase(),
+						Xs:     []float64{0.15, 0.3},
+						Apply: func(p netmodel.Params, x float64) netmodel.Params {
+							p.ActiveProb = x
+							return p
+						},
+						Reps:           4,
+						Seed:           11,
+						MaxVirtualTime: 10 * time.Minute,
+						Workers:        2,
+						Batch:          b,
+						ShareTopology:  m.share,
+						Checkpoint:     filepath.Join(dir, "cp.jsonl"),
+					}
+					if m.hard {
+						s.Guard = true
+						s.Faults = &fault.Spec{CrashFrac: 0.05, LinkLoss: 0.02, RecoverAfter: 2 * time.Minute}
+					}
+					res, err := s.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					jr, err := LoadJournal(s.Checkpoint)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, want := jr.Entries(), referenceEntries(t, s)
+					if len(got) != 2*len(s.Xs)*s.Reps {
+						t.Fatalf("journal holds %d entries, want %d", len(got), 2*len(s.Xs)*s.Reps)
+					}
+					for i := range want {
+						if want[i].Err != "" {
+							t.Fatalf("reference pair failed, comparison is weak: %+v", want[i])
+						}
+						if !reflect.DeepEqual(got[i], want[i]) {
+							t.Fatalf("entry %d diverges from the reference:\n sweep:     %+v\n reference: %+v", i, got[i], want[i])
+						}
+					}
+
+					refPath := filepath.Join(dir, "ref.jsonl")
+					ref := NewJournal(refPath)
+					ref.Add(want...)
+					if err := ref.Close(); err != nil {
+						t.Fatal(err)
+					}
+					replay := *s
+					replay.Checkpoint, replay.Resume, replay.ReplayOnly = refPath, true, true
+					replayed, err := replay.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(res.Points, replayed.Points) {
+						t.Fatalf("summary diverges from the reference's:\n sweep:     %+v\n reference: %+v", res.Points, replayed.Points)
+					}
+				})
+			}
+		})
+	}
+}

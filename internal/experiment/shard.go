@@ -148,8 +148,8 @@ func (s *Sweep) gridHash(reps int) string {
 		fmt.Fprintf(h, "|%+v", *s.Faults)
 	}
 	// Batch > 1 switches placement-seed derivation to block granularity, so
-	// batched and scalar shards of "the same" sweep must never merge. Batch
-	// <= 1 is left out of the hash to keep existing scalar journals valid.
+	// shards of "the same" sweep at different Batch values must never merge.
+	// Batch <= 1 is left out of the hash to keep existing journals valid.
 	if s.Batch > 1 {
 		fmt.Fprintf(h, "|batch=%d", s.Batch)
 	}

@@ -73,15 +73,15 @@ type Sweep struct {
 	// worker runs up to Batch repetitions of one grid point as a single
 	// interleaved simulation over one shared topology (see
 	// core.CollectBatch), amortizing topology construction, routing-tree
-	// builds and RNG seeding across the block. The default (<= 1) is the
-	// scalar path, bit-identical to every previous release. Batch > 1
-	// changes the placement-seed derivation — a block shares the topology
-	// derived for its first repetition — so batched and scalar sweeps are
-	// each internally deterministic but not bit-identical to each other;
-	// per-repetition collection seeds keep the historical derivation, and
-	// each lane's outcome depends only on (block topology seed, lane seed),
-	// so resume, sharding and merge compose exactly as in scalar mode as
-	// long as every participant uses the same Batch.
+	// builds and RNG seeding across the block. The default (<= 1) runs
+	// one-repetition blocks, whose placement seed is the repetition's own
+	// seed. Batch > 1 changes the placement-seed derivation — a block shares
+	// the topology derived for its aligned first repetition — so sweeps with
+	// different Batch values are each internally deterministic but not
+	// bit-identical to each other; per-repetition collection seeds do not
+	// depend on Batch, and each lane's outcome depends only on (block
+	// topology seed, lane seed), so resume, sharding and merge compose
+	// exactly as long as every participant uses the same Batch.
 	Batch int
 
 	// Guard enables runtime invariant guards in every run (see
@@ -160,18 +160,6 @@ type Sweep struct {
 	// telemetry equivalence test pins CSV and journal bytes identical with
 	// Spans set versus nil.
 	Spans trace.SpanSink
-
-	// noReuse (tests only) disables per-worker engine/MAC/registry reuse so
-	// equivalence tests can compare reused against fresh execution.
-	noReuse bool
-	// noTopoCache (tests only) makes ShareTopology keep its seed derivation
-	// but rebuild every topology from scratch, for cache-vs-fresh
-	// equivalence tests.
-	noTopoCache bool
-	// noBatchEngine (tests only) keeps Batch's block scheduling and seed
-	// derivation but executes each lane through the scalar engine, for
-	// batched-vs-scalar byte-identity tests.
-	noBatchEngine bool
 }
 
 // PointResult aggregates both algorithms at one x value.
@@ -350,12 +338,12 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 		return nil, err
 	}
 
-	// A job is one block of pending repetitions of one grid point. Scalar
-	// mode (batch 1) makes single-rep blocks; batch mode groups the rep
-	// axis into aligned blocks of Batch, each executed as one interleaved
-	// simulation. Resume and sharding compose naturally: a block carries
-	// only the reps that are pending AND owned here, while its topology
-	// seed derives from the block's aligned start, which depends on neither.
+	// A job is one block of pending repetitions of one grid point: the rep
+	// axis splits into aligned blocks of Batch (single reps when Batch <= 1),
+	// each executed as one interleaved simulation. Resume and sharding
+	// compose naturally: a block carries only the reps that are pending AND
+	// owned here, while its topology seed derives from the block's aligned
+	// start, which depends on neither.
 	batch := s.Batch
 	if batch <= 1 {
 		batch = 1
@@ -419,16 +407,13 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 		go func() {
 			defer wg.Done()
 			env := &runEnv{cache: cache}
-			if !s.noReuse {
-				if s.Workspaces != nil {
-					env.ws = s.Workspaces.Get()
-					// The workspace returned may be a fresh replacement when
-					// a panic discarded the one we got (see runEnv.discard).
-					defer func() { s.Workspaces.Put(env.ws) }()
-				} else {
-					env.ws = core.NewWorkspace()
-				}
-				env.reg = metrics.NewRegistry()
+			if s.Workspaces != nil {
+				env.ws = s.Workspaces.Get()
+				// The workspace returned may be a fresh replacement when a
+				// panic discarded the one we got (see runEnv.discard).
+				defer func() { s.Workspaces.Put(env.ws) }()
+			} else {
+				env.ws = core.NewWorkspace()
 			}
 			s.runWorker(ctx, cm, pending, batch, metric, env)
 		}()
@@ -572,11 +557,7 @@ func (s *Sweep) runWorker(ctx context.Context, cm *committer, pending []sweepJob
 				}
 				continue
 			}
-			if batch == 1 {
-				buf = append(buf, s.runPair(ctx, j.xi, j.reps[0], metric, env))
-			} else {
-				buf = append(buf, s.runBlock(ctx, j.xi, j.reps, batch, metric, env)...)
-			}
+			buf = append(buf, s.runBlock(ctx, j.xi, j.reps, batch, metric, env)...)
 			if cm.drainDue(len(buf), lastDrain) {
 				drain()
 			}
@@ -776,65 +757,20 @@ func (s *Sweep) flushInterval() time.Duration {
 	return journalFlushInterval
 }
 
-// runPair executes one repetition with panic isolation and bounded retry: a
-// panic anywhere in the simulation stack becomes a per-point failure
-// carrying the stack trace, and transient deployment failures re-attempt
-// with fresh derived seeds up to s.Retries times.
-func (s *Sweep) runPair(ctx context.Context, xi, rep int, metric coolest.Metric, env *runEnv) (outs []runOutcome) {
-	defer func() {
-		if r := recover(); r != nil {
-			err := fmt.Errorf("experiment: sweep %s x[%d] rep %d panicked: %v\n%s",
-				s.ID, xi, rep, r, debug.Stack())
-			outs = []runOutcome{
-				{xi: xi, rep: rep, err: err},
-				{xi: xi, rep: rep, coolest: true, err: err},
-			}
-			// A panic can leave the worker's reusable state mid-mutation;
-			// rebuild it rather than reuse a possibly-corrupt context.
-			env.discard()
-		}
-	}()
-	for attempt := 0; ; attempt++ {
-		outs = s.runOne(ctx, xi, rep, attempt, metric, env)
-		if attempt >= s.Retries || !retryable(outs) {
-			return outs
-		}
-	}
-}
-
 // runEnv is one worker's resettable execution context: the shared topology
 // cache plus the per-worker workspace (event arena, MAC, scratch buffers)
-// and metrics registry that are wiped in place between jobs. ws and reg are
-// nil when reuse is disabled (tests).
+// and per-lane metrics registries, all wiped in place between jobs.
 type runEnv struct {
 	cache *TopoCache
 	ws    *core.Workspace
-	reg   *metrics.Registry
-	// regs is the batch path's per-lane registry pool, grown on demand and
-	// reset in place between blocks (nil entries are never handed out).
+	// regs is the per-lane registry pool, grown on demand and reset in
+	// place between blocks.
 	regs []*metrics.Registry
 }
 
-// registry returns the run's metrics registry: the worker's reusable one,
-// reset, or a fresh one when reuse is off.
-func (env *runEnv) registry() *metrics.Registry {
-	if env.reg == nil {
-		return metrics.NewRegistry()
-	}
-	env.reg.Reset()
-	return env.reg
-}
-
-// registries returns n per-lane metrics registries for one block: the
-// worker's reusable pool, reset in place, or fresh ones when reuse is off.
+// registries returns n per-lane metrics registries for one block, reset in
+// place.
 func (env *runEnv) registries(n int) []*metrics.Registry {
-	if env.reg == nil {
-		regs := make([]*metrics.Registry, n)
-		for i := range regs {
-			regs[i] = metrics.NewRegistry()
-		}
-		return regs
-	}
 	for len(env.regs) < n {
 		env.regs = append(env.regs, metrics.NewRegistry())
 	}
@@ -847,12 +783,7 @@ func (env *runEnv) registries(n int) []*metrics.Registry {
 // discard drops the worker's reusable state after a panic; the next job
 // rebuilds from scratch.
 func (env *runEnv) discard() {
-	if env.ws != nil {
-		env.ws = core.NewWorkspace()
-	}
-	if env.reg != nil {
-		env.reg = metrics.NewRegistry()
-	}
+	env.ws = core.NewWorkspace()
 	env.regs = nil
 }
 
@@ -866,110 +797,6 @@ func retryable(outs []runOutcome) bool {
 		}
 	}
 	return false
-}
-
-// runOne executes both algorithms for one (x, repetition) pair on a shared
-// topology and returns their two outcomes, ADDC first. attempt selects the
-// retry seed derivation: attempt 0 is the historical one, so sweeps without
-// retries stay bit-identical across versions.
-func (s *Sweep) runOne(ctx context.Context, xi, rep, attempt int, metric coolest.Metric, env *runEnv) []runOutcome {
-	params := s.Apply(s.Base, s.Xs[xi])
-	label := fmt.Sprintf("sweep/%s/x%d", s.ID, xi)
-	if s.ShareTopology {
-		// Cross-point sharing needs a placement seed that depends only on
-		// the repetition, never on the x index.
-		label = fmt.Sprintf("sweep/%s/topo", s.ID)
-	}
-	if attempt > 0 {
-		label += fmt.Sprintf("/attempt%d", attempt)
-	}
-	// Bit-identical to rng.New(s.Seed).ChildN(label, rep).Uint64(), read off
-	// the memoized seed states instead of two math/rand seeding walks.
-	seed := sweepSeeds.FirstUint64(rng.ChildSeedN(s.Seed, label, rep))
-
-	fail := func(err error) []runOutcome {
-		canceled := isCanceled(err)
-		return []runOutcome{
-			{xi: xi, rep: rep, err: err, canceled: canceled},
-			{xi: xi, rep: rep, coolest: true, err: err, canceled: canceled},
-		}
-	}
-
-	// Topology: shared via the memoizing cache, or built fresh. Either way
-	// the run sees the same artifacts — a Network with this point's params,
-	// the unit-disk adjacency, and the CDS tree with its statistics.
-	topo, err := s.topologyFor(params, seed, metric, env)
-	if err != nil {
-		return fail(err)
-	}
-	nw, adj, tree, treeStats, tables := topo.nw, topo.adj, topo.tree, topo.treeStats, topo.tables
-	parentsOf := topo.parentsOf
-
-	budget := s.MaxVirtualTime
-	if budget <= 0 {
-		budget = 2 * time.Hour // virtual; generous enough for starved points
-	}
-	cfg := core.CollectConfig{
-		Seed:           seed,
-		PUModel:        s.PUModel,
-		MaxVirtualTime: budget,
-		DisableHandoff: s.DisableHandoff,
-		Guard:          s.Guard,
-		Faults:         s.Faults,
-		Adj:            adj,
-		Tables:         tables,
-		Workspace:      env.ws,
-	}
-
-	outs := make([]runOutcome, 0, 2)
-
-	// ADDC over the CDS tree with the realized tree statistics attached (so
-	// the Theorem 1 comparator evaluates the per-deployment bound),
-	// instrumented so the point summaries carry the tightness, PU busy
-	// fraction and fairness of every rep.
-	addcCfg := cfg
-	reg := env.registry()
-	addcCfg.Metrics = reg
-	addcCfg.Tree = tree
-	addcCfg.TreeStats = treeStats
-	if r, err := core.CollectContext(ctx, nw, tree.Parent, addcCfg); err != nil {
-		outs = append(outs, runOutcome{xi: xi, rep: rep, err: err, canceled: isCanceled(err)})
-	} else {
-		out := runOutcome{
-			xi:        xi,
-			rep:       rep,
-			delay:     r.DelaySlots,
-			capacity:  r.Capacity,
-			aborts:    float64(r.TotalAborts),
-			tightness: -1,
-			puBusy:    reg.Gauge("spectrum_pu_busy_fraction").Value(),
-			fairness:  r.FairnessIndex,
-		}
-		if r.Theory != nil {
-			out.tightness = r.Theory.ServiceTightness
-		}
-		outs = append(outs, out)
-	}
-
-	// Coolest over its temperature tree, same topology, same seeds. By
-	// default it runs the generic-CSMA profile (collisions, naive sensing,
-	// no fairness wait); SameMAC keeps ADDC's MAC for the routing-only
-	// ablation.
-	consts, err := pcr.Compute(params)
-	if err != nil {
-		outs = append(outs, runOutcome{xi: xi, rep: rep, coolest: true, err: err})
-		return outs
-	}
-	coolCfg := cfg
-	coolCfg.GenericCSMA = !s.SameMAC
-	if parents, err := parentsOf(consts.Range); err != nil {
-		outs = append(outs, runOutcome{xi: xi, rep: rep, coolest: true, err: err})
-	} else if r, err := core.CollectContext(ctx, nw, parents, coolCfg); err != nil {
-		outs = append(outs, runOutcome{xi: xi, rep: rep, coolest: true, err: err, canceled: isCanceled(err)})
-	} else {
-		outs = append(outs, runOutcome{xi: xi, rep: rep, coolest: true, delay: r.DelaySlots, capacity: r.Capacity, aborts: float64(r.TotalAborts + r.TotalCollisions)})
-	}
-	return outs
 }
 
 // runTopo bundles the construction artifacts one (params, seed) topology
@@ -986,7 +813,7 @@ type runTopo struct {
 // topologyFor resolves a deployment for one placement seed: shared via the
 // memoizing cache under ShareTopology, or built fresh.
 func (s *Sweep) topologyFor(params netmodel.Params, seed uint64, metric coolest.Metric, env *runEnv) (runTopo, error) {
-	if s.ShareTopology && !s.noTopoCache {
+	if s.ShareTopology {
 		if err := params.Validate(); err != nil {
 			return runTopo{}, err // never cache a non-topological validation failure
 		}
@@ -1016,11 +843,12 @@ func (s *Sweep) topologyFor(params netmodel.Params, seed uint64, metric coolest.
 	}, nil
 }
 
-// runBlock executes one lane-batched block of repetitions with the same
-// panic isolation and bounded-retry policy as runPair. A panic anywhere in
+// runBlock executes one block of repetitions (a single repetition when
+// Batch <= 1) with panic isolation and bounded retry. A panic anywhere in
 // the block fails every repetition in it (carrying the stack trace) and
 // discards the worker's reusable context; a transient deployment failure
-// re-attempts the whole block with a fresh derived placement seed.
+// re-attempts the whole block with a fresh derived placement seed, up to
+// s.Retries times.
 func (s *Sweep) runBlock(ctx context.Context, xi int, blockReps []int, batch int, metric coolest.Metric, env *runEnv) (blocks [][]runOutcome) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -1051,22 +879,27 @@ func (s *Sweep) runBlock(ctx context.Context, xi int, blockReps []int, batch int
 	}
 }
 
-// sweepSeeds memoizes the seeded generator states behind the block path's
-// per-repetition seed derivations. The same (sweep seed, label, rep) triple
-// recurs across the block's topology seed, retries and resumed shards, so
-// deriving each lane seed costs two reads off a cached state instead of two
-// math/rand seeding walks. Bit-identical to the uncached derivation the
-// scalar path performs.
+// sweepSeeds memoizes the seeded generator states behind the per-repetition
+// seed derivations. The same (sweep seed, label, rep) triple recurs across
+// a block's topology seed, retries and resumed shards, so deriving a seed
+// costs two reads off a cached state instead of a math/rand seeding walk.
 var sweepSeeds = rng.NewCache(0)
 
 // runBlockOnce executes both algorithms for every repetition of one block
-// as two interleaved lane-batched collections over one shared topology. The
-// block's placement seed derives from its aligned start repetition
-// (rep - rep%batch over the full grid, regardless of which reps are pending
-// or owned here), while each lane's collection seed keeps the historical
-// per-repetition derivation — so a lane's outcome is a function of the
-// block geometry and its own seed only, and resume/shard/merge reproduce
-// pairs exactly as long as every participant runs the same Batch.
+// as two lane-batched collections over one shared topology. The seeds are:
+//
+//   - label "sweep/<ID>/x<xi>", or "sweep/<ID>/topo" under ShareTopology
+//     (the placement seed must not depend on x for cross-point sharing),
+//     with "/attempt<k>" appended on retry k > 0;
+//   - each lane's collection seed: rng.New(Seed).ChildN(label, rep).Uint64();
+//   - the block's placement seed: the same derivation at the block's
+//     aligned start repetition rep - rep%batch over the full grid,
+//     regardless of which reps are pending or owned here.
+//
+// A lane's outcome is therefore a function of the block geometry and its own
+// seed only, so resume, shard and merge reproduce pairs exactly as long as
+// every participant runs the same Batch. At batch 1 the placement seed is the
+// lane seed.
 func (s *Sweep) runBlockOnce(ctx context.Context, xi int, blockReps []int, batch, attempt int, metric coolest.Metric, env *runEnv) [][]runOutcome {
 	params := s.Apply(s.Base, s.Xs[xi])
 	label := fmt.Sprintf("sweep/%s/x%d", s.ID, xi)
@@ -1078,13 +911,10 @@ func (s *Sweep) runBlockOnce(ctx context.Context, xi int, blockReps []int, batch
 	}
 	blockStart := (blockReps[0] / batch) * batch
 	topoSeed := sweepSeeds.FirstUint64(rng.ChildSeedN(s.Seed, label, blockStart))
-	laneSeeds := make([]uint64, len(blockReps))
-	for i, rep := range blockReps {
-		laneSeeds[i] = sweepSeeds.FirstUint64(rng.ChildSeedN(s.Seed, label, rep))
-	}
 
 	out := make([][]runOutcome, len(blockReps))
-	failAll := func(err error) [][]runOutcome {
+	topo, err := s.topologyFor(params, topoSeed, metric, env)
+	if err != nil {
 		canceled := isCanceled(err)
 		for i, rep := range blockReps {
 			out[i] = []runOutcome{
@@ -1093,11 +923,6 @@ func (s *Sweep) runBlockOnce(ctx context.Context, xi int, blockReps []int, batch
 			}
 		}
 		return out
-	}
-
-	topo, err := s.topologyFor(params, topoSeed, metric, env)
-	if err != nil {
-		return failAll(err)
 	}
 
 	budget := s.MaxVirtualTime
@@ -1115,101 +940,81 @@ func (s *Sweep) runBlockOnce(ctx context.Context, xi int, blockReps []int, batch
 		Workspace:      env.ws,
 	}
 
-	// ADDC lanes, instrumented per lane so every rep's tightness, PU busy
-	// fraction and fairness reach the point summary.
+	// ADDC over the CDS tree with the realized tree statistics attached (so
+	// the Theorem 1 comparator evaluates the per-deployment bound),
+	// instrumented per lane so every rep's tightness, PU busy fraction and
+	// fairness reach the point summary.
 	regs := env.registries(len(blockReps))
+	lanes := make([]core.Lane, len(blockReps))
+	for i, rep := range blockReps {
+		lanes[i] = core.Lane{Seed: sweepSeeds.FirstUint64(rng.ChildSeedN(s.Seed, label, rep)), Metrics: regs[i]}
+	}
 	addcCfg := cfg
 	addcCfg.Tree = topo.tree
 	addcCfg.TreeStats = topo.treeStats
-	lanes := make([]core.Lane, len(blockReps))
-	for i := range blockReps {
-		lanes[i] = core.Lane{Seed: laneSeeds[i], Metrics: regs[i]}
-	}
-	addcOut, err := s.collectLanes(ctx, topo.nw, topo.tree.Parent, addcCfg, lanes)
-	if err != nil {
-		return failAll(err)
-	}
+	addcOut, err := core.CollectBatch(ctx, topo.nw, topo.tree.Parent, addcCfg, lanes)
 	for i, rep := range blockReps {
-		if lr := addcOut[i]; lr.Err != nil {
+		lr := laneAt(addcOut, err, i)
+		if lr.Err != nil {
 			out[i] = append(out[i], runOutcome{xi: xi, rep: rep, err: lr.Err, canceled: isCanceled(lr.Err)})
-		} else {
-			o := runOutcome{
-				xi:        xi,
-				rep:       rep,
-				delay:     lr.Result.DelaySlots,
-				capacity:  lr.Result.Capacity,
-				aborts:    float64(lr.Result.TotalAborts),
-				tightness: -1,
-				puBusy:    regs[i].Gauge("spectrum_pu_busy_fraction").Value(),
-				fairness:  lr.Result.FairnessIndex,
-			}
-			if lr.Result.Theory != nil {
-				o.tightness = lr.Result.Theory.ServiceTightness
-			}
-			out[i] = append(out[i], o)
+			continue
 		}
+		o := runOutcome{
+			xi:        xi,
+			rep:       rep,
+			delay:     lr.Result.DelaySlots,
+			capacity:  lr.Result.Capacity,
+			aborts:    float64(lr.Result.TotalAborts),
+			tightness: -1,
+			puBusy:    regs[i].Gauge("spectrum_pu_busy_fraction").Value(),
+			fairness:  lr.Result.FairnessIndex,
+		}
+		if lr.Result.Theory != nil {
+			o.tightness = lr.Result.Theory.ServiceTightness
+		}
+		out[i] = append(out[i], o)
 	}
 
-	// Coolest lanes: one routing-tree build serves the whole block.
-	coolFail := func(err error) [][]runOutcome {
-		canceled := isCanceled(err)
-		for i, rep := range blockReps {
-			out[i] = append(out[i], runOutcome{xi: xi, rep: rep, coolest: true, err: err, canceled: canceled})
-		}
-		return out
-	}
+	// Coolest over its temperature tree, same topology, same lane seeds; one
+	// routing-tree build serves the whole block. By default it runs the
+	// generic-CSMA profile (collisions, naive sensing, no fairness wait);
+	// SameMAC keeps ADDC's MAC for the routing-only ablation.
+	var coolOut []core.LaneResult
 	consts, err := pcr.Compute(params)
-	if err != nil {
-		return coolFail(err)
-	}
-	coolCfg := cfg
-	coolCfg.GenericCSMA = !s.SameMAC
-	parents, err := topo.parentsOf(consts.Range)
-	if err != nil {
-		return coolFail(err)
-	}
-	coolLanes := make([]core.Lane, len(blockReps))
-	for i := range blockReps {
-		coolLanes[i] = core.Lane{Seed: laneSeeds[i]}
-	}
-	coolOut, err := s.collectLanes(ctx, topo.nw, parents, coolCfg, coolLanes)
-	if err != nil {
-		return coolFail(err)
+	if err == nil {
+		var parents []int32
+		if parents, err = topo.parentsOf(consts.Range); err == nil {
+			coolCfg := cfg
+			coolCfg.GenericCSMA = !s.SameMAC
+			for i := range lanes {
+				lanes[i].Metrics = nil // Coolest lanes run uninstrumented
+			}
+			coolOut, err = core.CollectBatch(ctx, topo.nw, parents, coolCfg, lanes)
+		}
 	}
 	for i, rep := range blockReps {
-		if lr := coolOut[i]; lr.Err != nil {
+		lr := laneAt(coolOut, err, i)
+		if lr.Err != nil {
 			out[i] = append(out[i], runOutcome{xi: xi, rep: rep, coolest: true, err: lr.Err, canceled: isCanceled(lr.Err)})
-		} else {
-			out[i] = append(out[i], runOutcome{
-				xi: xi, rep: rep, coolest: true,
-				delay:    lr.Result.DelaySlots,
-				capacity: lr.Result.Capacity,
-				aborts:   float64(lr.Result.TotalAborts + lr.Result.TotalCollisions),
-			})
+			continue
 		}
+		out[i] = append(out[i], runOutcome{
+			xi: xi, rep: rep, coolest: true,
+			delay:    lr.Result.DelaySlots,
+			capacity: lr.Result.Capacity,
+			aborts:   float64(lr.Result.TotalAborts + lr.Result.TotalCollisions),
+		})
 	}
 	return out
 }
 
-// collectLanes dispatches one side of a block to the lane-batched engine —
-// or, under the noBatchEngine test hook, runs each lane through the scalar
-// engine with identical seeds and instruments, giving equivalence tests a
-// scalar reference for the exact batched schedule.
-func (s *Sweep) collectLanes(ctx context.Context, nw *netmodel.Network, parent []int32, cfg core.CollectConfig, lanes []core.Lane) ([]core.LaneResult, error) {
-	if !s.noBatchEngine {
-		return core.CollectBatch(ctx, nw, parent, cfg, lanes)
+// laneAt returns lane i's result from one side of a block, or that side's
+// batch-level setup error as the lane's failure.
+func laneAt(res []core.LaneResult, err error, i int) core.LaneResult {
+	if err != nil {
+		return core.LaneResult{Err: err}
 	}
-	out := make([]core.LaneResult, len(lanes))
-	for i, lc := range lanes {
-		c := cfg
-		c.Seed = lc.Seed
-		c.Metrics = lc.Metrics
-		c.Trace = lc.Trace
-		c.Sink = lc.Sink
-		r, err := core.CollectContext(ctx, nw, parent, c)
-		out[i] = core.LaneResult{Result: r, Err: err}
-	}
-	return out, nil
+	return res[i]
 }
 
 // ctxErr reports ctx's cancellation state, treating an expired deadline as

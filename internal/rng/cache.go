@@ -8,30 +8,27 @@ import (
 // math/rand's default source is an additive lagged-Fibonacci generator
 // (Mitchell & Reeds): x_i = x_{i-607} + x_{i-273} over uint64, seeded by an
 // LCG expansion that walks a 607-word table. That seeding walk is what makes
-// rand.NewSource cost ~14µs — two orders of magnitude more than the draws a
-// typical collect run takes from the stream afterwards.
+// rand.NewSource cost ~14µs — two orders of magnitude more than reading the
+// stream's first draw, which is all a derived per-repetition seed needs.
 //
-// lfSource is a bit-exact replica of that generator whose state can be
-// snapshotted and restored by a plain array copy. The position-0 state of a
-// freshly seeded math/rand source is recovered through the public API alone:
-// each Uint64() returns the full 64-bit word it just wrote into the state
-// vector, so 607 draws determine the entire vector, and the seeded values
-// they overwrote fall out of the recurrence —
+// The position-0 state of a freshly seeded math/rand source is recovered
+// through the public API alone: each Uint64() returns the full 64-bit word
+// it just wrote into the state vector, so 607 draws determine the entire
+// vector, and the seeded values they overwrote fall out of the recurrence —
 //
 //	t in [274, 607]: seed[feed_t] = x_t - x_{t-273}
 //	t in [1, 273]:   seed[feed_t] = x_t - seed[tap_t]   (tap_t recovered above)
 //
 // with feed_t = (334-t) mod 607 and tap_t = (607-t) mod 607, all arithmetic
-// mod 2^64. A Cache memoizes these recovered states per seed; cloning one is
-// a 4.9KB copy instead of a reseeding walk, and the clone's stream is
-// bit-identical to rand.New(rand.NewSource(seed)) from the first draw.
+// mod 2^64. A Cache memoizes these recovered states per seed, so the first
+// draw of rand.New(rand.NewSource(seed)) becomes two array reads.
 const (
 	lfLen = 607
 	lfTap = 273
 )
 
 // lfState is the seeded state vector of a lagged-Fibonacci source before any
-// draws. It is immutable once captured; clones copy it.
+// draws. It is immutable once captured.
 type lfState struct {
 	vec [lfLen]uint64
 }
@@ -44,7 +41,7 @@ func captureState(seed uint64) *lfState {
 		x[t] = src.Uint64()
 	}
 	st := &lfState{}
-	feed := func(t int) int { return ((lfLen - lfTap - t) % lfLen + lfLen) % lfLen }
+	feed := func(t int) int { return ((lfLen-lfTap-t)%lfLen + lfLen) % lfLen }
 	for t := lfTap + 1; t <= lfLen; t++ {
 		st.vec[feed(t)] = x[t] - x[t-lfTap]
 	}
@@ -55,69 +52,25 @@ func captureState(seed uint64) *lfState {
 	return st
 }
 
-// lfSource is the replica generator; it implements rand.Source64, so
-// rand.Rand drives it through exactly the code paths it uses for the
-// stdlib source, and every derived method (Float64, Int63n, Perm, ...)
-// produces identical values.
-type lfSource struct {
-	tap, feed int32
-	vec       [lfLen]uint64
-}
-
-func newLFSource(st *lfState) *lfSource {
-	s := &lfSource{tap: 0, feed: lfLen - lfTap}
-	s.vec = st.vec
-	return s
-}
-
-// Uint64 mirrors math/rand's rngSource.Uint64.
-func (s *lfSource) Uint64() uint64 {
-	s.tap--
-	if s.tap < 0 {
-		s.tap += lfLen
-	}
-	s.feed--
-	if s.feed < 0 {
-		s.feed += lfLen
-	}
-	x := s.vec[s.feed] + s.vec[s.tap]
-	s.vec[s.feed] = x
-	return x
-}
-
-// Int63 mirrors math/rand's rngSource.Int63.
-func (s *lfSource) Int63() int64 {
-	return int64(s.Uint64() & (1<<63 - 1))
-}
-
-// Seed re-seeds the replica to the state of rand.NewSource(seed).
-func (s *lfSource) Seed(seed int64) {
-	st := captureState(uint64(seed))
-	s.tap, s.feed = 0, lfLen-lfTap
-	s.vec = st.vec
-}
-
-// Cache memoizes seeded generator states so that sources for seeds already
-// seen cost an array copy instead of math/rand's seeding walk. The batch
-// execution layer threads one through every lane's derivation chain: within
-// a lane the ADDC and Coolest collects re-seed the same root and child seeds,
-// so the second collect's whole derivation tree hits the cache.
+// Cache memoizes seeded generator states so that the first draw of a
+// source for a seed already seen costs two array reads instead of
+// math/rand's seeding walk (see FirstUint64). The sweep layer derives every
+// repetition's placement and collection seed through one.
 //
 // The cache is safe for concurrent use and built for it: entries stripe over
 // a power-of-two set of independently locked shards (seeds are already
 // splitmix-mixed, so a multiplicative hash spreads them evenly), which keeps
 // a sweep's worker pool from serializing on one lock — the process-wide
-// caches behind sweep seed derivation and batch lane preparation are touched
-// by every worker on every block. Each shard bounds its memory with a
-// two-generation clock instead of a wholesale clear: when the current
-// generation fills, it becomes the previous generation and a fresh one
-// starts; lookups that hit the previous generation promote the entry into
-// the current one. A seed in active use therefore survives any number of
-// epoch turns (it keeps getting promoted), while cold seeds age out after
-// two turns — a working set larger than the bound no longer triggers
-// re-capture storms, and an epoch turn on one shard cannot thrash the
-// others. At most 2x the per-generation bound is resident per shard, so the
-// configured budget stays hard.
+// cache behind sweep seed derivation is touched by every worker on every
+// block. Each shard bounds its memory with a two-generation clock instead
+// of a wholesale clear: when the current generation fills, it becomes the
+// previous generation and a fresh one starts; lookups that hit the previous
+// generation promote the entry into the current one. A seed in active use
+// therefore survives any number of epoch turns (it keeps getting promoted),
+// while cold seeds age out after two turns — a working set larger than the
+// bound no longer triggers re-capture storms, and an epoch turn on one shard
+// cannot thrash the others. At most 2x the per-generation bound is resident
+// per shard, so the configured budget stays hard.
 type Cache struct {
 	shards [cacheShards]cacheShard
 
@@ -233,18 +186,4 @@ func (c *Cache) resident() int {
 func (c *Cache) FirstUint64(seed uint64) uint64 {
 	st := c.state(seed)
 	return st.vec[lfLen-lfTap-1] + st.vec[lfLen-1]
-}
-
-// New returns a Source seeded with seed whose stream is bit-identical to
-// rng.New(seed). Children derived from it (Child, ChildN) inherit the cache,
-// so an entire derivation tree re-seeded with the same seeds is served from
-// memoized states.
-func (c *Cache) New(seed uint64) *Source {
-	lf := newLFSource(c.state(seed))
-	return &Source{
-		seed:  seed,
-		rnd:   rand.New(lf), //nolint:gosec // reproducibility, not security
-		cache: c,
-		lf:    lf,
-	}
 }

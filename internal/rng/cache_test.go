@@ -6,82 +6,35 @@ import (
 	"testing"
 )
 
-// TestCaptureStateExact: the replica source must reproduce math/rand's
-// stream bit-for-bit from the first draw, across seeds (including the
-// special cases of the stdlib seeding routine) and for both raw draw paths.
+// TestCaptureStateExact: the recovered position-0 state must reproduce
+// math/rand's stream bit-for-bit from the first draw, across seeds
+// (including the special cases of the stdlib seeding routine), and
+// FirstUint64 must equal the first draw of a freshly seeded rand.Rand.
 func TestCaptureStateExact(t *testing.T) {
 	seeds := []uint64{0, 1, 2, 89482311, 1<<31 - 1, 1 << 31, 1 << 40, ^uint64(0), 0xdeadbeefcafebabe}
 	for s := uint64(3); s < 40; s += 7 {
 		seeds = append(seeds, s, s*0x9e3779b97f4a7c15)
 	}
-	for _, seed := range seeds {
-		ref := rand.NewSource(int64(seed)).(rand.Source64) //nolint:gosec // test against stdlib
-		got := newLFSource(captureState(seed))
-		for i := 0; i < 2000; i++ {
-			if w, g := ref.Uint64(), got.Uint64(); w != g {
-				t.Fatalf("seed %d draw %d: Uint64 %d != %d", seed, i, g, w)
-			}
-		}
-		ref2 := rand.NewSource(int64(seed)) //nolint:gosec // test against stdlib
-		got2 := newLFSource(captureState(seed))
-		for i := 0; i < 500; i++ {
-			if w, g := ref2.Int63(), got2.Int63(); w != g {
-				t.Fatalf("seed %d draw %d: Int63 %d != %d", seed, i, g, w)
-			}
-		}
+	for s := uint64(0); s < 200; s++ {
+		seeds = append(seeds, mix(s, 0xfeed))
 	}
-}
-
-// TestCacheSourceMatchesNew: a Source built through a Cache must be
-// indistinguishable from rng.New across every derived method the simulator
-// uses, including child derivation chains (children inherit the cache).
-func TestCacheSourceMatchesNew(t *testing.T) {
 	c := NewCache(64)
-	for _, seed := range []uint64{1, 7, 42, 0xfeed, 1 << 33} {
-		for round := 0; round < 2; round++ { // round 2 hits the memoized state
-			a := New(seed)
-			b := c.New(seed)
-			for i := 0; i < 200; i++ {
-				switch i % 6 {
-				case 0:
-					if x, y := a.Float64(), b.Float64(); x != y {
-						t.Fatalf("seed %d: Float64 %v != %v", seed, y, x)
-					}
-				case 1:
-					if x, y := a.Uint64(), b.Uint64(); x != y {
-						t.Fatalf("seed %d: Uint64 %v != %v", seed, y, x)
-					}
-				case 2:
-					if x, y := a.Intn(97), b.Intn(97); x != y {
-						t.Fatalf("seed %d: Intn %v != %v", seed, y, x)
-					}
-				case 3:
-					if x, y := a.Geometric(0.3), b.Geometric(0.3); x != y {
-						t.Fatalf("seed %d: Geometric %v != %v", seed, y, x)
-					}
-				case 4:
-					x, y := a.Perm(13), b.Perm(13)
-					for j := range x {
-						if x[j] != y[j] {
-							t.Fatalf("seed %d: Perm %v != %v", seed, y, x)
-						}
-					}
-				case 5:
-					if x, y := a.Bernoulli(0.4), b.Bernoulli(0.4); x != y {
-						t.Fatalf("seed %d: Bernoulli %v != %v", seed, y, x)
-					}
-				}
-			}
-			// Child chains must also match, and b's children must carry the
-			// cache forward.
-			ca, cb := a.Child("mac/backoff").ChildN("x", 3), b.Child("mac/backoff").ChildN("x", 3)
-			if cb.cache != c {
-				t.Fatalf("seed %d: derived child lost the cache", seed)
-			}
-			for i := 0; i < 100; i++ {
-				if x, y := ca.Uint64(), cb.Uint64(); x != y {
-					t.Fatalf("seed %d: child Uint64 %v != %v", seed, y, x)
-				}
+	for _, seed := range seeds {
+		want := rand.New(rand.NewSource(int64(seed))).Uint64() //nolint:gosec // test against stdlib
+		if got := c.FirstUint64(seed); got != want {
+			t.Fatalf("seed %d: FirstUint64 %d != %d", seed, got, want)
+		}
+		// Step the lagged-Fibonacci recurrence over the captured state and
+		// compare well past one full state-vector turn.
+		vec := captureState(seed).vec
+		tap, feed := 0, lfLen-lfTap
+		ref := rand.NewSource(int64(seed)).(rand.Source64) //nolint:gosec // test against stdlib
+		for i := 0; i < 2000; i++ {
+			tap = (tap + lfLen - 1) % lfLen
+			feed = (feed + lfLen - 1) % lfLen
+			vec[feed] += vec[tap]
+			if w := ref.Uint64(); vec[feed] != w {
+				t.Fatalf("seed %d draw %d: %d != %d", seed, i, vec[feed], w)
 			}
 		}
 	}
@@ -94,16 +47,13 @@ func TestCacheEpochClear(t *testing.T) {
 	// per generation: 2 generations x 8 shards = at most 16 resident.
 	c := NewCache(8)
 	for s := uint64(0); s < 400; s++ {
-		_ = c.New(s)
+		_ = c.FirstUint64(s)
 	}
 	if n := c.resident(); n > 2*cacheShards {
 		t.Fatalf("cache grew to %d entries past its hard bound of %d", n, 2*cacheShards)
 	}
-	a, b := New(5), c.New(5)
-	for i := 0; i < 100; i++ {
-		if x, y := a.Uint64(), b.Uint64(); x != y {
-			t.Fatalf("post-clear stream diverged: %v != %v", y, x)
-		}
+	if x, y := New(5).Uint64(), c.FirstUint64(5); x != y {
+		t.Fatalf("post-clear first draw diverged: %v != %v", y, x)
 	}
 }
 
@@ -177,9 +127,9 @@ func BenchmarkSeedNew(b *testing.B) {
 
 func BenchmarkSeedCacheHit(b *testing.B) {
 	c := NewCache(16)
-	_ = c.New(7)
+	_ = c.FirstUint64(7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.New(7)
+		_ = c.FirstUint64(7)
 	}
 }

@@ -21,15 +21,6 @@ type Source struct {
 	seed uint64
 	rnd  *rand.Rand
 
-	// cache, when non-nil, serves derived children from memoized seeded
-	// states (see Cache); a nil cache is the ordinary math/rand path.
-	cache *Cache
-
-	// lf, when non-nil, is the cache-backed replica generator rnd wraps,
-	// exposed so Reseed can replay a memoized state into it without
-	// allocating a fresh source.
-	lf *lfSource
-
 	// geomQ/geomLogQ memoize the last Geometric denominator: the PU
 	// activity processes draw millions of geometric samples with the same
 	// one or two success probabilities, and ln(q) is half the cost of a
@@ -54,7 +45,7 @@ func (s *Source) Seed() uint64 { return s.seed }
 // identical children and distinct labels yield (practically) independent
 // streams.
 func (s *Source) Child(name string) *Source {
-	return s.derive(s.ChildSeed(name))
+	return New(s.ChildSeed(name))
 }
 
 // ChildSeed returns the seed Child(name) derives its source from, without
@@ -69,41 +60,25 @@ func (s *Source) ChildSeed(name string) uint64 {
 // ChildN derives an independent source labeled by name and an index, e.g.
 // one stream per repetition of an experiment.
 func (s *Source) ChildN(name string, n int) *Source {
-	return s.derive(ChildSeedN(s.seed, name, n))
+	return New(ChildSeedN(s.seed, name, n))
 }
 
 // ChildSeedN returns the seed New(parent).ChildN(name, n) derives its source
-// from, without building either source. Together with Cache.FirstUint64 it
-// lets the sweep layer compute per-repetition seeds allocation-free.
+// from, without building either source. The sweep layer derives every
+// placement and collection seed as Cache.FirstUint64(ChildSeedN(...)), which
+// equals New(parent).ChildN(name, n).Uint64() without a seeding walk.
 func ChildSeedN(parent uint64, name string, n int) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
 	return mix(mix(parent, h.Sum64()), uint64(n)+0x9e3779b97f4a7c15)
 }
 
-// derive builds a child source for an already-mixed seed, through the cache
-// when the parent carries one. Cached and uncached derivation produce
-// bit-identical streams; only the seeding cost differs.
-func (s *Source) derive(seed uint64) *Source {
-	if s.cache != nil {
-		return s.cache.New(seed)
-	}
-	return New(seed)
-}
-
 // Reseed re-seeds s in place: afterwards its stream is bit-identical to a
-// freshly built source with the given seed, but no allocation happens.
-// Cache-backed sources replay the memoized state (an array copy); plain
-// sources re-run math/rand's seeding walk. The geometric memo survives — it
-// is keyed by value and recomputing it is bit-identical.
+// freshly built source with the given seed, but no allocation happens. The
+// geometric memo survives — it is keyed by value and recomputing it is
+// bit-identical.
 func (s *Source) Reseed(seed uint64) {
 	s.seed = seed
-	if s.lf != nil {
-		st := s.cache.state(seed)
-		s.lf.tap, s.lf.feed = 0, lfLen-lfTap
-		s.lf.vec = st.vec
-		return
-	}
 	s.rnd.Seed(int64(seed)) //nolint:staticcheck // deliberate in-place reseed
 }
 

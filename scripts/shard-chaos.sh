@@ -8,10 +8,10 @@
 # the uninterrupted unsharded run. Shard workers run with -flush-batch 1 so
 # a kill can lose at most the repetition in flight.
 #
-# The whole gauntlet runs twice: once on the scalar engine and once with
-# -batch 4 (the lane-batched engine, whose journals carry their own grid
-# hash — each round compares against a reference produced with the same
-# flags). A kill therefore also lands mid-block, exercising per-lane
+# The whole gauntlet runs twice: once at the default -batch 1 and once with
+# -batch 4 (four-lane blocks sharing one deployment, whose journals carry
+# their own grid hash — each round compares against a reference produced
+# with the same flags). A kill therefore also lands mid-block, exercising per-lane
 # checkpoint granularity under real process death.
 #
 # The Go test suite pins the same contract in-process
