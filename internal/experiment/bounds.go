@@ -57,11 +57,10 @@ func (b *BoundsCheck) Run() (*BoundsResult, error) {
 	}
 	var maxService, delays, capacities []float64
 	maxDegree := 0
-	seedSrc := rng.New(b.Seed)
 	for rep := 0; rep < reps; rep++ {
 		res, err := core.Run(core.Options{
 			Params:         params,
-			Seed:           seedSrc.ChildN("bounds", rep).Uint64(),
+			Seed:           rng.ChildSeedN(b.Seed, "bounds", rep),
 			PUModel:        spectrum.ModelExact,
 			MaxVirtualTime: 120 * time.Minute,
 		})

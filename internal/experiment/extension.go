@@ -72,7 +72,7 @@ func (s *ChannelSweep) Run() (*ChannelSweepResult, error) {
 			Assign:   s.Assign,
 		}
 		if s.ShareTopology {
-			seed := rng.New(s.Seed).ChildN("ext1/topo", rep).Uint64()
+			seed := rng.ChildSeedN(s.Seed, "ext1/topo", rep)
 			topo, err := cache.get(s.Base, seed)
 			if err != nil {
 				return outcome{err: err}
@@ -80,7 +80,7 @@ func (s *ChannelSweep) Run() (*ChannelSweepResult, error) {
 			opts.Seed = seed
 			opts.Prebuilt = topo.prebuilt()
 		} else {
-			opts.Seed = rng.New(s.Seed).ChildN(fmt.Sprintf("ext1/c%d", s.Channels[ci]), rep).Uint64()
+			opts.Seed = rng.ChildSeedN(s.Seed, fmt.Sprintf("ext1/c%d", s.Channels[ci]), rep)
 		}
 		res, err := multichannel.Run(opts)
 		if err != nil {

@@ -131,14 +131,14 @@ func (s *FaultSweep) RunContext(ctx context.Context) (*FaultSweepResult, error) 
 		if s.ShareTopology {
 			// The placement seed depends only on the repetition so every
 			// crash fraction shares one memoized topology build.
-			seed = rng.New(s.Seed).ChildN("ext2/topo", rep).Uint64()
+			seed = rng.ChildSeedN(s.Seed, "ext2/topo", rep)
 			topo, err := env.cache.get(s.Base, seed)
 			if err != nil {
 				return outcome{err: err}
 			}
 			pre = topo.prebuilt()
 		} else {
-			seed = rng.New(s.Seed).ChildN(fmt.Sprintf("ext2/f%g", s.CrashFracs[fi]), rep).Uint64()
+			seed = rng.ChildSeedN(s.Seed, fmt.Sprintf("ext2/f%g", s.CrashFracs[fi]), rep)
 		}
 		res, err := core.RunContext(ctx, core.Options{
 			Params:         s.Base,

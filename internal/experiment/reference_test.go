@@ -22,7 +22,7 @@ import (
 // grid order, the documented seed derivation (see runBlockOnce), a freshly
 // built topology, and two plain scalar collections with a nil Workspace and
 // a fresh registry. It shares no block scheduling, lane batching, workspace
-// reuse, topology cache or seed-state cache with Sweep.Run. s must set Reps
+// reuse or topology cache with Sweep.Run. s must set Reps
 // and MaxVirtualTime and leave Retries at zero.
 func referenceEntries(t *testing.T, s *Sweep) []CheckpointEntry {
 	t.Helper()
@@ -41,8 +41,8 @@ func referenceEntries(t *testing.T, s *Sweep) []CheckpointEntry {
 		}
 		params := s.Apply(s.Base, x)
 		for rep := 0; rep < s.Reps; rep++ {
-			topoSeed := rng.New(s.Seed).ChildN(label, rep-rep%batch).Uint64()
-			seed := rng.New(s.Seed).ChildN(label, rep).Uint64()
+			topoSeed := rng.ChildSeedN(s.Seed, label, rep-rep%batch)
+			seed := rng.ChildSeedN(s.Seed, label, rep)
 			out = append(out, referencePair(s, xi, rep, params, topoSeed, seed)...)
 		}
 	}

@@ -153,6 +153,9 @@ func (s *Sweep) gridHash(reps int) string {
 	if s.Batch > 1 {
 		fmt.Fprintf(h, "|batch=%d", s.Batch)
 	}
+	// The generator tag keeps journals written by the math/rand-based
+	// generator from merging with or resuming into PCG results.
+	h.Write([]byte("|rng=pcg"))
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -11,14 +11,17 @@ package rng
 import (
 	"hash/fnv"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 )
 
 // Source is a deterministic random source with the derivation helpers used
-// across the simulator. It wraps math/rand with an explicit seed; crypto
-// randomness is neither needed nor wanted for reproducible experiments.
+// across the simulator. It wraps a math/rand/v2 PCG generator with an
+// explicit seed; crypto randomness is neither needed nor wanted for
+// reproducible experiments. Seeding a PCG sets two words, so building or
+// re-seeding a source costs nanoseconds and no derived seed needs caching.
 type Source struct {
 	seed uint64
+	pcg  *rand.PCG
 	rnd  *rand.Rand
 
 	// geomQ/geomLogQ memoize the last Geometric denominator: the PU
@@ -29,12 +32,15 @@ type Source struct {
 	geomLogQ float64
 }
 
+// pcgStream salts the PCG's second state word: the seed is the first word,
+// and mix(seed, pcgStream) the second, so small seeds do not start from
+// near-zero states.
+const pcgStream = 0x6a09e667f3bcc909
+
 // New returns a Source seeded with seed.
 func New(seed uint64) *Source {
-	return &Source{
-		seed: seed,
-		rnd:  rand.New(rand.NewSource(int64(seed))), //nolint:gosec // reproducibility, not security
-	}
+	pcg := rand.NewPCG(seed, mix(seed, pcgStream))
+	return &Source{seed: seed, pcg: pcg, rnd: rand.New(pcg)}
 }
 
 // Seed returns the seed the source was created with.
@@ -64,9 +70,9 @@ func (s *Source) ChildN(name string, n int) *Source {
 }
 
 // ChildSeedN returns the seed New(parent).ChildN(name, n) derives its source
-// from, without building either source. The sweep layer derives every
-// placement and collection seed as Cache.FirstUint64(ChildSeedN(...)), which
-// equals New(parent).ChildN(name, n).Uint64() without a seeding walk.
+// from, without building either source. It is the one per-repetition seed
+// derivation: the sweeps use it directly as every placement and collection
+// seed.
 func ChildSeedN(parent uint64, name string, n int) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
@@ -79,7 +85,7 @@ func ChildSeedN(parent uint64, name string, n int) uint64 {
 // bit-identical.
 func (s *Source) Reseed(seed uint64) {
 	s.seed = seed
-	s.rnd.Seed(int64(seed)) //nolint:staticcheck // deliberate in-place reseed
+	s.pcg.Seed(seed, mix(seed, pcgStream))
 }
 
 // ReseedChild re-points s at parent.Child(name)'s stream, reusing s's
@@ -108,10 +114,10 @@ func (s *Source) Float64() float64 { return s.rnd.Float64() }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0, matching
 // math/rand semantics.
-func (s *Source) Intn(n int) int { return s.rnd.Intn(n) }
+func (s *Source) Intn(n int) int { return s.rnd.IntN(n) }
 
-// Int63n returns a uniform value in [0, n).
-func (s *Source) Int63n(n int64) int64 { return s.rnd.Int63n(n) }
+// Int63n returns a uniform value in [0, n). It panics if n <= 0.
+func (s *Source) Int63n(n int64) int64 { return s.rnd.Int64N(n) }
 
 // Uint64 returns a uniform 64-bit value.
 func (s *Source) Uint64() uint64 { return s.rnd.Uint64() }
@@ -137,7 +143,7 @@ func (s *Source) UniformInt(lo, hi int64) int64 {
 	if hi < lo {
 		panic("rng: UniformInt with hi < lo")
 	}
-	return lo + s.rnd.Int63n(hi-lo+1)
+	return lo + s.rnd.Int64N(hi-lo+1)
 }
 
 // Geometric returns the number of consecutive Bernoulli(p) failures before

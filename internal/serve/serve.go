@@ -583,24 +583,27 @@ func (s *Server) runJob(j *Job) {
 			s.setState(j, func() { j.Resumed += res.Resumed })
 		}
 
+		// Every terminal branch counts the outcome before terminate settles
+		// the job, so a reader that sees the job settled also sees its
+		// counter.
 		switch {
 		case err == nil:
-			s.terminate(j, StateDone, trace.SpanDone, "", res, false)
 			s.stats.completed.Inc()
+			s.terminate(j, StateDone, trace.SpanDone, "", res, false)
 			return
 		case errors.Is(err, context.DeadlineExceeded) && j.Spec.Timeout > 0:
 			// The job's own wall-clock deadline fired; partial results are
 			// still worth recording — the journal holds every completed
 			// repetition.
-			s.terminate(j, StateDeadline, trace.SpanDeadline, err.Error(), res, true)
 			s.stats.deadline.Inc()
 			s.stats.failed.Inc()
+			s.terminate(j, StateDeadline, trace.SpanDeadline, err.Error(), res, true)
 			return
 		case errors.Is(err, context.Canceled):
 			// Drain interrupt: the sweep checkpointed; the next Start
 			// resumes it. Keep the partial summary for observability.
-			s.terminate(j, StateInterrupted, trace.SpanInterrupted, err.Error(), res, true)
 			s.stats.interrupted.Inc()
+			s.terminate(j, StateInterrupted, trace.SpanInterrupted, err.Error(), res, true)
 			return
 		case attempt < retries:
 			s.stats.retried.Inc()
@@ -621,13 +624,13 @@ func (s *Server) runJob(j *Job) {
 			select {
 			case <-time.After(backoff):
 			case <-s.baseCtx.Done():
-				s.terminate(j, StateInterrupted, trace.SpanInterrupted, err.Error(), res, true)
 				s.stats.interrupted.Inc()
+				s.terminate(j, StateInterrupted, trace.SpanInterrupted, err.Error(), res, true)
 				return
 			}
 		default:
-			s.terminate(j, StateFailed, trace.SpanFailed, err.Error(), res, res != nil)
 			s.stats.failed.Inc()
+			s.terminate(j, StateFailed, trace.SpanFailed, err.Error(), res, res != nil)
 			return
 		}
 	}
