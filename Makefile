@@ -86,8 +86,8 @@ bench:
 bench-diff:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem -short -count=3 ./... | $(GO) run ./cmd/addc-benchjson -out '' -baseline BENCH_addc.json
 
-# bench-parallel runs only the multi-core scaling family (scalar and
-# batch16 at 1/2/4/8 cores) and prints the scaling-efficiency table without
+# bench-parallel runs only the multi-core scaling family (the small-grid
+# sweep at 1/2/4/8 cores) and prints the scaling-efficiency table without
 # touching BENCH_addc.json.
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepParallel' -benchtime 1x -benchmem -count=3 . | $(GO) run ./cmd/addc-benchjson -out ''

@@ -446,7 +446,7 @@ func BenchmarkCollectInstrumented(b *testing.B) {
 // benchSweepSpec returns a ten-point PU-activity sweep at a deliberately
 // tiny operating point, 200 (x, rep) pairs per iteration: the many-short-runs
 // regime where per-run construction, allocation and checkpoint I/O — the
-// batch execution layer's targets (DESIGN.md §9.1) — are a meaningful share
+// sweep engine's targets (DESIGN.md §9.1) — are a meaningful share
 // of the wall clock, unlike the simulation-dominated figure benches above.
 // One iteration stays a fraction of a second, so the sweep benchmarks run in
 // the CI bench smoke and under -short.
@@ -510,36 +510,9 @@ func BenchmarkSweepSmallGridCheckpoint(b *testing.B) {
 	})
 }
 
-// benchSweepBatched pins Workers to 1 and GOMAXPROCS to 1 so the batched
-// benchmarks measure the lane engine's single-thread throughput — no worker
-// parallelism, no background GC threads absorbing allocation pressure: the
-// B = 1 baseline and the B = 4/16 lockstep variants differ only in how many
-// repetitions one worker interleaves per event loop.
-func benchSweepBatched(b *testing.B, batch int) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	benchSweepRun(b, func(s *experiment.Sweep) {
-		s.Workers = 1
-		s.Batch = batch
-	})
-}
-
-// BenchmarkSweepSmallGridBatchedB1 is the baseline for the lane-batch
-// speedup: same grid, one worker, one-repetition blocks.
-func BenchmarkSweepSmallGridBatchedB1(b *testing.B) { benchSweepBatched(b, 1) }
-
-// BenchmarkSweepSmallGridBatchedB4 interleaves 4 repetitions per block
-// through one event loop, sharing the block's topology, PCR derivation and
-// coolest parent construction across lanes.
-func BenchmarkSweepSmallGridBatchedB4(b *testing.B) { benchSweepBatched(b, 4) }
-
-// BenchmarkSweepSmallGridBatchedB16 is the wide variant; its ns/op against
-// B1's is the lane engine's per-repetition speedup.
-func BenchmarkSweepSmallGridBatchedB16(b *testing.B) { benchSweepBatched(b, 16) }
-
 // BenchmarkSweepParallel measures the sweep engine's multi-core scaling on
 // the 200-pair small grid: the same configuration at GOMAXPROCS ∈ {1,2,4,8}
-// with Workers matched, for one-rep blocks ("scalar", Batch 1) and 16-lane
-// blocks.
+// with Workers matched.
 // Speedup(cN) = ns/op(c1) / ns/op(cN) of the same family; addc-benchjson
 // derives the scaling-efficiency table from these entries and gates the
 // 4-core speedup. Every entry reports a "cpus" metric (the machine's core
@@ -547,23 +520,12 @@ func BenchmarkSweepSmallGridBatchedB16(b *testing.B) { benchSweepBatched(b, 16) 
 // parallel speedup — a 1-core CI box runs all configs correctly but
 // measures only scheduling overhead above c1.
 func BenchmarkSweepParallel(b *testing.B) {
-	for _, fam := range []struct {
-		name  string
-		batch int
-	}{
-		{"scalar", 1},
-		{"batch16", 16},
-	} {
-		for _, cores := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s-c%d", fam.name, cores), func(b *testing.B) {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cores))
-				benchSweepRun(b, func(s *experiment.Sweep) {
-					s.Workers = cores
-					s.Batch = fam.batch
-				})
-				b.ReportMetric(float64(runtime.NumCPU()), "cpus")
-			})
-		}
+	for _, cores := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("scalar-c%d", cores), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cores))
+			benchSweepRun(b, func(s *experiment.Sweep) { s.Workers = cores })
+			b.ReportMetric(float64(runtime.NumCPU()), "cpus")
+		})
 	}
 }
 

@@ -79,7 +79,6 @@ func run(args []string) error {
 		merge        = fs.Bool("merge", false, "merge the shard journals beside -checkpoint into the unsharded journal and print the summary it implies (requires -checkpoint)")
 		allowMissing = fs.Bool("allow-missing", false, "with -merge: tolerate missing or empty shards and print the partial summary the surviving shards cover")
 		flushBatch   = fs.Int("flush-batch", 0, "checkpoint flush batch size (default 32; 1 persists every completed pair immediately — what the chaos harness uses)")
-		batch        = fs.Int("batch", 1, "repetitions per worker executed in lockstep through the lane-batched engine (1: one repetition per block, each on its own deployment; >1 makes a block share the deployment of its first repetition, which changes placement, so every shard and resume of one sweep must use the same value)")
 		workers      = fs.Int("workers", 0, "cap sweep parallelism (default GOMAXPROCS)")
 		xsFlag       = fs.String("xs", "", "comma-separated x values overriding the figure's sweep axis (small grids for smoke tests)")
 		numSU        = fs.Int("num-su", 0, "override the number of secondary users")
@@ -183,7 +182,6 @@ func run(args []string) error {
 		sweep.ShareTopology = *shareTopo
 		sweep.Workers = *workers
 		sweep.FlushBatch = *flushBatch
-		sweep.Batch = *batch
 		if xs != nil {
 			sweep.Xs = xs
 		}

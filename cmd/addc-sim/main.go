@@ -64,7 +64,6 @@ func run(args []string) error {
 		pt      = fs.Float64("pt", base.ActiveProb, "PU per-slot activity probability")
 		seed    = fs.Uint64("seed", 1, "run seed")
 		runs    = fs.Int("runs", 1, "repeat the simulation with seeds seed, seed+1, ... reusing one simulation workspace between runs")
-		batch   = fs.Int("batch", 1, "execute -runs in lockstep blocks of this size through the lane-batched engine; each block shares the deployment built from its first seed (changes placement per run, like a sweep's block seeding), while collection seeds stay seed, seed+1, ...")
 		alg     = fs.String("alg", "addc", "algorithm: addc or coolest")
 		model   = fs.String("pu-model", "exact", "PU model: exact or aggregate")
 		budget  = fs.Duration("max-virtual", 30*time.Minute, "virtual-time budget")
@@ -91,9 +90,6 @@ func run(args []string) error {
 	}
 	if *runs < 1 {
 		return fmt.Errorf("-runs must be at least 1, got %d", *runs)
-	}
-	if *batch < 1 {
-		return fmt.Errorf("-batch must be at least 1, got %d", *batch)
 	}
 	if *runs > 1 && (*metricsOut != "" || *traceOut != "") {
 		return fmt.Errorf("-runs > 1 does not combine with -metrics-out or -trace-out")
@@ -267,46 +263,6 @@ func run(args []string) error {
 	// state and scratch buffers are wiped in place between runs instead of
 	// reallocated, matching the sweep layer's per-worker engine reuse.
 	ws := core.NewWorkspace()
-	if *batch > 1 {
-		// Lane-batched: blocks of -batch runs execute in lockstep through
-		// one interleaved event loop, sharing the deployment built from the
-		// block's first seed. Collection seeds stay seed, seed+1, ...
-		for b0 := 0; b0 < *runs; b0 += *batch {
-			bn := min(b0+*batch, *runs)
-			nw, parents, runCfg, err := setup(*seed + uint64(b0))
-			if err != nil {
-				return err
-			}
-			runCfg.Workspace = ws
-			// reg and sink are non-nil only for a single run, which is a
-			// single lane. A typed-nil *JSONLSink must not reach the
-			// interface field.
-			var laneSink trace.Sink
-			if sink != nil {
-				laneSink = sink
-			}
-			lanes := make([]core.Lane, bn-b0)
-			for j := range lanes {
-				lanes[j] = core.Lane{Seed: *seed + uint64(b0+j), Metrics: reg, Sink: laneSink}
-			}
-			out, err := core.CollectBatch(ctx, nw, parents, runCfg, lanes)
-			if sink != nil && err == nil {
-				err = sink.Flush()
-			}
-			if reg != nil && err == nil {
-				err = writeMetrics(*metricsOut, reg)
-			}
-			if err != nil {
-				return err
-			}
-			for j, lr := range out {
-				if err := report(*seed+uint64(b0+j), lr.Result, lr.Err, bn == *runs && j == len(out)-1); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
 	for i := 0; i < *runs; i++ {
 		runSeed := *seed + uint64(i)
 		nw, parents, runCfg, err := setup(runSeed)

@@ -168,7 +168,7 @@ type Options struct {
 	Guard bool
 	// Prebuilt, when non-nil, supplies the run's construction artifacts —
 	// deployment, adjacency, routing tree — instead of having RunContext
-	// build them from Params and Seed. The batch execution layer
+	// build them from Params and Seed. The sweep engine
 	// (internal/experiment) uses it to share one memoized topology across
 	// every repetition of a sweep; all artifacts are treated read-only.
 	Prebuilt *Prebuilt
@@ -490,23 +490,12 @@ type CollectConfig struct {
 
 // Workspace is a reusable per-worker simulation context. The zero value (or
 // NewWorkspace) is ready to use: the first run populates it, later runs
-// reset the retained engine, MAC, and scratch buffers in place, cutting
-// per-repetition allocation to O(changed state). It is not safe for
-// concurrent use — give each worker goroutine its own.
+// reset the retained engine, MAC, PU model, SIR monitor, root randomness
+// source and measurement scratch buffers in place, cutting per-repetition
+// allocation to O(changed state). It is not safe for concurrent use — give
+// each worker goroutine its own.
 type Workspace struct {
-	eng *sim.Engine
-	// scalar is the single-run scratch; lanes/slabs serve CollectBatch,
-	// which keeps one scratch slot and one slab lane per batch lane so a
-	// renewed batch reuses every MAC and buffer in place.
-	scalar laneScratch
-	lanes  []laneScratch
-	slabs  *mac.Slabs
-}
-
-// laneScratch is the retained per-run state of one execution lane: the MAC,
-// PU model, SIR monitor and root randomness source (each renewed in place
-// between runs) and the measurement scratch buffers.
-type laneScratch struct {
+	eng       *sim.Engine
 	m         *mac.MAC
 	src       *rng.Source
 	exact     *spectrum.ExactModel
@@ -553,24 +542,12 @@ func CollectContext(ctx context.Context, nw *netmodel.Network, parent []int32, c
 	if err := ctx.Err(); err != nil {
 		return nil, &CanceledError{Cause: err}
 	}
-	env, err := newCollectEnv(nw, parent, cfg, cfg.Metrics)
-	if err != nil {
-		return nil, err
-	}
 	ws := cfg.Workspace
-	var eng *sim.Engine
-	var scratch *laneScratch
-	if ws != nil {
-		eng = ws.engine()
-		scratch = &ws.scalar
-	} else {
-		eng = sim.New()
+	if ws == nil {
+		ws = NewWorkspace()
 	}
-	ln, err := env.prepareLane(eng, laneIO{
-		seed: cfg.Seed,
-		met:  cfg.Metrics,
-		sink: combineSinks(cfg.Trace, cfg.Sink),
-	}, scratch, nil)
+	eng := ws.engine()
+	r, err := newRun(eng, nw, parent, cfg, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -579,45 +556,121 @@ func CollectContext(ctx context.Context, nw *netmodel.Network, parent []int32, c
 		// polls ctx every cancelPollEvents executed events.
 		eng.SetInterrupt(cancelPollEvents, ctx.Err)
 	}
-	for !ln.done {
+	for !r.done {
 		if !eng.Step() {
 			if cause := eng.InterruptErr(); cause != nil {
-				ln.finish(eng.Now(), eng.Steps())
-				return ln.res, ln.canceledErr(cause, eng.Now())
+				r.finish(eng.Now(), eng.Steps())
+				return r.res, r.canceledErr(cause, eng.Now())
 			}
 			break // queue drained: nothing can make progress anymore
 		}
-		if eng.Now() > env.deadline {
-			ln.finish(eng.Now(), eng.Steps())
-			return ln.res, ln.deadlineErr(eng.Now())
+		if eng.Now() > r.deadline {
+			r.finish(eng.Now(), eng.Steps())
+			return r.res, r.deadlineErr(eng.Now())
 		}
 	}
-	ln.finish(eng.Now(), eng.Steps())
-	return ln.seal()
+	r.finish(eng.Now(), eng.Steps())
+	return r.seal()
 }
 
-// collectEnv is the lane-independent part of a collection: the derived PCR
-// constants, the resolved sensing ranges, and the defaulted config. One env
-// serves every lane of a batch (and the scalar path), so batched
-// repetitions pay the derivation once.
-type collectEnv struct {
-	nw       *netmodel.Network
-	parent   []int32
-	cfg      CollectConfig
-	consts   pcr.Constants
-	puSense  float64
-	suSense  float64
-	slot     sim.Time
-	deadline sim.Time
-
-	// gains memoizes pairwise pathloss for the SIR monitor; lanes of a batch
-	// share it, so each (tx, rx) gain is computed once per topology rather
-	// than once per encounter per lane. Nil when no run uses a monitor.
-	gains *spectrum.GainTable
+// combineSinks fans a run's trace stream out to the legacy ring Buffer and
+// the pluggable Sink; both see identical records.
+func combineSinks(buf *trace.Buffer, sink trace.Sink) trace.Sink {
+	switch {
+	case buf != nil && sink != nil:
+		return trace.MultiSink{buf, sink}
+	case buf != nil:
+		return buf
+	default:
+		return sink
+	}
 }
 
-func newCollectEnv(nw *netmodel.Network, parent []int32, cfg CollectConfig, met *metrics.Registry) (*collectEnv, error) {
-	stopPhase := met.StartPhase("pcr")
+// run is one collection's live state: the MAC, PU model, repairer, guards
+// and observer wired onto the engine, and the measurements gathered so far.
+type run struct {
+	nw          *netmodel.Network
+	tree        *cds.Tree
+	ws          *Workspace
+	res         *Result
+	done        bool
+	slot        sim.Time
+	deadline    sim.Time
+	latencies   []float64
+	hops        []float64
+	m           *mac.MAC
+	model       spectrum.PUModel
+	rep         *repairer
+	grd         *guard
+	obs         *observer
+	stopCollect func(sim.Time)
+}
+
+// finish seals the run's measurements at virtual time now after steps
+// executed events.
+func (r *run) finish(now sim.Time, steps uint64) {
+	r.stopCollect(now)
+	finishResult(r.res, r.nw, r.m, now, steps, r.latencies, r.hops, r.slot, r.ws)
+	// Retain the (possibly grown) scratch backing for the next run.
+	r.ws.latencies, r.ws.hops = r.latencies, r.hops
+	fillFaultReport(r.res, r.nw, r.m, r.rep)
+	r.obs.finish(r.res, r.nw, r.m, r.tree, r.model.BusyFraction(now))
+	if r.grd != nil {
+		r.grd.finish(now)
+	}
+}
+
+// canceledErr marks the run canceled and returns the typed partial-result
+// error. Call finish first.
+func (r *run) canceledErr(cause error, now sim.Time) error {
+	r.res.Outcome = OutcomeCanceled
+	return &CanceledError{
+		Cause:     cause,
+		Delivered: r.res.Delivered,
+		Expected:  r.res.Expected,
+		Lost:      r.res.Lost,
+		Elapsed:   now,
+	}
+}
+
+// deadlineErr marks the run as having exhausted its virtual-time budget.
+// Call finish first.
+func (r *run) deadlineErr(now sim.Time) error {
+	r.res.Outcome = OutcomeDeadline
+	return &DeadlineExceededError{
+		Delivered: r.res.Delivered,
+		Expected:  r.res.Expected,
+		Lost:      r.res.Lost,
+		Elapsed:   now,
+	}
+}
+
+// seal classifies a run that ran to completion (or stalled) and applies
+// the invariant-guard verdict.
+func (r *run) seal() (*Result, error) {
+	res := r.res
+	switch {
+	case res.Delivered == res.Expected:
+		res.Outcome = OutcomeComplete
+	case r.done:
+		// Every missing packet is attributed to an injected fault: the run
+		// degraded gracefully rather than timing out.
+		res.Outcome = OutcomePartial
+	default:
+		return res, fmt.Errorf("core: simulation stalled with %d/%d delivered", res.Delivered, res.Expected)
+	}
+	if err := r.grd.err(); err != nil {
+		return res, err
+	}
+	return res, nil
+}
+
+// newRun derives the PCR constants and sensing ranges, defaults cfg, and
+// builds one repetition on eng — result, hooks, MAC, PU model, fault
+// schedule — then starts it, leaving the run ready to step. Every renewable
+// component comes from ws, whose root source is reseeded in place.
+func newRun(eng *sim.Engine, nw *netmodel.Network, parent []int32, cfg CollectConfig, ws *Workspace) (*run, error) {
+	stopPhase := cfg.Metrics.StartPhase("pcr")
 	consts, err := pcr.Compute(nw.Params)
 	stopPhase(0)
 	if err != nil {
@@ -644,153 +697,20 @@ func newCollectEnv(nw *netmodel.Network, parent []int32, cfg CollectConfig, met 
 	if cfg.PUModel == 0 {
 		cfg.PUModel = spectrum.ModelExact
 	}
-	env := &collectEnv{
-		nw:       nw,
-		parent:   parent,
-		cfg:      cfg,
-		consts:   consts,
-		puSense:  puSense,
-		suSense:  suSense,
-		slot:     sim.FromDuration(nw.Params.Slot),
-		deadline: sim.FromDuration(cfg.MaxVirtualTime),
-	}
-	if cfg.GenericCSMA || cfg.SIRValidate {
-		env.gains = spectrum.NewGainTable(nw)
-	}
-	return env, nil
-}
 
-// combineSinks fans a run's trace stream out to the legacy ring Buffer and
-// the pluggable Sink; both see identical records.
-func combineSinks(buf *trace.Buffer, sink trace.Sink) trace.Sink {
-	switch {
-	case buf != nil && sink != nil:
-		return trace.MultiSink{buf, sink}
-	case buf != nil:
-		return buf
-	default:
-		return sink
-	}
-}
-
-// laneIO is the per-lane I/O surface of a collection run: the seed and the
-// observability endpoints. Scalar runs mirror the CollectConfig fields;
-// CollectBatch gives every lane its own.
-type laneIO struct {
-	seed uint64
-	met  *metrics.Registry
-	sink trace.Sink
-}
-
-// lane is one repetition's live state during a (possibly batched) run.
-type lane struct {
-	env         *collectEnv
-	res         *Result
-	done        bool
-	latencies   []float64
-	hops        []float64
-	m           *mac.MAC
-	model       spectrum.PUModel
-	rep         *repairer
-	grd         *guard
-	obs         *observer
-	scratch     *laneScratch
-	stopCollect func(sim.Time)
-}
-
-// finish seals the lane's measurements at virtual time now after steps
-// executed events (under batching: the lane's own clock and step count, not
-// the shared engine's).
-func (ln *lane) finish(now sim.Time, steps uint64) {
-	ln.stopCollect(now)
-	finishResult(ln.res, ln.env.nw, ln.m, now, steps, ln.latencies, ln.hops, ln.env.slot, ln.scratch)
-	if ln.scratch != nil {
-		// Retain the (possibly grown) scratch backing for the next run.
-		ln.scratch.latencies, ln.scratch.hops = ln.latencies, ln.hops
-	}
-	fillFaultReport(ln.res, ln.env.nw, ln.m, ln.rep)
-	ln.obs.finish(ln.res, ln.env.nw, ln.m, ln.env.cfg.Tree, ln.model.BusyFraction(now))
-	if ln.grd != nil {
-		ln.grd.finish(now)
-	}
-}
-
-// canceledErr marks the lane canceled and returns the typed partial-result
-// error. Call finish first.
-func (ln *lane) canceledErr(cause error, now sim.Time) error {
-	ln.res.Outcome = OutcomeCanceled
-	return &CanceledError{
-		Cause:     cause,
-		Delivered: ln.res.Delivered,
-		Expected:  ln.res.Expected,
-		Lost:      ln.res.Lost,
-		Elapsed:   now,
-	}
-}
-
-// deadlineErr marks the lane as having exhausted its virtual-time budget.
-// Call finish first.
-func (ln *lane) deadlineErr(now sim.Time) error {
-	ln.res.Outcome = OutcomeDeadline
-	return &DeadlineExceededError{
-		Delivered: ln.res.Delivered,
-		Expected:  ln.res.Expected,
-		Lost:      ln.res.Lost,
-		Elapsed:   now,
-	}
-}
-
-// seal classifies a lane that ran to completion (or stalled) and applies
-// the invariant-guard verdict.
-func (ln *lane) seal() (*Result, error) {
-	res := ln.res
-	switch {
-	case res.Delivered == res.Expected:
-		res.Outcome = OutcomeComplete
-	case ln.done:
-		// Every missing packet is attributed to an injected fault: the run
-		// degraded gracefully rather than timing out.
-		res.Outcome = OutcomePartial
-	default:
-		return res, fmt.Errorf("core: simulation stalled with %d/%d delivered", res.Delivered, res.Expected)
-	}
-	if err := ln.grd.err(); err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-// stallErr is the error a lane reports when its event queue drains with
-// packets still unaccounted for.
-func (ln *lane) stallErr() error {
-	return fmt.Errorf("core: simulation stalled with %d/%d delivered", ln.res.Delivered, ln.res.Expected)
-}
-
-// prepareLane builds one repetition on eng — result, hooks, MAC, PU model,
-// fault schedule — and starts it, leaving the lane ready to step. scratch,
-// when non-nil, is the retained per-lane workspace slot, whose root source is
-// reseeded in place; slab, when non-nil, backs the MAC's dense arrays (see
-// mac.NewSlabs).
-func (env *collectEnv) prepareLane(eng *sim.Engine, io laneIO, scratch *laneScratch, slab *mac.LaneSlab) (*lane, error) {
-	cfg := &env.cfg
-	nw := env.nw
-	var src *rng.Source
-	if scratch != nil && scratch.src != nil {
-		src = scratch.src
-		src.Reseed(io.seed)
+	if ws.src != nil {
+		ws.src.Reseed(cfg.Seed)
 	} else {
-		src = rng.New(io.seed)
-		if scratch != nil {
-			scratch.src = src
-		}
+		ws.src = rng.New(cfg.Seed)
 	}
+	src := ws.src
 
 	// Fault layer: compile the deterministic plan up front so the MAC can
 	// carry the loss profile. A nil or zero Spec compiles to nothing and
 	// leaves every code path below bit-identical to the fault-free run.
 	var plan *fault.Plan
 	if cfg.Faults != nil && !cfg.Faults.Zero() {
-		p, err := fault.Compile(*cfg.Faults, nw, env.consts.Range, src.Child("fault/plan"))
+		p, err := fault.Compile(*cfg.Faults, nw, consts.Range, src.Child("fault/plan"))
 		if err != nil {
 			return nil, err
 		}
@@ -799,67 +719,64 @@ func (env *collectEnv) prepareLane(eng *sim.Engine, io laneIO, scratch *laneScra
 
 	res := &Result{
 		Expected:  nw.NumNodes() - 1,
-		PCR:       env.consts,
+		PCR:       consts,
 		TreeStats: cfg.TreeStats,
 	}
-	ln := &lane{env: env, res: res, scratch: scratch}
-	if scratch != nil {
-		ln.latencies = grow(scratch.latencies, res.Expected)
-		ln.hops = grow(scratch.hops, res.Expected)
-	} else {
-		ln.latencies = make([]float64, 0, res.Expected)
-		ln.hops = make([]float64, 0, res.Expected)
+	slot := sim.FromDuration(nw.Params.Slot)
+	r := &run{
+		nw:        nw,
+		tree:      cfg.Tree,
+		ws:        ws,
+		res:       res,
+		slot:      slot,
+		deadline:  sim.FromDuration(cfg.MaxVirtualTime),
+		latencies: grow(ws.latencies, res.Expected),
+		hops:      grow(ws.hops, res.Expected),
 	}
-	slot := env.slot
 
 	var monitor *spectrum.RxMonitor
 	if cfg.GenericCSMA || cfg.SIRValidate {
-		if scratch != nil {
-			scratch.mon = spectrum.RenewRxMonitor(scratch.mon, nw.Params.Alpha)
-			monitor = scratch.mon
-		} else {
-			monitor = spectrum.NewRxMonitor(nw.Params.Alpha)
-		}
-		monitor.SetGainTable(env.gains)
+		ws.mon = spectrum.RenewRxMonitor(ws.mon, nw.Params.Alpha)
+		monitor = ws.mon
+		monitor.SetGainTable(spectrum.NewGainTable(nw))
 	}
 
-	sink := io.sink
+	sink := combineSinks(cfg.Trace, cfg.Sink)
 	rec := func(k trace.Kind, node int32, arg int64) {
 		if sink != nil {
 			sink.Add(trace.Record{Time: eng.Now(), Node: node, Kind: k, Arg: arg})
 		}
 	}
 
-	obs := newObserver(io.met, slot)
+	obs := newObserver(cfg.Metrics, slot)
 
 	// Invariant guards (opt-in; ADDC_GUARD=1 force-enables the mode for the
 	// `make guard` test tier).
 	var grd *guard
 	if cfg.Guard || guardEnv {
-		grd = newGuard(nw, res, env.suSense, io.met)
+		grd = newGuard(nw, res, suSense, cfg.Metrics)
 	}
 
 	// The run ends when every packet is accounted for: delivered to the
 	// base station or destroyed by a fault (graceful degradation).
 	accounted := func() {
 		if res.Delivered+res.Lost == res.Expected {
-			ln.done = true
+			r.done = true
 		}
 	}
 
 	macCfg := mac.Config{
 		Network:      nw,
-		Parent:       env.parent,
-		PUSenseRange: env.puSense,
-		SUSenseRange: env.suSense,
+		Parent:       parent,
+		PUSenseRange: puSense,
+		SUSenseRange: suSense,
 		Engine:       eng,
 		Rand:         src,
-		Slab:         slab,
 		OnDeliver: func(pkt mac.Packet, now sim.Time) {
 			res.Delivered++
 			latSlots := float64(now-pkt.Born) / float64(slot)
-			ln.latencies = append(ln.latencies, latSlots)
-			ln.hops = append(ln.hops, float64(pkt.Hops))
+			r.latencies = append(r.latencies, latSlots)
+			r.hops = append(r.hops, float64(pkt.Hops))
 			if pkt.Hops > 0 {
 				if perHop := latSlots / float64(pkt.Hops); perHop > res.maxPerHopWait {
 					res.maxPerHopWait = perHop
@@ -945,23 +862,17 @@ func (env *collectEnv) prepareLane(eng *sim.Engine, io laneIO, scratch *laneScra
 			rec(trace.KindBackoffDraw, node, int64(draw))
 		}
 	}
-	var m *mac.MAC
-	var err error
-	if scratch != nil {
-		m, err = mac.Renew(scratch.m, macCfg)
-		scratch.m = m
-	} else {
-		m, err = mac.New(macCfg)
-	}
+	m, err := mac.Renew(ws.m, macCfg)
 	if err != nil {
 		return nil, err
 	}
+	ws.m = m
 	if grd != nil {
 		grd.attach(m)
 		grd.checkTree(eng.Now()) // validate the initial routing tree
 	}
 
-	rep, err := scheduleFaults(eng, nw, m, plan, cfg.Tree, cfg.Adj, env.parent, res, rec)
+	rep, err := scheduleFaults(eng, nw, m, plan, cfg.Tree, cfg.Adj, parent, res, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -985,13 +896,8 @@ func (env *collectEnv) prepareLane(eng *sim.Engine, io laneIO, scratch *laneScra
 		}
 		model = traceModel
 	case cfg.PUModel == spectrum.ModelExact:
-		var exact *spectrum.ExactModel
-		if scratch != nil {
-			scratch.exact = spectrum.RenewExactModel(scratch.exact, nw, m.Tracker(), src)
-			exact = scratch.exact
-		} else {
-			exact = spectrum.NewExactModel(nw, m.Tracker(), src)
-		}
+		ws.exact = spectrum.RenewExactModel(ws.exact, nw, m.Tracker(), src)
+		exact := ws.exact
 		if monitor != nil {
 			exact.AttachMonitor(monitor)
 		}
@@ -1007,13 +913,13 @@ func (env *collectEnv) prepareLane(eng *sim.Engine, io laneIO, scratch *laneScra
 	model.Start(eng)
 	m.Start()
 
-	ln.m = m
-	ln.model = model
-	ln.rep = rep
-	ln.grd = grd
-	ln.obs = obs
-	ln.stopCollect = io.met.StartPhase("collect")
-	return ln, nil
+	r.m = m
+	r.model = model
+	r.rep = rep
+	r.grd = grd
+	r.obs = obs
+	r.stopCollect = cfg.Metrics.StartPhase("collect")
+	return r, nil
 }
 
 // scheduleFaults places every compiled fault event on the engine and builds
@@ -1132,7 +1038,7 @@ func fillFaultReport(res *Result, nw *netmodel.Network, m *mac.MAC, rep *repaire
 }
 
 func finishResult(res *Result, nw *netmodel.Network, m *mac.MAC, now sim.Time, steps uint64,
-	latencies, hops []float64, slot sim.Time, scratch *laneScratch) {
+	latencies, hops []float64, slot sim.Time, ws *Workspace) {
 	if res.Delay == 0 && res.Delivered < res.Expected {
 		res.Delay = now
 	}
@@ -1143,13 +1049,7 @@ func finishResult(res *Result, nw *netmodel.Network, m *mac.MAC, now sim.Time, s
 	if res.Delay > 0 {
 		res.Capacity = float64(res.Delivered) * nw.Params.PacketBits / res.Delay.Seconds()
 	}
-	var perNodeTx []float64
-	if scratch != nil {
-		perNodeTx = grow(scratch.perNodeTx, nw.NumNodes()-1)
-		defer func() { scratch.perNodeTx = perNodeTx }()
-	} else {
-		perNodeTx = make([]float64, 0, nw.NumNodes()-1)
-	}
+	perNodeTx := grow(ws.perNodeTx, nw.NumNodes()-1)
 	for v := 1; v < nw.NumNodes(); v++ {
 		st := m.Stats(int32(v))
 		res.TotalTransmissions += st.Transmissions
@@ -1160,6 +1060,7 @@ func finishResult(res *Result, nw *netmodel.Network, m *mac.MAC, now sim.Time, s
 		}
 		perNodeTx = append(perNodeTx, float64(st.Transmissions))
 	}
+	ws.perNodeTx = perNodeTx
 	res.FairnessIndex = stats.JainIndex(perNodeTx)
 	res.HopStats = stats.Summarize(hops)
 	res.LatencySlots = stats.Summarize(latencies)

@@ -100,8 +100,8 @@ func TestWorkspaceReuseEquivalenceFullRun(t *testing.T) {
 	}
 }
 
-// buildPrebuilt assembles the shared-artifact bundle the way the batch
-// execution layer does.
+// buildPrebuilt assembles the shared-artifact bundle the way the sweep
+// engine does.
 func buildPrebuilt(t *testing.T, opts Options) *Prebuilt {
 	t.Helper()
 	nw, err := BuildNetwork(opts)

@@ -123,7 +123,7 @@ func (s *FaultSweep) RunContext(ctx context.Context) (*FaultSweepResult, error) 
 				env.discard()
 			}
 		}()
-		if cause := ctx.Err(); cause != nil {
+		if cause := ctxErr(ctx); cause != nil {
 			return outcome{err: cause, canceled: true}
 		}
 		var seed uint64
@@ -213,7 +213,7 @@ func (s *FaultSweep) RunContext(ctx context.Context) (*FaultSweepResult, error) 
 		total += len(delivery)
 	}
 	res.Elapsed = time.Since(start)
-	if cause := ctx.Err(); cause != nil {
+	if cause := ctxErr(ctx); cause != nil {
 		return res, fmt.Errorf("experiment: fault sweep interrupted: %w", cause)
 	}
 	if total == 0 && firstErr != nil {

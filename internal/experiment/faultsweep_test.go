@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -102,6 +104,35 @@ func TestExtensionSweepsWorkerInvariant(t *testing.T) {
 		}
 		if !reflect.DeepEqual(faultPoints[0], faultPoints[1]) {
 			t.Errorf("seed %d: fault sweep points differ between Workers=1 and Workers=4:\n%+v\n%+v", seed, faultPoints[0], faultPoints[1])
+		}
+	}
+}
+
+// pastDeadlineCtx is a context whose deadline has passed but whose timer has
+// not fired yet: Deadline reports the past, Err still reports nil — the
+// window ctxErr exists for.
+type pastDeadlineCtx struct{ context.Context }
+
+func (pastDeadlineCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Second), true }
+
+// TestFaultSweepHonorsLaggingDeadline: an expired deadline must stop the
+// sweep before any pair runs even when ctx.Err() has not caught up, and the
+// run must report the overrun instead of a clean result.
+func TestFaultSweepHonorsLaggingDeadline(t *testing.T) {
+	s := FaultSweep{
+		Base:        tinyBase(),
+		CrashFracs:  []float64{0, 0.2},
+		CrashWindow: 300 * time.Millisecond,
+		Reps:        2,
+		Seed:        5,
+	}
+	res, err := s.RunContext(pastDeadlineCtx{context.Background()})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want one wrapping context.DeadlineExceeded", err)
+	}
+	for _, p := range res.Points {
+		if p.Delivery.N != 0 || p.Failed != 0 || p.Deadlines != 0 {
+			t.Fatalf("point f=%v ran pairs past the deadline: %+v", p.CrashFrac, p)
 		}
 	}
 }

@@ -19,19 +19,14 @@ import (
 
 // referenceEntries computes the checkpoint entries a sweep must journal
 // without going through its execution engine: for every (x, rep) pair in
-// grid order, the documented seed derivation (see runBlockOnce), a freshly
-// built topology, and two plain scalar collections with a nil Workspace and
-// a fresh registry. It shares no block scheduling, lane batching, workspace
-// reuse or topology cache with Sweep.Run. s must set Reps
-// and MaxVirtualTime and leave Retries at zero.
+// grid order, the documented seed derivation (see runPairOnce), a freshly
+// built topology, and two plain collections with a nil Workspace and a fresh
+// registry. It shares no scheduling, workspace reuse or topology cache with
+// Sweep.Run. s must set Reps and MaxVirtualTime and leave Retries at zero.
 func referenceEntries(t *testing.T, s *Sweep) []CheckpointEntry {
 	t.Helper()
 	if s.Reps <= 0 || s.MaxVirtualTime <= 0 || s.Retries != 0 {
 		t.Fatalf("reference needs explicit Reps and MaxVirtualTime and no retries: %+v", s)
-	}
-	batch := s.Batch
-	if batch < 1 {
-		batch = 1
 	}
 	var out []CheckpointEntry
 	for xi, x := range s.Xs {
@@ -41,20 +36,20 @@ func referenceEntries(t *testing.T, s *Sweep) []CheckpointEntry {
 		}
 		params := s.Apply(s.Base, x)
 		for rep := 0; rep < s.Reps; rep++ {
-			topoSeed := rng.ChildSeedN(s.Seed, label, rep-rep%batch)
 			seed := rng.ChildSeedN(s.Seed, label, rep)
-			out = append(out, referencePair(s, xi, rep, params, topoSeed, seed)...)
+			out = append(out, referencePair(s, xi, rep, params, seed)...)
 		}
 	}
 	return out
 }
 
 // referencePair runs one (x, rep) pair: ADDC over the CDS tree, then Coolest
-// over its accumulated-temperature tree, on one fresh deployment.
-func referencePair(s *Sweep, xi, rep int, params netmodel.Params, topoSeed, seed uint64) []CheckpointEntry {
+// over its accumulated-temperature tree, on one fresh deployment placed by
+// the same seed.
+func referencePair(s *Sweep, xi, rep int, params netmodel.Params, seed uint64) []CheckpointEntry {
 	addc := CheckpointEntry{Sweep: s.ID, Xi: xi, Rep: rep, Algo: algoADDC}
 	cool := CheckpointEntry{Sweep: s.ID, Xi: xi, Rep: rep, Algo: algoCoolest}
-	topo, err := BuildTopology(params, topoSeed)
+	topo, err := BuildTopology(params, seed)
 	if err != nil {
 		addc.Err, cool.Err = err.Error(), err.Error()
 		return []CheckpointEntry{addc, cool}
@@ -106,14 +101,12 @@ func referencePair(s *Sweep, xi, rep int, params netmodel.Params, topoSeed, seed
 	return []CheckpointEntry{addc, cool}
 }
 
-// TestBatchCheckpointEquivalence pins Sweep.Run against the independent
-// reference at every Batch: B = 1 runs one-rep blocks, B = 2 spans two full
-// blocks per x, B = 3 leaves a ragged final block, and B = 4 puts all reps
-// of an x in one block. Each batch size runs with fresh and shared
-// topologies, fault-free and with faults plus guards; the journal must hold
-// exactly the reference's entries in grid order, and the summary must equal
-// the one replayed from the reference entries.
-func TestBatchCheckpointEquivalence(t *testing.T) {
+// TestSweepMatchesReference pins Sweep.Run against the independent reference
+// at 1, 2 and 4 workers, each with fresh and shared topologies, fault-free
+// and with faults plus guards; the journal must hold exactly the reference's
+// entries in grid order, and the summary must equal the one replayed from
+// the reference entries.
+func TestSweepMatchesReference(t *testing.T) {
 	type mode struct {
 		name  string
 		share bool
@@ -125,8 +118,8 @@ func TestBatchCheckpointEquivalence(t *testing.T) {
 		{"fresh+faults", false, true},
 		{"share+faults", true, true},
 	}
-	for _, b := range []int{1, 2, 3, 4} {
-		t.Run(fmt.Sprintf("B=%d", b), func(t *testing.T) {
+	for _, w := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) {
 			for _, m := range modes {
 				t.Run(m.name, func(t *testing.T) {
 					dir := t.TempDir()
@@ -143,8 +136,7 @@ func TestBatchCheckpointEquivalence(t *testing.T) {
 						Reps:           4,
 						Seed:           11,
 						MaxVirtualTime: 10 * time.Minute,
-						Workers:        2,
-						Batch:          b,
+						Workers:        w,
 						ShareTopology:  m.share,
 						Checkpoint:     filepath.Join(dir, "cp.jsonl"),
 					}

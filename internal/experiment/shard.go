@@ -147,12 +147,6 @@ func (s *Sweep) gridHash(reps int) string {
 	if s.Faults != nil {
 		fmt.Fprintf(h, "|%+v", *s.Faults)
 	}
-	// Batch > 1 switches placement-seed derivation to block granularity, so
-	// shards of "the same" sweep at different Batch values must never merge.
-	// Batch <= 1 is left out of the hash to keep existing journals valid.
-	if s.Batch > 1 {
-		fmt.Fprintf(h, "|batch=%d", s.Batch)
-	}
 	// The generator tag keeps journals written by the math/rand-based
 	// generator from merging with or resuming into PCG results.
 	h.Write([]byte("|rng=pcg"))

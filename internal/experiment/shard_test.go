@@ -488,3 +488,38 @@ func TestShardJournalHeaderRoundTripAndResumeGuards(t *testing.T) {
 	}
 	_ = base
 }
+
+// TestGridHashGolden pins the shard grid hash of two fixed sweeps, fresh
+// and shared-topology under faults, to the values shard journals have
+// carried since the PCG generator switch. A change here makes every existing
+// shard journal unmergeable, so it must be deliberate (and recorded) rather
+// than a side effect of refactoring the sweep engine.
+func TestGridHashGolden(t *testing.T) {
+	base := netmodel.ScaledDefaultParams()
+	base.NumSU = 80
+	base.Area = 55
+	fresh := Sweep{
+		ID:             "6c",
+		Base:           base,
+		Xs:             []float64{0.1, 0.25, 0.4},
+		Reps:           5,
+		Seed:           7,
+		MaxVirtualTime: 10 * time.Minute,
+	}
+	shared := fresh
+	shared.ShareTopology = true
+	shared.Guard = true
+	shared.Faults = &fault.Spec{CrashFrac: 0.05, LinkLoss: 0.02, RecoverAfter: 2 * time.Minute}
+	for _, c := range []struct {
+		name string
+		s    Sweep
+		want string
+	}{
+		{"fresh", fresh, "d987f05f43bfe021"},
+		{"share+faults", shared, "58fd9aecaeb6b9f9"},
+	} {
+		if got := c.s.GridHash(); got != c.want {
+			t.Errorf("%s: grid hash %s, want %s", c.name, got, c.want)
+		}
+	}
+}

@@ -69,21 +69,6 @@ type Sweep struct {
 	SameMAC bool
 	// Workers caps parallelism (default GOMAXPROCS).
 	Workers int
-	// Batch executes repetitions in lane-batched blocks of this size: each
-	// worker runs up to Batch repetitions of one grid point as a single
-	// interleaved simulation over one shared topology (see
-	// core.CollectBatch), amortizing topology construction and
-	// routing-tree builds across the block. The default (<= 1) runs
-	// one-repetition blocks, whose placement seed is the repetition's own
-	// seed. Batch > 1 changes the placement-seed derivation — a block shares
-	// the topology derived for its aligned first repetition — so sweeps with
-	// different Batch values are each internally deterministic but not
-	// bit-identical to each other; per-repetition collection seeds do not
-	// depend on Batch, and each lane's outcome depends only on (block
-	// topology seed, lane seed), so resume, sharding and merge compose
-	// exactly as long as every participant uses the same Batch.
-	Batch int
-
 	// Guard enables runtime invariant guards in every run (see
 	// core.CollectConfig.Guard); violations surface as per-point failures.
 	Guard bool
@@ -338,28 +323,14 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 		return nil, err
 	}
 
-	// A job is one block of pending repetitions of one grid point: the rep
-	// axis splits into aligned blocks of Batch (single reps when Batch <= 1),
-	// each executed as one interleaved simulation. Resume and sharding
-	// compose naturally: a block carries only the reps that are pending AND
-	// owned here, while its topology seed derives from the block's aligned
-	// start, which depends on neither.
-	batch := s.Batch
-	if batch <= 1 {
-		batch = 1
-	}
+	// A job is one (x, rep) pair that is pending AND owned here; its seeds
+	// derive from the pair alone, so resume and sharding compose naturally.
 	var pending []sweepJob
 	if !s.ReplayOnly {
 		for xi := range s.Xs {
-			for b0 := 0; b0 < reps; b0 += batch {
-				var block []int
-				for rep := b0; rep < b0+batch && rep < reps; rep++ {
-					if grid[xi][rep] == nil && s.Shard.owns(xi, rep, reps) {
-						block = append(block, rep)
-					}
-				}
-				if len(block) > 0 {
-					pending = append(pending, sweepJob{xi: xi, reps: block})
+			for rep := 0; rep < reps; rep++ {
+				if grid[xi][rep] == nil && s.Shard.owns(xi, rep, reps) {
+					pending = append(pending, sweepJob{xi: xi, rep: rep})
 				}
 			}
 		}
@@ -406,7 +377,7 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			env := &runEnv{cache: cache}
+			env := &runEnv{cache: cache, reg: metrics.NewRegistry()}
 			if s.Workspaces != nil {
 				env.ws = s.Workspaces.Get()
 				// The workspace returned may be a fresh replacement when a
@@ -415,7 +386,7 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 			} else {
 				env.ws = core.NewWorkspace()
 			}
-			s.runWorker(ctx, cm, pending, batch, metric, env)
+			s.runWorker(ctx, cm, pending, metric, env)
 		}()
 	}
 	wg.Wait()
@@ -498,19 +469,17 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 	return res, nil
 }
 
-// sweepJob is one block of pending repetitions of one grid point.
+// sweepJob is one pending (x, rep) pair.
 type sweepJob struct {
-	xi   int
-	reps []int
+	xi  int
+	rep int
 }
 
 // claimChunk sizes the contiguous block of jobs a worker claims per atomic
 // fetch-add: large enough that claiming is a rounding error (a handful of
 // atomic ops per worker for a whole sweep), small enough that a straggler
 // point cannot leave the tail of the grid pinned to one worker. Pending jobs
-// are in grid order, so a chunk is a contiguous run of (x, rep) blocks —
-// block-granular distribution aligned with the batch layer's aligned-block
-// seed derivation.
+// are in grid order, so a chunk is a contiguous run of (x, rep) pairs.
 func claimChunk(pending, workers int) int {
 	if workers <= 0 {
 		return 1
@@ -527,7 +496,7 @@ func claimChunk(pending, workers int) int {
 // outcomes into the committer at flush boundaries. After cancellation it
 // keeps claiming, marking every remaining pair canceled (cheap: no
 // simulation runs) so the summary's bookkeeping sees the whole grid.
-func (s *Sweep) runWorker(ctx context.Context, cm *committer, pending []sweepJob, batch int, metric coolest.Metric, env *runEnv) {
+func (s *Sweep) runWorker(ctx context.Context, cm *committer, pending []sweepJob, metric coolest.Metric, env *runEnv) {
 	var buf [][]runOutcome
 	lastDrain := time.Now()
 	drain := func() {
@@ -549,15 +518,13 @@ func (s *Sweep) runWorker(ctx context.Context, cm *committer, pending []sweepJob
 			if cause := ctxErr(ctx); cause != nil {
 				// Mark without running: canceled pairs are neither
 				// summarized nor journaled.
-				for _, rep := range j.reps {
-					buf = append(buf, []runOutcome{
-						{xi: j.xi, rep: rep, err: cause, canceled: true},
-						{xi: j.xi, rep: rep, coolest: true, err: cause, canceled: true},
-					})
-				}
+				buf = append(buf, []runOutcome{
+					{xi: j.xi, rep: j.rep, err: cause, canceled: true},
+					{xi: j.xi, rep: j.rep, coolest: true, err: cause, canceled: true},
+				})
 				continue
 			}
-			buf = append(buf, s.runBlock(ctx, j.xi, j.reps, batch, metric, env)...)
+			buf = append(buf, s.runPair(ctx, j.xi, j.rep, metric, env))
 			if cm.drainDue(len(buf), lastDrain) {
 				drain()
 			}
@@ -573,7 +540,7 @@ func (s *Sweep) runWorker(ctx context.Context, cm *committer, pending []sweepJob
 // Journal entries are committed through an in-order frontier over the
 // flattened grid: a pair's entries are appended only once every owned pair
 // before it has settled. Entry order is therefore a pure function of the
-// grid — byte-identical for any Workers/Batch combination, and identical to
+// grid — byte-identical for any Workers count, and identical to
 // the order a single worker produces (which is what every release since
 // checkpointing shipped has written). The cost is bounded staleness: a pair
 // that completes out of order is journaled when the gap closes, and a crash
@@ -759,32 +726,18 @@ func (s *Sweep) flushInterval() time.Duration {
 
 // runEnv is one worker's resettable execution context: the shared topology
 // cache plus the per-worker workspace (event arena, MAC, scratch buffers)
-// and per-lane metrics registries, all wiped in place between jobs.
+// and metrics registry, both wiped in place between jobs.
 type runEnv struct {
 	cache *TopoCache
 	ws    *core.Workspace
-	// regs is the per-lane registry pool, grown on demand and reset in
-	// place between blocks.
-	regs []*metrics.Registry
-}
-
-// registries returns n per-lane metrics registries for one block, reset in
-// place.
-func (env *runEnv) registries(n int) []*metrics.Registry {
-	for len(env.regs) < n {
-		env.regs = append(env.regs, metrics.NewRegistry())
-	}
-	for i := 0; i < n; i++ {
-		env.regs[i].Reset()
-	}
-	return env.regs[:n]
+	reg   *metrics.Registry
 }
 
 // discard drops the worker's reusable state after a panic; the next job
 // rebuilds from scratch.
 func (env *runEnv) discard() {
 	env.ws = core.NewWorkspace()
-	env.regs = nil
+	env.reg = metrics.NewRegistry()
 }
 
 // retryable reports whether the pair failed for a reason a fresh seed can
@@ -800,7 +753,7 @@ func retryable(outs []runOutcome) bool {
 }
 
 // runTopo bundles the construction artifacts one (params, seed) topology
-// hands to a run (or to every lane of a block).
+// hands to both runs of a pair.
 type runTopo struct {
 	nw        *netmodel.Network
 	adj       graphx.Adjacency
@@ -835,66 +788,47 @@ func (s *Sweep) topologyFor(params netmodel.Params, seed uint64, metric coolest.
 		return runTopo{}, err
 	}
 	return runTopo{
-		// The freshly built Topology is also the block's memoizing neighbor-
-		// table provider: without it every lane's carrier-sense tracker
-		// rebuilds the same CSR tables from the raw Network.
+		// The freshly built Topology is also the pair's memoizing neighbor-
+		// table provider: without it both runs' carrier-sense trackers
+		// rebuild the same CSR tables from the raw Network.
 		nw: topo.NW, adj: topo.Adj, tree: topo.Tree, treeStats: topo.Stats, tables: topo,
 		parentsOf: func(r float64) ([]int32, error) { return coolest.BuildParentsOn(topo.Adj, topo.NW, r, metric) },
 	}, nil
 }
 
-// runBlock executes one block of repetitions (a single repetition when
-// Batch <= 1) with panic isolation and bounded retry. A panic anywhere in
-// the block fails every repetition in it (carrying the stack trace) and
-// discards the worker's reusable context; a transient deployment failure
-// re-attempts the whole block with a fresh derived placement seed, up to
-// s.Retries times.
-func (s *Sweep) runBlock(ctx context.Context, xi int, blockReps []int, batch int, metric coolest.Metric, env *runEnv) (blocks [][]runOutcome) {
+// runPair executes both algorithms for one (x, rep) pair with panic
+// isolation and bounded retry. A panic anywhere in the pair fails both of
+// its outcomes (carrying the stack trace) and discards the worker's reusable
+// context; a transient deployment failure re-attempts the pair with a fresh
+// derived seed, up to s.Retries times.
+func (s *Sweep) runPair(ctx context.Context, xi, rep int, metric coolest.Metric, env *runEnv) (outs []runOutcome) {
 	defer func() {
 		if r := recover(); r != nil {
-			err := fmt.Errorf("experiment: sweep %s x[%d] reps %v panicked: %v\n%s",
-				s.ID, xi, blockReps, r, debug.Stack())
-			blocks = make([][]runOutcome, len(blockReps))
-			for i, rep := range blockReps {
-				blocks[i] = []runOutcome{
-					{xi: xi, rep: rep, err: err},
-					{xi: xi, rep: rep, coolest: true, err: err},
-				}
+			err := fmt.Errorf("experiment: sweep %s x[%d] rep %d panicked: %v\n%s",
+				s.ID, xi, rep, r, debug.Stack())
+			outs = []runOutcome{
+				{xi: xi, rep: rep, err: err},
+				{xi: xi, rep: rep, coolest: true, err: err},
 			}
 			env.discard()
 		}
 	}()
 	for attempt := 0; ; attempt++ {
-		blocks = s.runBlockOnce(ctx, xi, blockReps, batch, attempt, metric, env)
-		retry := false
-		for _, outs := range blocks {
-			if retryable(outs) {
-				retry = true
-				break
-			}
-		}
-		if attempt >= s.Retries || !retry {
-			return blocks
+		outs = s.runPairOnce(ctx, xi, rep, attempt, metric, env)
+		if attempt >= s.Retries || !retryable(outs) {
+			return outs
 		}
 	}
 }
 
-// runBlockOnce executes both algorithms for every repetition of one block
-// as two lane-batched collections over one shared topology. The seeds are:
-//
-//   - label "sweep/<ID>/x<xi>", or "sweep/<ID>/topo" under ShareTopology
-//     (the placement seed must not depend on x for cross-point sharing),
-//     with "/attempt<k>" appended on retry k > 0;
-//   - each lane's collection seed: rng.ChildSeedN(Seed, label, rep);
-//   - the block's placement seed: the same derivation at the block's
-//     aligned start repetition rep - rep%batch over the full grid,
-//     regardless of which reps are pending or owned here.
-//
-// A lane's outcome is therefore a function of the block geometry and its own
-// seed only, so resume, shard and merge reproduce pairs exactly as long as
-// every participant runs the same Batch. At batch 1 the placement seed is the
-// lane seed.
-func (s *Sweep) runBlockOnce(ctx context.Context, xi int, blockReps []int, batch, attempt int, metric coolest.Metric, env *runEnv) [][]runOutcome {
+// runPairOnce runs ADDC and then Coolest over one topology. Both collections
+// and the deployment use the seed rng.ChildSeedN(Seed, label, rep), where
+// label is "sweep/<ID>/x<xi>", or "sweep/<ID>/topo" under ShareTopology (the
+// placement seed must not depend on x for cross-point sharing), with
+// "/attempt<k>" appended on retry k > 0. A pair's outcome is therefore a
+// function of the pair alone, so resume, shard and merge reproduce it
+// exactly.
+func (s *Sweep) runPairOnce(ctx context.Context, xi, rep, attempt int, metric coolest.Metric, env *runEnv) []runOutcome {
 	params := s.Apply(s.Base, s.Xs[xi])
 	label := fmt.Sprintf("sweep/%s/x%d", s.ID, xi)
 	if s.ShareTopology {
@@ -903,20 +837,15 @@ func (s *Sweep) runBlockOnce(ctx context.Context, xi int, blockReps []int, batch
 	if attempt > 0 {
 		label += fmt.Sprintf("/attempt%d", attempt)
 	}
-	blockStart := (blockReps[0] / batch) * batch
-	topoSeed := rng.ChildSeedN(s.Seed, label, blockStart)
+	seed := rng.ChildSeedN(s.Seed, label, rep)
 
-	out := make([][]runOutcome, len(blockReps))
-	topo, err := s.topologyFor(params, topoSeed, metric, env)
+	topo, err := s.topologyFor(params, seed, metric, env)
 	if err != nil {
 		canceled := isCanceled(err)
-		for i, rep := range blockReps {
-			out[i] = []runOutcome{
-				{xi: xi, rep: rep, err: err, canceled: canceled},
-				{xi: xi, rep: rep, coolest: true, err: err, canceled: canceled},
-			}
+		return []runOutcome{
+			{xi: xi, rep: rep, err: err, canceled: canceled},
+			{xi: xi, rep: rep, coolest: true, err: err, canceled: canceled},
 		}
-		return out
 	}
 
 	budget := s.MaxVirtualTime
@@ -924,6 +853,7 @@ func (s *Sweep) runBlockOnce(ctx context.Context, xi int, blockReps []int, batch
 		budget = 2 * time.Hour // virtual; generous enough for starved points
 	}
 	cfg := core.CollectConfig{
+		Seed:           seed,
 		PUModel:        s.PUModel,
 		MaxVirtualTime: budget,
 		DisableHandoff: s.DisableHandoff,
@@ -936,79 +866,56 @@ func (s *Sweep) runBlockOnce(ctx context.Context, xi int, blockReps []int, batch
 
 	// ADDC over the CDS tree with the realized tree statistics attached (so
 	// the Theorem 1 comparator evaluates the per-deployment bound),
-	// instrumented per lane so every rep's tightness, PU busy fraction and
-	// fairness reach the point summary.
-	regs := env.registries(len(blockReps))
-	lanes := make([]core.Lane, len(blockReps))
-	for i, rep := range blockReps {
-		lanes[i] = core.Lane{Seed: rng.ChildSeedN(s.Seed, label, rep), Metrics: regs[i]}
-	}
+	// instrumented so every rep's tightness, PU busy fraction and fairness
+	// reach the point summary.
+	env.reg.Reset()
 	addcCfg := cfg
 	addcCfg.Tree = topo.tree
 	addcCfg.TreeStats = topo.treeStats
-	addcOut, err := core.CollectBatch(ctx, topo.nw, topo.tree.Parent, addcCfg, lanes)
-	for i, rep := range blockReps {
-		lr := laneAt(addcOut, err, i)
-		if lr.Err != nil {
-			out[i] = append(out[i], runOutcome{xi: xi, rep: rep, err: lr.Err, canceled: isCanceled(lr.Err)})
-			continue
-		}
+	addcCfg.Metrics = env.reg
+	outs := make([]runOutcome, 0, 2)
+	if res, err := core.CollectContext(ctx, topo.nw, topo.tree.Parent, addcCfg); err != nil {
+		outs = append(outs, runOutcome{xi: xi, rep: rep, err: err, canceled: isCanceled(err)})
+	} else {
 		o := runOutcome{
 			xi:        xi,
 			rep:       rep,
-			delay:     lr.Result.DelaySlots,
-			capacity:  lr.Result.Capacity,
-			aborts:    float64(lr.Result.TotalAborts),
+			delay:     res.DelaySlots,
+			capacity:  res.Capacity,
+			aborts:    float64(res.TotalAborts),
 			tightness: -1,
-			puBusy:    regs[i].Gauge("spectrum_pu_busy_fraction").Value(),
-			fairness:  lr.Result.FairnessIndex,
+			puBusy:    env.reg.Gauge("spectrum_pu_busy_fraction").Value(),
+			fairness:  res.FairnessIndex,
 		}
-		if lr.Result.Theory != nil {
-			o.tightness = lr.Result.Theory.ServiceTightness
+		if res.Theory != nil {
+			o.tightness = res.Theory.ServiceTightness
 		}
-		out[i] = append(out[i], o)
+		outs = append(outs, o)
 	}
 
-	// Coolest over its temperature tree, same topology, same lane seeds; one
-	// routing-tree build serves the whole block. By default it runs the
-	// generic-CSMA profile (collisions, naive sensing, no fairness wait);
-	// SameMAC keeps ADDC's MAC for the routing-only ablation.
-	var coolOut []core.LaneResult
+	// Coolest over its temperature tree, same topology, same seed, run
+	// uninstrumented. By default it runs the generic-CSMA profile
+	// (collisions, naive sensing, no fairness wait); SameMAC keeps ADDC's MAC
+	// for the routing-only ablation.
+	var res *core.Result
 	consts, err := pcr.Compute(params)
 	if err == nil {
 		var parents []int32
 		if parents, err = topo.parentsOf(consts.Range); err == nil {
 			coolCfg := cfg
 			coolCfg.GenericCSMA = !s.SameMAC
-			for i := range lanes {
-				lanes[i].Metrics = nil // Coolest lanes run uninstrumented
-			}
-			coolOut, err = core.CollectBatch(ctx, topo.nw, parents, coolCfg, lanes)
+			res, err = core.CollectContext(ctx, topo.nw, parents, coolCfg)
 		}
 	}
-	for i, rep := range blockReps {
-		lr := laneAt(coolOut, err, i)
-		if lr.Err != nil {
-			out[i] = append(out[i], runOutcome{xi: xi, rep: rep, coolest: true, err: lr.Err, canceled: isCanceled(lr.Err)})
-			continue
-		}
-		out[i] = append(out[i], runOutcome{
-			xi: xi, rep: rep, coolest: true,
-			delay:    lr.Result.DelaySlots,
-			capacity: lr.Result.Capacity,
-			aborts:   float64(lr.Result.TotalAborts + lr.Result.TotalCollisions),
-		})
-	}
-	return out
-}
-
-// laneAt returns lane i's result from one side of a block, or that side's
-// batch-level setup error as the lane's failure.
-func laneAt(res []core.LaneResult, err error, i int) core.LaneResult {
 	if err != nil {
-		return core.LaneResult{Err: err}
+		return append(outs, runOutcome{xi: xi, rep: rep, coolest: true, err: err, canceled: isCanceled(err)})
 	}
-	return res[i]
+	return append(outs, runOutcome{
+		xi: xi, rep: rep, coolest: true,
+		delay:    res.DelaySlots,
+		capacity: res.Capacity,
+		aborts:   float64(res.TotalAborts + res.TotalCollisions),
+	})
 }
 
 // ctxErr reports ctx's cancellation state, treating an expired deadline as

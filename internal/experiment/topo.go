@@ -1,4 +1,4 @@
-// Topology memoization: the batch execution layer's cache of expensive
+// Topology memoization: the sweep engine's cache of expensive
 // immutable construction artifacts. A deployment — node placement, the
 // Wan et al. CDS tree, the unit-disk adjacency, CSR neighbor tables, the
 // Coolest routing tree — is a pure function of the topological parameters

@@ -115,7 +115,7 @@ type NodeStats struct {
 }
 
 type node struct {
-	down bool
+	down  bool
 	queue []Packet
 	head  int
 
@@ -242,13 +242,6 @@ type Config struct {
 	// retry budget ran out (cause ErrRetriesExhausted) or the node holding
 	// it crashed (cause ErrNodeCrashed). May be nil.
 	OnPacketLost func(pkt Packet, node int32, now sim.Time, cause error)
-
-	// Slab, when non-nil, supplies external backing for the MAC's dense
-	// per-node hot arrays (states, eligibility masks, tracker counters)
-	// from a lane of a batch slab; see NewSlabs. The view must be sized
-	// for exactly Network.NumNodes(). Nil allocates privately — the
-	// scalar path, bit-identical to the pre-slab MAC.
-	Slab *LaneSlab
 }
 
 // FaultProfile parameterizes the bounded-retry fault machine (Config.Faults).
@@ -293,9 +286,6 @@ type MAC struct {
 	// callbacks, which are no-ops by construction.
 	busyElig []bool
 	freeElig []bool
-	// slab remembers which lane view (if any) backs the arrays above, so
-	// Renew can tell whether prev's backing still matches cfg.Slab.
-	slab *LaneSlab
 
 	// parent is the MAC's own routing view, a copy of Config.Parent so that
 	// self-healing repair (SetParent) never mutates the caller's tree.
@@ -398,7 +388,6 @@ func New(cfg Config) (*MAC, error) {
 		slot:   sim.FromDuration(cfg.Network.Params.Slot),
 		window: window,
 		root:   root,
-		slab:   cfg.Slab,
 	}
 	if f := cfg.Faults; f != nil {
 		m.retryCap = f.RetryCap
@@ -417,20 +406,12 @@ func New(cfg Config) (*MAC, error) {
 	subtree := make([]int32, nn)
 	subtreeCounts(m.parent, root, subtree)
 	m.subtree = subtree
-	if cfg.Slab != nil {
-		if err := m.adoptSlab(cfg.Slab, nn); err != nil {
-			return nil, err
-		}
-	} else {
-		m.sts = make([]state, nn)
-		m.busyElig = make([]bool, nn)
-		m.freeElig = make([]bool, nn)
-	}
+	m.sts = make([]state, nn)
+	m.busyElig = make([]bool, nn)
+	m.freeElig = make([]bool, nn)
 	for i := range m.nodes {
 		n := &m.nodes[i]
 		m.sts[i] = stateIdle
-		m.busyElig[i] = false
-		m.freeElig[i] = false
 		n.cwScale = 1
 		if subtree[i] > 0 {
 			n.queue = make([]Packet, 0, subtree[i])
@@ -442,11 +423,7 @@ func New(cfg Config) (*MAC, error) {
 		n.endTxFn = func(t sim.Time) { m.endTx(id, t) }
 		n.postWaitFn = func(t sim.Time) { m.postWaitDone(id, t) }
 	}
-	var trkSlab spectrum.SlabLane
-	if cfg.Slab != nil {
-		trkSlab = cfg.Slab.tracker
-	}
-	tracker, err := spectrum.NewTrackerBacked(cfg.Network, cfg.PUSenseRange, cfg.SUSenseRange, m, trkSlab)
+	tracker, err := spectrum.NewTracker(cfg.Network, cfg.PUSenseRange, cfg.SUSenseRange, m)
 	if err != nil {
 		return nil, err
 	}
@@ -480,7 +457,7 @@ func Renew(prev *MAC, cfg Config) (*MAC, error) {
 	if err != nil {
 		return nil, err
 	}
-	if prev == nil || len(prev.nodes) != cfg.Network.NumNodes() || prev.slab != cfg.Slab {
+	if prev == nil || len(prev.nodes) != cfg.Network.NumNodes() {
 		return New(cfg)
 	}
 	m := prev

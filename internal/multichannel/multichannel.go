@@ -67,8 +67,8 @@ type Options struct {
 	// DeployAttempts bounds connectivity resampling (default 50).
 	DeployAttempts int
 	// Prebuilt, when non-nil, supplies the deployment and routing tree
-	// instead of building them from Params and Seed (the batch execution
-	// layer shares one memoized topology across channel counts), and its
+	// instead of building them from Params and Seed (the sweep engine
+	// shares one memoized topology across channel counts), and its
 	// Tables, when set, the CSR neighbor tables all C channels share. All
 	// are treated read-only; they must describe the deployment the (Params,
 	// Seed) pair would have produced, or determinism guarantees are void.

@@ -321,7 +321,7 @@ func BenchmarkSeedNew(b *testing.B) {
 }
 
 // BenchmarkSeedReseed times re-seeding a retained source plus its first
-// draw — the per-run cost of every lane and component stream.
+// draw — the per-run cost of every run root and component stream.
 func BenchmarkSeedReseed(b *testing.B) {
 	src := New(0)
 	b.ResetTimer()

@@ -65,34 +65,3 @@ func BenchmarkResetReuse(b *testing.B) {
 		e.Reset()
 	}
 }
-
-// benchLanes drives the same self-rescheduling workload on B lanes
-// multiplexed over one engine — the lane-heap hot path: every step scans
-// the head index, pops one lane's heap, and the event re-arms into the same
-// lane.
-func benchLanes(b *testing.B, lanes int) {
-	e := New()
-	e.SetLanes(lanes)
-	total := 0
-	budget := b.N
-	for l := 0; l < lanes; l++ {
-		e.SetLane(l)
-		period := Time(5 + 2*l)
-		var rearm func(now Time)
-		rearm = func(now Time) {
-			total++
-			if total < budget {
-				e.After(period, rearm)
-			}
-		}
-		e.After(period, rearm)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for e.Step() {
-	}
-}
-
-func BenchmarkLaneStep1(b *testing.B)  { benchLanes(b, 1) }
-func BenchmarkLaneStep4(b *testing.B)  { benchLanes(b, 4) }
-func BenchmarkLaneStep16(b *testing.B) { benchLanes(b, 16) }

@@ -19,21 +19,7 @@
 // interface-method dispatch. Because (time, sequence) is a strict total
 // order, the pop order — and with it every simulation result — is identical
 // to the binary container/heap implementation this replaced.
-//
-// # Lanes
-//
-// The engine can multiplex B independent runs ("lanes") over one arena and
-// one virtual-time order: SetLanes(B) gives each lane its own heap, clock
-// and step counter, every entry carries the lane it belongs to, and events
-// scheduled from inside an event body inherit the running event's lane — so
-// simulation code (MAC, spectrum models) needs no lane awareness at all.
-// Step always executes the globally earliest (time, sequence) event, which
-// is exactly the order one shared heap would produce, but per-lane heaps
-// keep sift depth independent of B. Because lanes share nothing mutable,
-// each lane's event order equals the order the same run would see on a
-// private engine, which is what makes batched execution bit-identical to
-// sequential runs (see internal/core's lane equivalence tests). The default
-// single-lane mode bypasses all lane bookkeeping.
+
 package sim
 
 import (
@@ -86,7 +72,7 @@ type Timer struct {
 // already-canceled timer is a no-op. Cancel on a zero Timer is a no-op.
 //
 // Cancellation is lazy: the entry is only marked dead and the pop loop
-// discards it when it reaches the top of its heap. Canceled timers are
+// discards it when it reaches the top of the heap. Canceled timers are
 // overwhelmingly near-future backoffs (carrier-sense freezes), so dead
 // entries surface within a contention window and never pile up, while the
 // cancel itself — the single hottest queue operation in a collection run —
@@ -101,7 +87,7 @@ func (t Timer) Cancel() {
 		return // already fired or already canceled
 	}
 	en.fn = nil
-	e.lanes[en.lane].live--
+	e.live--
 }
 
 // Active reports whether the event is still pending.
@@ -128,14 +114,13 @@ func (t Timer) When() Time {
 // entry is one arena slot. gen increments every time the slot is released to
 // the free list, invalidating outstanding Timer handles. A nil fn while the
 // entry is still queued marks a lazily canceled event, discarded when it
-// reaches the top of its heap. The (time, sequence) sort key lives in the
-// lane's dense key array; at is duplicated here only for Timer.When and the
+// reaches the top of the heap. The (time, sequence) sort key lives in the
+// engine's dense key array; at is duplicated here only for Timer.When and the
 // past-scheduling check.
 type entry struct {
-	at   Time
-	fn   EventFunc
-	gen  uint32
-	lane int32
+	at  Time
+	fn  EventFunc
+	gen uint32
 }
 
 // hkey is a heap sort key: events fire in (at, seq) order. Keys are stored
@@ -149,21 +134,6 @@ func (k hkey) less(o hkey) bool {
 	return k.at < o.at || (k.at == o.at && k.seq < o.seq)
 }
 
-// headEmpty marks an empty lane in the head index: it compares after every
-// real key (no schedulable event reaches the maximal sequence number).
-var headEmpty = hkey{at: MaxTime, seq: ^uint64(0)}
-
-// laneQ is one lane's event queue and clock. live counts queued events that
-// have not been lazily canceled; the heap may additionally hold dead entries
-// awaiting their pop.
-type laneQ struct {
-	heap  []int32
-	keys  []hkey
-	live  int32
-	now   Time
-	steps uint64
-}
-
 // Engine is the event queue and virtual clock.
 type Engine struct {
 	now    Time
@@ -171,19 +141,15 @@ type Engine struct {
 	nsteps uint64
 
 	// arena holds every entry ever allocated; free lists recycled slots.
-	// Each lane owns a 4-ary min-heap of arena indices ordered by
-	// (at, seq); lane 0 is the whole queue in single-lane mode.
+	// heap is a 4-ary min-heap of arena indices ordered by (at, seq), with
+	// keys mirroring each position's sort key. live counts queued events
+	// that have not been lazily canceled; the heap may additionally hold
+	// dead entries awaiting their pop.
 	arena []entry
 	free  []int32
-	lanes []laneQ
-
-	// nlanes and curLane are the lane multiplex state: At tags entries
-	// with curLane, Step restores it from the entry it pops. Cross-lane
-	// selection reads each lane's keys[0] directly — the batch runner only
-	// re-selects once per burst, so a per-event head mirror would cost more
-	// in push/pop upkeep than the scan it saves.
-	nlanes  int32
-	curLane int32
+	heap  []int32
+	keys  []hkey
+	live  int32
 
 	// Cooperative interrupt: poll is consulted every pollEvery executed
 	// events; a non-nil error stops the engine (see SetInterrupt).
@@ -194,9 +160,7 @@ type Engine struct {
 }
 
 // New returns an engine with the clock at zero and an empty queue.
-func New() *Engine {
-	return &Engine{lanes: make([]laneQ, 1), nlanes: 1}
-}
+func New() *Engine { return &Engine{} }
 
 // NewWithCapacity returns an engine whose arena and heap are pre-sized for n
 // concurrently pending events, so a simulation with a known timer population
@@ -206,16 +170,16 @@ func NewWithCapacity(n int) *Engine {
 		n = 0
 	}
 	return &Engine{
-		arena:  make([]entry, 0, n),
-		free:   make([]int32, 0, n),
-		lanes:  []laneQ{{heap: make([]int32, 0, n), keys: make([]hkey, 0, n)}},
-		nlanes: 1,
+		arena: make([]entry, 0, n),
+		free:  make([]int32, 0, n),
+		heap:  make([]int32, 0, n),
+		keys:  make([]hkey, 0, n),
 	}
 }
 
 // Reset returns the engine to its initial state — clock at zero, empty
-// queues, single-lane mode, no interrupt poll — while keeping the arena,
-// free-list, and heap backing arrays for the next run. Every arena slot's
+// queue, no interrupt poll — while keeping the arena, free-list, and heap
+// backing arrays for the next run. Every arena slot's
 // generation is bumped, so Timer handles issued before the Reset go
 // permanently inert instead of aliasing events scheduled after it. The free
 // list is rebuilt so slots are handed out in ascending index order, exactly
@@ -232,16 +196,9 @@ func (e *Engine) Reset() {
 	for i := len(e.arena) - 1; i >= 0; i-- {
 		e.free = append(e.free, int32(i))
 	}
-	for i := range e.lanes {
-		l := &e.lanes[i]
-		l.heap = l.heap[:0]
-		l.keys = l.keys[:0]
-		l.live = 0
-		l.now = 0
-		l.steps = 0
-	}
-	e.nlanes = 1
-	e.curLane = 0
+	e.heap = e.heap[:0]
+	e.keys = e.keys[:0]
+	e.live = 0
 	e.now = 0
 	e.seq = 0
 	e.nsteps = 0
@@ -252,77 +209,15 @@ func (e *Engine) Reset() {
 }
 
 // Now returns the current virtual time: the time of the most recently
-// executed event (across all lanes).
+// executed event.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of queued events across all lanes. Lazily
-// canceled events do not count: they can never fire.
-func (e *Engine) Pending() int {
-	n := 0
-	for i := range e.lanes[:e.nlanes] {
-		n += int(e.lanes[i].live)
-	}
-	return n
-}
+// Pending returns the number of queued events. Lazily canceled events do not
+// count: they can never fire.
+func (e *Engine) Pending() int { return int(e.live) }
 
-// Steps returns the number of events executed so far (across all lanes).
+// Steps returns the number of events executed so far.
 func (e *Engine) Steps() uint64 { return e.nsteps }
-
-// SetLanes configures the engine to multiplex b independent lanes; it must
-// be called on a fresh or reset engine, before any events are scheduled.
-// Lane backing arrays from earlier batched runs are retained and reused.
-// b <= 1 leaves the engine in ordinary single-lane mode.
-func (e *Engine) SetLanes(b int) {
-	if e.seq != 0 || e.Pending() != 0 {
-		panic("sim: SetLanes on an engine with scheduled events")
-	}
-	if b < 1 {
-		b = 1
-	}
-	for len(e.lanes) < b {
-		e.lanes = append(e.lanes, laneQ{})
-	}
-	e.nlanes = int32(b)
-	e.curLane = 0
-}
-
-// Lanes returns the configured lane count.
-func (e *Engine) Lanes() int { return int(e.nlanes) }
-
-// SetLane selects the lane that subsequently scheduled events belong to.
-// It is needed only while setting a lane's simulation up; once events run,
-// events scheduled from inside an event body inherit that event's lane.
-func (e *Engine) SetLane(lane int) {
-	if lane < 0 || lane >= int(e.nlanes) {
-		panic("sim: SetLane out of range")
-	}
-	e.curLane = int32(lane)
-}
-
-// StopLane discards every pending event of the given lane (releasing their
-// arena slots and invalidating their timers) so a finished lane's re-arming
-// processes — PU activity toggles never stop on their own — cannot hold the
-// batch loop open. Other lanes are unaffected.
-func (e *Engine) StopLane(lane int) {
-	l := &e.lanes[lane]
-	for _, idx := range l.heap {
-		e.release(idx)
-	}
-	l.heap = l.heap[:0]
-	l.keys = l.keys[:0]
-	l.live = 0
-}
-
-// LaneNow returns the time of the lane's most recently executed event.
-func (e *Engine) LaneNow(lane int) Time { return e.lanes[lane].now }
-
-// LaneSteps returns how many events the lane has executed, matching what
-// Steps would report for the same run on a private engine.
-func (e *Engine) LaneSteps(lane int) uint64 { return e.lanes[lane].steps }
-
-// LanePending returns the number of events queued in the lane, not counting
-// lazily canceled ones.
-func (e *Engine) LanePending(lane int) int { return int(e.lanes[lane].live) }
 
 // SetInterrupt installs a cooperative cancellation poll: fn is consulted
 // every `every` executed events (every <= 0 means every event), and the
@@ -353,9 +248,7 @@ var ErrPast = errors.New("sim: event scheduled in the past")
 var errNilEvent = errors.New("sim: nil event function")
 
 // At schedules fn at absolute virtual time t; t may equal Now (the event
-// fires after all currently queued events at the same time). In multi-lane
-// mode the event joins the current lane — the lane of the running event
-// body, or the one selected with SetLane during setup.
+// fires after all currently queued events at the same time).
 func (e *Engine) At(t Time, fn EventFunc) (Timer, error) {
 	if t < e.now {
 		return Timer{}, ErrPast
@@ -371,14 +264,11 @@ func (e *Engine) At(t Time, fn EventFunc) (Timer, error) {
 		e.arena = append(e.arena, entry{})
 		idx = int32(len(e.arena) - 1)
 	}
-	lane := e.curLane
 	en := &e.arena[idx]
 	en.at = t
 	en.fn = fn
-	en.lane = lane
-	l := &e.lanes[lane]
-	e.heapPush(l, idx, hkey{at: t, seq: e.seq})
-	l.live++
+	e.heapPush(idx, hkey{at: t, seq: e.seq})
+	e.live++
 	e.seq++
 	return Timer{eng: e, idx: idx, gen: en.gen}, nil
 }
@@ -406,106 +296,12 @@ func (e *Engine) release(idx int32) {
 	e.free = append(e.free, idx)
 }
 
-// Step executes the single earliest pending event (by (time, sequence),
-// across all lanes) and returns true, or returns false when the queue is
-// empty. When an interrupt poll (SetInterrupt) has fired — now or on an
-// earlier call — Step executes nothing and returns false; distinguish the
-// interrupted case from queue exhaustion via InterruptErr.
+// Step executes the single earliest pending event (by (time, sequence)) and
+// returns true, or returns false when the queue is empty. When an interrupt
+// poll (SetInterrupt) has fired — now or on an earlier call — Step executes
+// nothing and returns false; distinguish the interrupted case from queue
+// exhaustion via InterruptErr.
 func (e *Engine) Step() bool {
-	_, ok := e.StepLane()
-	return ok
-}
-
-// StepLane is Step exposing which lane the executed event belonged to
-// (always 0 in single-lane mode). The batch runner uses it to apply
-// per-lane completion checks after each event.
-func (e *Engine) StepLane() (int32, bool) {
-	if e.interruptErr != nil {
-		return -1, false
-	}
-	if e.poll != nil {
-		e.pollCountdown--
-		if e.pollCountdown == 0 {
-			e.pollCountdown = e.pollEvery
-			if err := e.poll(); err != nil {
-				e.interruptErr = err
-				return -1, false
-			}
-		}
-	}
-	// Re-scan after discarding a dead top: the lane's next event may now be
-	// later than another lane's, and StepLane promises global (time, seq)
-	// order over live events.
-	for {
-		var lane int32
-		if e.nlanes == 1 {
-			lane = 0
-			if len(e.lanes[0].heap) == 0 {
-				return -1, false
-			}
-		} else {
-			lane = -1
-			best := headEmpty
-			for i := range e.lanes[:e.nlanes] {
-				if k := e.lanes[i].keys; len(k) > 0 && k[0].less(best) {
-					lane, best = int32(i), k[0]
-				}
-			}
-			if lane < 0 {
-				return -1, false
-			}
-		}
-		l := &e.lanes[lane]
-		idx := e.heapPop(l)
-		en := &e.arena[idx]
-		fn := en.fn
-		at := en.at
-		// Recycle the slot before running the body: the event is no longer
-		// pending, its Timer handles must read inactive, and the body is free
-		// to reuse the slot for the events it schedules.
-		e.release(idx)
-		if fn == nil {
-			continue // lazily canceled; discard and rescan
-		}
-		l.live--
-		e.now = at
-		e.nsteps++
-		l.now = at
-		l.steps++
-		e.curLane = lane
-		fn(at)
-		return lane, true
-	}
-}
-
-// NextLane returns the lane holding the globally earliest pending event, or
-// -1 when every lane's queue is empty (always 0 or -1 in single-lane mode).
-// Together with StepInLane it lets a batch runner schedule lanes in bursts:
-// lanes are independent simulations, so executing a run of one lane's events
-// before re-scanning keeps that lane's state hot in cache without changing
-// any lane's own event order.
-func (e *Engine) NextLane() int32 {
-	if e.nlanes == 1 {
-		if len(e.lanes[0].heap) == 0 {
-			return -1
-		}
-		return 0
-	}
-	lane := int32(-1)
-	best := headEmpty
-	for i := range e.lanes[:e.nlanes] {
-		if k := e.lanes[i].keys; len(k) > 0 && k[0].less(best) {
-			lane, best = int32(i), k[0]
-		}
-	}
-	return lane
-}
-
-// StepInLane executes lane's earliest pending event and returns true, or
-// returns false when that lane's queue is empty or an interrupt poll has
-// fired (distinguish via InterruptErr). It skips the cross-lane selection
-// scan entirely — the caller chose the lane, typically via NextLane.
-func (e *Engine) StepInLane(lane int32) bool {
 	if e.interruptErr != nil {
 		return false
 	}
@@ -519,28 +315,25 @@ func (e *Engine) StepInLane(lane int32) bool {
 			}
 		}
 	}
-	l := &e.lanes[lane]
-	for {
-		if len(l.heap) == 0 {
-			return false
-		}
-		idx := e.heapPop(l)
+	for len(e.heap) > 0 {
+		idx := e.heapPop()
 		en := &e.arena[idx]
 		fn := en.fn
 		at := en.at
+		// Recycle the slot before running the body: the event is no longer
+		// pending, its Timer handles must read inactive, and the body is free
+		// to reuse the slot for the events it schedules.
 		e.release(idx)
 		if fn == nil {
-			continue // lazily canceled; discard and retry within the lane
+			continue // lazily canceled; discard
 		}
-		l.live--
+		e.live--
 		e.now = at
 		e.nsteps++
-		l.now = at
-		l.steps++
-		e.curLane = lane
 		fn(at)
 		return true
 	}
+	return false
 }
 
 // RunUntil executes events until the queue is exhausted, an interrupt poll
@@ -571,38 +364,16 @@ func (e *Engine) Run() uint64 {
 }
 
 // peek returns the fire time of the earliest pending live entry without
-// executing anything. It discards lazily canceled entries sitting on heap
-// tops on the way, so the reported time is one an actual event will fire at.
+// executing anything. It discards lazily canceled entries sitting on the heap
+// top on the way, so the reported time is one an actual event will fire at.
 func (e *Engine) peek() (Time, bool) {
-	if e.nlanes == 1 {
-		l := &e.lanes[0]
-		e.dropDead(l)
-		if len(l.keys) == 0 {
-			return 0, false
-		}
-		return l.keys[0].at, true
+	for len(e.heap) > 0 && e.arena[e.heap[0]].fn == nil {
+		e.release(e.heapPop())
 	}
-	best := headEmpty
-	found := false
-	for i := range e.lanes[:e.nlanes] {
-		l := &e.lanes[i]
-		e.dropDead(l)
-		if len(l.keys) > 0 && l.keys[0].less(best) {
-			best, found = l.keys[0], true
-		}
-	}
-	if !found {
+	if len(e.keys) == 0 {
 		return 0, false
 	}
-	return best.at, true
-}
-
-// dropDead pops lazily canceled entries off the lane's heap top, so the
-// lane's keys[0] is the key of an event that will actually fire.
-func (e *Engine) dropDead(l *laneQ) {
-	for len(l.heap) > 0 && e.arena[l.heap[0]].fn == nil {
-		e.release(e.heapPop(l))
-	}
+	return e.keys[0].at, true
 }
 
 // The heap is 4-ary: parent of i is (i-1)/4, children are 4i+1..4i+4. A
@@ -611,26 +382,25 @@ func (e *Engine) dropDead(l *laneQ) {
 // round reads a single cache line — the right trade when the queue holds one
 // timer per node at n in the thousands.
 
-func (e *Engine) heapPush(l *laneQ, idx int32, k hkey) {
-	l.heap = append(l.heap, idx)
-	l.keys = append(l.keys, k)
-	e.siftUp(l, len(l.heap)-1)
+func (e *Engine) heapPush(idx int32, k hkey) {
+	e.heap = append(e.heap, idx)
+	e.keys = append(e.keys, k)
+	e.siftUp(len(e.heap) - 1)
 }
 
-func (e *Engine) heapPop(l *laneQ) int32 {
-	h := l.heap
+func (e *Engine) heapPop() int32 {
+	h := e.heap
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	l.keys[0] = l.keys[last]
-	l.heap = h[:last]
-	l.keys = l.keys[:last]
+	e.keys[0] = e.keys[last]
+	e.heap = h[:last]
+	e.keys = e.keys[:last]
 	if last > 0 {
-		e.siftDown(l, 0)
+		e.siftDown(0)
 	}
 	return top
 }
-
 
 // Both sifts move a hole instead of swapping: the displaced element's key is
 // loaded once into registers, ancestors/children shift into the hole, and the
@@ -638,8 +408,8 @@ func (e *Engine) heapPop(l *laneQ) int32 {
 // therefore the resulting heap layout — are exactly those of the classic
 // swap-at-every-level formulation.
 
-func (e *Engine) siftUp(l *laneQ, i int) {
-	h, k := l.heap, l.keys
+func (e *Engine) siftUp(i int) {
+	h, k := e.heap, e.keys
 	moving, mk := h[i], k[i]
 	for i > 0 {
 		p := (i - 1) / 4
@@ -652,8 +422,8 @@ func (e *Engine) siftUp(l *laneQ, i int) {
 	h[i], k[i] = moving, mk
 }
 
-func (e *Engine) siftDown(l *laneQ, i int) {
-	h, k := l.heap, l.keys
+func (e *Engine) siftDown(i int) {
+	h, k := e.heap, e.keys
 	n := len(h)
 	moving, mk := h[i], k[i]
 	for {

@@ -18,10 +18,6 @@ import (
 // NumNodes()..NumNodes()+len(PU)-1. Entries are lazily filled; 0 marks "not
 // yet computed" (a real gain is always positive: distances are finite and
 // far too small for d^-alpha to underflow, and d == 0 stores +Inf).
-//
-// One table serves every lane of a batch — gains depend only on the shared
-// topology, so a value filled by one lane is bit-identical to what any other
-// lane would compute.
 type GainTable struct {
 	alpha float64
 	pos   []geom.Point
