@@ -17,9 +17,12 @@ import (
 // goldenDigest is the SHA-256 over every Result field of the golden run
 // set below, first recorded before the MAC moved onto the spectrum fast path
 // (filtered delivery, lazy PU accounting, pre-bound events, one CSR table
-// pair per run) to pin that path as bit-identical to the eager one, and
-// re-recorded once when rng.Source moved from math/rand to a PCG generator.
-const goldenDigest = "5e20a9504221504bcec6ee1ea62713c1a17e79e8f3b35538a575dda6134bb2f4"
+// pair per run) to pin that path as bit-identical to the eager one,
+// re-recorded once when rng.Source moved from math/rand to a PCG generator,
+// and once more when C = 1 became bit-identical to core.Run (shared stream
+// labels, core's capacity formula, and no deafness loss charged to a
+// transmission that had already left the air).
+const goldenDigest = "5f523be96589fffbdbe0982b07cfcc411005fb53cdf6aad37079584e9d1fc67c"
 
 // memoTables is a NeighborTables provider that builds each table once per
 // radius and counts the builds, standing in for a shared topology.

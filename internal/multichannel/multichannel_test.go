@@ -1,10 +1,13 @@
 package multichannel
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"addcrn/internal/core"
 	"addcrn/internal/netmodel"
+	"addcrn/internal/stats"
 )
 
 func testOpts(seed uint64, channels int) Options {
@@ -144,4 +147,44 @@ func TestAssignLeastPUAvoidsHotChannels(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = res // end-to-end path covered; the direct invariant follows
+}
+
+// TestSingleChannelMatchesCore pins C = 1 to the paper's single-channel
+// engine: over twelve seeds, with and without a prebuilt topology, every
+// field multichannel.Result shares with core.Result must be bit-identical
+// to core.Run's, and a single channel must lose nothing to deafness.
+func TestSingleChannelMatchesCore(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		for _, prebuilt := range []bool{false, true} {
+			opts := testOpts(seed, 1)
+			coreOpts := core.Options{
+				Params:         opts.Params,
+				Seed:           seed,
+				MaxVirtualTime: opts.MaxVirtualTime,
+			}
+			if prebuilt {
+				opts.Prebuilt, _ = prebuiltFor(t, opts)
+				coreOpts.Prebuilt = opts.Prebuilt
+			}
+			got, err := Run(opts)
+			if err != nil {
+				t.Fatalf("seed %d prebuilt=%v: %v", seed, prebuilt, err)
+			}
+			want, err := core.Run(coreOpts)
+			if err != nil {
+				t.Fatalf("seed %d prebuilt=%v: core: %v", seed, prebuilt, err)
+			}
+			shared := func(delay, capacity float64, delivered, expected, tx, aborts int, hops stats.Summary) []any {
+				return []any{delay, capacity, delivered, expected, tx, aborts, hops}
+			}
+			g := shared(got.DelaySlots, got.Capacity, got.Delivered, got.Expected, got.Transmissions, got.Aborts, got.HopStats)
+			w := shared(want.DelaySlots, want.Capacity, want.Delivered, want.Expected, want.TotalTransmissions, want.TotalAborts, want.HopStats)
+			if !reflect.DeepEqual(g, w) {
+				t.Errorf("seed %d prebuilt=%v: multichannel %v, core %v", seed, prebuilt, g, w)
+			}
+			if got.DeafnessLosses != 0 {
+				t.Errorf("seed %d prebuilt=%v: %d deafness losses on one channel", seed, prebuilt, got.DeafnessLosses)
+			}
+		}
+	}
 }
