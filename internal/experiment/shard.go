@@ -245,12 +245,19 @@ type MergeStats struct {
 	MissingPairs [][2]int
 }
 
+// maxMergePairs bounds the grid a shard header may declare. Merging walks
+// every (x, rep) pair of the declared grid, so a corrupt header could
+// otherwise exhaust memory; the paper's figure grids hold a few hundred
+// pairs.
+const maxMergePairs = 1 << 20
+
 // MergeJournals merges per-shard checkpoint journals into one merged
 // journal at out, validating coverage on the way:
 //
-//   - every journal must start with a ShardHeader, and all headers must
-//     agree on sweep ID, grid hash, fan-out count and grid geometry
-//     (ErrShardMismatch otherwise);
+//   - every journal must start with a ShardHeader declaring at most
+//     maxMergePairs (x, rep) pairs, and all headers must agree on sweep
+//     ID, grid hash, fan-out count and grid geometry (ErrShardMismatch
+//     otherwise);
 //   - the shard indices must tile 1..k with no duplicates (ErrShardGap /
 //     ErrShardOverlap), unless opts.AllowMissing relaxes the gap check;
 //   - an entry outside its declared shard's partition is ErrShardOverlap;
@@ -291,6 +298,11 @@ func MergeJournals(out string, paths []string, opts MergeOptions) (*MergeStats, 
 				continue // a shard that died before its first flush
 			}
 			return nil, fmt.Errorf("%w: %s has no shard header", ErrShardMismatch, path)
+		}
+		if h.NumXs < 0 || h.Reps < 0 || h.NumXs > maxMergePairs || h.Reps > maxMergePairs ||
+			h.NumXs*h.Reps > maxMergePairs {
+			return nil, fmt.Errorf("%w: %s declares a %dx%d grid (at most %d pairs merge)",
+				ErrShardMismatch, path, h.NumXs, h.Reps, maxMergePairs)
 		}
 		if ref == nil {
 			ref = h
