@@ -124,9 +124,9 @@ func CollectContinuous(nw *netmodel.Network, parent []int32, opts ContinuousOpti
 	var model spectrum.PUModel
 	switch opts.PUModel {
 	case spectrum.ModelExact:
-		model = spectrum.NewExactModel(nw, m.Tracker(), src)
+		model = spectrum.NewExactModel(nw, m.Trackers(), src)
 	case spectrum.ModelAggregate:
-		model = spectrum.NewAggregateModel(nw, m.Tracker(), src)
+		model = spectrum.NewAggregateModel(nw, m.Trackers()[0], src)
 	default:
 		return nil, fmt.Errorf("core: unknown PU model %v", opts.PUModel)
 	}

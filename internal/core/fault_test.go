@@ -123,7 +123,7 @@ func TestFaultTraceByteIdentical(t *testing.T) {
 			Seed:   103,
 			Faults: spec,
 			Tree:   tree,
-			Trace:  buf,
+			Sink:   buf,
 		})
 		if err != nil {
 			t.Fatal(err)

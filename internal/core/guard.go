@@ -3,9 +3,10 @@
 // executes, the structural properties the paper proves and the simulator is
 // supposed to maintain by construction:
 //
-//   - concurrent-set separation — all simultaneously transmitting SUs are
-//     pairwise at least the SU coordination range apart (with the range set
-//     to the PCR this is the interference-freedom of Lemmas 2–3);
+//   - concurrent-set separation — all simultaneously transmitting SUs on one
+//     channel are pairwise at least the SU coordination range apart (with
+//     the range set to the PCR this is the interference-freedom of Lemmas
+//     2–3);
 //   - routing-tree integrity — after every self-healing repair the live
 //     parent graph is acyclic and every live chain terminates at the base
 //     station or at a crashed node (orphans are a legal degraded state,
@@ -39,8 +40,9 @@ type ViolationKind uint8
 
 // Guarded invariants.
 const (
-	// ViolationConcurrentSet: two simultaneously transmitting SUs were
-	// closer than the SU coordination range (Lemmas 2-3 with PCR sensing).
+	// ViolationConcurrentSet: two SUs transmitting simultaneously on one
+	// channel were closer than the SU coordination range (Lemmas 2-3 with
+	// PCR sensing).
 	ViolationConcurrentSet ViolationKind = iota + 1
 	// ViolationTree: the routing parent graph acquired a cycle or a live
 	// non-root chain ended without reaching the base station or a crashed
@@ -174,12 +176,16 @@ func (g *guard) check() {
 }
 
 // txStart asserts the new transmitter is at least minSep away from every
-// SU already on the air, then adds it to the active set.
+// SU already on the air on its channel, then adds it to the active set.
 func (g *guard) txStart(node int32, now sim.Time) {
 	g.report.ConcurrencyChecks++
 	g.check()
 	pos := g.nw.SU[node]
+	ch := g.m.Channel(node)
 	for _, u := range g.active {
+		if g.m.Channel(u) != ch {
+			continue
+		}
 		if d2 := pos.Dist2(g.nw.SU[u]); d2 < g.minSep2 {
 			g.violate(ViolationConcurrentSet, now, node, fmt.Sprintf(
 				"transmitting %.2fm from concurrently transmitting node %d (need >= %.2fm)",

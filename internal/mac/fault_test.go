@@ -129,7 +129,7 @@ func TestCrashMidTransmissionReleasesMedium(t *testing.T) {
 	if h.mac.ActiveTransmitters() != 0 {
 		t.Errorf("%d active transmitters after drain", h.mac.ActiveTransmitters())
 	}
-	if h.mac.Tracker().Busy(2) {
+	if h.mac.Trackers()[0].Busy(2) {
 		t.Error("node 2 still senses a busy medium after the crashed transmitter drained")
 	}
 }

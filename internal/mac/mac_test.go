@@ -250,7 +250,7 @@ func TestBackoffFreezeDelaysTransmission(t *testing.T) {
 	// first transmission cannot start before the burst ends.
 	nw := lineNetwork(t, 1, nil)
 	h := newHarness(t, nw, lineParents(1), nil)
-	tracker := h.mac.Tracker()
+	tracker := h.mac.Trackers()[0]
 	puPos := nw.SU[1]
 	tracker.AddTransmitter(puPos, spectrum.TxPU, -1, 0)
 	h.eng.After(50*sim.Millisecond, func(now sim.Time) {
@@ -277,9 +277,9 @@ func TestHandoffAbortsAndRetransmits(t *testing.T) {
 				// Inject the PU mid-transmission (a quarter slot later).
 				h.eng.After(250, func(at sim.Time) {
 					pu := nw.SU[1]
-					h.mac.Tracker().AddTransmitter(pu, spectrum.TxPU, -1, at)
+					h.mac.Trackers()[0].AddTransmitter(pu, spectrum.TxPU, -1, at)
 					h.eng.After(2*sim.Millisecond, func(end sim.Time) {
-						h.mac.Tracker().RemoveTransmitter(pu, spectrum.TxPU, -1, end)
+						h.mac.Trackers()[0].RemoveTransmitter(pu, spectrum.TxPU, -1, end)
 					})
 				})
 				aborted = true
@@ -320,7 +320,7 @@ func TestDisableHandoffIgnoresPUArrival(t *testing.T) {
 		cfg.OnTxStart = func(node int32, now sim.Time) {
 			h.eng.After(250, func(at sim.Time) {
 				pu := nw.SU[1]
-				h.mac.Tracker().AddTransmitter(pu, spectrum.TxPU, -1, at)
+				h.mac.Trackers()[0].AddTransmitter(pu, spectrum.TxPU, -1, at)
 			})
 		}
 	})

@@ -19,7 +19,6 @@ var (
 	_ Sink = (*Buffer)(nil)
 	_ Sink = NullSink{}
 	_ Sink = (*JSONLSink)(nil)
-	_ Sink = MultiSink(nil)
 )
 
 // NullSink discards every record. It exists so the cost of the trace hook
@@ -29,16 +28,6 @@ type NullSink struct{}
 
 // Add implements Sink.
 func (NullSink) Add(Record) {}
-
-// MultiSink fans every record out to each member in order.
-type MultiSink []Sink
-
-// Add implements Sink.
-func (m MultiSink) Add(r Record) {
-	for _, s := range m {
-		s.Add(r)
-	}
-}
 
 // JSONLSink streams records as JSON Lines: one object per record, in
 // emission order, with a fixed field order —

@@ -67,19 +67,6 @@ func TestJSONLSinkStickyError(t *testing.T) {
 	}
 }
 
-func TestMultiSinkFansOut(t *testing.T) {
-	a := NewBuffer(0)
-	b := NewBuffer(0)
-	m := MultiSink{a, b, NullSink{}}
-	m.Add(Record{Time: 9, Node: 3, Kind: KindRepair, Arg: 5})
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Errorf("fan-out lens: %d, %d", a.Len(), b.Len())
-	}
-	if a.Records()[0].Arg != 5 {
-		t.Errorf("record mangled: %+v", a.Records()[0])
-	}
-}
-
 func TestJSONLSinkDeterministic(t *testing.T) {
 	emit := func() []byte {
 		var buf bytes.Buffer
