@@ -1,15 +1,16 @@
 // Command addc-experiments regenerates every evaluation artifact of the
 // paper: the six Fig. 6 delay sweeps (ADDC vs Coolest), and the Theorem 1/2
-// bound comparisons. Output is a paper-style table per figure, optionally
-// CSV.
+// bound comparisons, plus the two extension sweeps (ext1: licensed
+// channels, ext2: SU crash fraction). Output is a paper-style table per
+// figure, optionally CSV.
 //
 // Usage:
 //
 //	addc-experiments                  # all of fig 6a..6f at the scaled point
 //	addc-experiments -fig 6c          # a single sweep
 //	addc-experiments -fig thm1        # Theorem 1 bound check (stand-alone)
-//	addc-experiments -fig ext1        # multi-channel extension sweep
-//	addc-experiments -fig ext2        # delivery ratio vs fault rate sweep
+//	addc-experiments -fig ext1        # ADDC delay vs licensed channels
+//	addc-experiments -fig ext2        # ADDC delivery ratio vs crash fraction
 //	addc-experiments -fig curves      # delivery-progress SVG for one run
 //	addc-experiments -fig thm2        # Theorem 2 bound check (with PUs)
 //	addc-experiments -paper-scale     # paper-nominal parameters (slow!)
@@ -18,9 +19,11 @@
 // Long sweeps are interruptible and resumable: -checkpoint journals every
 // completed repetition to a crash-safe JSONL file, SIGINT/SIGTERM or an
 // expired -timeout stop the sweep cooperatively (the partial table goes to
-// stderr), and -resume picks
-// up exactly where the journal stops, reproducing the uninterrupted output
-// byte for byte. -guard runs every simulation with runtime invariant guards.
+// stderr), and -resume picks up exactly where the journal stops,
+// reproducing the uninterrupted output byte for byte. -guard runs every
+// simulation with runtime invariant guards. The extension sweeps ext1 and
+// ext2 are figures like the Fig. 6 panels (ADDC runs alone in them), so
+// every flag here applies to them too.
 //
 // Sweeps also shard across processes or machines: -shard i/k runs only the
 // i-th of k deterministic partitions of the (x, rep) grid, journaling to
@@ -60,7 +63,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("addc-experiments", flag.ContinueOnError)
 	var (
-		fig        = fs.String("fig", "all", "figure to regenerate: 6a..6f, thm1, thm2, or all")
+		fig        = fs.String("fig", "all", "figure to regenerate: 6a..6f, ext1, ext2, thm1, thm2, curves, or all (6a..6f)")
 		reps       = fs.Int("reps", 10, "repetitions per sweep point")
 		seed       = fs.Uint64("seed", 1, "root seed")
 		csv        = fs.Bool("csv", false, "emit CSV instead of tables")
@@ -150,10 +153,6 @@ func run(args []string) error {
 		figures = experiment.FigureIDs
 	case "thm1", "thm2":
 		return runBounds(*fig, base, *reps, *seed)
-	case "ext1":
-		return runChannelSweep(base, *reps, *seed, *shareTopo)
-	case "ext2":
-		return runFaultSweep(ctx, base, *reps, *seed, *shareTopo)
 	case "curves":
 		svg, err := experiment.DeliveryCurves(base, *seed)
 		if err != nil {
@@ -231,42 +230,6 @@ func run(args []string) error {
 			}
 		}
 	}
-	return nil
-}
-
-func runChannelSweep(base netmodel.Params, reps int, seed uint64, shareTopo bool) error {
-	sweep := experiment.ChannelSweep{
-		Base:          base,
-		Channels:      []int{1, 2, 3, 4, 6, 8},
-		Reps:          reps,
-		Seed:          seed,
-		ShareTopology: shareTopo,
-	}
-	res, err := sweep.Run()
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.FormatTable())
-	return nil
-}
-
-func runFaultSweep(ctx context.Context, base netmodel.Params, reps int, seed uint64, shareTopo bool) error {
-	sweep := experiment.FaultSweep{
-		Base:          base,
-		CrashFracs:    []float64{0, 0.05, 0.10, 0.20, 0.30},
-		LinkLoss:      0.05,
-		Reps:          reps,
-		Seed:          seed,
-		ShareTopology: shareTopo,
-	}
-	res, err := sweep.RunContext(ctx)
-	if err != nil {
-		if res != nil && ctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "addc-experiments: interrupted; partial ext2 results:\n%s", res.FormatTable())
-		}
-		return err
-	}
-	fmt.Print(res.FormatTable())
 	return nil
 }
 

@@ -76,3 +76,39 @@ func TestRunMergeWithoutShardJournals(t *testing.T) {
 		t.Fatalf("err = %v, want a no-shard-journals explanation", err)
 	}
 }
+
+// The extension figures take the ordinary figure path: three -shard runs of
+// ext2 followed by -merge leave the journal an unsharded run writes.
+func TestRunExtensionShardsMergeToUnsharded(t *testing.T) {
+	dir := t.TempDir()
+	small := []string{"-fig", "ext2", "-num-su", "80", "-area", "55", "-num-pu", "3",
+		"-reps", "2", "-xs", "0,0.2", "-workers", "1"}
+	with := func(extra ...string) []string { return append(append([]string(nil), small...), extra...) }
+
+	unsharded := filepath.Join(dir, "unsharded.jsonl")
+	if err := run(with("-checkpoint", unsharded)); err != nil {
+		t.Fatal(err)
+	}
+	merged := filepath.Join(dir, "merged.jsonl")
+	for _, sp := range []string{"1/3", "2/3", "3/3"} {
+		if err := run(with("-shard", sp, "-checkpoint", merged)); err != nil {
+			t.Fatalf("shard %s: %v", sp, err)
+		}
+	}
+	if err := run(with("-merge", "-checkpoint", merged)); err != nil {
+		t.Fatal(err)
+	}
+	want, got := readFile(t, unsharded), readFile(t, merged)
+	if len(want) == 0 || string(got) != string(want) {
+		t.Fatalf("merged ext2 journal diverges from the unsharded one:\n merged:\n%s\n unsharded:\n%s", got, want)
+	}
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}

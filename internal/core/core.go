@@ -166,30 +166,9 @@ type Options struct {
 	Sink trace.Sink
 	// Guard enables runtime invariant guards; see CollectConfig.Guard.
 	Guard bool
-	// Prebuilt, when non-nil, supplies the run's construction artifacts —
-	// deployment, adjacency, routing tree — instead of having RunContext
-	// build them from Params and Seed. The sweep engine
-	// (internal/experiment) uses it to share one memoized topology across
-	// every repetition of a sweep; all artifacts are treated read-only.
-	Prebuilt *Prebuilt
 	// Workspace, when non-nil, reuses one worker's simulation context
 	// (engine arena, MAC state, scratch buffers) across runs; see Workspace.
 	Workspace *Workspace
-}
-
-// Prebuilt carries construction artifacts for RunContext to use as-is. All
-// fields must describe the same deployment. Network and Tree are required;
-// Adj saves the repairer an adjacency rebuild, Stats is copied into the
-// Result, and Tables feeds the carrier-sense tracker memoized CSR neighbor
-// tables. Everything here is shared and read-only: the MAC and the repairer
-// copy the parent slice before mutating routing, so fault runs never write
-// into a shared tree.
-type Prebuilt struct {
-	Network *netmodel.Network
-	Tree    *cds.Tree
-	Adj     graphx.Adjacency
-	Stats   cds.Stats
-	Tables  spectrum.NeighborTables
 }
 
 // DefaultOptions returns Options at the feasibility-scaled operating point
@@ -317,51 +296,34 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, &CanceledError{Cause: err}
 	}
-	var (
-		nw     *netmodel.Network
-		tree   *cds.Tree
-		adj    graphx.Adjacency
-		st     cds.Stats
-		tables spectrum.NeighborTables
-	)
-	if pre := opts.Prebuilt; pre != nil {
-		if pre.Network == nil || pre.Tree == nil {
-			return nil, fmt.Errorf("core: Prebuilt requires Network and Tree")
-		}
-		nw, tree, adj, st, tables = pre.Network, pre.Tree, pre.Adj, pre.Stats, pre.Tables
-	} else {
-		stop := opts.Metrics.StartPhase("network-build")
-		var err error
-		nw, err = BuildNetwork(opts)
+	stop := opts.Metrics.StartPhase("network-build")
+	nw, err := BuildNetwork(opts)
+	stop(0)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, &CanceledError{Cause: err}
+	}
+	stop = opts.Metrics.StartPhase("cds-tree")
+	adj, err := graphx.UnitDisk(nw.Bounds(), nw.SU, nw.Params.RadiusSU)
+	if err != nil {
 		stop(0)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, &CanceledError{Cause: err}
-		}
-		stop = opts.Metrics.StartPhase("cds-tree")
-		adj, err = graphx.UnitDisk(nw.Bounds(), nw.SU, nw.Params.RadiusSU)
-		if err != nil {
-			stop(0)
-			return nil, fmt.Errorf("core: adjacency: %w", err)
-		}
-		tree, err = cds.Build(adj, netmodel.BaseStationID)
-		stop(0)
-		if err != nil {
-			return nil, fmt.Errorf("core: CDS tree: %w", err)
-		}
-		st = tree.ComputeStats(adj)
+		return nil, fmt.Errorf("core: adjacency: %w", err)
+	}
+	tree, err := cds.Build(adj, netmodel.BaseStationID)
+	stop(0)
+	if err != nil {
+		return nil, fmt.Errorf("core: CDS tree: %w", err)
 	}
 	return CollectContext(ctx, nw, tree.Parent, CollectConfig{
 		Seed:           opts.Seed,
 		PUModel:        opts.PUModel,
 		MaxVirtualTime: opts.MaxVirtualTime,
-		TreeStats:      st,
+		TreeStats:      tree.ComputeStats(adj),
 		Faults:         opts.Faults,
 		Tree:           tree,
 		Adj:            adj,
-		Tables:         tables,
 		Workspace:      opts.Workspace,
 		Metrics:        opts.Metrics,
 		Sink:           opts.Sink,
@@ -416,15 +378,12 @@ type CollectConfig struct {
 	DisableHandoff bool
 
 	// GenericCSMA runs the baseline MAC profile instead of ADDC's: the
-	// carrier-sensing range is CSMASensingFactor*r (default 2r, the
-	// conventional CSMA guard) rather than the derived PCR, reception
+	// carrier-sensing range is 2r (the conventional CSMA guard) rather
+	// than the derived PCR, reception
 	// success is decided by physical SIR (collisions happen), there is no
 	// fairness wait, and binary exponential backoff resolves contention.
 	// This is the MAC the Coolest comparison runs on (DESIGN.md Section 6).
 	GenericCSMA bool
-	// CSMASensingFactor scales the generic profile's sensing range in
-	// units of r; zero means 2.
-	CSMASensingFactor float64
 	// SIRValidate attaches the SIR monitor under the ADDC profile too, so
 	// the Result reports collision counts (Lemmas 2-3 promise zero).
 	SIRValidate bool
@@ -684,11 +643,7 @@ func newRun(eng *sim.Engine, nw *netmodel.Network, parent []int32, cfg CollectCo
 	puSense := consts.Range
 	suSense := consts.Range
 	if cfg.GenericCSMA {
-		factor := cfg.CSMASensingFactor
-		if factor <= 0 {
-			factor = 2
-		}
-		suSense = factor * nw.Params.RadiusSU
+		suSense = 2 * nw.Params.RadiusSU
 	}
 	if cfg.PCROverride > 0 {
 		puSense = cfg.PCROverride

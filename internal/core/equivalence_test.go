@@ -8,7 +8,6 @@ import (
 
 	"addcrn/internal/fault"
 	"addcrn/internal/geom"
-	"addcrn/internal/graphx"
 	"addcrn/internal/metrics"
 	"addcrn/internal/trace"
 )
@@ -100,15 +99,13 @@ func TestWorkspaceReuseEquivalenceFullRun(t *testing.T) {
 	}
 }
 
-// buildPrebuilt assembles the shared-artifact bundle the way the sweep
-// engine does.
-func buildPrebuilt(t *testing.T, opts Options) *Prebuilt {
-	t.Helper()
+// TestSharedTreeImmutable pins the copy-on-write contract: a fault run that
+// crashes nodes and re-parents orphans (self-healing repair) must never write
+// into the routing tree or the network it was given, which the sweep engine
+// shares read-only across runs.
+func TestSharedTreeImmutable(t *testing.T) {
+	opts := smallOptions(7)
 	nw, err := BuildNetwork(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adj, err := graphx.UnitDisk(nw.Bounds(), nw.SU, nw.Params.RadiusSU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,66 +113,25 @@ func buildPrebuilt(t *testing.T, opts Options) *Prebuilt {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Prebuilt{
-		Network: nw,
-		Tree:    tree,
-		Adj:     adj,
-		Stats:   tree.ComputeStats(adj),
-		Tables:  nw,
-	}
-}
+	parentBefore := append([]int32(nil), tree.Parent...)
+	suBefore := append([]geom.Point(nil), nw.SU...)
 
-// TestPrebuiltEquivalenceFullRun: supplying memoized construction artifacts
-// must be invisible in the output — same Result under faults and guards as
-// letting RunContext build everything from Params and Seed.
-func TestPrebuiltEquivalenceFullRun(t *testing.T) {
-	for _, seed := range []uint64{7, 301} {
-		opts := smallOptions(seed)
-		opts.Faults = equivalenceSpec()
-		opts.Guard = true
-
-		built, err := Run(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		preOpts := opts
-		preOpts.Prebuilt = buildPrebuilt(t, opts)
-		preOpts.Workspace = NewWorkspace()
-		pre, err := Run(preOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(built, pre) {
-			t.Errorf("seed %d: Results diverge:\n built:    %+v\n prebuilt: %+v", seed, built, pre)
-		}
-		if built.Fault == nil || built.Fault.Repairs == 0 {
-			t.Fatalf("seed %d: no self-healing repairs; COW coverage is vacuous", seed)
-		}
-	}
-}
-
-// TestPrebuiltSharedTreeImmutable pins the copy-on-write contract: a fault
-// run that crashes nodes and re-parents orphans (self-healing repair) must
-// never write into the shared routing tree it was given.
-func TestPrebuiltSharedTreeImmutable(t *testing.T) {
-	opts := smallOptions(7)
-	opts.Faults = equivalenceSpec()
-	pre := buildPrebuilt(t, opts)
-	parentBefore := append([]int32(nil), pre.Tree.Parent...)
-	suBefore := append([]geom.Point(nil), pre.Network.SU...)
-
-	opts.Prebuilt = pre
-	res, err := Run(opts)
+	res, err := Collect(nw, tree.Parent, CollectConfig{
+		Seed:           opts.Seed,
+		MaxVirtualTime: opts.MaxVirtualTime,
+		Faults:         equivalenceSpec(),
+		Tree:           tree,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Fault == nil || res.Fault.Repairs == 0 {
 		t.Fatal("no repairs happened; immutability coverage is vacuous")
 	}
-	if !reflect.DeepEqual(parentBefore, pre.Tree.Parent) {
+	if !reflect.DeepEqual(parentBefore, tree.Parent) {
 		t.Error("fault run mutated the shared routing tree's parent slice")
 	}
-	if !reflect.DeepEqual(suBefore, pre.Network.SU) {
+	if !reflect.DeepEqual(suBefore, nw.SU) {
 		t.Error("fault run mutated the shared network's positions")
 	}
 }

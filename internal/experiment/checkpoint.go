@@ -51,7 +51,8 @@ type CheckpointEntry struct {
 	// number.
 	Xi  int `json:"xi"`
 	Rep int `json:"rep"`
-	// Algo is "addc" or "coolest".
+	// Algo is "addc" or "coolest" (the extension figures journal "addc"
+	// only).
 	Algo string `json:"algo"`
 	// Err, when non-empty, records that the repetition failed with this
 	// error (a deterministic failure is as final as a success: rerunning it
@@ -65,6 +66,16 @@ type CheckpointEntry struct {
 	Tightness float64 `json:"tightness"`
 	PUBusy    float64 `json:"pu_busy"`
 	Fairness  float64 `json:"fairness"`
+	// The extension columns of an ADDC run: Loss is the fraction of packets
+	// destroyed by injected faults (the delivery ratio is 1 - Loss),
+	// Repairs and Drops count self-healing re-parentings and retry-cap
+	// drops, Deafness counts transmissions lost to a transmitting parent on
+	// C > 1 channels. All are zero on a fault-free single-channel run and
+	// then absent, so such journals keep the bytes they always had.
+	Loss     float64 `json:"loss,omitempty"`
+	Repairs  int     `json:"repairs,omitempty"`
+	Drops    int     `json:"drops,omitempty"`
+	Deafness int     `json:"deafness,omitempty"`
 }
 
 // Journal accumulates checkpoint entries and persists them in batches.

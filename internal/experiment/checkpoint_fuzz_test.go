@@ -10,11 +10,15 @@ import (
 	"testing"
 )
 
-// Fuzz corpus lines: a shard header, a successful and a failed entry.
+// Fuzz corpus lines: a shard header, a successful and a failed entry, and an
+// ADDC-only (extension figure) shard header with an entry carrying the
+// extension columns.
 const (
-	fuzzHeader = `{"record":"shard_header","sweep":"6c","shard":1,"of":3,"grid_hash":"d987f05f43bfe021","num_xs":3,"reps":5}` + "\n"
-	fuzzOK     = `{"sweep":"6c","xi":0,"rep":1,"algo":"addc","delay":812.5,"capacity":1234.25,"aborts":3,"tightness":0.125,"pu_busy":0.31,"fairness":0.97}` + "\n"
-	fuzzFailed = `{"sweep":"6c","xi":2,"rep":4,"algo":"coolest","err":"core: simulation stalled with 7/79 delivered","delay":0,"capacity":0,"aborts":0,"tightness":0,"pu_busy":0,"fairness":0}` + "\n"
+	fuzzHeader    = `{"record":"shard_header","sweep":"6c","shard":1,"of":3,"grid_hash":"d987f05f43bfe021","num_xs":3,"reps":5}` + "\n"
+	fuzzOK        = `{"sweep":"6c","xi":0,"rep":1,"algo":"addc","delay":812.5,"capacity":1234.25,"aborts":3,"tightness":0.125,"pu_busy":0.31,"fairness":0.97}` + "\n"
+	fuzzFailed    = `{"sweep":"6c","xi":2,"rep":4,"algo":"coolest","err":"core: simulation stalled with 7/79 delivered","delay":0,"capacity":0,"aborts":0,"tightness":0,"pu_busy":0,"fairness":0}` + "\n"
+	fuzzExtHeader = `{"record":"shard_header","sweep":"ext2","shard":3,"of":3,"grid_hash":"5c0d3f1e2a4b6c78","num_xs":5,"reps":10,"addc_only":true}` + "\n"
+	fuzzExtOK     = `{"sweep":"ext2","xi":3,"rep":5,"algo":"addc","delay":14718.25,"capacity":99.5,"aborts":7,"tightness":0.0625,"pu_busy":0.28,"fairness":0.91,"loss":0.2,"repairs":293,"drops":3,"deafness":12}` + "\n"
 )
 
 // fuzzJournals is the FuzzLoadJournal seed corpus.
@@ -25,6 +29,7 @@ var fuzzJournals = []string{
 	fuzzHeader + fuzzOK + fuzzFailed[:len(fuzzFailed)/2], // torn tail
 	fuzzHeader[:len(fuzzHeader)/2],                       // torn header
 	fuzzOK + `{"record":"other"}` + "\n",
+	fuzzExtHeader + fuzzExtOK,
 }
 
 // FuzzLoadJournal feeds arbitrary bytes to LoadJournal. Loading must never
@@ -73,15 +78,23 @@ func FuzzMergeJournals(f *testing.F) {
 			f.Add([]byte(a), []byte(b))
 		}
 	}
-	// A complete two-shard split of a 1x2 grid, with a retried entry.
-	pair := func(shard, rep int) string {
-		h := `{"record":"shard_header","sweep":"6a","shard":` + strconv.Itoa(shard) + `,"of":2,"grid_hash":"h","num_xs":1,"reps":2}` + "\n"
+	// A complete two-shard split of a 1x2 grid, with a retried entry, and
+	// the same split of an ADDC-only grid.
+	pair := func(shard, rep int, addcOnly bool) string {
+		h := `{"record":"shard_header","sweep":"6a","shard":` + strconv.Itoa(shard) + `,"of":2,"grid_hash":"h","num_xs":1,"reps":2`
+		if addcOnly {
+			h += `,"addc_only":true`
+		}
 		e := func(algo string) string {
 			return `{"sweep":"6a","xi":0,"rep":` + strconv.Itoa(rep) + `,"algo":"` + algo + `","delay":1,"capacity":2,"aborts":0,"tightness":0,"pu_busy":0,"fairness":1}` + "\n"
 		}
-		return h + e("addc") + e("coolest") + e("addc")
+		if addcOnly {
+			return h + "}\n" + e("addc") + e("addc")
+		}
+		return h + "}\n" + e("addc") + e("coolest") + e("addc")
 	}
-	f.Add([]byte(pair(1, 0)), []byte(pair(2, 1)))
+	f.Add([]byte(pair(1, 0, false)), []byte(pair(2, 1, false)))
+	f.Add([]byte(pair(1, 0, true)), []byte(pair(2, 1, true)))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		dir := t.TempDir()
 		pa, pb := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "b.jsonl")

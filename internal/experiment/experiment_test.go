@@ -204,38 +204,6 @@ func TestBoundsCheck(t *testing.T) {
 	}
 }
 
-func TestChannelSweep(t *testing.T) {
-	s := ChannelSweep{
-		Base:     tinyBase(),
-		Channels: []int{1, 2},
-		Reps:     2,
-		Seed:     5,
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 2 {
-		t.Fatalf("points: %d", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.Delay.N != 2 || p.Delay.Mean <= 0 {
-			t.Errorf("C=%d: %+v", p.Channels, p.Delay)
-		}
-	}
-	table := res.FormatTable()
-	if !strings.Contains(table, "channels") || !strings.Contains(table, "ext1") {
-		t.Errorf("table malformed:\n%s", table)
-	}
-}
-
-func TestChannelSweepEmpty(t *testing.T) {
-	s := ChannelSweep{Base: tinyBase()}
-	if _, err := s.Run(); err == nil {
-		t.Error("empty channel sweep accepted")
-	}
-}
-
 func TestBoundsCheckWithPUs(t *testing.T) {
 	check := BoundsCheck{Base: tinyBase(), Reps: 2, Seed: 2}
 	res, err := check.Run()

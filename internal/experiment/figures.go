@@ -10,7 +10,8 @@ import (
 var FigureIDs = []string{"6a", "6b", "6c", "6d", "6e", "6f"}
 
 // NewFigureSweep returns the sweep definition regenerating one panel of the
-// paper's Fig. 6 at the given operating point (use
+// paper's Fig. 6, or one of the extension figures ext1 and ext2 (see
+// extension.go), at the given operating point (use
 // netmodel.ScaledDefaultParams for the feasibility-scaled point or
 // netmodel.DefaultParams for the paper's nominal one). Swept ranges scale
 // with the base parameters so both operating points exercise the same
@@ -67,7 +68,9 @@ func NewFigureSweep(id string, base netmodel.Params, seed uint64) (*Sweep, error
 			return p
 		}
 	default:
-		return nil, fmt.Errorf("experiment: unknown figure %q (want 6a..6f)", id)
+		if !extensionSweep(s, id) {
+			return nil, fmt.Errorf("experiment: unknown figure %q (want 6a..6f, ext1 or ext2)", id)
+		}
 	}
 	return s, nil
 }

@@ -15,6 +15,7 @@ import (
 	"addcrn/internal/netmodel"
 	"addcrn/internal/pcr"
 	"addcrn/internal/rng"
+	"addcrn/internal/spectrum"
 )
 
 // referenceEntries computes the checkpoint entries a sweep must journal
@@ -23,7 +24,9 @@ import (
 // built topology, and two plain collections with a nil Workspace and a fresh
 // registry. It shares no scheduling, workspace reuse or topology cache with
 // Sweep.Run. s must set Reps and MaxVirtualTime and leave Retries at zero.
-func referenceEntries(t *testing.T, s *Sweep) []CheckpointEntry {
+// A non-nil ext makes the pairs ADDC-only, with ext applying x to the ADDC
+// run the way the extension figure s stands for does.
+func referenceEntries(t *testing.T, s *Sweep, ext referenceExt) []CheckpointEntry {
 	t.Helper()
 	if s.Reps <= 0 || s.MaxVirtualTime <= 0 || s.Retries != 0 {
 		t.Fatalf("reference needs explicit Reps and MaxVirtualTime and no retries: %+v", s)
@@ -37,21 +40,62 @@ func referenceEntries(t *testing.T, s *Sweep) []CheckpointEntry {
 		params := s.Apply(s.Base, x)
 		for rep := 0; rep < s.Reps; rep++ {
 			seed := rng.ChildSeedN(s.Seed, label, rep)
-			out = append(out, referencePair(s, xi, rep, params, seed)...)
+			out = append(out, referencePair(s, xi, rep, params, seed, ext)...)
 		}
 	}
 	return out
 }
 
+// referenceExt applies an extension figure's x to the ADDC run's config.
+type referenceExt func(cfg *core.CollectConfig, nw *netmodel.Network, x float64)
+
+// referenceExt1 assigns home channels by brute force: each node takes the
+// channel with the fewest PUs (PU i on channel i mod C) within its PCR,
+// ties going to the first channel counting up from its own id mod C.
+func referenceExt1(cfg *core.CollectConfig, nw *netmodel.Network, x float64) {
+	channels := int(x)
+	consts, err := pcr.Compute(nw.Params)
+	if err != nil {
+		panic(err)
+	}
+	r2 := consts.Range * consts.Range
+	home := make([]int, len(nw.SU))
+	for v, su := range nw.SU {
+		counts := make([]int, channels)
+		for i, pu := range nw.PU {
+			if pu.Dist2(su) <= r2 {
+				counts[i%channels]++
+			}
+		}
+		best := v % channels
+		for c := 0; c < channels; c++ {
+			if cand := (v + c) % channels; counts[cand] < counts[best] {
+				best = cand
+			}
+		}
+		home[v] = best
+	}
+	cfg.Channels, cfg.Home, cfg.PUModel = channels, home, spectrum.ModelExact
+}
+
+// referenceExt2 injects ext2's fault plan: crash fraction x within the first
+// virtual second, plus 5% link loss.
+func referenceExt2(cfg *core.CollectConfig, _ *netmodel.Network, x float64) {
+	cfg.Faults = &fault.Spec{CrashFrac: x, LinkLoss: 0.05, CrashWindow: time.Second}
+}
+
 // referencePair runs one (x, rep) pair: ADDC over the CDS tree, then Coolest
-// over its accumulated-temperature tree, on one fresh deployment placed by
-// the same seed.
-func referencePair(s *Sweep, xi, rep int, params netmodel.Params, seed uint64) []CheckpointEntry {
+// over its accumulated-temperature tree (skipped when ext is set), on one
+// fresh deployment placed by the same seed.
+func referencePair(s *Sweep, xi, rep int, params netmodel.Params, seed uint64, ext referenceExt) []CheckpointEntry {
 	addc := CheckpointEntry{Sweep: s.ID, Xi: xi, Rep: rep, Algo: algoADDC}
 	cool := CheckpointEntry{Sweep: s.ID, Xi: xi, Rep: rep, Algo: algoCoolest}
 	topo, err := BuildTopology(params, seed)
 	if err != nil {
 		addc.Err, cool.Err = err.Error(), err.Error()
+		if ext != nil {
+			return []CheckpointEntry{addc}
+		}
 		return []CheckpointEntry{addc, cool}
 	}
 	ctx := context.Background()
@@ -69,6 +113,9 @@ func referencePair(s *Sweep, xi, rep int, params netmodel.Params, seed uint64) [
 	addcCfg.Metrics = reg
 	addcCfg.Tree = topo.Tree
 	addcCfg.TreeStats = topo.Stats
+	if ext != nil {
+		ext(&addcCfg, topo.NW, s.Xs[xi])
+	}
 	if r, err := core.CollectContext(ctx, topo.NW, topo.Tree.Parent, addcCfg); err != nil {
 		addc.Err = err.Error()
 	} else {
@@ -79,6 +126,14 @@ func referencePair(s *Sweep, xi, rep int, params netmodel.Params, seed uint64) [
 		}
 		addc.PUBusy = reg.Gauge("spectrum_pu_busy_fraction").Value()
 		addc.Fairness = r.FairnessIndex
+		addc.Loss = float64(r.Lost) / float64(r.Expected)
+		addc.Deafness = r.TotalDeafnessLosses
+		if r.Fault != nil {
+			addc.Repairs, addc.Drops = r.Fault.Repairs, r.Fault.Drops
+		}
+	}
+	if ext != nil {
+		return []CheckpointEntry{addc}
 	}
 
 	coolCfg := cfg
@@ -102,21 +157,28 @@ func referencePair(s *Sweep, xi, rep int, params netmodel.Params, seed uint64) [
 }
 
 // TestSweepMatchesReference pins Sweep.Run against the independent reference
-// at 1, 2 and 4 workers, each with fresh and shared topologies, fault-free
-// and with faults plus guards; the journal must hold exactly the reference's
-// entries in grid order, and the summary must equal the one replayed from
-// the reference entries.
+// at 1, 2 and 4 workers, each with fresh and shared topologies: fault-free,
+// with faults plus guards, and the ADDC-only extension figures ext1 and
+// ext2; the journal must hold exactly the reference's entries in grid order,
+// and the summary must equal the one replayed from the reference entries.
 func TestSweepMatchesReference(t *testing.T) {
 	type mode struct {
 		name  string
 		share bool
 		hard  bool
+		fig   string // extension figure, or "" for the refequiv sweep
+		xs    []float64
+		ext   referenceExt
 	}
 	modes := []mode{
-		{"fresh", false, false},
-		{"share", true, false},
-		{"fresh+faults", false, true},
-		{"share+faults", true, true},
+		{name: "fresh"},
+		{name: "share", share: true},
+		{name: "fresh+faults", hard: true},
+		{name: "share+faults", share: true, hard: true},
+		{name: "ext1", fig: "ext1", xs: []float64{1, 3}, ext: referenceExt1},
+		{name: "share+ext1", share: true, fig: "ext1", xs: []float64{1, 3}, ext: referenceExt1},
+		{name: "ext2", fig: "ext2", xs: []float64{0, 0.2}, ext: referenceExt2},
+		{name: "share+ext2", share: true, fig: "ext2", xs: []float64{0, 0.2}, ext: referenceExt2},
 	}
 	for _, w := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) {
@@ -144,6 +206,15 @@ func TestSweepMatchesReference(t *testing.T) {
 						s.Guard = true
 						s.Faults = &fault.Spec{CrashFrac: 0.05, LinkLoss: 0.02, RecoverAfter: 2 * time.Minute}
 					}
+					if m.fig != "" {
+						fig, err := NewFigureSweep(m.fig, tinyBase(), s.Seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						fig.Xs, fig.Reps, fig.MaxVirtualTime = m.xs, s.Reps, s.MaxVirtualTime
+						fig.Workers, fig.ShareTopology, fig.Checkpoint = w, m.share, s.Checkpoint
+						s = fig
+					}
 					res, err := s.Run()
 					if err != nil {
 						t.Fatal(err)
@@ -152,9 +223,13 @@ func TestSweepMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, want := jr.Entries(), referenceEntries(t, s)
-					if len(got) != 2*len(s.Xs)*s.Reps {
-						t.Fatalf("journal holds %d entries, want %d", len(got), 2*len(s.Xs)*s.Reps)
+					got, want := jr.Entries(), referenceEntries(t, s, m.ext)
+					perPair := 2
+					if m.ext != nil {
+						perPair = 1
+					}
+					if len(got) != perPair*len(s.Xs)*s.Reps {
+						t.Fatalf("journal holds %d entries, want %d", len(got), perPair*len(s.Xs)*s.Reps)
 					}
 					for i := range want {
 						if want[i].Err != "" {

@@ -128,6 +128,10 @@ type ShardHeader struct {
 	// NumXs and Reps record the grid geometry for coverage accounting.
 	NumXs int `json:"num_xs"`
 	Reps  int `json:"reps"`
+	// ADDCOnly marks the journal of an extension figure, whose pairs are
+	// complete with the ADDC entry alone. Absent otherwise, so Fig. 6
+	// headers keep their bytes.
+	ADDCOnly bool `json:"addc_only,omitempty"`
 }
 
 // gridHash fingerprints the sweep's result-determining identity. Xs are
@@ -141,9 +145,12 @@ func (s *Sweep) gridHash(reps int) string {
 		h.Write([]byte(strconv.FormatFloat(x, 'g', -1, 64)))
 		h.Write([]byte{','})
 	}
-	fmt.Fprintf(h, "|%v|%t|%t|%t|%d|%d|%t|%d|%+v",
+	// The literal 0 is the unset Coolest path metric this slot has always
+	// held (the metric is always the accumulated one), so grid hashes stay
+	// stable.
+	fmt.Fprintf(h, "|%v|%t|%t|%t|%d|0|%t|%d|%+v",
 		s.PUModel, s.ShareTopology, s.SameMAC, s.DisableHandoff,
-		s.MaxVirtualTime, s.CoolestMetric, s.Guard, s.Retries, s.Base)
+		s.MaxVirtualTime, s.Guard, s.Retries, s.Base)
 	if s.Faults != nil {
 		fmt.Fprintf(h, "|%+v", *s.Faults)
 	}
@@ -177,6 +184,7 @@ func (s *Sweep) shardHeader(reps int) *ShardHeader {
 		GridHash: s.gridHash(reps),
 		NumXs:    len(s.Xs),
 		Reps:     reps,
+		ADDCOnly: s.addcOnly(),
 	}
 }
 
@@ -265,10 +273,10 @@ const maxMergePairs = 1 << 20
 //     duplicate (xi, rep, algo) entries within a shard deduplicate
 //     last-write-wins, so merging resumed or retried shards is idempotent.
 //
-// The merged journal contains only complete pairs (both algorithms), in
-// grid index order with the ADDC entry before the Coolest one and no
-// header — precisely the bytes an unsharded Workers=1 checkpointed run
-// leaves behind. Incomplete or unjournaled pairs are reported in
+// The merged journal contains only complete pairs (both algorithms, or the
+// ADDC entry alone when the headers declare ADDCOnly), in grid index order
+// with the ADDC entry before the Coolest one and no header — precisely the
+// bytes an unsharded Workers=1 checkpointed run leaves behind. Incomplete or unjournaled pairs are reported in
 // MergeStats.MissingPairs; resuming the merged journal reruns exactly
 // those.
 func MergeJournals(out string, paths []string, opts MergeOptions) (*MergeStats, error) {
@@ -306,8 +314,8 @@ func MergeJournals(out string, paths []string, opts MergeOptions) (*MergeStats, 
 		}
 		if ref == nil {
 			ref = h
-		} else if h.Sweep != ref.Sweep || h.GridHash != ref.GridHash ||
-			h.Count != ref.Count || h.NumXs != ref.NumXs || h.Reps != ref.Reps {
+		} else if h.Sweep != ref.Sweep || h.GridHash != ref.GridHash || h.Count != ref.Count ||
+			h.NumXs != ref.NumXs || h.Reps != ref.Reps || h.ADDCOnly != ref.ADDCOnly {
 			return nil, fmt.Errorf("%w: %s declares sweep %s shard %d/%d grid %s (%dx%d), want sweep %s of %d grid %s (%dx%d)",
 				ErrShardMismatch, path, h.Sweep, h.Index, h.Count, h.GridHash, h.NumXs, h.Reps,
 				ref.Sweep, ref.Count, ref.GridHash, ref.NumXs, ref.Reps)
@@ -360,11 +368,14 @@ func MergeJournals(out string, paths []string, opts MergeOptions) (*MergeStats, 
 		for rep := 0; rep < ref.Reps; rep++ {
 			a, okA := byKey[[3]int{xi, rep, 0}]
 			c, okC := byKey[[3]int{xi, rep, 1}]
-			if !okA || !okC {
+			switch {
+			case okA && ref.ADDCOnly:
+				merged.Add(a)
+			case okA && okC:
+				merged.Add(a, c)
+			default:
 				stats.MissingPairs = append(stats.MissingPairs, [2]int{xi, rep})
-				continue
 			}
-			merged.Add(a, c)
 		}
 	}
 	stats.Entries = merged.Len()

@@ -58,6 +58,29 @@ func TestParseShard(t *testing.T) {
 // Property: for random grids, the k shard partitions exactly tile the
 // (x, rep) index space — every pair owned by exactly one shard, in grid
 // order within each shard.
+// FuzzParseShard feeds arbitrary strings to ParseShard: it must never panic,
+// every spec it accepts must pass Validate, and printing an accepted spec
+// must parse back to the same spec.
+func FuzzParseShard(f *testing.F) {
+	for _, s := range []string{"1/3", "3/3", " 2 / 5 ", "+1/2", "0/1", "2/1", "-1/2", "1/", "/", "", "a/b",
+		"1/2/3", "9223372036854775807/9223372036854775807", "99999999999999999999/1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sp, err := ParseShard(s)
+		if err != nil {
+			return
+		}
+		if err := sp.Validate(); err != nil {
+			t.Fatalf("ParseShard(%q) accepted %+v, which Validate rejects: %v", s, sp, err)
+		}
+		back, err := ParseShard(sp.String())
+		if err != nil || back != sp {
+			t.Fatalf("ParseShard(%q) = %+v, but its String %q parses to %+v, %v", s, sp, sp.String(), back, err)
+		}
+	})
+}
+
 func TestPartitionTilesGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -147,13 +170,31 @@ func runShards(t *testing.T, dir string, k int, mutate func(*Sweep)) (base strin
 	return base, paths
 }
 
+// shardTestExt2 turns the shard test sweep into the ADDC-only ext2 figure
+// over the same small grid.
+func shardTestExt2(s *Sweep) {
+	fig, err := NewFigureSweep("ext2", s.Base, s.Seed)
+	if err != nil {
+		panic(err)
+	}
+	fig.Xs = []float64{0.1, 0.3}
+	fig.Reps, fig.MaxVirtualTime, fig.Workers = s.Reps, s.MaxVirtualTime, s.Workers
+	*s = *fig
+}
+
 // The core byte-identity contract: for k in {1, 2, 5}, merging the k shard
 // journals reproduces the unsharded run's journal byte for byte, and the
 // summary replayed from the merged journal equals the unsharded summary
-// (CSV byte-identical; points deep-equal).
+// (CSV byte-identical; points deep-equal) — for a Fig. 6-style sweep and for
+// the ADDC-only ext2 figure.
 func TestShardedMergeByteIdentical(t *testing.T) {
+	checkShardedMerge(t, nil)
+	t.Run("ext2", func(t *testing.T) { checkShardedMerge(t, shardTestExt2) })
+}
+
+func checkShardedMerge(t *testing.T, mutate func(*Sweep)) {
 	baselineDir := t.TempDir()
-	baseline := shardTestSweep(baselineDir, nil)
+	baseline := shardTestSweep(baselineDir, mutate)
 	baseline.Checkpoint = filepath.Join(baselineDir, "cp.jsonl")
 	baseRes, err := baseline.Run()
 	if err != nil {
@@ -171,7 +212,7 @@ func TestShardedMergeByteIdentical(t *testing.T) {
 	for _, k := range []int{1, 2, 5} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			dir := t.TempDir()
-			base, paths := runShards(t, dir, k, nil)
+			base, paths := runShards(t, dir, k, mutate)
 			stats, err := MergeJournals(base, paths, MergeOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -186,7 +227,7 @@ func TestShardedMergeByteIdentical(t *testing.T) {
 			if !bytes.Equal(merged, wantJournal) {
 				t.Fatalf("merged journal diverges from unsharded run:\n merged:\n%s\n unsharded:\n%s", merged, wantJournal)
 			}
-			replay := shardTestSweep(dir, nil)
+			replay := shardTestSweep(dir, mutate)
 			replay.Checkpoint = base
 			replay.Resume = true
 			replay.ReplayOnly = true

@@ -1,7 +1,8 @@
 // Package experiment regenerates the paper's evaluation artifacts: the
 // Fig. 6 delay sweeps comparing ADDC against the Coolest baseline, the
 // Fig. 4 PCR panels, and the Theorem 1/2 bound comparisons recorded in
-// EXPERIMENTS.md.
+// EXPERIMENTS.md, plus the ADDC-only extension sweeps ext1 (licensed
+// channels) and ext2 (SU crash fraction), which run on the same engine.
 //
 // Each sweep point is repeated over several independent topologies (the
 // paper averages 10 repetitions); repetitions run in parallel, one
@@ -39,7 +40,7 @@ import (
 
 // Sweep declares one delay-vs-parameter experiment.
 type Sweep struct {
-	// ID is the figure identifier ("6a".."6f").
+	// ID is the figure identifier ("6a".."6f", "ext1", "ext2").
 	ID string
 	// Title and XLabel annotate output.
 	Title  string
@@ -55,11 +56,8 @@ type Sweep struct {
 	Seed uint64
 	// PUModel selects the primary activity model (default exact).
 	PUModel spectrum.ModelKind
-	// MaxVirtualTime bounds each run (default 30 virtual minutes).
+	// MaxVirtualTime bounds each run (default 2 virtual hours).
 	MaxVirtualTime time.Duration
-	// CoolestMetric selects the baseline's path metric (default
-	// accumulated).
-	CoolestMetric coolest.Metric
 	// DisableHandoff switches off abort-on-PU-arrival in both algorithms.
 	DisableHandoff bool
 	// SameMAC runs Coolest on ADDC's PCR MAC instead of the generic CSMA
@@ -113,11 +111,10 @@ type Sweep struct {
 	// merge paths use it to render a (possibly partial) summary from a
 	// merged journal deterministically.
 	ReplayOnly bool
-	// FlushBatch and FlushInterval override the journal flush policy
-	// (default batch 32 / 500ms). The chaos harness sets batch 1 so a
+	// FlushBatch overrides the journal flush batch (default 32 entries;
+	// the interval is always 500ms). The chaos harness sets batch 1 so a
 	// SIGKILLed shard has journaled every completed pair.
-	FlushBatch    int
-	FlushInterval time.Duration
+	FlushBatch int
 	// Faults, when non-nil, injects the same deterministic fault plan into
 	// every repetition (see fault.Spec); part of the sweep's grid identity,
 	// so shards disagree loudly instead of merging mixed results.
@@ -145,7 +142,17 @@ type Sweep struct {
 	// telemetry equivalence test pins CSV and journal bytes identical with
 	// Spans set versus nil.
 	Spans trace.SpanSink
+
+	// configure, set only by the extension figures of NewFigureSweep, makes
+	// the sweep ADDC-only: each pair runs ADDC alone, and x is applied to
+	// that run's CollectConfig (channels, fault plan) rather than through
+	// Apply to the parameters.
+	configure func(cfg *core.CollectConfig, nw *netmodel.Network, x float64) error
 }
+
+// addcOnly reports whether each pair runs ADDC alone (the extension
+// figures), journaling one entry per pair instead of two.
+func (s *Sweep) addcOnly() bool { return s.configure != nil }
 
 // PointResult aggregates both algorithms at one x value.
 type PointResult struct {
@@ -168,6 +175,14 @@ type PointResult struct {
 	ADDCTightness stats.Summary
 	ADDCPUBusy    stats.Summary
 	ADDCFairness  stats.Summary
+	// ADDCDelivery, ADDCRepairs, ADDCDrops and ADDCDeafness summarize the
+	// extension columns of each ADDC repetition: the delivery ratio, the
+	// self-healing re-parentings and retry-cap drops (all three move only
+	// under faults), and the deafness losses (only on C > 1 channels).
+	ADDCDelivery stats.Summary
+	ADDCRepairs  stats.Summary
+	ADDCDrops    stats.Summary
+	ADDCDeafness stats.Summary
 	// Failed counts repetitions that errored (deadline, deployment,
 	// invariant violation or panic); LastError carries the most recent
 	// failure's message so a failing point is diagnosable from the table
@@ -221,8 +236,16 @@ type runOutcome struct {
 	tightness float64
 	puBusy    float64
 	fairness  float64
-	coolest   bool
-	err       error
+	// loss, repairs, drops and deafness are the ADDC run's extension
+	// columns: the fraction of packets destroyed by faults, self-healing
+	// re-parentings, retry-cap drops and deafness losses. All are zero on
+	// fault-free single-channel runs, so their journal fields stay absent.
+	loss     float64
+	repairs  int
+	drops    int
+	deafness int
+	coolest  bool
+	err      error
 	// canceled marks an outcome cut short by context cancellation: it is
 	// neither a result nor a failure, and is never journaled.
 	canceled bool
@@ -241,6 +264,10 @@ func (o runOutcome) entry(sweepID string) CheckpointEntry {
 		Tightness: o.tightness,
 		PUBusy:    o.puBusy,
 		Fairness:  o.fairness,
+		Loss:      o.loss,
+		Repairs:   o.repairs,
+		Drops:     o.drops,
+		Deafness:  o.deafness,
 	}
 	if o.coolest {
 		e.Algo = algoCoolest
@@ -262,6 +289,10 @@ func entryOutcome(e CheckpointEntry) runOutcome {
 		tightness: e.Tightness,
 		puBusy:    e.PUBusy,
 		fairness:  e.Fairness,
+		loss:      e.Loss,
+		repairs:   e.Repairs,
+		drops:     e.Drops,
+		deafness:  e.Deafness,
 		coolest:   e.Algo == algoCoolest,
 	}
 	if e.Err != "" {
@@ -272,7 +303,8 @@ func entryOutcome(e CheckpointEntry) runOutcome {
 
 // Run executes the sweep: for every x and repetition it deploys one
 // connected topology, builds the ADDC CDS tree and the Coolest routing tree
-// over the same topology, runs both collections, and summarizes.
+// over the same topology, runs both collections (ADDC alone for the
+// extension figures), and summarizes.
 func (s *Sweep) Run() (*SweepResult, error) {
 	return s.RunContext(context.Background())
 }
@@ -302,10 +334,6 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 	workers := s.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	metric := s.CoolestMetric
-	if metric == 0 {
-		metric = coolest.MetricAccumulated
 	}
 	start := time.Now()
 
@@ -386,7 +414,7 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 			} else {
 				env.ws = core.NewWorkspace()
 			}
-			s.runWorker(ctx, cm, pending, metric, env)
+			s.runWorker(ctx, cm, pending, env)
 		}()
 	}
 	wg.Wait()
@@ -408,7 +436,7 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 	for xi, x := range s.Xs {
 		p := PointResult{X: x}
 		var delays, caps, aborts [2][]float64 // [0] ADDC, [1] Coolest
-		var tight, puBusy, fair []float64
+		var tight, puBusy, fair, delivery, repairs, drops, deaf []float64
 		for rep := 0; rep < reps; rep++ {
 			for _, out := range grid[xi][rep] {
 				if out.canceled {
@@ -435,6 +463,10 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 					}
 					puBusy = append(puBusy, out.puBusy)
 					fair = append(fair, out.fairness)
+					delivery = append(delivery, 1-out.loss)
+					repairs = append(repairs, float64(out.repairs))
+					drops = append(drops, float64(out.drops))
+					deaf = append(deaf, float64(out.deafness))
 				}
 			}
 		}
@@ -447,6 +479,10 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 		p.ADDCTightness = stats.Summarize(tight)
 		p.ADDCPUBusy = stats.Summarize(puBusy)
 		p.ADDCFairness = stats.Summarize(fair)
+		p.ADDCDelivery = stats.Summarize(delivery)
+		p.ADDCRepairs = stats.Summarize(repairs)
+		p.ADDCDrops = stats.Summarize(drops)
+		p.ADDCDeafness = stats.Summarize(deaf)
 		res.Points = append(res.Points, p)
 		total += p.ADDCDelay.N + p.CoolestDelay.N
 	}
@@ -496,7 +532,7 @@ func claimChunk(pending, workers int) int {
 // outcomes into the committer at flush boundaries. After cancellation it
 // keeps claiming, marking every remaining pair canceled (cheap: no
 // simulation runs) so the summary's bookkeeping sees the whole grid.
-func (s *Sweep) runWorker(ctx context.Context, cm *committer, pending []sweepJob, metric coolest.Metric, env *runEnv) {
+func (s *Sweep) runWorker(ctx context.Context, cm *committer, pending []sweepJob, env *runEnv) {
 	var buf [][]runOutcome
 	lastDrain := time.Now()
 	drain := func() {
@@ -518,13 +554,10 @@ func (s *Sweep) runWorker(ctx context.Context, cm *committer, pending []sweepJob
 			if cause := ctxErr(ctx); cause != nil {
 				// Mark without running: canceled pairs are neither
 				// summarized nor journaled.
-				buf = append(buf, []runOutcome{
-					{xi: j.xi, rep: j.rep, err: cause, canceled: true},
-					{xi: j.xi, rep: j.rep, coolest: true, err: cause, canceled: true},
-				})
+				buf = append(buf, s.failedPair(j.xi, j.rep, cause, true))
 				continue
 			}
-			buf = append(buf, s.runPair(ctx, j.xi, j.rep, metric, env))
+			buf = append(buf, s.runPair(ctx, j.xi, j.rep, env))
 			if cm.drainDue(len(buf), lastDrain) {
 				drain()
 			}
@@ -564,15 +597,19 @@ type committer struct {
 }
 
 // drainDue reports whether a worker's local buffer should drain now: always
-// at the journal's flush-batch boundary (counted in entries, two per pair)
-// or flush interval, and never before the end of the sweep when there is no
-// journal — the grid is the only consumer then, and it is read after the
-// pool joins.
+// at the journal's flush-batch boundary (counted in entries: two per pair,
+// one for the ADDC-only figures) or flush interval, and never before the end
+// of the sweep when there is no journal — the grid is the only consumer
+// then, and it is read after the pool joins.
 func (c *committer) drainDue(buffered int, lastDrain time.Time) bool {
 	if c.jr == nil {
 		return false
 	}
-	return 2*buffered >= c.sweep.flushBatch() || time.Since(lastDrain) >= c.sweep.flushInterval()
+	perPair := 2
+	if c.sweep.addcOnly() {
+		perPair = 1
+	}
+	return perPair*buffered >= c.sweep.flushBatch() || time.Since(lastDrain) >= journalFlushInterval
 }
 
 // commit stores a batch of completed pair outcomes into the grid, advances
@@ -617,7 +654,7 @@ func (c *committer) commit(groups [][]runOutcome) {
 		c.frontier++
 	}
 	before := c.jr.persisted
-	if err := c.jr.MaybeFlush(c.sweep.flushBatch(), c.sweep.flushInterval()); err != nil && c.flushErr == nil {
+	if err := c.jr.MaybeFlush(c.sweep.flushBatch(), journalFlushInterval); err != nil && c.flushErr == nil {
 		c.flushErr = err
 	}
 	c.flushSpan(before)
@@ -639,8 +676,9 @@ func (c *committer) flushSpan(before int) {
 
 // loadCheckpoint prepares the journal per the Checkpoint/Resume settings and
 // replays completed pairs into the grid. A pair counts as completed only
-// when both algorithms' outcomes are journaled; partial pairs rerun (their
-// stale entries are discarded so the rewritten journal stays consistent).
+// when every algorithm it runs (both, or ADDC alone for the extension
+// figures) has its outcome journaled; partial pairs rerun (their stale
+// entries are discarded so the rewritten journal stays consistent).
 // It returns a nil journal when checkpointing is off.
 func (s *Sweep) loadCheckpoint(grid [][][]runOutcome, reps int) (*Journal, int, error) {
 	if s.Checkpoint == "" {
@@ -697,31 +735,29 @@ func (s *Sweep) loadCheckpoint(grid [][][]runOutcome, reps int) (*Journal, int, 
 			pair := byPair[[2]int{xi, rep}]
 			a, okA := pair[algoADDC]
 			c, okC := pair[algoCoolest]
-			if !okA || !okC {
+			switch {
+			case okA && s.addcOnly():
+				grid[xi][rep] = []runOutcome{entryOutcome(a)}
+				jr.Add(a)
+			case okA && okC:
+				grid[xi][rep] = []runOutcome{entryOutcome(a), entryOutcome(c)}
+				jr.Add(a, c)
+			default:
 				continue
 			}
-			grid[xi][rep] = []runOutcome{entryOutcome(a), entryOutcome(c)}
-			jr.Add(a, c)
 			resumed++
 		}
 	}
 	return jr, resumed, nil
 }
 
-// flushBatch and flushInterval resolve the journal flush policy, defaulting
-// to the package-wide batched policy.
+// flushBatch resolves the journal flush batch, defaulting to the
+// package-wide batched policy.
 func (s *Sweep) flushBatch() int {
 	if s.FlushBatch > 0 {
 		return s.FlushBatch
 	}
 	return journalFlushBatch
-}
-
-func (s *Sweep) flushInterval() time.Duration {
-	if s.FlushInterval > 0 {
-		return s.FlushInterval
-	}
-	return journalFlushInterval
 }
 
 // runEnv is one worker's resettable execution context: the shared topology
@@ -765,7 +801,7 @@ type runTopo struct {
 
 // topologyFor resolves a deployment for one placement seed: shared via the
 // memoizing cache under ShareTopology, or built fresh.
-func (s *Sweep) topologyFor(params netmodel.Params, seed uint64, metric coolest.Metric, env *runEnv) (runTopo, error) {
+func (s *Sweep) topologyFor(params netmodel.Params, seed uint64, env *runEnv) (runTopo, error) {
 	if s.ShareTopology {
 		if err := params.Validate(); err != nil {
 			return runTopo{}, err // never cache a non-topological validation failure
@@ -780,7 +816,7 @@ func (s *Sweep) topologyFor(params netmodel.Params, seed uint64, metric coolest.
 		}
 		return runTopo{
 			nw: nw, adj: topo.Adj, tree: topo.Tree, treeStats: topo.Stats, tables: topo,
-			parentsOf: func(r float64) ([]int32, error) { return topo.coolestParents(nw, r, metric) },
+			parentsOf: func(r float64) ([]int32, error) { return topo.coolestParents(nw, r) },
 		}, nil
 	}
 	topo, err := BuildTopology(params, seed)
@@ -792,43 +828,52 @@ func (s *Sweep) topologyFor(params netmodel.Params, seed uint64, metric coolest.
 		// table provider: without it both runs' carrier-sense trackers
 		// rebuild the same CSR tables from the raw Network.
 		nw: topo.NW, adj: topo.Adj, tree: topo.Tree, treeStats: topo.Stats, tables: topo,
-		parentsOf: func(r float64) ([]int32, error) { return coolest.BuildParentsOn(topo.Adj, topo.NW, r, metric) },
+		parentsOf: func(r float64) ([]int32, error) {
+			return coolest.BuildParentsOn(topo.Adj, topo.NW, r, coolest.MetricAccumulated)
+		},
 	}, nil
 }
 
-// runPair executes both algorithms for one (x, rep) pair with panic
-// isolation and bounded retry. A panic anywhere in the pair fails both of
-// its outcomes (carrying the stack trace) and discards the worker's reusable
+// runPair executes the algorithms of one (x, rep) pair with panic isolation
+// and bounded retry. A panic anywhere in the pair fails all of its outcomes
+// (carrying the stack trace) and discards the worker's reusable
 // context; a transient deployment failure re-attempts the pair with a fresh
 // derived seed, up to s.Retries times.
-func (s *Sweep) runPair(ctx context.Context, xi, rep int, metric coolest.Metric, env *runEnv) (outs []runOutcome) {
+func (s *Sweep) runPair(ctx context.Context, xi, rep int, env *runEnv) (outs []runOutcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			err := fmt.Errorf("experiment: sweep %s x[%d] rep %d panicked: %v\n%s",
 				s.ID, xi, rep, r, debug.Stack())
-			outs = []runOutcome{
-				{xi: xi, rep: rep, err: err},
-				{xi: xi, rep: rep, coolest: true, err: err},
-			}
+			outs = s.failedPair(xi, rep, err, false)
 			env.discard()
 		}
 	}()
 	for attempt := 0; ; attempt++ {
-		outs = s.runPairOnce(ctx, xi, rep, attempt, metric, env)
+		outs = s.runPairOnce(ctx, xi, rep, attempt, env)
 		if attempt >= s.Retries || !retryable(outs) {
 			return outs
 		}
 	}
 }
 
-// runPairOnce runs ADDC and then Coolest over one topology. Both collections
+// failedPair fails every outcome of the (xi, rep) pair with err.
+func (s *Sweep) failedPair(xi, rep int, err error, canceled bool) []runOutcome {
+	outs := []runOutcome{{xi: xi, rep: rep, err: err, canceled: canceled}}
+	if !s.addcOnly() {
+		outs = append(outs, runOutcome{xi: xi, rep: rep, coolest: true, err: err, canceled: canceled})
+	}
+	return outs
+}
+
+// runPairOnce runs ADDC and then Coolest over one topology (ADDC alone, with
+// x applied by s.configure, for the extension figures). Both collections
 // and the deployment use the seed rng.ChildSeedN(Seed, label, rep), where
 // label is "sweep/<ID>/x<xi>", or "sweep/<ID>/topo" under ShareTopology (the
 // placement seed must not depend on x for cross-point sharing), with
 // "/attempt<k>" appended on retry k > 0. A pair's outcome is therefore a
 // function of the pair alone, so resume, shard and merge reproduce it
 // exactly.
-func (s *Sweep) runPairOnce(ctx context.Context, xi, rep, attempt int, metric coolest.Metric, env *runEnv) []runOutcome {
+func (s *Sweep) runPairOnce(ctx context.Context, xi, rep, attempt int, env *runEnv) []runOutcome {
 	params := s.Apply(s.Base, s.Xs[xi])
 	label := fmt.Sprintf("sweep/%s/x%d", s.ID, xi)
 	if s.ShareTopology {
@@ -839,13 +884,9 @@ func (s *Sweep) runPairOnce(ctx context.Context, xi, rep, attempt int, metric co
 	}
 	seed := rng.ChildSeedN(s.Seed, label, rep)
 
-	topo, err := s.topologyFor(params, seed, metric, env)
+	topo, err := s.topologyFor(params, seed, env)
 	if err != nil {
-		canceled := isCanceled(err)
-		return []runOutcome{
-			{xi: xi, rep: rep, err: err, canceled: canceled},
-			{xi: xi, rep: rep, coolest: true, err: err, canceled: canceled},
-		}
+		return s.failedPair(xi, rep, err, isCanceled(err))
 	}
 
 	budget := s.MaxVirtualTime
@@ -873,8 +914,15 @@ func (s *Sweep) runPairOnce(ctx context.Context, xi, rep, attempt int, metric co
 	addcCfg.Tree = topo.tree
 	addcCfg.TreeStats = topo.treeStats
 	addcCfg.Metrics = env.reg
+	if s.configure != nil {
+		err = s.configure(&addcCfg, topo.nw, s.Xs[xi])
+	}
 	outs := make([]runOutcome, 0, 2)
-	if res, err := core.CollectContext(ctx, topo.nw, topo.tree.Parent, addcCfg); err != nil {
+	var res *core.Result
+	if err == nil {
+		res, err = core.CollectContext(ctx, topo.nw, topo.tree.Parent, addcCfg)
+	}
+	if err != nil {
 		outs = append(outs, runOutcome{xi: xi, rep: rep, err: err, canceled: isCanceled(err)})
 	} else {
 		o := runOutcome{
@@ -886,18 +934,25 @@ func (s *Sweep) runPairOnce(ctx context.Context, xi, rep, attempt int, metric co
 			tightness: -1,
 			puBusy:    env.reg.Gauge("spectrum_pu_busy_fraction").Value(),
 			fairness:  res.FairnessIndex,
+			loss:      float64(res.Lost) / float64(res.Expected),
+			deafness:  res.TotalDeafnessLosses,
 		}
 		if res.Theory != nil {
 			o.tightness = res.Theory.ServiceTightness
 		}
+		if res.Fault != nil {
+			o.repairs, o.drops = res.Fault.Repairs, res.Fault.Drops
+		}
 		outs = append(outs, o)
+	}
+	if s.addcOnly() {
+		return outs
 	}
 
 	// Coolest over its temperature tree, same topology, same seed, run
 	// uninstrumented. By default it runs the generic-CSMA profile
 	// (collisions, naive sensing, no fairness wait); SameMAC keeps ADDC's MAC
 	// for the routing-only ablation.
-	var res *core.Result
 	consts, err := pcr.Compute(params)
 	if err == nil {
 		var parents []int32

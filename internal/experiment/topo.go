@@ -25,7 +25,6 @@ import (
 
 	"addcrn/internal/cds"
 	"addcrn/internal/coolest"
-	"addcrn/internal/core"
 	"addcrn/internal/graphx"
 	"addcrn/internal/netmodel"
 	"addcrn/internal/rng"
@@ -116,7 +115,6 @@ func (tt *topoTables) clone() *topoTables {
 // a sweep over p_t gets one tree per grid point even on a shared topology.
 type coolestKey struct {
 	sensingRange float64
-	metric       coolest.Metric
 	activeProb   float64
 }
 
@@ -200,13 +198,13 @@ func (t *Topology) PUNeighborTable(radius float64) (*netmodel.CSRTable, error) {
 	return tab, nil
 }
 
-// coolestParents memoizes the Coolest routing tree for (sensing range,
-// metric, p_t) on this topology. nw must be this topology's network (with
+// coolestParents memoizes the Coolest routing tree (accumulated metric) for
+// (sensing range, p_t) on this topology. nw must be this topology's network (with
 // per-point params applied via WithParams); the returned slice is shared
 // and must be treated read-only — core copies it before any mutation. Hits
 // are lock-free snapshot reads.
-func (t *Topology) coolestParents(nw *netmodel.Network, sensingRange float64, metric coolest.Metric) ([]int32, error) {
-	key := coolestKey{sensingRange: sensingRange, metric: metric, activeProb: nw.Params.ActiveProb}
+func (t *Topology) coolestParents(nw *netmodel.Network, sensingRange float64) ([]int32, error) {
+	key := coolestKey{sensingRange: sensingRange, activeProb: nw.Params.ActiveProb}
 	if tt := t.tables.Load(); tt != nil {
 		if p, ok := tt.coolest[key]; ok {
 			return p, nil
@@ -220,7 +218,7 @@ func (t *Topology) coolestParents(nw *netmodel.Network, sensingRange float64, me
 			return p, nil
 		}
 	}
-	p, err := coolest.BuildParentsOn(t.Adj, nw, sensingRange, metric)
+	p, err := coolest.BuildParentsOn(t.Adj, nw, sensingRange, coolest.MetricAccumulated)
 	if err != nil {
 		return nil, err
 	}
@@ -272,17 +270,6 @@ func (t *Topology) sizeBytes() int64 {
 	}
 	b += 4 * int64(len(t.Tree.Dominators)+len(t.Tree.Connectors))
 	return b
-}
-
-// prebuilt packages the topology for core.RunContext.
-func (t *Topology) prebuilt() *core.Prebuilt {
-	return &core.Prebuilt{
-		Network: t.NW,
-		Tree:    t.Tree,
-		Adj:     t.Adj,
-		Stats:   t.Stats,
-		Tables:  t,
-	}
 }
 
 var _ spectrum.NeighborTables = (*Topology)(nil)

@@ -58,22 +58,6 @@ func (m *memoTables) memo(cache map[float64]*netmodel.CSRTable, radius float64,
 	return tab, nil
 }
 
-// prebuiltFor deploys and builds the tree Run would build for opts, and
-// attaches a memoizing tables provider.
-func prebuiltFor(t testing.TB, opts Options) (*core.Prebuilt, *memoTables) {
-	t.Helper()
-	nw, err := netmodel.DeployConnected(opts.Params, rng.New(opts.Seed), 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := core.BuildTree(nw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tabs := newMemoTables(nw)
-	return &core.Prebuilt{Network: nw, Tree: tree, Tables: tabs}, tabs
-}
-
 // hashResult feeds every field of r into h in a fixed order.
 func hashResult(h hash.Hash, r *Result) {
 	var buf [8]byte
@@ -103,9 +87,8 @@ func hashResult(h hash.Hash, r *Result) {
 }
 
 // TestGoldenResults runs seeds 1–8 × C∈{1,2,4} × both assignment modes at
-// the small test point, C=1 and C=4 at the scaled default (n=300), and one
-// run through Prebuilt with a shared tables provider, and compares one
-// digest over every Result against goldenDigest.
+// the small test point, C=1 and C=4 at the scaled default (n=300), and seed
+// 9 at C=4, and compares one digest over every Result against goldenDigest.
 func TestGoldenResults(t *testing.T) {
 	h := sha256.New()
 	run := func(opts Options) {
@@ -130,37 +113,56 @@ func TestGoldenResults(t *testing.T) {
 		opts.Params = netmodel.ScaledDefaultParams()
 		run(opts)
 	}
-	opts := testOpts(9, 4)
-	opts.Prebuilt, _ = prebuiltFor(t, opts)
-	run(opts)
+	run(testOpts(9, 4))
 
 	if got := hex.EncodeToString(h.Sum(nil)); got != goldenDigest {
 		t.Fatalf("Result digest %s, want %s", got, goldenDigest)
 	}
 }
 
-// TestPrebuiltTablesShared checks that a run takes its CSR tables from
-// Prebuilt.Tables — one SU and one PU table serve all C trackers, and a
-// second run on the same provider builds nothing — and that the shared
-// tables leave the Result unchanged.
-func TestPrebuiltTablesShared(t *testing.T) {
+// TestSharedTablesServeAllChannels checks that a collection takes its CSR
+// tables from CollectConfig.Tables — one SU and one PU table serve all C
+// trackers, and a second run on the same provider builds nothing — and that
+// the shared tables leave the result equal to Run's.
+func TestSharedTablesServeAllChannels(t *testing.T) {
 	opts := testOpts(9, 4)
 	plain, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tabs *memoTables
-	opts.Prebuilt, tabs = prebuiltFor(t, opts)
+	nw, err := netmodel.DeployConnected(opts.Params, rng.New(opts.Seed), 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := core.BuildTree(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	home, err := HomeChannels(nw, opts.Channels, AssignLeastPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tabs := newMemoTables(nw)
 	for i := 0; i < 2; i++ {
-		shared, err := Run(opts)
+		res, err := core.Collect(nw, tree.Parent, core.CollectConfig{
+			Seed:           opts.Seed,
+			MaxVirtualTime: opts.MaxVirtualTime,
+			Tables:         tabs,
+			Channels:       opts.Channels,
+			Home:           home,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tabs.builds != 2 {
 			t.Fatalf("run %d: provider built %d tables, want one SU and one PU", i, tabs.builds)
 		}
-		if !reflect.DeepEqual(plain, shared) {
-			t.Fatalf("run %d: shared-table result %+v, want %+v", i, shared, plain)
+		got := []any{res.DelaySlots, res.Capacity, res.Delivered, res.TotalTransmissions,
+			res.TotalAborts, res.TotalDeafnessLosses, res.ChannelLoad, res.HopStats}
+		want := []any{plain.DelaySlots, plain.Capacity, plain.Delivered, plain.Transmissions,
+			plain.Aborts, plain.DeafnessLosses, plain.ChannelLoad, plain.HopStats}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: shared-table result %v, want %v", i, got, want)
 		}
 	}
 }

@@ -21,11 +21,9 @@ import (
 	"fmt"
 	"time"
 
-	"addcrn/internal/cds"
 	"addcrn/internal/core"
 	"addcrn/internal/netmodel"
 	"addcrn/internal/pcr"
-	"addcrn/internal/spectrum"
 	"addcrn/internal/stats"
 )
 
@@ -69,13 +67,6 @@ type Options struct {
 	MaxVirtualTime time.Duration
 	// DeployAttempts bounds connectivity resampling (default 50).
 	DeployAttempts int
-	// Prebuilt, when non-nil, supplies the deployment and routing tree
-	// instead of building them from Params and Seed (the sweep engine
-	// shares one memoized topology across channel counts), and its
-	// Tables, when set, the CSR neighbor tables all C channels share. All
-	// are treated read-only; they must describe the deployment the (Params,
-	// Seed) pair would have produced, or determinism guarantees are void.
-	Prebuilt *core.Prebuilt
 }
 
 // Result reports a multi-channel run.
@@ -106,41 +97,26 @@ func Run(opts Options) (*Result, error) {
 	if opts.Channels < 1 {
 		return nil, fmt.Errorf("multichannel: need at least one channel, got %d", opts.Channels)
 	}
-	if opts.Assign == 0 {
-		opts.Assign = AssignLeastPU
-	}
 	if opts.MaxVirtualTime <= 0 {
 		opts.MaxVirtualTime = 2 * time.Hour
 	}
-	var nw *netmodel.Network
-	var tree *cds.Tree
-	var tables spectrum.NeighborTables
-	if pre := opts.Prebuilt; pre != nil {
-		if pre.Network == nil || pre.Tree == nil {
-			return nil, fmt.Errorf("multichannel: Prebuilt requires Network and Tree")
-		}
-		nw, tree, tables = pre.Network, pre.Tree, pre.Tables
-	} else {
-		var err error
-		nw, err = core.BuildNetwork(core.Options{Params: opts.Params, Seed: opts.Seed, DeployAttempts: opts.DeployAttempts})
-		if err != nil {
-			return nil, err
-		}
-		tree, err = core.BuildTree(nw)
-		if err != nil {
-			return nil, err
-		}
+	nw, err := core.BuildNetwork(core.Options{Params: opts.Params, Seed: opts.Seed, DeployAttempts: opts.DeployAttempts})
+	if err != nil {
+		return nil, err
 	}
-	consts, err := pcr.Compute(nw.Params)
+	tree, err := core.BuildTree(nw)
+	if err != nil {
+		return nil, err
+	}
+	home, err := HomeChannels(nw, opts.Channels, opts.Assign)
 	if err != nil {
 		return nil, err
 	}
 	res, err := core.CollectContext(context.Background(), nw, tree.Parent, core.CollectConfig{
 		Seed:           opts.Seed,
 		MaxVirtualTime: opts.MaxVirtualTime,
-		Tables:         tables,
 		Channels:       opts.Channels,
-		Home:           assignHomeChannels(nw, opts.Channels, consts.Range, opts.Assign),
+		Home:           home,
 	})
 	if err != nil {
 		return nil, err
@@ -158,12 +134,26 @@ func Run(opts Options) (*Result, error) {
 	}, nil
 }
 
-// assignHomeChannels picks each secondary node's receive channel. PU i is
-// licensed to channel i mod C (see spectrum.ExactModel).
-func assignHomeChannels(nw *netmodel.Network, channels int, pcrRange float64, mode AssignMode) []int {
+// HomeChannels picks each secondary node's receive channel under mode
+// (default least-PU), for use as core.CollectConfig.Home. PU i is licensed to
+// channel i mod C (see spectrum.ExactModel); least-PU counts the PUs within
+// the node's PCR, derived from nw.Params.
+func HomeChannels(nw *netmodel.Network, channels int, mode AssignMode) ([]int, error) {
+	if channels < 1 {
+		return nil, fmt.Errorf("multichannel: need at least one channel, got %d", channels)
+	}
+	consts, err := pcr.Compute(nw.Params)
+	if err != nil {
+		return nil, err
+	}
+	pcrRange := consts.Range
 	home := make([]int, nw.NumNodes())
 	switch mode {
-	case AssignLeastPU:
+	case AssignRoundRobin:
+		for v := range home {
+			home[v] = v % channels
+		}
+	default: // AssignLeastPU
 		var buf []int32
 		counts := make([]int, channels)
 		for v := 0; v < nw.NumNodes(); v++ {
@@ -183,10 +173,6 @@ func assignHomeChannels(nw *netmodel.Network, channels int, pcrRange float64, mo
 			}
 			home[v] = best
 		}
-	default: // AssignRoundRobin
-		for v := range home {
-			home[v] = v % channels
-		}
 	}
-	return home
+	return home, nil
 }

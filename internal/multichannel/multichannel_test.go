@@ -7,6 +7,7 @@ import (
 
 	"addcrn/internal/core"
 	"addcrn/internal/netmodel"
+	"addcrn/internal/pcr"
 	"addcrn/internal/stats"
 )
 
@@ -138,53 +139,68 @@ func TestAssignLeastPUAvoidsHotChannels(t *testing.T) {
 	p.NumSU = 100
 	p.Area = 60
 	p.NumPU = 10
-	opts := Options{Params: p, Channels: 5, Seed: 7, Assign: AssignLeastPU}
-	// Build the assignment directly and verify the invariant: no channel
-	// with strictly fewer local PUs exists for any node.
-	nwOpts := opts
-	res, err := Run(nwOpts)
+	const channels = 5
+	nw, err := core.BuildNetwork(core.Options{Params: p, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = res // end-to-end path covered; the direct invariant follows
+	if _, err := HomeChannels(nw, 0, AssignLeastPU); err == nil {
+		t.Error("zero channels accepted")
+	}
+	home, err := HomeChannels(nw, channels, AssignLeastPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consts, err := pcr.Compute(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The invariant: no node has a channel with strictly fewer PUs (PU i on
+	// channel i mod C) within its PCR than its home channel.
+	for v := range home {
+		var counts [channels]int
+		for i, pu := range nw.PU {
+			if pu.Dist2(nw.SU[v]) <= consts.Range*consts.Range {
+				counts[i%channels]++
+			}
+		}
+		for c, n := range counts {
+			if n < counts[home[v]] {
+				t.Fatalf("node %d: home channel %d has %d PUs nearby, channel %d only %d", v, home[v], counts[home[v]], c, n)
+			}
+		}
+	}
 }
 
 // TestSingleChannelMatchesCore pins C = 1 to the paper's single-channel
-// engine: over twelve seeds, with and without a prebuilt topology, every
-// field multichannel.Result shares with core.Result must be bit-identical
-// to core.Run's, and a single channel must lose nothing to deafness.
+// engine: over twelve seeds, every field multichannel.Result shares with
+// core.Result must be bit-identical to core.Run's, and a single channel must
+// lose nothing to deafness.
 func TestSingleChannelMatchesCore(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
-		for _, prebuilt := range []bool{false, true} {
-			opts := testOpts(seed, 1)
-			coreOpts := core.Options{
-				Params:         opts.Params,
-				Seed:           seed,
-				MaxVirtualTime: opts.MaxVirtualTime,
-			}
-			if prebuilt {
-				opts.Prebuilt, _ = prebuiltFor(t, opts)
-				coreOpts.Prebuilt = opts.Prebuilt
-			}
-			got, err := Run(opts)
-			if err != nil {
-				t.Fatalf("seed %d prebuilt=%v: %v", seed, prebuilt, err)
-			}
-			want, err := core.Run(coreOpts)
-			if err != nil {
-				t.Fatalf("seed %d prebuilt=%v: core: %v", seed, prebuilt, err)
-			}
-			shared := func(delay, capacity float64, delivered, expected, tx, aborts int, hops stats.Summary) []any {
-				return []any{delay, capacity, delivered, expected, tx, aborts, hops}
-			}
-			g := shared(got.DelaySlots, got.Capacity, got.Delivered, got.Expected, got.Transmissions, got.Aborts, got.HopStats)
-			w := shared(want.DelaySlots, want.Capacity, want.Delivered, want.Expected, want.TotalTransmissions, want.TotalAborts, want.HopStats)
-			if !reflect.DeepEqual(g, w) {
-				t.Errorf("seed %d prebuilt=%v: multichannel %v, core %v", seed, prebuilt, g, w)
-			}
-			if got.DeafnessLosses != 0 {
-				t.Errorf("seed %d prebuilt=%v: %d deafness losses on one channel", seed, prebuilt, got.DeafnessLosses)
-			}
+		opts := testOpts(seed, 1)
+		got, err := Run(opts)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		want, err := core.Run(core.Options{
+			Params:         opts.Params,
+			Seed:           seed,
+			MaxVirtualTime: opts.MaxVirtualTime,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: core: %v", seed, err)
+		}
+		shared := func(delay, capacity float64, delivered, expected, tx, aborts int, hops stats.Summary) []any {
+			return []any{delay, capacity, delivered, expected, tx, aborts, hops}
+		}
+		g := shared(got.DelaySlots, got.Capacity, got.Delivered, got.Expected, got.Transmissions, got.Aborts, got.HopStats)
+		w := shared(want.DelaySlots, want.Capacity, want.Delivered, want.Expected, want.TotalTransmissions, want.TotalAborts, want.HopStats)
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("seed %d: multichannel %v, core %v", seed, g, w)
+		}
+		if got.DeafnessLosses != 0 {
+			t.Errorf("seed %d: %d deafness losses on one channel", seed, got.DeafnessLosses)
 		}
 	}
 }

@@ -44,11 +44,13 @@ func (d *Duration) UnmarshalJSON(data []byte) error {
 }
 
 // JobSpec is the service contract for one submitted experiment: a figure
-// sweep (the paper's Fig. 6 panels) with optional parameter overrides. The
+// sweep (the paper's Fig. 6 panels or the extension figures) with optional
+// parameter overrides. The
 // zero value of every field means "the same default the CLI uses", so a
 // spec of just {"figure":"6c"} reproduces `addc-experiments -fig 6c`.
 type JobSpec struct {
-	// Figure selects the sweep: "6a".."6f".
+	// Figure selects the sweep: "6a".."6f", or the ADDC-only extension
+	// figures "ext1" (licensed channels) and "ext2" (SU crash fraction).
 	Figure string `json:"figure"`
 	// Reps is the number of repetitions per sweep point (default 10).
 	Reps int `json:"reps,omitempty"`

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -118,6 +119,39 @@ func TestJobResultMatchesDirectRun(t *testing.T) {
 	}
 	if res.MeanDelayRatio <= 0 {
 		t.Fatalf("MeanDelayRatio = %v, want > 0", res.MeanDelayRatio)
+	}
+}
+
+// The extension figures go through the same catalogue: an ext2 job's stored
+// CSV, unsharded and split over two shard jobs, is byte-identical to running
+// the ext2 sweep directly.
+func TestExtensionJobMatchesDirectRun(t *testing.T) {
+	spec := testSpec(6)
+	spec.Figure = "ext2"
+	spec.Xs = []float64{0, 0.2}
+	want := referenceCSV(t, spec)
+	if !strings.HasPrefix(want, "x,addc_delay_mean,addc_delay_ci95,addc_delivery_mean,") {
+		t.Fatalf("direct ext2 run did not render the ADDC-only CSV:\n%s", want)
+	}
+
+	s := newTestServer(t, Config{Workers: 2})
+	s.Start()
+	defer s.Drain(time.Millisecond)
+	for _, shards := range []int{0, 2} {
+		spec.Shards = shards
+		j, err := s.Submit(spec, "tester")
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, s, j.ID, StateDone, 2*time.Minute)
+		res, err := s.Result(j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Partial || res.CSV != want {
+			t.Fatalf("shards=%d: service CSV (partial %v) diverged from direct run:\n--- direct\n%s--- service\n%s",
+				shards, res.Partial, want, res.CSV)
+		}
 	}
 }
 
