@@ -18,12 +18,12 @@
 //	curl -s localhost:8314/metrics                           # Prometheus scrape
 //
 // The daemon is bounded everywhere: a fixed worker pool, a bounded queue
-// (overflow gets 429 + Retry-After), a size-budgeted topology cache, and
-// optional per-client token buckets. SIGTERM/SIGINT drain gracefully —
-// admission stops, in-flight sweeps get -drain-grace to finish before
-// being interrupted at event-loop granularity, everything persists — and a
-// restarted daemon resumes unfinished jobs from their journals,
-// reproducing the uninterrupted results byte for byte.
+// (overflow gets 429 + Retry-After), per-job topology caches freed when
+// each job ends, and optional per-client token buckets. SIGTERM/SIGINT
+// drain gracefully — admission stops, in-flight sweeps get -drain-grace to
+// finish before being interrupted at event-loop granularity, everything
+// persists — and a restarted daemon resumes unfinished jobs from their
+// journals, reproducing the uninterrupted results byte for byte.
 //
 // Observability: logs are structured (log/slog) on stderr, text by default
 // and JSONL with -log-format json; every job-scoped line carries job_id,
@@ -90,7 +90,6 @@ func run(args []string) error {
 		state      = fs.String("state", "", "state directory for job records, journals and results (required)")
 		workers    = fs.Int("workers", 2, "job workers, each owning one reusable simulation workspace")
 		queue      = fs.Int("queue", 16, "queued-job bound; submissions beyond it get 429 + Retry-After")
-		cacheBytes = fs.Int64("cache-bytes", 64<<20, "topology cache budget in bytes (negative: unbounded)")
 		rate       = fs.Float64("rate", 0, "per-client submissions per second (0: unlimited)")
 		burst      = fs.Float64("burst", 0, "per-client burst size (default max(rate, 1))")
 		drainGrace = fs.Duration("drain-grace", 5*time.Second, "how long a drain lets in-flight jobs finish before interrupting them")
@@ -114,7 +113,6 @@ func run(args []string) error {
 		Workers:       *workers,
 		QueueDepth:    *queue,
 		StateDir:      *state,
-		CacheBytes:    *cacheBytes,
 		RatePerSec:    *rate,
 		RateBurst:     *burst,
 		DrainGrace:    *drainGrace,

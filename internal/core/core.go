@@ -462,16 +462,17 @@ type CollectConfig struct {
 
 // Workspace is a reusable per-worker simulation context. The zero value (or
 // NewWorkspace) is ready to use: the first run populates it, later runs
-// reset the retained engine, MAC, PU model, SIR monitor, root randomness
-// source and measurement scratch buffers in place, cutting per-repetition
-// allocation to O(changed state). It is not safe for concurrent use — give
-// each worker goroutine its own.
+// reset the retained engine, MAC, PU model, SIR monitor and gain table,
+// root randomness source and measurement scratch buffers in place, cutting
+// per-repetition allocation to O(changed state). It is not safe for
+// concurrent use — give each worker goroutine its own.
 type Workspace struct {
 	eng       *sim.Engine
 	m         *mac.MAC
 	src       *rng.Source
 	exact     *spectrum.ExactModel
 	mon       *spectrum.RxMonitor
+	gains     *spectrum.GainTable
 	latencies []float64
 	hops      []float64
 	perNodeTx []float64
@@ -699,7 +700,8 @@ func newRun(eng *sim.Engine, nw *netmodel.Network, parent []int32, cfg CollectCo
 	if cfg.GenericCSMA || cfg.SIRValidate {
 		ws.mon = spectrum.RenewRxMonitor(ws.mon, nw.Params.Alpha)
 		monitor = ws.mon
-		monitor.SetGainTable(spectrum.NewGainTable(nw))
+		ws.gains = spectrum.RenewGainTable(ws.gains, nw)
+		monitor.SetGainTable(ws.gains)
 	}
 
 	sink := cfg.Sink

@@ -188,12 +188,12 @@ func TestFaultSweepHonorsLaggingDeadline(t *testing.T) {
 func TestSharedTopologyImmutable(t *testing.T) {
 	s := extensionTestSweep(t, "ext2", 3, 0.2, 0.3)
 	s.ShareTopology = true
-	s.Cache = NewTopoCache(0)
+	cache := newTopoCache()
 	var topos []*Topology
 	var parents [][]int32
 	var sus [][]geom.Point
 	for rep := 0; rep < s.Reps; rep++ {
-		topo, err := s.Cache.get(s.Base, rng.ChildSeedN(s.Seed, "sweep/ext2/topo", rep))
+		topo, err := cache.get(s.Base, rng.ChildSeedN(s.Seed, "sweep/ext2/topo", rep))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestSharedTopologyImmutable(t *testing.T) {
 		parents = append(parents, append([]int32(nil), topo.Tree.Parent...))
 		sus = append(sus, append([]geom.Point(nil), topo.NW.SU...))
 	}
-	res, err := s.Run()
+	res, err := s.runWith(context.Background(), cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestSharedTopologyImmutable(t *testing.T) {
 			t.Fatalf("crash fraction %v: repairs %+v over %d reps; immutability coverage is vacuous", p.X, p.ADDCRepairs, p.ADDCDelay.N)
 		}
 	}
-	if st := s.Cache.Stats(); st.Misses != int64(s.Reps) {
+	if st := cache.stats(); st.Misses != int64(s.Reps) {
 		t.Fatalf("cache stats %+v: the sweep built its own topologies instead of sharing the cached ones", st)
 	}
 	for rep, topo := range topos {

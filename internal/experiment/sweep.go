@@ -120,12 +120,6 @@ type Sweep struct {
 	// so shards disagree loudly instead of merging mixed results.
 	Faults *fault.Spec
 
-	// Cache, when non-nil, supplies the topology cache ShareTopology
-	// memoizes into; nil builds a private unbounded cache per Run. The
-	// service daemon shares one size-accounted LRU cache across every job
-	// (see NewTopoCache) — sharing never changes results, since entries
-	// are pure functions of their key.
-	Cache *TopoCache
 	// Workspaces, when non-nil, sources each worker's reusable simulation
 	// context from this pool instead of building one per Run, and returns
 	// it when the sweep finishes. Long-running callers executing many
@@ -205,6 +199,9 @@ type SweepResult struct {
 	// Resumed counts repetitions replayed from the checkpoint journal
 	// instead of executed.
 	Resumed int
+	// TopoCache counts the run's topology cache lookups (all zero unless
+	// ShareTopology is set).
+	TopoCache TopoCacheStats
 }
 
 // MeanDelayRatio averages the per-point Coolest/ADDC delay ratio.
@@ -316,6 +313,12 @@ func (s *Sweep) Run() (*SweepResult, error) {
 // error wrapping the context's. A checkpointed sweep canceled this way
 // resumes exactly where it stopped.
 func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
+	return s.runWith(ctx, newTopoCache())
+}
+
+// runWith is RunContext memoizing ShareTopology deployments into cache. The
+// cache lives as long as the run: RunContext hands each run a fresh one.
+func (s *Sweep) runWith(ctx context.Context, cache *topoCache) (*SweepResult, error) {
 	if len(s.Xs) == 0 {
 		return nil, fmt.Errorf("experiment: sweep %q has no x values", s.ID)
 	}
@@ -367,14 +370,6 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 		workers = len(pending)
 	}
 
-	// One topology cache serves the whole pool; each worker owns a
-	// resettable simulation context (engine arena, MAC state, metrics
-	// registry, scratch buffers) wiped in place between jobs.
-	cache := s.Cache
-	if cache == nil {
-		cache = newTopoCache()
-	}
-
 	// The committer is the only cross-worker synchronization point: workers
 	// buffer completed outcomes locally and drain them under its lock at
 	// flush boundaries (see committer). Work distribution itself is an
@@ -400,6 +395,9 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 		}
 	}
 
+	// One topology cache serves the whole pool; each worker owns a
+	// resettable simulation context (engine arena, MAC state, metrics
+	// registry, scratch buffers) wiped in place between jobs.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -430,7 +428,7 @@ func (s *Sweep) RunContext(ctx context.Context) (*SweepResult, error) {
 		cm.flushSpan(before)
 	}
 
-	res := &SweepResult{Sweep: s, Resumed: resumed}
+	res := &SweepResult{Sweep: s, Resumed: resumed, TopoCache: cache.stats()}
 	var firstErr error
 	total := 0
 	for xi, x := range s.Xs {
@@ -760,11 +758,12 @@ func (s *Sweep) flushBatch() int {
 	return journalFlushBatch
 }
 
-// runEnv is one worker's resettable execution context: the shared topology
-// cache plus the per-worker workspace (event arena, MAC, scratch buffers)
-// and metrics registry, both wiped in place between jobs.
+// runEnv is one worker's resettable execution context: the run's topology
+// cache, shared by the whole pool, plus the per-worker workspace (event
+// arena, MAC, scratch buffers) and metrics registry, both wiped in place
+// between jobs.
 type runEnv struct {
-	cache *TopoCache
+	cache *topoCache
 	ws    *core.Workspace
 	reg   *metrics.Registry
 }

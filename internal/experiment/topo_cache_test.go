@@ -1,8 +1,8 @@
 package experiment
 
 import (
+	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -19,7 +19,7 @@ func cacheParams(i int) netmodel.Params {
 }
 
 func TestTopoCacheHitsAndSize(t *testing.T) {
-	c := NewTopoCache(0)
+	c := newTopoCache()
 	p := cacheParams(0)
 	a, err := c.get(p, 1)
 	if err != nil {
@@ -32,98 +32,26 @@ func TestTopoCacheHitsAndSize(t *testing.T) {
 	if a != b {
 		t.Fatal("second get did not return the memoized topology")
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("stats = %+v, want 1 hit, 1 miss, 1 entry", st)
-	}
-	if st.SizeBytes <= 0 {
-		t.Fatalf("SizeBytes = %d, want > 0 (size accounting)", st.SizeBytes)
+	if st := c.stats(); st != (TopoCacheStats{Hits: 1, Misses: 1}) || len(c.m) != 1 {
+		t.Fatalf("stats = %+v over %d entries, want 1 hit, 1 miss, 1 entry", st, len(c.m))
 	}
 
-	// Lazily built tables grow the entry's account.
-	before := st.SizeBytes
-	if _, err := a.SUNeighborTable(p.RadiusSU); err != nil {
+	// Lazily built tables are built once per radius and then shared.
+	tab, err := a.SUNeighborTable(p.RadiusSU)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st = c.Stats(); st.SizeBytes <= before {
-		t.Fatalf("SizeBytes = %d after lazy CSR build, want > %d", st.SizeBytes, before)
-	}
-	// Rebuilding the same table must not be charged twice.
-	charged := st.SizeBytes
-	if _, err := a.SUNeighborTable(p.RadiusSU); err != nil {
+	again, err := b.SUNeighborTable(p.RadiusSU)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st = c.Stats(); st.SizeBytes != charged {
-		t.Fatalf("SizeBytes = %d after repeat lookup, want %d", st.SizeBytes, charged)
-	}
-}
-
-func TestTopoCacheLRUEviction(t *testing.T) {
-	// Learn one entry's cost, then budget for roughly two entries.
-	probe := NewTopoCache(0)
-	if _, err := probe.get(cacheParams(0), 1); err != nil {
-		t.Fatal(err)
-	}
-	per := probe.Stats().SizeBytes
-
-	c := NewTopoCache(2*per + per/2)
-	for i := 0; i < 4; i++ {
-		if _, err := c.get(cacheParams(i), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.SizeBytes > st.MaxBytes {
-		t.Fatalf("SizeBytes = %d exceeds budget %d", st.SizeBytes, st.MaxBytes)
-	}
-	if st.Evictions == 0 {
-		t.Fatalf("stats = %+v, want evictions after overflowing the budget", st)
-	}
-	if st.Entries > 2 {
-		t.Fatalf("Entries = %d, want <= 2 under a two-entry budget", st.Entries)
-	}
-
-	// The most recently used entry survived; the oldest was evicted and
-	// misses again.
-	if _, err := c.get(cacheParams(3), 1); err != nil {
-		t.Fatal(err)
-	}
-	hitsBefore := c.Stats().Hits
-	if _, err := c.get(cacheParams(3), 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().Hits; got != hitsBefore+1 {
-		t.Fatalf("expected an immediate re-get of the MRU entry to hit (hits %d -> %d)", hitsBefore, got)
-	}
-	missesBefore := c.Stats().Misses
-	if _, err := c.get(cacheParams(0), 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().Misses; got != missesBefore+1 {
-		t.Fatalf("expected the evicted LRU entry to miss (misses %d -> %d)", missesBefore, got)
-	}
-}
-
-func TestTopoCacheAdmissionControl(t *testing.T) {
-	// A budget smaller than any single topology: nothing is ever admitted,
-	// the cache stays empty, and every get still succeeds (built fresh).
-	c := NewTopoCache(64)
-	for i := 0; i < 3; i++ {
-		if _, err := c.get(cacheParams(0), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.Entries != 0 || st.SizeBytes != 0 {
-		t.Fatalf("stats = %+v, want an empty cache under an undersized budget", st)
-	}
-	if st.Rejections != 3 {
-		t.Fatalf("Rejections = %d, want 3", st.Rejections)
+	if tab != again {
+		t.Fatal("repeat lookup rebuilt the CSR table")
 	}
 }
 
 func TestTopoCacheCachesErrors(t *testing.T) {
-	c := NewTopoCache(0)
+	c := newTopoCache()
 	bad := cacheParams(0)
 	bad.RadiusSU = -1 // deterministic build failure
 	_, err1 := c.get(bad, 1)
@@ -134,30 +62,28 @@ func TestTopoCacheCachesErrors(t *testing.T) {
 	if !errors.Is(err2, err1) && err2.Error() != err1.Error() {
 		t.Fatalf("error not memoized: %v vs %v", err1, err2)
 	}
-	if st := c.Stats(); st.Hits != 1 {
+	if st := c.stats(); st.Hits != 1 {
 		t.Fatalf("Hits = %d, want 1 (error entries are cache entries too)", st.Hits)
 	}
 }
 
-// Hammer a small-budget cache from many goroutines; the race detector
-// guards the locking, and the budget must hold at every observation point.
+// Hammer the cache from many goroutines; the race detector guards the
+// locking, and builds stay bounded by the distinct keys: concurrent gets of
+// one key block on a single build and all receive its Topology.
 func TestTopoCacheConcurrentBounded(t *testing.T) {
-	probe := NewTopoCache(0)
-	if _, err := probe.get(cacheParams(0), 1); err != nil {
-		t.Fatal(err)
-	}
-	per := probe.Stats().SizeBytes
-
-	c := NewTopoCache(3 * per)
+	const keys = 6
+	c := newTopoCache()
 	var wg sync.WaitGroup
+	got := make([][keys]*Topology, 8)
 	errs := make(chan error, 8)
-	for w := 0; w < 8; w++ {
+	for w := range got {
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 12; i++ {
-				topo, err := c.get(cacheParams((w+i)%6), 1)
+				k := (w + i) % keys
+				topo, err := c.get(cacheParams(k), 1)
 				if err != nil {
 					errs <- err
 					return
@@ -166,12 +92,7 @@ func TestTopoCacheConcurrentBounded(t *testing.T) {
 					errs <- err
 					return
 				}
-				if st := c.Stats(); st.SizeBytes > st.MaxBytes+per {
-					// Transient overshoot is bounded by one in-flight entry;
-					// anything beyond that is an accounting bug.
-					errs <- fmt.Errorf("cache size %d far exceeds budget %d", st.SizeBytes, st.MaxBytes)
-					return
-				}
+				got[w][k] = topo
 			}
 		}()
 	}
@@ -180,14 +101,19 @@ func TestTopoCacheConcurrentBounded(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st := c.Stats()
-	if st.SizeBytes > st.MaxBytes {
-		t.Fatalf("final size %d exceeds budget %d", st.SizeBytes, st.MaxBytes)
+	if st := c.stats(); st.Misses != keys || st.Hits != int64(8*12-keys) {
+		t.Fatalf("stats = %+v, want %d misses (one build per key) and %d hits", st, keys, 8*12-keys)
+	}
+	for w := range got {
+		if got[w] != got[0] {
+			t.Fatalf("worker %d received different Topology values than worker 0", w)
+		}
 	}
 }
 
-// A sweep handed a shared external cache produces byte-identical output to
-// one using its private cache — the cache is pure memoization.
+// A sweep handed a warm cache produces byte-identical output to one
+// building its own: the cache is pure memoization, so a hit returns exactly
+// what a fresh build would.
 func TestSweepSharedCacheEquivalence(t *testing.T) {
 	private := tinySweep(5)
 	private.ShareTopology = true
@@ -195,39 +121,33 @@ func TestSweepSharedCacheEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if privateRes.TopoCache.Misses == 0 {
+		t.Fatalf("run stats = %+v, want misses under ShareTopology", privateRes.TopoCache)
+	}
 
-	shared := tinySweep(5)
-	shared.ShareTopology = true
-	shared.Cache = NewTopoCache(0)
-	sharedRes, err := shared.Run()
-	if err != nil {
+	// Re-running the same sweep on a warm cache hits instead of building.
+	cache := newTopoCache()
+	warm := tinySweep(5)
+	warm.ShareTopology = true
+	if _, err := warm.runWith(context.Background(), cache); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := sharedRes.FormatCSV(), privateRes.FormatCSV(); got != want {
-		t.Fatalf("shared-cache sweep diverged:\n--- private\n%s--- shared\n%s", want, got)
-	}
-
-	// Re-running the same sweep on the warm cache hits instead of building.
-	warmStats := shared.Cache.Stats()
-	if warmStats.Misses == 0 {
-		t.Fatal("expected misses on the first pass")
-	}
+	cold := cache.stats()
 	again := tinySweep(5)
 	again.ShareTopology = true
-	again.Cache = shared.Cache
-	againRes, err := again.Run()
+	againRes, err := again.runWith(context.Background(), cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := againRes.FormatCSV(), privateRes.FormatCSV(); got != want {
-		t.Fatal("warm-cache sweep diverged")
+		t.Fatalf("warm-cache sweep diverged:\n--- private\n%s--- warm\n%s", want, got)
 	}
-	st := shared.Cache.Stats()
-	if st.Misses != warmStats.Misses {
-		t.Fatalf("warm pass rebuilt topologies: misses %d -> %d", warmStats.Misses, st.Misses)
+	st := againRes.TopoCache
+	if st.Misses != cold.Misses {
+		t.Fatalf("warm pass rebuilt topologies: misses %d -> %d", cold.Misses, st.Misses)
 	}
-	if st.Hits <= warmStats.Hits {
-		t.Fatalf("warm pass did not hit: hits %d -> %d", warmStats.Hits, st.Hits)
+	if st.Hits <= cold.Hits {
+		t.Fatalf("warm pass did not hit: hits %d -> %d", cold.Hits, st.Hits)
 	}
 }
 

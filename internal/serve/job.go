@@ -259,8 +259,10 @@ type JobResult struct {
 	// Table is the human-readable form (includes wall-clock timing, so it
 	// is not byte-stable across runs; CSV is).
 	Table string `json:"table"`
-	// MeanDelayRatio restates the sweep's headline number.
-	MeanDelayRatio float64 `json:"mean_delay_ratio"`
+	// MeanDelayRatio restates the sweep's headline number, the mean
+	// Coolest/ADDC delay ratio. It is absent when no point has a ratio: the
+	// ADDC-only extension figures (ext1, ext2) run no Coolest baseline.
+	MeanDelayRatio float64 `json:"mean_delay_ratio,omitempty"`
 }
 
 // jobPath/journalPath/spanPath/resultPath locate a job's files in the

@@ -4,8 +4,9 @@
 //
 // Robustness posture: the server never exceeds its configured bounds — a
 // fixed worker pool of reusable simulation workspaces, a bounded submission
-// queue (overflow is refused with Retry-After, never buffered), a
-// size-budgeted topology cache, and per-client token-bucket rate limits.
+// queue (overflow is refused with Retry-After, never buffered), a topology
+// cache per job that is freed when the job ends, and per-client
+// token-bucket rate limits.
 // Every job transition is persisted atomically to the state directory and
 // every running sweep journals completed repetitions, so SIGTERM drains to
 // a resumable on-disk state and a restarted daemon finishes interrupted
@@ -44,9 +45,6 @@ type Config struct {
 	QueueDepth int
 	// StateDir is where job records, journals and results persist.
 	StateDir string
-	// CacheBytes budgets the shared topology cache (default 64 MiB;
-	// negative disables bounding).
-	CacheBytes int64
 	// RatePerSec and RateBurst configure per-client admission tokens
 	// (default 0: unlimited).
 	RatePerSec float64
@@ -69,12 +67,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 16
-	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = 64 << 20
-	}
-	if c.CacheBytes < 0 {
-		c.CacheBytes = 0 // TopoCache treats 0 as unbounded
 	}
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = 5 * time.Second
@@ -115,6 +107,10 @@ type serverStats struct {
 	shardReexec     metrics.AtomicCounter
 	queued          metrics.AtomicPeak
 	running         metrics.AtomicPeak
+	// Topology cache lookups summed over every sweep attempt; each job's
+	// sweep owns its cache, which is freed when the attempt returns.
+	topoHits   metrics.AtomicCounter
+	topoMisses metrics.AtomicCounter
 	// Wall-clock latency distributions: submission-to-pickup,
 	// pickup-to-terminal, submission-to-terminal.
 	queueWait metrics.WallHistogram
@@ -122,8 +118,8 @@ type serverStats struct {
 	duration  metrics.WallHistogram
 }
 
-// Stats is a point-in-time snapshot of the server's counters, bounds and
-// cache/pool state; /metrics exposes it.
+// Stats is a point-in-time snapshot of the server's counters, bounds,
+// topology cache lookups and workspace pool state; /metrics exposes it.
 type Stats struct {
 	States           map[string]int
 	Submitted        int64
@@ -151,7 +147,6 @@ type Stats struct {
 // with New, start with Start, stop with Drain.
 type Server struct {
 	cfg   Config
-	cache *experiment.TopoCache
 	pool  *core.WorkspacePool
 	limit *rateLimiter
 	stats serverStats
@@ -190,7 +185,6 @@ func New(cfg Config) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:     cfg,
-		cache:   experiment.NewTopoCache(cfg.CacheBytes),
 		pool:    core.NewWorkspacePool(cfg.Workers),
 		limit:   newRateLimiter(cfg.RatePerSec, cfg.RateBurst),
 		log:     logger,
@@ -425,7 +419,8 @@ func (s *Server) SpanPath(id string) string {
 	return spanPath(s.cfg.StateDir, id)
 }
 
-// Stats snapshots the server's counters, bounds and cache/pool state.
+// Stats snapshots the server's counters, bounds, topology cache lookups
+// and workspace pool state.
 func (s *Server) Stats() Stats {
 	return s.Telemetry().Stats
 }
@@ -457,7 +452,7 @@ func (s *Server) Telemetry() Telemetry {
 		QueuedPeak:       s.stats.queued.Peak(),
 		Running:          s.stats.running.Current(),
 		RunningPeak:      s.stats.running.Peak(),
-		TopoCache:        s.cache.Stats(),
+		TopoCache:        experiment.TopoCacheStats{Hits: s.stats.topoHits.Value(), Misses: s.stats.topoMisses.Value()},
 		Workspaces:       s.pool.Stats(),
 	}
 	st.Config.Workers = s.cfg.Workers
@@ -580,6 +575,8 @@ func (s *Server) runJob(j *Job) {
 			"state", StateRunning, "attempt", j.Attempts)
 		res, err := s.runAttempt(j)
 		if res != nil {
+			s.stats.topoHits.Add(res.TopoCache.Hits)
+			s.stats.topoMisses.Add(res.TopoCache.Misses)
 			s.setState(j, func() { j.Resumed += res.Resumed })
 		}
 
@@ -647,7 +644,6 @@ func (s *Server) runAttempt(j *Job) (*experiment.SweepResult, error) {
 	// The sweep keeps its figure ID untouched: seed derivation labels
 	// include it, and byte-identity with `addc-experiments -fig <id>` is
 	// part of the service contract.
-	sw.Cache = s.cache
 	sw.Workspaces = s.pool
 	sw.Checkpoint = journalPath(s.cfg.StateDir, j.ID)
 	if j.Parent != "" && j.ShardOf > 1 {

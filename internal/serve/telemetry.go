@@ -96,14 +96,8 @@ func writeProm(w io.Writer, t Telemetry) error {
 	}
 	gauge("addc_worker_utilization", "fraction of the worker pool currently busy", util)
 
-	tc := t.TopoCache
-	counter("addc_topo_cache_hits_total", "topology cache lookups served from memory", tc.Hits)
-	counter("addc_topo_cache_misses_total", "topology cache lookups that built a deployment", tc.Misses)
-	counter("addc_topo_cache_evictions_total", "topology cache entries dropped to stay under the byte budget", tc.Evictions)
-	counter("addc_topo_cache_rejections_total", "topology cache entries denied admission (alone exceed the budget)", tc.Rejections)
-	gauge("addc_topo_cache_entries", "topology cache entries resident", float64(tc.Entries))
-	gauge("addc_topo_cache_bytes", "topology cache bytes resident", float64(tc.SizeBytes))
-	gauge("addc_topo_cache_max_bytes", "topology cache byte budget (0 = unbounded)", float64(tc.MaxBytes))
+	counter("addc_topo_cache_hits_total", "topology cache lookups served from memory, summed over finished job attempts", t.TopoCache.Hits)
+	counter("addc_topo_cache_misses_total", "topology cache lookups that built a deployment, summed over finished job attempts", t.TopoCache.Misses)
 
 	wp := t.Workspaces
 	counter("addc_workspace_pool_gets_total", "workspace pool Get calls", wp.Gets)

@@ -102,11 +102,6 @@ func TestMetricsGoldenScrape(t *testing.T) {
 		"addc_worker_utilization":          "gauge",
 		"addc_topo_cache_hits_total":       "counter",
 		"addc_topo_cache_misses_total":     "counter",
-		"addc_topo_cache_evictions_total":  "counter",
-		"addc_topo_cache_rejections_total": "counter",
-		"addc_topo_cache_entries":          "gauge",
-		"addc_topo_cache_bytes":            "gauge",
-		"addc_topo_cache_max_bytes":        "gauge",
 		"addc_workspace_pool_gets_total":   "counter",
 		"addc_workspace_pool_reuses_total": "counter",
 		"addc_workspace_pool_puts_total":   "counter",

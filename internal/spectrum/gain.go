@@ -24,12 +24,23 @@ type GainTable struct {
 	g     []float64
 }
 
-// NewGainTable builds an empty gain table over nw's SU and PU positions.
-func NewGainTable(nw *netmodel.Network) *GainTable {
+// RenewGainTable returns an empty gain table over nw's SU and PU
+// positions. It resets prev in place, reusing its slice capacity, or builds
+// a fresh table when prev is nil; either way every entry refills lazily.
+func RenewGainTable(prev *GainTable, nw *netmodel.Network) *GainTable {
+	if prev == nil {
+		prev = &GainTable{}
+	}
 	n := nw.NumNodes() + len(nw.PU)
-	t := &GainTable{alpha: nw.Params.Alpha, g: make([]float64, n*n)}
-	t.pos = append(append(make([]geom.Point, 0, n), nw.SU...), nw.PU...)
-	return t
+	prev.alpha = nw.Params.Alpha
+	if cap(prev.g) < n*n {
+		prev.g = make([]float64, n*n)
+	} else {
+		prev.g = prev.g[:n*n]
+		clear(prev.g)
+	}
+	prev.pos = append(append(prev.pos[:0], nw.SU...), nw.PU...)
+	return prev
 }
 
 // Gain returns the pathloss gain from point tx to point rx, bit-identical to
