@@ -178,9 +178,9 @@ func TestParallelWorkersResultEquivalence(t *testing.T) {
 
 // TestSweepWorkers4Stress is the race-tier stress target: four workers over
 // a checkpointed, topology-sharing sweep — every cross-worker structure
-// (topology snapshot tables, LRU topo cache, committer, journal) exercised
-// at once. Its assertions are deliberately
-// thin; under `go test -race` the detector is the test.
+// (topology snapshot tables, the sweep's topology cache, committer,
+// journal) exercised at once. Its assertions are deliberately thin; under
+// `go test -race` the detector is the test.
 func TestSweepWorkers4Stress(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stress.ckpt")
 	s := &Sweep{

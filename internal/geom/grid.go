@@ -17,8 +17,12 @@ type Grid struct {
 	cellSize float64
 	cols     int
 	rows     int
-	// cells[c] lists the indices (into points) that fall in cell c.
-	cells  [][]int32
+	// ids lists the indices (into points) cell by cell, ascending within
+	// each cell: cell c holds ids[start[c]:start[c+1]]. A point's position
+	// in ids is its rank, and rank is the inverse permutation.
+	ids    []int32
+	start  []int32
+	rank   []int32
 	points []Point
 }
 
@@ -46,14 +50,28 @@ func NewGrid(bounds Rect, cellSize float64, points []Point) (*Grid, error) {
 		cellSize: cellSize,
 		cols:     cols,
 		rows:     rows,
-		cells:    make([][]int32, cols*rows),
+		ids:      make([]int32, len(points)),
+		start:    make([]int32, cols*rows+1),
+		rank:     make([]int32, len(points)),
 		points:   make([]Point, len(points)),
 	}
 	copy(g.points, points)
+	// Counting sort by cell: count, prefix-sum, then place in index order
+	// (which advances start[c] to the end of cell c) and shift back.
+	for _, p := range g.points {
+		g.start[g.cellIndex(p)+1]++
+	}
+	for c := 1; c < len(g.start); c++ {
+		g.start[c] += g.start[c-1]
+	}
 	for i, p := range g.points {
 		c := g.cellIndex(p)
-		g.cells[c] = append(g.cells[c], int32(i))
+		g.ids[g.start[c]] = int32(i)
+		g.rank[i] = g.start[c]
+		g.start[c]++
 	}
+	copy(g.start[1:], g.start)
+	g.start[0] = 0
 	return g, nil
 }
 
@@ -62,6 +80,17 @@ func (g *Grid) Len() int { return len(g.points) }
 
 // Point returns the indexed point with the given index.
 func (g *Grid) Point(i int) Point { return g.points[i] }
+
+// Order returns every indexed point's index in rank order — by cell index,
+// then by index within the cell. Within visits cells in ascending index and
+// each cell lists its points in ascending index, so every Within result is
+// strictly increasing in rank. The slice is the grid's own and must not be
+// modified.
+func (g *Grid) Order() []int32 { return g.ids }
+
+// Ranks returns the inverse of Order: Ranks()[i] is point i's rank. The
+// slice is the grid's own and must not be modified.
+func (g *Grid) Ranks() []int32 { return g.rank }
 
 func (g *Grid) cellCoords(p Point) (cx, cy int) {
 	cx = int((p.X - g.bounds.MinX) / g.cellSize)
@@ -88,7 +117,7 @@ func (g *Grid) cellIndex(p Point) int {
 
 // Within appends to dst the indices of all indexed points q with
 // Dist(center, q) <= radius and returns the extended slice. The center need
-// not be an indexed point. Results are in unspecified order.
+// not be an indexed point. Results are in rank order (see Order).
 func (g *Grid) Within(center Point, radius float64, dst []int32) []int32 {
 	if radius < 0 {
 		return dst
@@ -110,13 +139,15 @@ func (g *Grid) Within(center Point, radius float64, dst []int32) []int32 {
 	if maxCY >= g.rows {
 		maxCY = g.rows - 1
 	}
+	if minCX > maxCX {
+		return dst
+	}
+	// The cells minCX..maxCX of one grid row are adjacent in ids.
 	for cy := minCY; cy <= maxCY; cy++ {
 		base := cy * g.cols
-		for cx := minCX; cx <= maxCX; cx++ {
-			for _, i := range g.cells[base+cx] {
-				if g.points[i].Dist2(center) <= r2 {
-					dst = append(dst, i)
-				}
+		for _, i := range g.ids[g.start[base+minCX]:g.start[base+maxCX+1]] {
+			if g.points[i].Dist2(center) <= r2 {
+				dst = append(dst, i)
 			}
 		}
 	}
@@ -145,14 +176,15 @@ func (g *Grid) CountWithin(center Point, radius float64) int {
 	if maxCY >= g.rows {
 		maxCY = g.rows - 1
 	}
+	if minCX > maxCX {
+		return 0
+	}
 	count := 0
 	for cy := minCY; cy <= maxCY; cy++ {
 		base := cy * g.cols
-		for cx := minCX; cx <= maxCX; cx++ {
-			for _, i := range g.cells[base+cx] {
-				if g.points[i].Dist2(center) <= r2 {
-					count++
-				}
+		for _, i := range g.ids[g.start[base+minCX]:g.start[base+maxCX+1]] {
+			if g.points[i].Dist2(center) <= r2 {
+				count++
 			}
 		}
 	}
@@ -191,7 +223,8 @@ func (g *Grid) Nearest(center Point) (int, float64) {
 				if x < 0 || x >= g.cols || y < 0 || y >= g.rows {
 					continue
 				}
-				for _, i := range g.cells[y*g.cols+x] {
+				c := y*g.cols + x
+				for _, i := range g.ids[g.start[c]:g.start[c+1]] {
 					d2 := g.points[i].Dist2(center)
 					if d2 < bestD2 {
 						bestD2 = d2

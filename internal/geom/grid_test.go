@@ -212,3 +212,20 @@ func TestGridQuickWithinProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestWithinFarOutside: a query disk entirely beyond a side of the bounds
+// finds nothing (the column range is empty after clamping).
+func TestWithinFarOutside(t *testing.T) {
+	g, err := NewGrid(Square(50), 10, []Point{{X: 5, Y: 5}, {X: 45, Y: 45}, {X: 25, Y: 25}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []Point{{X: 200, Y: 25}, {X: -200, Y: 25}, {X: 25, Y: 200}, {X: 25, Y: -200}} {
+		if got := g.Within(c, 30, nil); len(got) != 0 {
+			t.Errorf("Within(%v, 30) = %v, want none", c, got)
+		}
+		if got := g.CountWithin(c, 30); got != 0 {
+			t.Errorf("CountWithin(%v, 30) = %d, want 0", c, got)
+		}
+	}
+}

@@ -302,15 +302,9 @@ type MAC struct {
 	// instead of strided across the ~200-byte node structs — keeps that
 	// check inside a handful of cache lines.
 	sts []state
-	// busyElig/freeElig mirror sts for the trackers' transition filters,
-	// one block of n entries per channel: busyElig[c*n+id] is true exactly
-	// when node id transmits on channel c and SpectrumBusy would act
-	// (backoff running), freeElig[c*n+id] when it transmits on c and
-	// SpectrumFree would (frozen or awaiting). setState keeps them current;
-	// each tracker then skips the ineligible callbacks, which are no-ops by
-	// construction.
-	busyElig []bool
-	freeElig []bool
+	// elig[c] is channel c's tracker eligibility bitsets, which setState
+	// keeps current.
+	elig []spectrum.Eligibility
 
 	// home is Config.Home on more than one channel and nil on one; deaf
 	// applies the single-radio deafness rule, and is nil on one channel.
@@ -451,8 +445,6 @@ func New(cfg Config) (*MAC, error) {
 	m.subtree = subtree
 	channels := channelCount(cfg)
 	m.sts = make([]state, nn)
-	m.busyElig = make([]bool, channels*nn)
-	m.freeElig = make([]bool, channels*nn)
 	if channels > 1 {
 		m.home = cfg.Home
 		m.deaf = newDeafness(nn)
@@ -484,10 +476,10 @@ func New(cfg Config) (*MAC, error) {
 }
 
 // wireTrackers applies the MAC's standing tracker configuration: the shared
-// tables provider (if any) first, then the delivery filters. PUArrived only
+// tables provider (if any) first, then the delivery filter. PUArrived only
 // matters to a transmitting node (the handoff abort), SpectrumBusy to one
 // mid-backoff, SpectrumFree to one frozen or awaiting; the trackers skip
-// the no-op deliveries (the eligibility masks are maintained by setState).
+// the no-op deliveries (setState keeps the eligibility marks current).
 // Every channel senses at the same ranges, so C trackers share one SU and
 // one PU table.
 func (m *MAC) wireTrackers() {
@@ -498,14 +490,13 @@ func (m *MAC) wireTrackers() {
 		}
 		tables = &sharedTables{src: tables}
 	}
-	nn := len(m.sts)
-	for c, tr := range m.trackers {
+	m.elig = m.elig[:0]
+	for _, tr := range m.trackers {
 		if tables != nil {
 			tr.SetTables(tables)
 		}
-		tr.FilterPUArrivals(true)
-		lo, hi := c*nn, (c+1)*nn
-		tr.FilterTransitions(m.busyElig[lo:hi:hi], m.freeElig[lo:hi:hi])
+		tr.FilterTransitions(true)
+		m.elig = append(m.elig, tr.Eligibility())
 	}
 }
 
@@ -536,13 +527,12 @@ func fetchOnce(tab **netmodel.CSRTable, radius float64, fetch func(float64) (*ne
 }
 
 // Renew rebuilds prev for cfg, reusing its allocations — node structs and
-// their queue backing arrays, the dense state and eligibility masks, the
-// carrier-sense tracker — whenever prev exists and both describe the same
-// node count on a single channel; otherwise it falls back to New. It
-// validates cfg exactly like New, and a renewed MAC is observationally
-// identical to a fresh one: every piece of per-run state restarts from its
-// constructed value and the backoff/loss streams are re-derived from
-// cfg.Rand under the same labels.
+// their queue backing arrays, the dense state array, the carrier-sense
+// tracker — whenever prev exists and both describe the same node count on a
+// single channel; otherwise it falls back to New. It validates cfg exactly
+// like New, and a renewed MAC is observationally identical to a fresh one:
+// every piece of per-run state restarts from its constructed value and the
+// backoff/loss streams are re-derived from cfg.Rand under the same labels.
 func Renew(prev *MAC, cfg Config) (*MAC, error) {
 	root, _, err := validateConfig(cfg)
 	if err != nil {
@@ -597,8 +587,6 @@ func Renew(prev *MAC, cfg Config) (*MAC, error) {
 		n.stats = NodeStats{}
 		m.sts[i] = stateIdle
 	}
-	clear(m.busyElig)
-	clear(m.freeElig)
 	if err := m.trackers[0].Renew(cfg.Network, cfg.PUSenseRange, cfg.SUSenseRange, m); err != nil {
 		return nil, err
 	}
@@ -748,12 +736,16 @@ func (m *MAC) Stats(id int32) NodeStats { return m.nodes[id].stats }
 func (m *MAC) ActiveTransmitters() int { return m.nActive }
 
 // setState writes node id's MAC state and keeps its transmit channel's
-// eligibility masks in lockstep. Every state change must go through here.
+// tracker eligibility marks in lockstep: SpectrumBusy acts on a running
+// backoff, SpectrumFree on a frozen or awaiting one. Every state change must
+// go through here.
 func (m *MAC) setState(id int32, st state) {
+	old := m.sts[id]
 	m.sts[id] = st
-	i := m.Channel(id)*len(m.sts) + int(id)
-	m.busyElig[i] = st == stateBackoffRunning
-	m.freeElig[i] = st == stateBackoffFrozen || st == stateAwaiting
+	busy, free := st == stateBackoffRunning, st == stateBackoffFrozen || st == stateAwaiting
+	if busy != (old == stateBackoffRunning) || free != (old == stateBackoffFrozen || old == stateAwaiting) {
+		m.elig[m.Channel(id)].Set(id, busy, free)
+	}
 }
 
 // startContending draws a fresh backoff for the head-of-queue packet.

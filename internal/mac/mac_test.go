@@ -247,14 +247,14 @@ func TestNoFairnessWaitShortensGap(t *testing.T) {
 
 func TestBackoffFreezeDelaysTransmission(t *testing.T) {
 	// Inject a scripted PU burst covering the lone SU for 50 slots; its
-	// first transmission cannot start before the burst ends.
-	nw := lineNetwork(t, 1, nil)
+	// first transmission cannot start before the burst ends. The PU sits on
+	// the SU, and nothing but this script toggles it.
+	nw := lineNetwork(t, 1, []geom.Point{{X: 13, Y: 125}})
 	h := newHarness(t, nw, lineParents(1), nil)
 	tracker := h.mac.Trackers()[0]
-	puPos := nw.SU[1]
-	tracker.AddTransmitter(puPos, spectrum.TxPU, -1, 0)
+	tracker.AddPUTransmitter(0, 0)
 	h.eng.After(50*sim.Millisecond, func(now sim.Time) {
-		tracker.RemoveTransmitter(puPos, spectrum.TxPU, -1, now)
+		tracker.RemovePUTransmitter(0, now)
 	})
 	h.run(t, 1, sim.MaxTime)
 	if h.txStarts[0].at < 50*sim.Millisecond {
@@ -268,7 +268,7 @@ func TestBackoffFreezeDelaysTransmission(t *testing.T) {
 func TestHandoffAbortsAndRetransmits(t *testing.T) {
 	// A PU appears right after the SU starts transmitting: the SU must
 	// abort, count it, and still deliver the packet afterwards.
-	nw := lineNetwork(t, 1, nil)
+	nw := lineNetwork(t, 1, []geom.Point{{X: 13, Y: 125}})
 	var h *harness
 	aborted := false
 	h = newHarness(t, nw, lineParents(1), func(cfg *Config) {
@@ -276,10 +276,9 @@ func TestHandoffAbortsAndRetransmits(t *testing.T) {
 			if !aborted {
 				// Inject the PU mid-transmission (a quarter slot later).
 				h.eng.After(250, func(at sim.Time) {
-					pu := nw.SU[1]
-					h.mac.Trackers()[0].AddTransmitter(pu, spectrum.TxPU, -1, at)
+					h.mac.Trackers()[0].AddPUTransmitter(0, at)
 					h.eng.After(2*sim.Millisecond, func(end sim.Time) {
-						h.mac.Trackers()[0].RemoveTransmitter(pu, spectrum.TxPU, -1, end)
+						h.mac.Trackers()[0].RemovePUTransmitter(0, end)
 					})
 				})
 				aborted = true
@@ -313,14 +312,13 @@ func TestHandoffAbortsAndRetransmits(t *testing.T) {
 }
 
 func TestDisableHandoffIgnoresPUArrival(t *testing.T) {
-	nw := lineNetwork(t, 1, nil)
+	nw := lineNetwork(t, 1, []geom.Point{{X: 13, Y: 125}})
 	var h *harness
 	h = newHarness(t, nw, lineParents(1), func(cfg *Config) {
 		cfg.DisableHandoff = true
 		cfg.OnTxStart = func(node int32, now sim.Time) {
 			h.eng.After(250, func(at sim.Time) {
-				pu := nw.SU[1]
-				h.mac.Trackers()[0].AddTransmitter(pu, spectrum.TxPU, -1, at)
+				h.mac.Trackers()[0].AddPUTransmitter(0, at)
 			})
 		}
 	})

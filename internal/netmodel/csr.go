@@ -15,7 +15,8 @@ import (
 // grid range query over a deployment that never moves. Each row preserves
 // the exact order geom.Grid.Within returns for the same query, so replacing
 // a per-event grid query with a row walk is bit-identical — observer
-// callbacks fire in the same sequence.
+// callbacks fire in the same sequence. That order is ascending grid rank
+// (geom.Grid.Order).
 type CSRTable struct {
 	// offsets has len(sources)+1 entries; row i spans
 	// flat[offsets[i]:offsets[i+1]].
@@ -45,11 +46,15 @@ func BuildCSR(grid *geom.Grid, sources []geom.Point, radius float64) (*CSRTable,
 	if radius < 0 {
 		return nil, fmt.Errorf("netmodel: BuildCSR radius must be non-negative, got %v", radius)
 	}
+	// Count the entries first so the table is allocated once at its exact
+	// size, leaving no outgrown backing arrays behind as garbage.
+	size := 0
+	for _, p := range sources {
+		size += grid.CountWithin(p, radius)
+	}
 	t := &CSRTable{
 		offsets: make([]int32, len(sources)+1),
-		// Pre-size for the expected uniform-density degree to keep the
-		// build's growth reallocations to a handful.
-		flat: make([]int32, 0, len(sources)*8),
+		flat:    make([]int32, 0, size),
 	}
 	for i, p := range sources {
 		t.flat = grid.Within(p, radius, t.flat)

@@ -151,3 +151,105 @@ func TestSUNeighborsOrderPreserving(t *testing.T) {
 		}
 	}
 }
+
+// rankOf inverts a grid's rank order: rank[id] is id's position in
+// g.Order. It also checks that the grid's own Ranks agrees.
+func rankOf(t *testing.T, g *geom.Grid) []int32 {
+	t.Helper()
+	order := g.Order()
+	if len(order) != g.Len() {
+		t.Fatalf("Order lists %d points, want %d", len(order), g.Len())
+	}
+	rank := make([]int32, g.Len())
+	for r, id := range order {
+		rank[id] = int32(r)
+	}
+	if !equalInt32(rank, g.Ranks()) {
+		t.Fatal("Ranks is not the inverse of Order")
+	}
+	return rank
+}
+
+// checkRowsAscendInRank fails unless every row of tab is strictly
+// increasing in rank — the invariant the tracker's rank-bitset walks rely
+// on to visit nodes in row order.
+func checkRowsAscendInRank(t *testing.T, label string, tab *CSRTable, rank []int32) {
+	t.Helper()
+	for i := 0; i < tab.NumRows(); i++ {
+		row := tab.Row(int32(i))
+		for k := 1; k < len(row); k++ {
+			if rank[row[k-1]] >= rank[row[k]] {
+				t.Fatalf("%s row %d: entries %d and %d have ranks %d, %d, not increasing",
+					label, i, row[k-1], row[k], rank[row[k-1]], rank[row[k]])
+			}
+		}
+	}
+}
+
+// TestCSRRowsAscendInGridRank pins the rank-order invariant: every SU→SU
+// and PU→SU row lists its nodes in strictly increasing Grid.Order rank, for
+// random deployments and for point sets with entries on and beyond the
+// bounds, which the grid clamps into its boundary cells.
+func TestCSRRowsAscendInGridRank(t *testing.T) {
+	src := rng.New(17)
+	for trial := 0; trial < 20; trial++ {
+		p := ScaledDefaultParams()
+		p.NumSU = 20 + src.Intn(200)
+		p.NumPU = 1 + src.Intn(40)
+		p.Area = 40 + src.Float64()*80
+		nw, err := Deploy(p, src.ChildN("deploy", trial))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rank := rankOf(t, nw.SUGrid)
+		radius := p.RadiusSU * (0.3 + 4*src.Float64())
+		suTab, err := nw.SUNeighborTable(radius)
+		if err != nil {
+			t.Fatal(err)
+		}
+		puTab, err := nw.PUNeighborTable(radius)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRowsAscendInRank(t, "SU", suTab, rank)
+		checkRowsAscendInRank(t, "PU", puTab, rank)
+	}
+
+	// Clamped points: an area that is a whole number of cells puts X or Y
+	// == side exactly one cell past the last, and points outside the bounds
+	// land in the boundary cells too.
+	const side, cell = 60.0, 10.0
+	for trial := 0; trial < 20; trial++ {
+		n := 30 + src.Intn(150)
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Point{X: src.Float64() * side, Y: src.Float64() * side}
+			switch src.Intn(6) {
+			case 0:
+				pts[i].X = side
+			case 1:
+				pts[i].Y = side
+			case 2:
+				pts[i].X, pts[i].Y = side, side
+			case 3:
+				pts[i].X = -src.Float64() * cell
+			case 4:
+				pts[i].Y = side + src.Float64()*cell
+			}
+		}
+		g, err := geom.NewGrid(geom.Square(side), cell, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rank := rankOf(t, g)
+		sources := append(append([]geom.Point(nil), pts[:10]...),
+			geom.Point{X: side, Y: side}, geom.Point{X: 0, Y: 0}, geom.Point{X: -5, Y: side + 5})
+		for _, radius := range []float64{cell / 2, cell, 2.5 * cell, 8 * cell} {
+			tab, err := BuildCSR(g, sources, radius)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRowsAscendInRank(t, "clamped", tab, rank)
+		}
+	}
+}

@@ -4,8 +4,40 @@ import (
 	"reflect"
 	"testing"
 
+	"addcrn/internal/geom"
 	"addcrn/internal/sim"
 )
+
+// AddTransmitter is the grid reference for the CSR fast path: it registers
+// an active transmitter at an arbitrary position via a live grid range
+// query. exclude names a secondary node whose own counter must not change
+// (the transmitter itself when an SU transmits); pass -1 for primary
+// transmitters. kind controls whether PUArrived fires and which sensing
+// radius applies. It drives unfiltered trackers only.
+func (t *Tracker) AddTransmitter(pos geom.Point, kind TxKind, exclude int32, now sim.Time) {
+	buf := t.gridQuery(pos, kind)
+	t.addNeighbors(buf, kind, exclude, now)
+	t.putBuf(buf)
+}
+
+// RemoveTransmitter unregisters a transmitter previously added with the
+// same position, kind and exclusion.
+func (t *Tracker) RemoveTransmitter(pos geom.Point, kind TxKind, exclude int32, now sim.Time) {
+	buf := t.gridQuery(pos, kind)
+	t.removeNeighbors(buf, now, exclude)
+	t.putBuf(buf)
+}
+
+func (t *Tracker) gridQuery(pos geom.Point, kind TxKind) []int32 {
+	if t.filtered {
+		panic("spectrum: the grid reference needs an unfiltered tracker")
+	}
+	radius := t.suRange
+	if kind == TxPU {
+		radius = t.puRange
+	}
+	return t.nw.SUGrid.Within(pos, radius, t.takeBuf())
+}
 
 // trackerOps abstracts how a transmitter script reaches the tracker, so the
 // same script can run on the CSR fast path and on a locally reimplemented

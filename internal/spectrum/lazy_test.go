@@ -1,0 +1,278 @@
+package spectrum
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"addcrn/internal/netmodel"
+	"addcrn/internal/rng"
+	"addcrn/internal/sim"
+)
+
+// Node states of contractModel, the subset of the MAC's states the filter
+// contract speaks about.
+const (
+	stIdle uint8 = iota
+	stRunning
+	stFrozen
+	stAwaiting
+	stTx
+)
+
+// contractEvent is one logged step: a callback that acted ('B' freeze, 'F'
+// resume or transmit, 'A' handoff abort) or a scripted node step ('S', with
+// the state it led to).
+type contractEvent struct {
+	what  byte
+	node  int32
+	ch    int
+	state uint8
+}
+
+// contractModel is a miniature MAC over one tracker per channel. Node v
+// senses and transmits on channel v % C. It keeps the filter contract —
+// freeze on busy, resume or start transmitting (reentrantly) on free, abort
+// on a primary arrival while transmitting — and logs every callback that
+// acts. With filtered set it also writes the eligibility marks on every
+// state change, as mac.setState does; without it the trackers deliver
+// everything and the model ignores the callbacks that cannot act.
+type contractModel struct {
+	trs      []*Tracker
+	elig     []Eligibility
+	st       []uint8
+	filtered bool
+	log      []contractEvent
+}
+
+func (m *contractModel) ch(node int32) int { return int(node) % len(m.trs) }
+
+func (m *contractModel) set(node int32, s uint8) {
+	m.st[node] = s
+	if m.filtered {
+		m.elig[m.ch(node)].Set(node, s == stRunning, s == stFrozen || s == stAwaiting)
+	}
+}
+
+func (m *contractModel) beginTx(node int32, now sim.Time) {
+	m.set(node, stTx)
+	m.trs[m.ch(node)].AddSUTransmitter(node, now)
+}
+
+// endTx releases the medium while node is still marked transmitting, then
+// idles it, the order the MAC's endTx and abortTx use.
+func (m *contractModel) endTx(node int32, now sim.Time) {
+	m.trs[m.ch(node)].RemoveSUTransmitter(node, now)
+	m.set(node, stIdle)
+}
+
+// chanObserver is contractModel's observer on channel c's tracker.
+type chanObserver struct {
+	m *contractModel
+	c int
+}
+
+func (o chanObserver) SpectrumBusy(node int32, _ sim.Time) {
+	m := o.m
+	if m.ch(node) != o.c || m.st[node] != stRunning {
+		return
+	}
+	m.log = append(m.log, contractEvent{what: 'B', node: node, ch: o.c})
+	m.set(node, stFrozen)
+}
+
+func (o chanObserver) SpectrumFree(node int32, now sim.Time) {
+	m := o.m
+	if m.ch(node) != o.c {
+		return
+	}
+	switch m.st[node] {
+	case stFrozen:
+		m.log = append(m.log, contractEvent{what: 'F', node: node, ch: o.c})
+		// A frozen backoff with time left resumes; one that had run out
+		// transmits at once. Which one is a function of the history, so
+		// both runs of a differential pair choose alike.
+		if len(m.log)%3 != 0 {
+			m.set(node, stRunning)
+			return
+		}
+		m.beginTx(node, now)
+	case stAwaiting:
+		m.log = append(m.log, contractEvent{what: 'F', node: node, ch: o.c})
+		m.beginTx(node, now)
+	}
+}
+
+func (o chanObserver) PUArrived(node int32, now sim.Time) {
+	m := o.m
+	if m.ch(node) != o.c || m.st[node] != stTx {
+		return
+	}
+	m.log = append(m.log, contractEvent{what: 'A', node: node, ch: o.c})
+	m.endTx(node, now)
+}
+
+// contractRun is the observable outcome of one scripted run.
+type contractRun struct {
+	log    []contractEvent
+	counts [][]int32
+	states []uint8
+}
+
+// runContractScript plays ops on channels trackers over nw, filtered (lazy
+// PU path) or not (eager reference). Each pair of bytes is one engine
+// event: b0%4 == 0 toggles PU b1%N on channel b0/4%C (switching it on only
+// when b0's top bit is set, so fewer than half the users are active), any
+// other value advances node b1%n one step — contend, expire or finish its
+// transmission.
+func runContractScript(t testing.TB, nw *netmodel.Network, puRange, suRange float64, channels int, filtered bool, ops []byte) contractRun {
+	nn, np := nw.NumNodes(), len(nw.PU)
+	m := &contractModel{st: make([]uint8, nn), filtered: filtered}
+	for c := 0; c < channels; c++ {
+		tr, err := NewTracker(nw, puRange, suRange, chanObserver{m, c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.FilterTransitions(filtered)
+		m.trs = append(m.trs, tr)
+		m.elig = append(m.elig, tr.Eligibility())
+	}
+	puOn := make([]bool, channels*np)
+	now := sim.Time(0)
+	for k := 0; k+1 < len(ops); k += 2 {
+		now++
+		b0, b1 := ops[k], ops[k+1]
+		if b0%4 == 0 {
+			c := int(b0/4) % channels
+			i := int32(int(b1) % np)
+			switch on := &puOn[c*np+int(i)]; {
+			case *on:
+				*on = false
+				m.trs[c].RemovePUTransmitter(i, now)
+			case b0&0x80 != 0:
+				*on = true
+				m.trs[c].AddPUTransmitter(i, now)
+			}
+			continue
+		}
+		v := int32(int(b1) % nn)
+		tr := m.trs[m.ch(v)]
+		switch m.st[v] {
+		case stIdle:
+			if tr.Busy(v) {
+				m.set(v, stFrozen)
+			} else {
+				m.set(v, stRunning)
+			}
+		case stRunning:
+			if tr.Busy(v) {
+				m.set(v, stAwaiting)
+			} else {
+				m.beginTx(v, now)
+			}
+		case stTx:
+			m.endTx(v, now)
+		default:
+			continue
+		}
+		m.log = append(m.log, contractEvent{what: 'S', node: v, ch: m.ch(v), state: m.st[v]})
+	}
+	run := contractRun{log: m.log, states: m.st}
+	for _, tr := range m.trs {
+		counts := make([]int32, nn)
+		for v := range counts {
+			counts[v] = tr.BusyCount(int32(v))
+		}
+		run.counts = append(run.counts, counts)
+	}
+	return run
+}
+
+// contractNetwork deploys the differential test's network with np primary
+// users, and picks a PU range that leaves about half the nodes uncovered
+// at the script's PU activity.
+func contractNetwork(t testing.TB, np int, seed uint64) (*netmodel.Network, float64) {
+	p := netmodel.ScaledDefaultParams()
+	p.NumSU = 120
+	p.Area = 70
+	p.NumPU = np
+	nw, err := netmodel.Deploy(p, rng.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if np > 64 {
+		return nw, 6
+	}
+	return nw, 20
+}
+
+// checkLazyMatchesEager runs ops through the lazy PU path and through the
+// eager unfiltered path, and requires the same acting callbacks in the same
+// order, the same scripted outcomes and the same final busy counts.
+func checkLazyMatchesEager(t testing.TB, np, channels int, seed uint64, ops []byte) contractRun {
+	nw, puRange := contractNetwork(t, np, seed)
+	const suRange = 15
+	eager := runContractScript(t, nw, puRange, suRange, channels, false, ops)
+	lazy := runContractScript(t, nw, puRange, suRange, channels, true, ops)
+	for k := range min(len(eager.log), len(lazy.log)) {
+		if eager.log[k] != lazy.log[k] {
+			t.Fatalf("event %d: eager %+v, lazy %+v", k, eager.log[k], lazy.log[k])
+		}
+	}
+	if len(eager.log) != len(lazy.log) {
+		t.Fatalf("eager logged %d events, lazy %d", len(eager.log), len(lazy.log))
+	}
+	if !reflect.DeepEqual(eager.counts, lazy.counts) {
+		t.Fatal("final busy counts diverge")
+	}
+	if !reflect.DeepEqual(eager.states, lazy.states) {
+		t.Fatal("final node states diverge")
+	}
+	return eager
+}
+
+// TestLazyPUPathMatchesEager is the tracker-level differential test of the
+// lazy PU path: randomized add/remove scripts, with reentrant transmissions
+// and handoff aborts inside the walks, at C ∈ {1, 4} and N ∈ {8, 100} (N =
+// 100 needs two mask words per node).
+func TestLazyPUPathMatchesEager(t *testing.T) {
+	for _, channels := range []int{1, 4} {
+		for _, np := range []int{8, 100} {
+			t.Run(fmt.Sprintf("C%d_N%d", channels, np), func(t *testing.T) {
+				kinds := map[byte]int{}
+				for seed := uint64(1); seed <= 3; seed++ {
+					src := rng.New(seed)
+					ops := make([]byte, 8000)
+					for i := range ops {
+						ops[i] = byte(src.Intn(256))
+					}
+					for _, e := range checkLazyMatchesEager(t, np, channels, seed, ops).log {
+						kinds[e.what]++
+					}
+				}
+				for _, k := range []byte{'B', 'F', 'A'} {
+					if kinds[k] == 0 {
+						t.Fatalf("no %q events; the script is vacuous (%v)", k, kinds)
+					}
+				}
+			})
+		}
+	}
+}
+
+// FuzzLazyPUPath runs the differential test on fuzzed scripts: cfg's low
+// bit picks C ∈ {1, 4}, the next N ∈ {8, 100}, the rest the deployment.
+func FuzzLazyPUPath(f *testing.F) {
+	f.Add(uint8(0), []byte{0x80, 1, 1, 5, 2, 5, 0x80, 2, 3, 7, 0, 1})
+	f.Add(uint8(3), []byte{0x84, 9, 1, 40, 2, 40, 0x80, 70, 3, 40, 0x84, 9})
+	f.Fuzz(func(t *testing.T, cfg uint8, ops []byte) {
+		channels, np := 1, 8
+		if cfg&1 != 0 {
+			channels = 4
+		}
+		if cfg&2 != 0 {
+			np = 100
+		}
+		checkLazyMatchesEager(t, np, channels, uint64(cfg>>2)+1, ops)
+	})
+}
