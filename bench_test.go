@@ -248,13 +248,6 @@ func BenchmarkAblationAggregatePU(b *testing.B) {
 	benchADDCConfig(b, func(cfg *core.CollectConfig) { cfg.PUModel = spectrum.ModelAggregate })
 }
 
-// BenchmarkAblationDataAggregation enables perfect in-network aggregation
-// (the paper collects WITHOUT aggregation; this shows what that choice
-// costs).
-func BenchmarkAblationDataAggregation(b *testing.B) {
-	benchADDCConfig(b, func(cfg *core.CollectConfig) { cfg.AggregateQueue = true })
-}
-
 // BenchmarkCentralizedBaseline runs the genie-aided synchronized scheduler
 // on the same operating point as BenchmarkAblationBaseline; the delay gap
 // is the measured constant behind the order-optimality claim.

@@ -4,7 +4,6 @@
 //	addc-topology gen -n 300 -N 8 -seed 1 -o topo.json     # deploy & save
 //	addc-topology info topo.json                           # stats + CDS
 //	addc-topology svg topo.json -o topo.svg                # Fig. 2 render
-//	addc-topology trace -N 8 -slots 10000 -model gilbert   # PU trace CSV
 package main
 
 import (
@@ -18,7 +17,6 @@ import (
 	"addcrn/internal/netmodel"
 	"addcrn/internal/pcr"
 	"addcrn/internal/rng"
-	"addcrn/internal/spectrum"
 	"addcrn/internal/theory"
 	"addcrn/internal/viz"
 )
@@ -32,7 +30,7 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: addc-topology gen|info|svg|trace [flags]")
+		return fmt.Errorf("usage: addc-topology gen|info|svg [flags]")
 	}
 	switch args[0] {
 	case "gen":
@@ -41,10 +39,8 @@ func run(args []string) error {
 		return runInfo(args[1:])
 	case "svg":
 		return runSVG(args[1:])
-	case "trace":
-		return runTrace(args[1:])
 	default:
-		return fmt.Errorf("unknown subcommand %q (want gen, info, svg or trace)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want gen, info or svg)", args[0])
 	}
 }
 
@@ -157,47 +153,4 @@ func runSVG(args []string) error {
 		return nil
 	}
 	return os.WriteFile(*out, []byte(svg), 0o644)
-}
-
-func runTrace(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
-	var (
-		numN    = fs.Int("N", 8, "number of PUs")
-		slots   = fs.Int64("slots", 100000, "trace horizon in slots")
-		model   = fs.String("model", "bernoulli", "bernoulli or gilbert")
-		pt      = fs.Float64("pt", 0.3, "bernoulli per-slot activity")
-		meanOn  = fs.Float64("mean-on", 20, "gilbert mean burst length (slots)")
-		meanOff = fs.Float64("mean-off", 50, "gilbert mean silence length (slots)")
-		seed    = fs.Uint64("seed", 1, "seed")
-		out     = fs.String("o", "", "output CSV file (default stdout)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var (
-		tr  *spectrum.Trace
-		err error
-	)
-	switch *model {
-	case "bernoulli":
-		tr = spectrum.GenerateBernoulliTrace(*numN, *pt, *slots, rng.New(*seed))
-	case "gilbert":
-		tr, err = spectrum.GenerateGilbertTrace(*numN, *meanOn, *meanOff, *slots, rng.New(*seed))
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown trace model %q", *model)
-	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	fmt.Fprintf(os.Stderr, "duty cycle: %.4f\n", tr.DutyCycle())
-	return tr.WriteCSV(w)
 }

@@ -53,23 +53,6 @@ func TestSVGOnGeneratedTopology(t *testing.T) {
 	}
 }
 
-func TestTraceSubcommand(t *testing.T) {
-	for _, model := range []string{"bernoulli", "gilbert"} {
-		out := filepath.Join(t.TempDir(), model+".csv")
-		err := run([]string{"trace", "-N", "3", "-slots", "500", "-model", model, "-o", out})
-		if err != nil {
-			t.Fatalf("%s: %v", model, err)
-		}
-		data, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(data), "# slots=500") {
-			t.Errorf("%s: missing trace header", model)
-		}
-	}
-}
-
 func TestUsageErrors(t *testing.T) {
 	cases := [][]string{
 		nil,
@@ -77,7 +60,7 @@ func TestUsageErrors(t *testing.T) {
 		{"info"},
 		{"info", "/does/not/exist.json"},
 		{"svg"},
-		{"trace", "-model", "nope"},
+		{"trace"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

@@ -26,7 +26,11 @@ func fixture(t *testing.T, seed uint64) *netmodel.Network {
 
 func TestTemperaturesFormula(t *testing.T) {
 	nw := fixture(t, 1)
-	sensing := pcr.MustCompute(nw.Params).Range
+	consts, err := pcr.Compute(nw.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sensing := consts.Range
 	temps := Temperatures(nw, sensing)
 	pt := nw.Params.ActiveProb
 	for v := 0; v < nw.NumNodes(); v += 13 {
@@ -56,7 +60,11 @@ func TestTemperaturesColdNetwork(t *testing.T) {
 
 func TestBuildParentsAllMetrics(t *testing.T) {
 	nw := fixture(t, 3)
-	sensing := pcr.MustCompute(nw.Params).Range
+	consts, err := pcr.Compute(nw.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sensing := consts.Range
 	for _, metric := range []Metric{MetricAccumulated, MetricHighest, MetricMixed} {
 		parents, err := BuildParents(nw, sensing, metric)
 		if err != nil {

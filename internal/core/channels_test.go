@@ -41,7 +41,6 @@ func TestChannelsRejectedConfigs(t *testing.T) {
 	}{
 		{"generic-csma", func(c *CollectConfig) { c.GenericCSMA = true }, "GenericCSMA"},
 		{"sir-validate", func(c *CollectConfig) { c.SIRValidate = true }, "SIRValidate"},
-		{"pu-trace", func(c *CollectConfig) { c.PUTrace = &spectrum.Trace{} }, "PUTrace"},
 		{"aggregate", func(c *CollectConfig) { c.PUModel = spectrum.ModelAggregate }, "aggregate"},
 		{"faults", func(c *CollectConfig) { c.Faults = &fault.Spec{LinkLoss: 0.1} }, "Faults"},
 		{"nil-home", func(c *CollectConfig) { c.Home = nil }, "home slice"},

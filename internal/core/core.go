@@ -387,12 +387,6 @@ type CollectConfig struct {
 	// SIRValidate attaches the SIR monitor under the ADDC profile too, so
 	// the Result reports collision counts (Lemmas 2-3 promise zero).
 	SIRValidate bool
-	// PUTrace, when non-nil, replays a deterministic primary-user activity
-	// trace (see spectrum.Trace) instead of the stochastic PUModel.
-	PUTrace *spectrum.Trace
-	// AggregateQueue enables perfect data aggregation at relays (the paper
-	// studies collection without aggregation; see mac.Config).
-	AggregateQueue bool
 	// RecordProgress stores each delivery's timestamp into the Result's
 	// ProgressSlots, enabling delivery-curve plots (memory cost: one
 	// float64 per packet).
@@ -410,9 +404,8 @@ type CollectConfig struct {
 	Tree *cds.Tree
 	// Sink, when non-nil, receives the run's deliveries and every
 	// fault-layer event (crash, recover, repair, packet loss). Two runs with
-	// equal seeds and equal fault specs produce identical streams. Use a
-	// trace.Buffer to keep them in memory, trace.NewJSONLSink to stream them
-	// to disk.
+	// equal seeds and equal fault specs produce identical streams.
+	// trace.NewJSONLSink streams them to disk.
 	Sink trace.Sink
 	// TraceMAC additionally records every transmission start/end/abort and
 	// every backoff draw (high volume: O(engine events) records).
@@ -454,8 +447,8 @@ type CollectConfig struct {
 	// channels, PU i licensed to channel i mod Channels, and Home assigns
 	// each node's receive channel (see mac.Config.Channels). Zero means the
 	// paper's single channel. More than one channel runs ADDC's profile with
-	// the exact PU model only: GenericCSMA, SIRValidate, PUTrace, the
-	// aggregate model and a non-zero Faults are rejected.
+	// the exact PU model only: GenericCSMA, SIRValidate, the aggregate
+	// model and a non-zero Faults are rejected.
 	Channels int
 	Home     []int
 }
@@ -766,7 +759,6 @@ func newRun(eng *sim.Engine, nw *netmodel.Network, parent []int32, cfg CollectCo
 		Monitor:        monitor,
 		NoFairnessWait: cfg.GenericCSMA,
 		ExpBackoff:     cfg.GenericCSMA,
-		AggregateQueue: cfg.AggregateQueue,
 		Channels:       cfg.Channels,
 		Home:           cfg.Home,
 	}
@@ -854,12 +846,6 @@ func newRun(eng *sim.Engine, nw *netmodel.Network, parent []int32, cfg CollectCo
 
 	var model spectrum.PUModel
 	switch {
-	case cfg.PUTrace != nil:
-		traceModel, err := spectrum.NewTraceModel(nw, m.Trackers()[0], cfg.PUTrace)
-		if err != nil {
-			return nil, err
-		}
-		model = traceModel
 	case cfg.PUModel == spectrum.ModelExact:
 		ws.exact = spectrum.RenewExactModel(ws.exact, nw, m.Trackers(), src)
 		exact := ws.exact
@@ -889,8 +875,8 @@ func newRun(eng *sim.Engine, nw *netmodel.Network, parent []int32, cfg CollectCo
 
 // validateChannels rejects the features a run on more than one channel does
 // not support. Each either assumes one medium (the SIR monitor, the
-// aggregate model's per-node blocking, trace replay) or would move a node
-// between channels (fault repair re-parents).
+// aggregate model's per-node blocking) or would move a node between
+// channels (fault repair re-parents).
 func validateChannels(cfg CollectConfig) error {
 	for _, f := range []struct {
 		on   bool
@@ -898,7 +884,6 @@ func validateChannels(cfg CollectConfig) error {
 	}{
 		{cfg.GenericCSMA, "GenericCSMA"},
 		{cfg.SIRValidate, "SIRValidate"},
-		{cfg.PUTrace != nil, "PUTrace"},
 		{cfg.PUModel == spectrum.ModelAggregate, "the aggregate PU model"},
 		{cfg.Faults != nil && !cfg.Faults.Zero(), "Faults"},
 	} {

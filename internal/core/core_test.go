@@ -360,40 +360,6 @@ func TestHopCountsMatchTreeDepth(t *testing.T) {
 	}
 }
 
-// TestAggregationSlashesDelay compares collection with and without perfect
-// aggregation: aggregated collection needs O(1) transmissions per node, so
-// it must be substantially faster and use far fewer transmissions.
-func TestAggregationSlashesDelay(t *testing.T) {
-	opts := smallOptions(60)
-	nw, err := BuildNetwork(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := BuildTree(nw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Collect(nw, tree.Parent, CollectConfig{Seed: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := Collect(nw, tree.Parent, CollectConfig{Seed: 60, AggregateQueue: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Delivered != agg.Expected {
-		t.Fatalf("aggregated run delivered %d/%d", agg.Delivered, agg.Expected)
-	}
-	if agg.TotalTransmissions >= plain.TotalTransmissions {
-		t.Errorf("aggregation did not reduce transmissions: %d vs %d",
-			agg.TotalTransmissions, plain.TotalTransmissions)
-	}
-	if agg.DelaySlots >= plain.DelaySlots {
-		t.Errorf("aggregation did not reduce delay: %v vs %v slots",
-			agg.DelaySlots, plain.DelaySlots)
-	}
-}
-
 func TestRecordProgress(t *testing.T) {
 	opts := smallOptions(70)
 	nw, err := BuildNetwork(opts)

@@ -86,25 +86,6 @@ func (sp ShardSpec) owns(xi, rep, reps int) bool {
 	return (xi*reps+rep)%sp.Count == sp.Index-1
 }
 
-// Partition returns the (xi, rep) pairs shard sp owns in a grid of numXs x
-// reps, in grid index order (xi-major). The k partitions of a grid tile it
-// exactly: every pair belongs to one and only one shard (the property test
-// enforces this for random grids).
-func Partition(numXs, reps int, sp ShardSpec) [][2]int {
-	if err := sp.Validate(); err != nil {
-		return nil
-	}
-	var pairs [][2]int
-	for xi := 0; xi < numXs; xi++ {
-		for rep := 0; rep < reps; rep++ {
-			if sp.owns(xi, rep, reps) {
-				pairs = append(pairs, [2]int{xi, rep})
-			}
-		}
-	}
-	return pairs
-}
-
 // shardHeaderRecord tags the journal header line all shard journals start
 // with; it can never collide with a CheckpointEntry, which has no "record"
 // key.

@@ -87,32 +87,27 @@ func TestPartitionTilesGrid(t *testing.T) {
 		numXs := 1 + rng.Intn(12)
 		reps := 1 + rng.Intn(12)
 		k := 1 + rng.Intn(numXs*reps+3) // sometimes more shards than pairs
-		owners := make(map[[2]int]int)
-		for i := 1; i <= k; i++ {
-			pairs := Partition(numXs, reps, ShardSpec{Index: i, Count: k})
-			prev := -1
-			for _, pr := range pairs {
-				if got, dup := owners[pr]; dup {
-					t.Fatalf("grid %dx%d k=%d: pair %v owned by shards %d and %d", numXs, reps, k, pr, got, i)
+		for xi := 0; xi < numXs; xi++ {
+			for rep := 0; rep < reps; rep++ {
+				var owners []int
+				for i := 1; i <= k; i++ {
+					if (ShardSpec{Index: i, Count: k}).owns(xi, rep, reps) {
+						owners = append(owners, i)
+					}
 				}
-				owners[pr] = i
-				flat := pr[0]*reps + pr[1]
-				if flat <= prev {
-					t.Fatalf("grid %dx%d k=%d shard %d: pairs not in grid order", numXs, reps, k, i)
+				if len(owners) != 1 {
+					t.Fatalf("grid %dx%d k=%d: pair (%d,%d) owned by shards %v, want exactly one",
+						numXs, reps, k, xi, rep, owners)
 				}
-				prev = flat
 			}
-		}
-		if len(owners) != numXs*reps {
-			t.Fatalf("grid %dx%d k=%d: %d pairs covered, want %d (gap)", numXs, reps, k, len(owners), numXs*reps)
 		}
 	}
 }
 
 func TestPartitionRejectsInvalidSpec(t *testing.T) {
 	for _, sp := range []ShardSpec{{0, 3}, {4, 3}, {1, 0}, {-1, -1}} {
-		if got := Partition(4, 4, sp); got != nil {
-			t.Errorf("Partition with invalid %+v returned %d pairs", sp, len(got))
+		if err := sp.Validate(); err == nil {
+			t.Errorf("Validate accepted invalid %+v", sp)
 		}
 	}
 }

@@ -20,7 +20,6 @@ package experiment
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"addcrn/internal/cds"
 	"addcrn/internal/coolest"
@@ -51,56 +50,20 @@ func topoKeyOf(p netmodel.Params, seed uint64) topoKey {
 }
 
 // Topology is one memoized deployment plus the immutable artifacts derived
-// from it. All exported fields are read-only once built. The lazily grown
-// table caches are published as immutable snapshots behind an atomic
-// pointer: a worker pool sharing one Topology reads them lock-free — the
-// steady state of a sweep (every table already built) holds no mutex at all
-// — while the rare build of a new table clones the snapshot under t.mu and
-// publishes the extended copy. It implements spectrum.NeighborTables,
-// memoizing one CSR build per sensing radius.
+// from it. All exported fields are read-only once built. The lazily built
+// tables are plain maps behind one mutex: a run looks up only a few, and
+// the lock held across a build keeps it to one build per key. It implements
+// spectrum.NeighborTables, memoizing one CSR build per sensing radius.
 type Topology struct {
 	NW    *netmodel.Network
 	Adj   graphx.Adjacency
 	Tree  *cds.Tree
 	Stats cds.Stats
 
-	// tables is the current immutable snapshot of every lazily built
-	// artifact; nil until the first build. Readers load it atomically and
-	// never see a map under mutation. t.mu serializes writers only.
-	tables atomic.Pointer[topoTables]
-	mu     sync.Mutex
-}
-
-// topoTables is one immutable snapshot of a Topology's lazily built
-// artifacts. A snapshot is never mutated after publication; extending any
-// map means cloning it into a fresh snapshot.
-type topoTables struct {
+	mu      sync.Mutex // guards the maps below
 	su      map[float64]*netmodel.CSRTable
 	pu      map[float64]*netmodel.CSRTable
 	coolest map[coolestKey][]int32
-}
-
-// clone returns a mutable deep copy of the snapshot's map headers (the
-// referenced tables themselves are immutable and shared). A nil receiver
-// clones to an empty snapshot.
-func (tt *topoTables) clone() *topoTables {
-	next := &topoTables{
-		su:      make(map[float64]*netmodel.CSRTable),
-		pu:      make(map[float64]*netmodel.CSRTable),
-		coolest: make(map[coolestKey][]int32),
-	}
-	if tt != nil {
-		for k, v := range tt.su {
-			next.su[k] = v
-		}
-		for k, v := range tt.pu {
-			next.pu[k] = v
-		}
-		for k, v := range tt.coolest {
-			next.coolest[k] = v
-		}
-	}
-	return next
 }
 
 // coolestKey identifies one Coolest routing tree: the spectrum temperatures
@@ -135,88 +98,52 @@ func BuildTopology(params netmodel.Params, seed uint64) (*Topology, error) {
 	}, nil
 }
 
-// SUNeighborTable implements spectrum.NeighborTables with one build per
-// radius. Hits are lock-free snapshot reads.
-func (t *Topology) SUNeighborTable(radius float64) (*netmodel.CSRTable, error) {
-	if tt := t.tables.Load(); tt != nil {
-		if tab, ok := tt.su[radius]; ok {
-			return tab, nil
-		}
+// memo returns m[key], calling build and storing its result on a miss.
+// mu is held throughout, so concurrent callers wait for one build instead
+// of racing duplicates. Errors are not stored.
+func memo[K comparable, V any](mu *sync.Mutex, m *map[K]V, key K, build func() (V, error)) (V, error) {
+	mu.Lock()
+	defer mu.Unlock()
+	if v, ok := (*m)[key]; ok {
+		return v, nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// Double-check under the writer lock: a racing builder may have
-	// published the table while we waited.
-	tt := t.tables.Load()
-	if tt != nil {
-		if tab, ok := tt.su[radius]; ok {
-			return tab, nil
-		}
-	}
-	tab, err := t.NW.SUNeighborTable(radius)
+	v, err := build()
 	if err != nil {
-		return nil, err
+		return v, err
 	}
-	next := tt.clone()
-	next.su[radius] = tab
-	t.tables.Store(next)
-	return tab, nil
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[key] = v
+	return v, nil
+}
+
+// SUNeighborTable implements spectrum.NeighborTables with one build per
+// radius.
+func (t *Topology) SUNeighborTable(radius float64) (*netmodel.CSRTable, error) {
+	return memo(&t.mu, &t.su, radius, func() (*netmodel.CSRTable, error) {
+		return t.NW.SUNeighborTable(radius)
+	})
 }
 
 // PUNeighborTable implements spectrum.NeighborTables with one build per
-// radius. Hits are lock-free snapshot reads.
+// radius.
 func (t *Topology) PUNeighborTable(radius float64) (*netmodel.CSRTable, error) {
-	if tt := t.tables.Load(); tt != nil {
-		if tab, ok := tt.pu[radius]; ok {
-			return tab, nil
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tt := t.tables.Load()
-	if tt != nil {
-		if tab, ok := tt.pu[radius]; ok {
-			return tab, nil
-		}
-	}
-	tab, err := t.NW.PUNeighborTable(radius)
-	if err != nil {
-		return nil, err
-	}
-	next := tt.clone()
-	next.pu[radius] = tab
-	t.tables.Store(next)
-	return tab, nil
+	return memo(&t.mu, &t.pu, radius, func() (*netmodel.CSRTable, error) {
+		return t.NW.PUNeighborTable(radius)
+	})
 }
 
 // coolestParents memoizes the Coolest routing tree (accumulated metric) for
-// (sensing range, p_t) on this topology. nw must be this topology's network (with
-// per-point params applied via WithParams); the returned slice is shared
-// and must be treated read-only — core copies it before any mutation. Hits
-// are lock-free snapshot reads.
+// (sensing range, p_t) on this topology. nw must be this topology's network
+// (with per-point params applied via WithParams); the returned slice is
+// shared and must be treated read-only — core copies it before any
+// mutation.
 func (t *Topology) coolestParents(nw *netmodel.Network, sensingRange float64) ([]int32, error) {
 	key := coolestKey{sensingRange: sensingRange, activeProb: nw.Params.ActiveProb}
-	if tt := t.tables.Load(); tt != nil {
-		if p, ok := tt.coolest[key]; ok {
-			return p, nil
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tt := t.tables.Load()
-	if tt != nil {
-		if p, ok := tt.coolest[key]; ok {
-			return p, nil
-		}
-	}
-	p, err := coolest.BuildParentsOn(t.Adj, nw, sensingRange, coolest.MetricAccumulated)
-	if err != nil {
-		return nil, err
-	}
-	next := tt.clone()
-	next.coolest[key] = p
-	t.tables.Store(next)
-	return p, nil
+	return memo(&t.mu, &t.coolest, key, func() ([]int32, error) {
+		return coolest.BuildParentsOn(t.Adj, nw, sensingRange, coolest.MetricAccumulated)
+	})
 }
 
 var _ spectrum.NeighborTables = (*Topology)(nil)

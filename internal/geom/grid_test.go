@@ -229,3 +229,56 @@ func TestWithinFarOutside(t *testing.T) {
 		}
 	}
 }
+
+// Nearest returns the index of the indexed point closest to center and its
+// distance. It returns (-1, +Inf) when the grid is empty. The search expands
+// ring by ring, so typical cost is a handful of cells.
+func (g *Grid) Nearest(center Point) (int, float64) {
+	if len(g.points) == 0 {
+		return -1, math.Inf(1)
+	}
+	cx, cy := g.cellCoords(center)
+	best := -1
+	bestD2 := math.Inf(1)
+	maxRing := g.cols
+	if g.rows > g.cols {
+		maxRing = g.rows
+	}
+	for ring := 0; ring <= maxRing; ring++ {
+		// Once a candidate is found, one extra ring suffices: any point in
+		// a farther ring is at distance > (ring-1)*cellSize.
+		if best >= 0 {
+			minPossible := float64(ring-1) * g.cellSize
+			if minPossible > 0 && minPossible*minPossible > bestD2 {
+				break
+			}
+		}
+		for dy := -ring; dy <= ring; dy++ {
+			for dx := -ring; dx <= ring; dx++ {
+				if abs(dx) != ring && abs(dy) != ring {
+					continue // interior cells were scanned in earlier rings
+				}
+				x, y := cx+dx, cy+dy
+				if x < 0 || x >= g.cols || y < 0 || y >= g.rows {
+					continue
+				}
+				c := y*g.cols + x
+				for _, i := range g.ids[g.start[c]:g.start[c+1]] {
+					d2 := g.points[i].Dist2(center)
+					if d2 < bestD2 {
+						bestD2 = d2
+						best = int(i)
+					}
+				}
+			}
+		}
+	}
+	return best, math.Sqrt(bestD2)
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}

@@ -51,9 +51,6 @@ func (a Adjacency) NumEdges() int {
 	return total / 2
 }
 
-// Degree returns the degree of node u.
-func (a Adjacency) Degree(u int) int { return len(a[u]) }
-
 // MaxDegree returns the maximum degree over all nodes, 0 for empty graphs.
 func (a Adjacency) MaxDegree() int {
 	maxDeg := 0

@@ -188,3 +188,6 @@ func TestSortInt32(t *testing.T) {
 	}
 	sortInt32(nil) // must not panic
 }
+
+// Degree returns the degree of node u.
+func (a Adjacency) Degree(u int) int { return len(a[u]) }

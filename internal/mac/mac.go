@@ -217,12 +217,6 @@ type Config struct {
 	// success. Plain CSMA needs it to escape hidden-terminal livelock;
 	// ADDC does not use it.
 	ExpBackoff bool
-	// AggregateQueue enables perfect data aggregation: a completed
-	// transmission carries the node's entire queue in one slot (packets
-	// merge losslessly). The paper explicitly studies collection WITHOUT
-	// aggregation; this flag exists for the companion comparison, turning
-	// per-node work from O(subtree) into O(1) transmissions.
-	AggregateQueue bool
 
 	// Tables, when non-nil, supplies the carrier-sense CSR neighbor tables
 	// instead of having the tracker build them from the network — the hook
@@ -318,10 +312,9 @@ type MAC struct {
 	// retained so Renew can re-derive queue capacities without reallocating.
 	subtree []int32
 
-	slot    sim.Time
-	window  sim.Time // tau_c in microseconds
-	root    int32
-	nActive int // currently transmitting SUs
+	slot   sim.Time
+	window sim.Time // tau_c in microseconds
+	root   int32
 
 	// Bounded-retry fault machine (zero-valued when Config.Faults is nil).
 	lossSrc  *rng.Source
@@ -548,7 +541,6 @@ func Renew(prev *MAC, cfg Config) (*MAC, error) {
 	m.slot = sim.FromDuration(cfg.Network.Params.Slot)
 	m.window = sim.FromDuration(cfg.Network.Params.ContentionWindow)
 	m.root = root
-	m.nActive = 0
 	m.lossSrc = nil
 	m.retryCap = 0
 	if f := cfg.Faults; f != nil {
@@ -647,7 +639,6 @@ func (m *MAC) Crash(id int32, now sim.Time) bool {
 	n.serviceActive = false
 	n.retries = 0
 	if wasTransmitting {
-		m.nActive--
 		// Same teardown order as endTx: finalize the monitor before the
 		// medium release so reentrant transmission starts are not
 		// misattributed.
@@ -732,9 +723,6 @@ func (m *MAC) QueueLen(id int32) int { return m.nodes[id].queueLen() }
 // Stats returns node id's accumulated statistics.
 func (m *MAC) Stats(id int32) NodeStats { return m.nodes[id].stats }
 
-// ActiveTransmitters returns the number of currently transmitting SUs.
-func (m *MAC) ActiveTransmitters() int { return m.nActive }
-
 // setState writes node id's MAC state and keeps its transmit channel's
 // tracker eligibility marks in lockstep: SpectrumBusy acts on a running
 // backoff, SpectrumFree on a frozen or awaiting one. Every state change must
@@ -817,7 +805,6 @@ func (m *MAC) expire(id int32, now sim.Time) {
 func (m *MAC) beginTx(id int32, now sim.Time) {
 	n := &m.nodes[id]
 	m.setState(id, stateTransmitting)
-	m.nActive++
 	if mon := m.cfg.Monitor; mon != nil {
 		selfPos := m.cfg.Network.SU[id]
 		rxPos := m.cfg.Network.SU[m.parent[id]]
@@ -838,7 +825,6 @@ func (m *MAC) endTx(id int32, now sim.Time) {
 	if m.sts[id] != stateTransmitting {
 		return
 	}
-	m.nActive--
 	// Finalize the monitor BEFORE releasing the medium: the tracker's
 	// removal callbacks can reentrantly start new transmissions, which must
 	// not be counted against this already-finished reception (or vice
@@ -899,15 +885,6 @@ func (m *MAC) endTx(id int32, now sim.Time) {
 		pkt := n.pop()
 		pkt.Hops++
 		m.Enqueue(m.parent[id], pkt)
-		if m.cfg.AggregateQueue {
-			// Perfect aggregation: the rest of the queue rode along in the
-			// same slot.
-			for n.queueLen() > 0 {
-				extra := n.pop()
-				extra.Hops++
-				m.Enqueue(m.parent[id], extra)
-			}
-		}
 	}
 	m.enterPostWait(id, now)
 }
@@ -965,7 +942,6 @@ func (m *MAC) failTx(id int32, now sim.Time) {
 func (m *MAC) abortTx(id int32, now sim.Time) {
 	n := &m.nodes[id]
 	n.timer.Cancel()
-	m.nActive--
 	if mon := m.cfg.Monitor; mon != nil {
 		mon.EndReception(n.rxToken)
 		mon.RemoveTransmitter(n.txToken)

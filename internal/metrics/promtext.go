@@ -1,19 +1,16 @@
 // Prometheus text-format exposition (version 0.0.4) over this package's
-// instruments: the deterministic registry Snapshot on one side and the
-// service layer's atomic family (AtomicCounter, AtomicPeak, WallHistogram)
-// on the other. The encoder is dependency-free and hand-rolled — the repo
-// is stdlib-only — and emits strictly valid exposition text: HELP/TYPE
-// comment pairs before each family, escaped label values, cumulative
-// histogram buckets ending at le="+Inf", and `name_sum`/`name_count`
-// companions. A scrape endpoint builds one PromWriter per request, writes
-// its families, and checks Err.
+// instruments: the service layer's atomic family (AtomicCounter,
+// AtomicPeak, WallHistogram) and plain samples. The encoder is
+// dependency-free and hand-rolled — the repo is stdlib-only — and emits
+// strictly valid exposition text: HELP/TYPE comment pairs before each
+// family, escaped label values, cumulative histogram buckets ending at
+// le="+Inf", and `name_sum`/`name_count` companions. A scrape endpoint
+// builds one PromWriter per request, writes its families, and checks Err.
 package metrics
 
 import (
-	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -243,16 +240,10 @@ func (p *PromWriter) histogram(name string, labels []Label, bounds []float64, co
 	p.flushLine()
 }
 
-// WallHist writes one WallHistogram as a complete histogram family. The
-// +Inf bucket uses the histogram's total count, so a scrape taken while
-// writers are active stays internally consistent (cumulative buckets are
-// each <= count by construction).
-func (p *PromWriter) WallHist(name, help string, labels []Label, h *WallHistogram) {
-	p.WallHistSnapshot(name, help, labels, h.Snapshot())
-}
-
-// WallHistSnapshot is WallHist over an already-taken snapshot, for call
-// sites that share one snapshot across several views of the same state.
+// WallHistSnapshot writes one WallHistogram snapshot as a complete
+// histogram family. The +Inf bucket uses the snapshot's total count, so a
+// scrape taken while writers are active stays internally consistent
+// (cumulative buckets are each <= count by construction).
 func (p *PromWriter) WallHistSnapshot(name, help string, labels []Label, s WallHistogramSnapshot) {
 	// Clamp the cumulative finite buckets to the sampled count: each field
 	// is read atomically but not the set as one unit.
@@ -273,70 +264,4 @@ func (p *PromWriter) WallHistSnapshot(name, help string, labels []Label, s WallH
 	}
 	p.Family(name, "histogram", help)
 	p.histogram(name, labels, s.Bounds, s.Counts, s.Count, s.Sum)
-}
-
-// WriteSnapshot exposes a registry Snapshot, prefixing every metric name
-// (pass e.g. "addc_sim_"). Families sharing a name across label sets emit
-// one header and one sample per label set; names are emitted in sorted
-// order so output is deterministic for deterministic snapshots.
-func (p *PromWriter) WriteSnapshot(prefix string, s Snapshot) {
-	type sample struct {
-		labels []Label
-		value  float64
-		hist   *HistogramSnapshot
-	}
-	families := make(map[string]*struct {
-		typ     string
-		samples []sample
-	})
-	addFamily := func(name, typ string, smp sample) {
-		f := families[name]
-		if f == nil {
-			f = &struct {
-				typ     string
-				samples []sample
-			}{typ: typ}
-			families[name] = f
-		}
-		f.samples = append(f.samples, smp)
-	}
-	toLabels := func(m map[string]string) []Label {
-		if len(m) == 0 {
-			return nil
-		}
-		out := make([]Label, 0, len(m))
-		for k, v := range m {
-			out = append(out, Label{Key: k, Value: v})
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-		return out
-	}
-	for _, c := range s.Counters {
-		addFamily(c.Name, "counter", sample{labels: toLabels(c.Labels), value: float64(c.Value)})
-	}
-	for _, g := range s.Gauges {
-		addFamily(g.Name, "gauge", sample{labels: toLabels(g.Labels), value: g.Value})
-	}
-	for i := range s.Histograms {
-		h := &s.Histograms[i]
-		addFamily(h.Name, "histogram", sample{labels: toLabels(h.Labels), hist: h})
-	}
-
-	names := make([]string, 0, len(families))
-	for name := range families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		f := families[name]
-		full := prefix + name
-		p.Family(full, f.typ, fmt.Sprintf("simulation metric %s", name))
-		for _, smp := range f.samples {
-			if smp.hist != nil {
-				p.histogram(full, smp.labels, smp.hist.Bounds, smp.hist.Counts, smp.hist.Count, smp.hist.Sum)
-			} else {
-				p.Sample(full, smp.labels, smp.value)
-			}
-		}
-	}
 }

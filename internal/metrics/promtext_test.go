@@ -2,10 +2,14 @@ package metrics
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"addcrn/internal/metrics/promtest"
 )
 
 // The encoder's output must survive its own strict parser — every family
@@ -28,7 +32,7 @@ func TestPromWriterRoundTrip(t *testing.T) {
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := ParsePromText([]byte(sb.String()))
+	fams, err := promtest.ParsePromText([]byte(sb.String()))
 	if err != nil {
 		t.Fatalf("encoder output failed strict parse: %v\noutput:\n%s", err, sb.String())
 	}
@@ -55,7 +59,7 @@ func TestPromWriterRoundTrip(t *testing.T) {
 	}
 }
 
-func findSample(f *PromFamily, name string) (float64, bool) {
+func findSample(f *promtest.PromFamily, name string) (float64, bool) {
 	for _, s := range f.Samples {
 		if s.Name == name && s.Labels["le"] == "" {
 			return s.Value, true
@@ -81,7 +85,7 @@ func TestPromWriterSnapshot(t *testing.T) {
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := ParsePromText([]byte(sb.String()))
+	fams, err := promtest.ParsePromText([]byte(sb.String()))
 	if err != nil {
 		t.Fatalf("snapshot exposition failed strict parse: %v\noutput:\n%s", err, sb.String())
 	}
@@ -106,7 +110,7 @@ func TestPromWriterSanitizesNames(t *testing.T) {
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParsePromText([]byte(sb.String())); err != nil {
+	if _, err := promtest.ParsePromText([]byte(sb.String())); err != nil {
 		t.Fatalf("sanitized output still invalid: %v\n%s", err, sb.String())
 	}
 }
@@ -119,13 +123,15 @@ func TestParsePromTextRejects(t *testing.T) {
 		"duplicate series":       "# TYPE foo counter\nfoo 1\nfoo 2\n",
 		"negative counter":       "# TYPE foo counter\nfoo -1\n",
 		"bad value":              "# TYPE foo gauge\nfoo x\n",
+		"bad HELP escape":        "# HELP foo a\\x\n# TYPE foo gauge\nfoo 1\n",
 		"repeated TYPE":          "# TYPE foo gauge\n# TYPE foo gauge\nfoo 1\n",
+		"repeated empty HELP":    "# HELP foo \n# HELP foo x\n# TYPE foo gauge\nfoo 1\n",
 		"non-cumulative buckets": "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n",
 		"missing inf bucket":     "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_sum 1\nh_count 5\n",
 		"inf bucket != count":    "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 6\n",
 	}
 	for name, body := range cases {
-		if _, err := ParsePromText([]byte(body)); err == nil {
+		if _, err := promtest.ParsePromText([]byte(body)); err == nil {
 			t.Errorf("%s: accepted invalid exposition:\n%s", name, body)
 		}
 	}
@@ -145,3 +151,74 @@ func TestPromWriterStickyError(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("boom") }
+
+// WallHist writes one WallHistogram as a complete histogram family.
+func (p *PromWriter) WallHist(name, help string, labels []Label, h *WallHistogram) {
+	p.WallHistSnapshot(name, help, labels, h.Snapshot())
+}
+
+// WriteSnapshot exposes a registry Snapshot, prefixing every metric name
+// (pass e.g. "addc_sim_"). Families sharing a name across label sets emit
+// one header and one sample per label set; names are emitted in sorted
+// order so output is deterministic for deterministic snapshots.
+func (p *PromWriter) WriteSnapshot(prefix string, s Snapshot) {
+	type sample struct {
+		labels []Label
+		value  float64
+		hist   *HistogramSnapshot
+	}
+	families := make(map[string]*struct {
+		typ     string
+		samples []sample
+	})
+	addFamily := func(name, typ string, smp sample) {
+		f := families[name]
+		if f == nil {
+			f = &struct {
+				typ     string
+				samples []sample
+			}{typ: typ}
+			families[name] = f
+		}
+		f.samples = append(f.samples, smp)
+	}
+	toLabels := func(m map[string]string) []Label {
+		if len(m) == 0 {
+			return nil
+		}
+		out := make([]Label, 0, len(m))
+		for k, v := range m {
+			out = append(out, Label{Key: k, Value: v})
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+		return out
+	}
+	for _, c := range s.Counters {
+		addFamily(c.Name, "counter", sample{labels: toLabels(c.Labels), value: float64(c.Value)})
+	}
+	for _, g := range s.Gauges {
+		addFamily(g.Name, "gauge", sample{labels: toLabels(g.Labels), value: g.Value})
+	}
+	for i := range s.Histograms {
+		h := &s.Histograms[i]
+		addFamily(h.Name, "histogram", sample{labels: toLabels(h.Labels), hist: h})
+	}
+
+	names := make([]string, 0, len(families))
+	for name := range families {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f := families[name]
+		full := prefix + name
+		p.Family(full, f.typ, fmt.Sprintf("simulation metric %s", name))
+		for _, smp := range f.samples {
+			if smp.hist != nil {
+				p.histogram(full, smp.labels, smp.hist.Bounds, smp.hist.Counts, smp.hist.Count, smp.hist.Sum)
+			} else {
+				p.Sample(full, smp.labels, smp.value)
+			}
+		}
+	}
+}

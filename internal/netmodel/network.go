@@ -190,24 +190,6 @@ func (nw *Network) Connected() bool {
 	return seen == n
 }
 
-// SUNeighbors appends to dst the indices of secondary nodes within distance
-// radius of the secondary node id (excluding id itself). The appended
-// results keep the grid's scan order with the query node removed in place —
-// no reordering — so equal deployments give downstream iteration a stable,
-// reproducible neighbor sequence.
-func (nw *Network) SUNeighbors(id int, radius float64, dst []int32) []int32 {
-	base := len(dst)
-	dst = nw.SUGrid.Within(nw.SU[id], radius, dst)
-	// Remove the node itself from its neighborhood, preserving order.
-	for i := base; i < len(dst); i++ {
-		if int(dst[i]) == id {
-			copy(dst[i:], dst[i+1:])
-			return dst[:len(dst)-1]
-		}
-	}
-	return dst
-}
-
 // PUsNear appends to dst the indices of primary users within distance radius
 // of point pt.
 func (nw *Network) PUsNear(pt geom.Point, radius float64, dst []int32) []int32 {

@@ -21,7 +21,6 @@
 package pcr
 
 import (
-	"fmt"
 	"math"
 
 	"addcrn/internal/netmodel"
@@ -54,16 +53,6 @@ func Compute(p netmodel.Params) (Constants, error) {
 		return Constants{}, err
 	}
 	return computeUnchecked(p), nil
-}
-
-// MustCompute is Compute for parameter sets known statically valid; it
-// panics on invalid input and is intended for tests and examples.
-func MustCompute(p netmodel.Params) Constants {
-	c, err := Compute(p)
-	if err != nil {
-		panic(fmt.Sprintf("pcr: %v", err))
-	}
-	return c
 }
 
 func computeUnchecked(p netmodel.Params) Constants {

@@ -8,6 +8,16 @@ import (
 	"addcrn/internal/netmodel"
 )
 
+// compute is Compute for parameter sets the test knows valid.
+func compute(t *testing.T, p netmodel.Params) Constants {
+	t.Helper()
+	c, err := Compute(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestC2Corrected(t *testing.T) {
 	// alpha=4: c2 = 6 + 6*(2/sqrt(3))^4 / 2 = 6 + 6*(16/9)/2 = 6 + 16/3.
 	want := 6 + 16.0/3
@@ -64,21 +74,10 @@ func TestComputeRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestMustComputePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustCompute did not panic on invalid params")
-		}
-	}()
-	p := Fig4Defaults()
-	p.Alpha = 1
-	MustCompute(p)
-}
-
 func TestKappaAsymmetricPowers(t *testing.T) {
 	p := Fig4Defaults()
 	p.PowerPU = 40 // PU louder than SU
-	c := MustCompute(p)
+	c := compute(t, p)
 	if c.C1 != 1 {
 		t.Errorf("c1 = %v, want 1 when P_p is max", c.C1)
 	}
@@ -86,7 +85,7 @@ func TestKappaAsymmetricPowers(t *testing.T) {
 		t.Errorf("c3 = %v, want 0.25", c.C3)
 	}
 	// Louder PUs mean SU receivers need more protection: kappaSU grows.
-	base := MustCompute(Fig4Defaults())
+	base := compute(t, Fig4Defaults())
 	if c.KappaSU <= base.KappaSU {
 		t.Errorf("KappaSU %v did not grow with PU power (base %v)", c.KappaSU, base.KappaSU)
 	}
@@ -100,7 +99,7 @@ func TestRangeMonotoneInThresholds(t *testing.T) {
 		p := base
 		p.SIRThresholdPUdB = etaDB
 		p.SIRThresholdSUdB = etaDB
-		c := MustCompute(p)
+		c := compute(t, p)
 		if c.Range < prev {
 			t.Errorf("PCR decreased at eta=%vdB: %v < %v", etaDB, c.Range, prev)
 		}
@@ -114,7 +113,7 @@ func TestRangeMonotoneInRadii(t *testing.T) {
 	for r := 6.0; r <= 16; r += 2 {
 		p := base
 		p.RadiusPU = r
-		c := MustCompute(p)
+		c := compute(t, p)
 		if c.Range < prev {
 			t.Errorf("PCR decreased in R at %v", r)
 		}
@@ -127,7 +126,7 @@ func TestAlphaEffectMatchesPaper(t *testing.T) {
 	// alpha=4 because weaker path loss spreads interference farther.
 	p3, p4 := Fig4Defaults(), Fig4Defaults()
 	p3.Alpha = 3
-	c3, c4 := MustCompute(p3), MustCompute(p4)
+	c3, c4 := compute(t, p3), compute(t, p4)
 	if c3.Range <= c4.Range {
 		t.Errorf("PCR(alpha=3)=%v not larger than PCR(alpha=4)=%v", c3.Range, c4.Range)
 	}
@@ -192,7 +191,7 @@ func TestFig4Series(t *testing.T) {
 			p := base
 			p.PowerPU = x
 			p.Alpha = alpha
-			want := MustCompute(p)
+			want := compute(t, p)
 			if pt.PCR != want.Range || pt.Kappa != want.Kappa {
 				t.Errorf("series value mismatch at x=%v alpha=%v", x, alpha)
 			}

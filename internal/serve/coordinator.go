@@ -156,7 +156,7 @@ func (s *Server) shardFinished(child *Job) {
 	switch child.State {
 	case StateDone:
 		s.stats.shardsCompleted.Inc()
-	case StateFailed, StateDeadline, StateCanceled:
+	case StateFailed, StateDeadline:
 		s.stats.shardsFailed.Inc()
 	default:
 		// Interrupted (drain): the shard is not terminal — it resumes on

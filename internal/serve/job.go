@@ -180,7 +180,7 @@ func (s *JobSpec) sweep(maxWorkers int) (*experiment.Sweep, error) {
 // server resumes it); coordinating means a sharded job is parked —
 // occupying no worker — waiting for its shard jobs to finish (the last
 // shard's termination, or a restart, requeues it for the merge phase);
-// done, failed, deadline and canceled are terminal.
+// done, failed and deadline are terminal.
 const (
 	StateQueued       = "queued"
 	StateRunning      = "running"
@@ -189,13 +189,12 @@ const (
 	StateFailed       = "failed"
 	StateDeadline     = "deadline"
 	StateInterrupted  = "interrupted"
-	StateCanceled     = "canceled"
 )
 
 // terminalState reports whether a job in state will never run again.
 func terminalState(state string) bool {
 	switch state {
-	case StateDone, StateFailed, StateDeadline, StateCanceled:
+	case StateDone, StateFailed, StateDeadline:
 		return true
 	}
 	return false

@@ -38,7 +38,7 @@ type Telemetry struct {
 // joins and delta queries.
 var allStates = []string{
 	StateQueued, StateRunning, StateCoordinating, StateDone, StateFailed,
-	StateDeadline, StateInterrupted, StateCanceled,
+	StateDeadline, StateInterrupted,
 }
 
 // writeProm renders the snapshot in Prometheus text exposition format.
@@ -72,7 +72,7 @@ func writeProm(w io.Writer, t Telemetry) error {
 
 	counter("addc_shards_spawned_total", "shard jobs minted by coordinator (sharded) jobs", t.ShardsSpawned)
 	counter("addc_shards_completed_total", "shard jobs that reached state done", t.ShardsCompleted)
-	counter("addc_shards_failed_total", "shard jobs that ended failed, deadline or canceled", t.ShardsFailed)
+	counter("addc_shards_failed_total", "shard jobs that ended failed or deadline", t.ShardsFailed)
 	counter("addc_shard_reexecutions_total", "shard executions beyond a shard's first (retries and requeues after a worker death or restart; each resumes from the shard's journal)", t.ShardReexecution)
 
 	p.Family("addc_jobs_rejected_total", "counter", "submissions refused at admission, by reason")

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"addcrn/internal/metrics"
+	"addcrn/internal/metrics/promtest"
 	"addcrn/internal/trace"
 )
 
@@ -78,7 +79,7 @@ func TestMetricsGoldenScrape(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != metrics.PromContentType {
 		t.Fatalf("Content-Type = %q, want %q", ct, metrics.PromContentType)
 	}
-	fams, err := metrics.ParsePromText(body)
+	fams, err := promtest.ParsePromText(body)
 	if err != nil {
 		t.Fatalf("/metrics failed the strict parser: %v\n%s", err, body)
 	}
@@ -171,7 +172,7 @@ func TestMetricsGoldenScrape(t *testing.T) {
 	}
 	body2, _ := io.ReadAll(resp2.Body)
 	resp2.Body.Close()
-	fams2, err := metrics.ParsePromText(body2)
+	fams2, err := promtest.ParsePromText(body2)
 	if err != nil {
 		t.Fatalf("second scrape failed the strict parser: %v", err)
 	}
@@ -360,7 +361,7 @@ func TestMetricsEmptyServer(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics status = %d", resp.StatusCode)
 	}
-	if _, err := metrics.ParsePromText(body); err != nil {
+	if _, err := promtest.ParsePromText(body); err != nil {
 		t.Fatalf("empty-server scrape invalid: %v\n%s", err, body)
 	}
 }

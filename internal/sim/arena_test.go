@@ -102,16 +102,3 @@ func TestCancelInertAcrossGenerations(t *testing.T) {
 		t.Fatal("canceled timer reports active")
 	}
 }
-
-// TestNewWithCapacityPrealloc: scheduling within the declared capacity must
-// not allocate at all, from the first event on.
-func TestNewWithCapacityPrealloc(t *testing.T) {
-	e := NewWithCapacity(64)
-	allocs := testing.AllocsPerRun(50, func() {
-		e.After(1, func(Time) {})
-		e.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("pre-sized engine allocates %v/op, want 0", allocs)
-	}
-}

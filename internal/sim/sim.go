@@ -51,9 +51,6 @@ func (t Time) Duration() time.Duration { return time.Duration(t) * time.Microsec
 // Seconds returns t in seconds as a float64.
 func (t Time) Seconds() float64 { return float64(t) / 1e6 }
 
-// Slots returns how many whole slots of length slot have fully elapsed at t.
-func (t Time) Slots(slot Time) int64 { return int64(t / slot) }
-
 // EventFunc is an event body; it runs with the engine clock set to the
 // event's scheduled time.
 type EventFunc func(now Time)
@@ -87,19 +84,10 @@ func (t Timer) Cancel() {
 		return // already fired or already canceled
 	}
 	en.fn = nil
-	e.live--
 }
 
-// Active reports whether the event is still pending.
-func (t Timer) Active() bool {
-	if t.eng == nil {
-		return false
-	}
-	en := &t.eng.arena[t.idx]
-	return en.gen == t.gen && en.fn != nil
-}
-
-// When returns the scheduled fire time (meaningful only while Active).
+// When returns the scheduled fire time (meaningful only while the event is
+// pending).
 func (t Timer) When() Time {
 	if t.eng == nil {
 		return 0
@@ -142,14 +130,12 @@ type Engine struct {
 
 	// arena holds every entry ever allocated; free lists recycled slots.
 	// heap is a 4-ary min-heap of arena indices ordered by (at, seq), with
-	// keys mirroring each position's sort key. live counts queued events
-	// that have not been lazily canceled; the heap may additionally hold
-	// dead entries awaiting their pop.
+	// keys mirroring each position's sort key. The heap may hold lazily
+	// canceled entries awaiting their pop.
 	arena []entry
 	free  []int32
 	heap  []int32
 	keys  []hkey
-	live  int32
 
 	// Cooperative interrupt: poll is consulted every pollEvery executed
 	// events; a non-nil error stops the engine (see SetInterrupt).
@@ -161,21 +147,6 @@ type Engine struct {
 
 // New returns an engine with the clock at zero and an empty queue.
 func New() *Engine { return &Engine{} }
-
-// NewWithCapacity returns an engine whose arena and heap are pre-sized for n
-// concurrently pending events, so a simulation with a known timer population
-// (one backoff per node, one toggle per PU) never grows them mid-run.
-func NewWithCapacity(n int) *Engine {
-	if n < 0 {
-		n = 0
-	}
-	return &Engine{
-		arena: make([]entry, 0, n),
-		free:  make([]int32, 0, n),
-		heap:  make([]int32, 0, n),
-		keys:  make([]hkey, 0, n),
-	}
-}
 
 // Reset returns the engine to its initial state — clock at zero, empty
 // queue, no interrupt poll — while keeping the arena, free-list, and heap
@@ -198,7 +169,6 @@ func (e *Engine) Reset() {
 	}
 	e.heap = e.heap[:0]
 	e.keys = e.keys[:0]
-	e.live = 0
 	e.now = 0
 	e.seq = 0
 	e.nsteps = 0
@@ -211,10 +181,6 @@ func (e *Engine) Reset() {
 // Now returns the current virtual time: the time of the most recently
 // executed event.
 func (e *Engine) Now() Time { return e.now }
-
-// Pending returns the number of queued events. Lazily canceled events do not
-// count: they can never fire.
-func (e *Engine) Pending() int { return int(e.live) }
 
 // Steps returns the number of events executed so far.
 func (e *Engine) Steps() uint64 { return e.nsteps }
@@ -268,7 +234,6 @@ func (e *Engine) At(t Time, fn EventFunc) (Timer, error) {
 	en.at = t
 	en.fn = fn
 	e.heapPush(idx, hkey{at: t, seq: e.seq})
-	e.live++
 	e.seq++
 	return Timer{eng: e, idx: idx, gen: en.gen}, nil
 }
@@ -327,7 +292,6 @@ func (e *Engine) Step() bool {
 		if fn == nil {
 			continue // lazily canceled; discard
 		}
-		e.live--
 		e.now = at
 		e.nsteps++
 		fn(at)

@@ -235,3 +235,27 @@ func TestCancelDuringSameTick(t *testing.T) {
 		t.Error("same-tick canceled event fired")
 	}
 }
+
+// Slots returns how many whole slots of length slot have fully elapsed at t.
+func (t Time) Slots(slot Time) int64 { return int64(t / slot) }
+
+// Active reports whether the event is still pending.
+func (t Timer) Active() bool {
+	if t.eng == nil {
+		return false
+	}
+	en := &t.eng.arena[t.idx]
+	return en.gen == t.gen && en.fn != nil
+}
+
+// Pending returns the number of queued events. Lazily canceled events do not
+// count: they can never fire.
+func (e *Engine) Pending() int {
+	n := 0
+	for _, idx := range e.heap {
+		if e.arena[idx].fn != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -61,10 +61,6 @@ func NewAggregateModel(nw *netmodel.Network, tracker *Tracker, src *rng.Source) 
 	return m
 }
 
-// BlockProb returns node's per-slot blocking probability (for tests and the
-// theory cross-checks).
-func (m *AggregateModel) BlockProb(node int32) float64 { return m.blockProb[node] }
-
 // Start samples each node's initial blocking state and schedules toggles.
 func (m *AggregateModel) Start(eng *sim.Engine) {
 	m.eng = eng
@@ -98,9 +94,6 @@ func (m *AggregateModel) Start(eng *sim.Engine) {
 // ActiveCount returns the number of currently blocked nodes (each blocked
 // node counts as one virtual primary transmitter).
 func (m *AggregateModel) ActiveCount() int { return m.numActive }
-
-// Blocked reports whether node is currently blocked by primary activity.
-func (m *AggregateModel) Blocked(node int32) bool { return m.blocked[node] }
 
 // BusyFraction implements PUModel: the time-averaged fraction of nodes that
 // were inside a blocking period.

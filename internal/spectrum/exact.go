@@ -137,19 +137,6 @@ func (m *ExactModel) Start(eng *sim.Engine) {
 // ActiveCount returns how many PUs are currently transmitting.
 func (m *ExactModel) ActiveCount() int { return m.numActive }
 
-// IsActive reports whether PU i currently transmits.
-func (m *ExactModel) IsActive(i int) bool { return m.active[i] }
-
-// ActivePUs appends the indices of active PUs to dst.
-func (m *ExactModel) ActivePUs(dst []int32) []int32 {
-	for i, a := range m.active {
-		if a {
-			dst = append(dst, int32(i))
-		}
-	}
-	return dst
-}
-
 // Receiver returns the synthetic intended receiver of PU i.
 func (m *ExactModel) Receiver(i int) geom.Point { return m.receivers[i] }
 

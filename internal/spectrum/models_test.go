@@ -108,8 +108,8 @@ func TestExactModelSilentAndSaturated(t *testing.T) {
 	if silent.ActiveCount() != 0 {
 		t.Errorf("p_t=0 model has %d active PUs", silent.ActiveCount())
 	}
-	if engS.Pending() != 0 {
-		t.Errorf("p_t=0 model scheduled %d events", engS.Pending())
+	if engS.Step() {
+		t.Error("p_t=0 model scheduled an event")
 	}
 
 	nwFull, trFull := modelFixture(t, 9, 1)
@@ -229,7 +229,26 @@ func TestAggregateModelZeroPUs(t *testing.T) {
 	m := NewAggregateModel(nw, tr, rng.New(22))
 	eng := sim.New()
 	m.Start(eng)
-	if eng.Pending() != 0 || m.ActiveCount() != 0 {
+	if eng.Step() || m.ActiveCount() != 0 {
 		t.Error("zero-PU aggregate model scheduled activity")
 	}
+}
+
+// BlockProb returns node's per-slot blocking probability.
+func (m *AggregateModel) BlockProb(node int32) float64 { return m.blockProb[node] }
+
+// Blocked reports whether node is currently blocked by primary activity.
+func (m *AggregateModel) Blocked(node int32) bool { return m.blocked[node] }
+
+// IsActive reports whether PU i currently transmits.
+func (m *ExactModel) IsActive(i int) bool { return m.active[i] }
+
+// ActivePUs appends the indices of active PUs to dst.
+func (m *ExactModel) ActivePUs(dst []int32) []int32 {
+	for i, a := range m.active {
+		if a {
+			dst = append(dst, int32(i))
+		}
+	}
+	return dst
 }

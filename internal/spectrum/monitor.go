@@ -87,15 +87,10 @@ func (m *RxMonitor) gainBetween(txNode int32, txPos geom.Point, rxNode int32, rx
 	return pathGain(txPos, rxPos, m.alpha)
 }
 
-// AddTransmitter registers an active transmitter and returns its token.
-// Every ongoing reception (except the transmitter's own) accrues its
-// interference immediately.
-func (m *RxMonitor) AddTransmitter(pos geom.Point, power float64) int64 {
-	return m.AddTransmitterNode(-1, pos, power)
-}
-
-// AddTransmitterNode is AddTransmitter for a transmitter at a GainTable
-// index (a node id, or NumNodes()+i for PU i).
+// AddTransmitterNode registers an active transmitter at GainTable index
+// node (a node id, or NumNodes()+i for PU i; -1 registers it by position
+// only) and returns its token. Every ongoing reception (except the
+// transmitter's own) accrues its interference immediately.
 func (m *RxMonitor) AddTransmitterNode(node int32, pos geom.Point, power float64) int64 {
 	m.next++
 	token := m.next
@@ -140,18 +135,14 @@ func (m *RxMonitor) RemoveTransmitter(token int64) {
 	}
 }
 
-// BeginReception registers an ongoing reception: receiver at rxPos decoding
-// the transmitter identified by ownTx (already or about-to-be registered)
-// with the given received-signal parameters and linear SIR threshold eta.
-// The initial interference sum excludes the transmission identified by
-// ownTx, so it may be called before or after AddTransmitter for the same
-// transmission. It returns a reception token.
-func (m *RxMonitor) BeginReception(rxPos geom.Point, txPos geom.Point, txPower float64, eta float64, ownTx int64) int64 {
-	return m.BeginReceptionNode(-1, rxPos, -1, txPos, txPower, eta, ownTx)
-}
-
-// BeginReceptionNode is BeginReception with both endpoints at GainTable
-// indices: rxNode receives txNode's transmission.
+// BeginReceptionNode registers an ongoing reception: receiver rxNode at
+// rxPos decoding txNode's transmission, identified by ownTx (already or
+// about-to-be registered), with the given received-signal parameters and
+// linear SIR threshold eta. Endpoints are GainTable indices, -1 for
+// position-only. The initial interference sum excludes the transmission
+// identified by ownTx, so it may be called before or after
+// AddTransmitterNode for the same transmission. It returns a reception
+// token.
 func (m *RxMonitor) BeginReceptionNode(rxNode int32, rxPos geom.Point, txNode int32, txPos geom.Point, txPower float64, eta float64, ownTx int64) int64 {
 	m.next++
 	token := m.next
@@ -189,12 +180,6 @@ func (m *RxMonitor) EndReception(token int64) (ok bool) {
 	}
 	return false
 }
-
-// Ongoing returns the number of ongoing receptions (for tests).
-func (m *RxMonitor) Ongoing() int { return len(m.rxs) }
-
-// ActiveTransmitters returns the number of registered transmitters.
-func (m *RxMonitor) ActiveTransmitters() int { return len(m.txs) }
 
 func receivedPower(txPos geom.Point, power float64, rxPos geom.Point, alpha float64) float64 {
 	d := txPos.Dist(rxPos)

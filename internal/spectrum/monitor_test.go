@@ -147,3 +147,21 @@ func TestMonitorIncrementalOrderIrrelevant(t *testing.T) {
 		t.Error("interferer arrival order changed a static outcome")
 	}
 }
+
+// AddTransmitter is AddTransmitterNode for a transmitter registered by
+// position only.
+func (m *RxMonitor) AddTransmitter(pos geom.Point, power float64) int64 {
+	return m.AddTransmitterNode(-1, pos, power)
+}
+
+// BeginReception is BeginReceptionNode with both endpoints registered by
+// position only.
+func (m *RxMonitor) BeginReception(rxPos geom.Point, txPos geom.Point, txPower float64, eta float64, ownTx int64) int64 {
+	return m.BeginReceptionNode(-1, rxPos, -1, txPos, txPower, eta, ownTx)
+}
+
+// Ongoing returns the number of ongoing receptions.
+func (m *RxMonitor) Ongoing() int { return len(m.rxs) }
+
+// ActiveTransmitters returns the number of registered transmitters.
+func (m *RxMonitor) ActiveTransmitters() int { return len(m.txs) }

@@ -298,16 +298,8 @@ func (t *Tracker) Busy(node int32) bool {
 	return t.busy[node] > 0 || t.puNear(node)
 }
 
-// BusyCount returns node's current busy counter (for tests).
-func (t *Tracker) BusyCount(node int32) int32 {
-	return t.busy[node] + t.puCount(node)
-}
-
 // PURange returns the primary-protection sensing range.
 func (t *Tracker) PURange() float64 { return t.puRange }
-
-// SURange returns the secondary-coordination sensing range.
-func (t *Tracker) SURange() float64 { return t.suRange }
 
 func (t *Tracker) takeBuf() []int32 {
 	if n := len(t.pool); n > 0 {

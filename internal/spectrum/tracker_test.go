@@ -280,3 +280,11 @@ func TestModelKindString(t *testing.T) {
 		t.Error("unknown model kind string wrong")
 	}
 }
+
+// BusyCount returns node's current busy counter.
+func (t *Tracker) BusyCount(node int32) int32 {
+	return t.busy[node] + t.puCount(node)
+}
+
+// SURange returns the secondary-coordination sensing range.
+func (t *Tracker) SURange() float64 { return t.suRange }

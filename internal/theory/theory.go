@@ -20,24 +20,12 @@ func Beta(x float64) float64 {
 	return 2*math.Pi*x*x/math.Sqrt(3) + math.Pi*x + 1
 }
 
-// DominatorConnectorBound is Lemma 5: the number of dominators and
-// connectors within the PCR of an SU is at most beta_kappa + 12*beta_{kappa+1}.
-func DominatorConnectorBound(kappa float64) float64 {
-	return Beta(kappa) + 12*Beta(kappa+1)
-}
-
 // MaxDegreeBound is Lemma 6's high-probability bound on the maximum degree
 // of the CDS-based data collection tree:
 // Delta <= log n + pi*r^2*(e^2-1)/(2*c0).
 func MaxDegreeBound(p netmodel.Params) float64 {
 	r := p.RadiusSU
 	return math.Log(float64(p.NumSU)) + math.Pi*r*r*(math.E*math.E-1)/(2*p.C0())
-}
-
-// SUCountBound is Lemma 6's bound on the number of SUs within the PCR of an
-// SU: Delta*beta_kappa + 12*beta_{kappa+1}.
-func SUCountBound(p netmodel.Params, kappa float64) float64 {
-	return MaxDegreeBound(p)*Beta(kappa) + 12*Beta(kappa+1)
 }
 
 // OpportunityProb is Lemma 7's expected probability that an SU has a
@@ -48,16 +36,6 @@ func OpportunityProb(p netmodel.Params, kappa float64) float64 {
 	area := p.AreaSize()
 	expPUs := math.Pi * math.Pow(kappa*p.RadiusSU, 2) * float64(p.NumPU) / area
 	return math.Pow(1-p.ActiveProb, expPUs)
-}
-
-// ExpectedWaitSlots is Lemma 7's expected waiting time for a spectrum
-// opportunity, in slots: 1/p_o.
-func ExpectedWaitSlots(p netmodel.Params, kappa float64) float64 {
-	po := OpportunityProb(p, kappa)
-	if po <= 0 {
-		return math.Inf(1)
-	}
-	return 1 / po
 }
 
 // Bounds gathers every analytical quantity for one parameter set.

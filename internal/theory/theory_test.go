@@ -53,7 +53,10 @@ func TestBetaIsPackingBound(t *testing.T) {
 
 func TestOpportunityProb(t *testing.T) {
 	p := netmodel.ScaledDefaultParams()
-	consts := pcr.MustCompute(p)
+	consts, err := pcr.Compute(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	po := OpportunityProb(p, consts.Kappa)
 	if po <= 0 || po >= 1 {
 		t.Fatalf("p_o = %v out of (0,1)", po)
@@ -75,20 +78,6 @@ func TestOpportunityProb(t *testing.T) {
 	pSat.ActiveProb = 1
 	if got := OpportunityProb(pSat, consts.Kappa); got != 0 {
 		t.Errorf("p_o with p_t=1 is %v, want 0", got)
-	}
-}
-
-func TestExpectedWaitSlots(t *testing.T) {
-	p := netmodel.ScaledDefaultParams()
-	consts := pcr.MustCompute(p)
-	po := OpportunityProb(p, consts.Kappa)
-	if got := ExpectedWaitSlots(p, consts.Kappa); math.Abs(got-1/po) > 1e-9 {
-		t.Errorf("wait = %v, want %v", got, 1/po)
-	}
-	pSat := p
-	pSat.ActiveProb = 1
-	if got := ExpectedWaitSlots(pSat, consts.Kappa); !math.IsInf(got, 1) {
-		t.Errorf("saturated wait = %v, want +Inf", got)
 	}
 }
 
@@ -169,19 +158,6 @@ func TestComputeBoundsWithDegree(t *testing.T) {
 	if tight.Theorem1Slots >= generic.Theorem1Slots {
 		t.Errorf("realized-degree bound %v not tighter than Lemma 6 bound %v",
 			tight.Theorem1Slots, generic.Theorem1Slots)
-	}
-}
-
-func TestDominatorConnectorAndSUCountBounds(t *testing.T) {
-	p := netmodel.ScaledDefaultParams()
-	kappa := pcr.MustCompute(p).Kappa
-	dc := DominatorConnectorBound(kappa)
-	if math.Abs(dc-(Beta(kappa)+12*Beta(kappa+1))) > 1e-9 {
-		t.Errorf("DominatorConnectorBound = %v", dc)
-	}
-	su := SUCountBound(p, kappa)
-	if su <= dc {
-		t.Errorf("SU count bound %v should exceed dominator/connector bound %v", su, dc)
 	}
 }
 

@@ -6,9 +6,8 @@ import (
 	"strconv"
 )
 
-// Sink receives trace records as a run emits them. The bounded ring Buffer
-// is one implementation; JSONLSink streams records out instead of retaining
-// them; NullSink measures instrumentation overhead. Sinks are called from
+// Sink receives trace records as a run emits them. JSONLSink streams records
+// out; NullSink measures instrumentation overhead. Sinks are called from
 // the single-threaded event loop and need no locking.
 type Sink interface {
 	Add(Record)
@@ -16,7 +15,6 @@ type Sink interface {
 
 // Compile-time checks that every implementation satisfies Sink.
 var (
-	_ Sink = (*Buffer)(nil)
 	_ Sink = NullSink{}
 	_ Sink = (*JSONLSink)(nil)
 )

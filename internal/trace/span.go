@@ -30,8 +30,8 @@ const SpanRecord = "span"
 
 // Span event names. One job's stream is: submitted, queued, started, then
 // any number of checkpoint_flush and retry events, and exactly one
-// terminal event per attempt-sequence end (done, failed, deadline,
-// canceled) — or interrupted, after which a restarted daemon appends
+// terminal event per attempt-sequence end (done, failed, deadline) — or
+// interrupted, after which a restarted daemon appends
 // queued/started/... again with the sequence numbers continuing.
 const (
 	SpanSubmitted       = "submitted"
@@ -39,7 +39,6 @@ const (
 	SpanStarted         = "started"
 	SpanCheckpointFlush = "checkpoint_flush"
 	SpanRetry           = "retry"
-	SpanCanceled        = "canceled"
 	SpanDeadline        = "deadline"
 	SpanDone            = "done"
 	SpanFailed          = "failed"

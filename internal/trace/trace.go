@@ -5,7 +5,6 @@ package trace
 
 import (
 	"fmt"
-	"strings"
 
 	"addcrn/internal/sim"
 )
@@ -68,69 +67,4 @@ type Record struct {
 // String implements fmt.Stringer.
 func (r Record) String() string {
 	return fmt.Sprintf("%10dus node=%-5d %-12s arg=%d", int64(r.Time), r.Node, r.Kind, r.Arg)
-}
-
-// Buffer accumulates records up to a capacity; past capacity the oldest
-// records are dropped (ring semantics) and the drop count reported.
-type Buffer struct {
-	cap     int
-	records []Record
-	start   int
-	dropped int
-}
-
-// NewBuffer returns a Buffer holding at most capacity records; capacity
-// <= 0 means unbounded.
-func NewBuffer(capacity int) *Buffer {
-	return &Buffer{cap: capacity}
-}
-
-// Add appends a record.
-func (b *Buffer) Add(r Record) {
-	if b.cap > 0 && len(b.records) == b.cap {
-		// Overwrite the oldest slot.
-		b.records[b.start] = r
-		b.start = (b.start + 1) % b.cap
-		b.dropped++
-		return
-	}
-	b.records = append(b.records, r)
-}
-
-// Len returns the number of retained records.
-func (b *Buffer) Len() int { return len(b.records) }
-
-// Dropped returns how many records were evicted.
-func (b *Buffer) Dropped() int { return b.dropped }
-
-// Records returns the retained records in chronological order (copy).
-func (b *Buffer) Records() []Record {
-	out := make([]Record, 0, len(b.records))
-	out = append(out, b.records[b.start:]...)
-	out = append(out, b.records[:b.start]...)
-	return out
-}
-
-// Filter returns the retained records matching kind, chronologically.
-func (b *Buffer) Filter(kind Kind) []Record {
-	var out []Record
-	for _, r := range b.Records() {
-		if r.Kind == kind {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Dump renders the buffer for debugging.
-func (b *Buffer) Dump() string {
-	var sb strings.Builder
-	for _, r := range b.Records() {
-		sb.WriteString(r.String())
-		sb.WriteByte('\n')
-	}
-	if b.dropped > 0 {
-		fmt.Fprintf(&sb, "(%d records dropped)\n", b.dropped)
-	}
-	return sb.String()
 }

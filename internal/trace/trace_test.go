@@ -1,128 +1,9 @@
 package trace
 
 import (
-	"addcrn/internal/sim"
-
 	"strings"
 	"testing"
 )
-
-func TestBufferUnbounded(t *testing.T) {
-	b := NewBuffer(0)
-	for i := 0; i < 100; i++ {
-		b.Add(Record{Time: 0, Node: int32(i), Kind: KindTxStart})
-	}
-	if b.Len() != 100 || b.Dropped() != 0 {
-		t.Errorf("len=%d dropped=%d", b.Len(), b.Dropped())
-	}
-}
-
-func TestBufferRing(t *testing.T) {
-	b := NewBuffer(3)
-	for i := 0; i < 5; i++ {
-		b.Add(Record{Node: int32(i), Kind: KindTxStart})
-	}
-	if b.Len() != 3 || b.Dropped() != 2 {
-		t.Fatalf("len=%d dropped=%d", b.Len(), b.Dropped())
-	}
-	recs := b.Records()
-	// Oldest two (0, 1) evicted; order must be 2, 3, 4.
-	for i, want := range []int32{2, 3, 4} {
-		if recs[i].Node != want {
-			t.Errorf("record %d node %d, want %d", i, recs[i].Node, want)
-		}
-	}
-}
-
-func TestBufferWraparoundChronology(t *testing.T) {
-	// Fill a capacity-4 ring far past capacity and verify Records() stays
-	// chronological across every seam position.
-	const capacity = 4
-	for total := capacity + 1; total <= 3*capacity+1; total++ {
-		b := NewBuffer(capacity)
-		for i := 0; i < total; i++ {
-			b.Add(Record{Time: sim.Time(i), Node: int32(i), Kind: KindTxStart})
-		}
-		if b.Len() != capacity {
-			t.Fatalf("total=%d: len=%d, want %d", total, b.Len(), capacity)
-		}
-		if b.Dropped() != total-capacity {
-			t.Fatalf("total=%d: dropped=%d, want %d", total, b.Dropped(), total-capacity)
-		}
-		recs := b.Records()
-		for i, r := range recs {
-			want := int32(total - capacity + i)
-			if r.Node != want {
-				t.Fatalf("total=%d: record %d is node %d, want %d (records %v)",
-					total, i, r.Node, want, recs)
-			}
-			if i > 0 && recs[i-1].Time > r.Time {
-				t.Fatalf("total=%d: records out of chronological order at %d", total, i)
-			}
-		}
-	}
-}
-
-func TestBufferFilterAcrossWrapSeam(t *testing.T) {
-	// Capacity 4, 6 adds alternating kinds: retained window is records
-	// 2..5, which straddles the internal seam (start=2). Filter must see
-	// the window chronologically, not in storage order.
-	b := NewBuffer(4)
-	for i := 0; i < 6; i++ {
-		kind := KindTxStart
-		if i%2 == 1 {
-			kind = KindDeliver
-		}
-		b.Add(Record{Time: sim.Time(i), Node: int32(i), Kind: kind})
-	}
-	got := b.Filter(KindDeliver)
-	if len(got) != 2 || got[0].Node != 3 || got[1].Node != 5 {
-		t.Errorf("filtered across seam: %+v", got)
-	}
-	got = b.Filter(KindTxStart)
-	if len(got) != 2 || got[0].Node != 2 || got[1].Node != 4 {
-		t.Errorf("filtered across seam: %+v", got)
-	}
-}
-
-func TestBufferExactCapacityNoDrops(t *testing.T) {
-	b := NewBuffer(3)
-	for i := 0; i < 3; i++ {
-		b.Add(Record{Time: sim.Time(i), Node: int32(i), Kind: KindTxEnd})
-	}
-	if b.Dropped() != 0 {
-		t.Errorf("dropped=%d at exact capacity", b.Dropped())
-	}
-	recs := b.Records()
-	if len(recs) != 3 || recs[0].Node != 0 || recs[2].Node != 2 {
-		t.Errorf("records: %+v", recs)
-	}
-}
-
-func TestBufferFilter(t *testing.T) {
-	b := NewBuffer(0)
-	b.Add(Record{Node: 1, Kind: KindTxStart})
-	b.Add(Record{Node: 2, Kind: KindDeliver})
-	b.Add(Record{Node: 3, Kind: KindTxStart})
-	got := b.Filter(KindTxStart)
-	if len(got) != 2 || got[0].Node != 1 || got[1].Node != 3 {
-		t.Errorf("filtered: %+v", got)
-	}
-}
-
-func TestDump(t *testing.T) {
-	b := NewBuffer(2)
-	for i := 0; i < 3; i++ {
-		b.Add(Record{Node: int32(i), Kind: KindTxEnd})
-	}
-	out := b.Dump()
-	if !strings.Contains(out, "tx-end") {
-		t.Errorf("dump lacks kind: %q", out)
-	}
-	if !strings.Contains(out, "dropped") {
-		t.Errorf("dump lacks drop note: %q", out)
-	}
-}
 
 func TestKindStrings(t *testing.T) {
 	kinds := []Kind{KindTxStart, KindTxEnd, KindTxAbort, KindDeliver, KindBackoffDraw, Kind(77)}

@@ -87,7 +87,7 @@ for _ in $(seq 1 300); do
     state=$(curl -fsS "$base/v1/jobs/$id" | sed -n 's/.*"state": *"\([^"]*\)".*/\1/p')
     case "$state" in
     done) break ;;
-    failed | deadline | canceled)
+    failed | deadline)
         echo "job settled in '$state':"
         curl -fsS "$base/v1/jobs/$id"
         exit 1
@@ -160,7 +160,7 @@ for jid in "$idp1" "$idp2"; do
     state=""
     for _ in $(seq 1 300); do
         state=$(curl -fsS "$base/v1/jobs/$jid" | sed -n 's/.*"state": *"\([^"]*\)".*/\1/p')
-        case "$state" in done | failed | deadline | canceled) break ;; esac
+        case "$state" in done | failed | deadline) break ;; esac
         sleep 1
     done
     [ "$state" = done ] || { echo "concurrent job $jid settled in '$state'"; exit 1; }
