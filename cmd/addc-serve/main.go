@@ -18,8 +18,9 @@
 //	curl -s localhost:8314/metrics                           # Prometheus scrape
 //
 // The daemon is bounded everywhere: a fixed worker pool, a bounded queue
-// (overflow gets 429 + Retry-After), per-job topology caches freed when
-// each job ends, and optional per-client token buckets. SIGTERM/SIGINT
+// (overflow gets 429 + Retry-After), a topology cache and simulation
+// workspaces per job attempt, freed when the attempt ends, and optional
+// per-client token buckets. SIGTERM/SIGINT
 // drain gracefully — admission stops, in-flight sweeps get -drain-grace to
 // finish before being interrupted at event-loop granularity, everything
 // persists — and a restarted daemon resumes unfinished jobs from their

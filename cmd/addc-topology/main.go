@@ -61,7 +61,7 @@ func runGen(args []string) error {
 	p.NumSU = *n
 	p.NumPU = *numN
 	p.Area = *area
-	nw, err := netmodel.DeployConnected(p, rng.New(*seed), 50)
+	nw, err := netmodel.DeployConnected(p, rng.New(*seed), netmodel.DeployAttempts)
 	if err != nil {
 		return err
 	}

@@ -34,8 +34,6 @@ type Options struct {
 	Seed uint64
 	// MaxSlots bounds the schedule length (default 10 million).
 	MaxSlots int64
-	// DeployAttempts bounds connectivity resampling (default 50).
-	DeployAttempts int
 }
 
 // Result reports a centralized run.
@@ -59,12 +57,8 @@ type Result struct {
 // Run deploys a network, builds the ADDC CDS tree and runs the centralized
 // schedule to completion.
 func Run(opts Options) (*Result, error) {
-	attempts := opts.DeployAttempts
-	if attempts <= 0 {
-		attempts = 50
-	}
 	src := rng.New(opts.Seed)
-	nw, err := netmodel.DeployConnected(opts.Params, src, attempts)
+	nw, err := netmodel.DeployConnected(opts.Params, src, netmodel.DeployAttempts)
 	if err != nil {
 		return nil, err
 	}

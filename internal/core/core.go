@@ -152,8 +152,6 @@ type Options struct {
 	// MaxVirtualTime bounds the simulated time (default 30 virtual
 	// minutes); exceeded budgets return ErrDeadline.
 	MaxVirtualTime time.Duration
-	// DeployAttempts bounds connectivity resampling (default 50).
-	DeployAttempts int
 	// Faults, when non-nil and non-zero, injects the described fault load
 	// (SU crashes, link/ACK loss, PU burst storms) and enables self-healing
 	// repair plus graceful degradation; see internal/fault.
@@ -179,7 +177,6 @@ func DefaultOptions() Options {
 		Seed:           1,
 		PUModel:        spectrum.ModelExact,
 		MaxVirtualTime: 30 * time.Minute,
-		DeployAttempts: 50,
 	}
 }
 
@@ -333,12 +330,8 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 
 // BuildNetwork deploys a connected secondary network per opts.
 func BuildNetwork(opts Options) (*netmodel.Network, error) {
-	attempts := opts.DeployAttempts
-	if attempts <= 0 {
-		attempts = 50
-	}
 	src := rng.New(opts.Seed)
-	nw, err := netmodel.DeployConnected(opts.Params, src, attempts)
+	nw, err := netmodel.DeployConnected(opts.Params, src, netmodel.DeployAttempts)
 	if err != nil {
 		return nil, fmt.Errorf("core: deploy: %w", err)
 	}

@@ -18,7 +18,7 @@ import (
 // Fig. 6 averages.
 func DeliveryCurves(params netmodel.Params, seed uint64) (string, error) {
 	src := rng.New(seed)
-	nw, err := netmodel.DeployConnected(params, src, 50)
+	nw, err := netmodel.DeployConnected(params, src, netmodel.DeployAttempts)
 	if err != nil {
 		return "", err
 	}

@@ -120,13 +120,6 @@ type Sweep struct {
 	// so shards disagree loudly instead of merging mixed results.
 	Faults *fault.Spec
 
-	// Workspaces, when non-nil, sources each worker's reusable simulation
-	// context from this pool instead of building one per Run, and returns
-	// it when the sweep finishes. Long-running callers executing many
-	// sweeps (the service daemon) use it to bound total workspace memory
-	// across jobs.
-	Workspaces *core.WorkspacePool
-
 	// Spans, when non-nil, receives a wall-clock checkpoint_flush span each
 	// time the journal actually persists entries to disk (batched flushes
 	// and the final Close barrier), stamped with the job ID carried by the
@@ -397,21 +390,13 @@ func (s *Sweep) runWith(ctx context.Context, cache *topoCache) (*SweepResult, er
 
 	// One topology cache serves the whole pool; each worker owns a
 	// resettable simulation context (engine arena, MAC state, metrics
-	// registry, scratch buffers) wiped in place between jobs.
+	// registry, scratch buffers) wiped in place between pairs.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			env := &runEnv{cache: cache, reg: metrics.NewRegistry()}
-			if s.Workspaces != nil {
-				env.ws = s.Workspaces.Get()
-				// The workspace returned may be a fresh replacement when a
-				// panic discarded the one we got (see runEnv.discard).
-				defer func() { s.Workspaces.Put(env.ws) }()
-			} else {
-				env.ws = core.NewWorkspace()
-			}
+			env := &runEnv{cache: cache, ws: core.NewWorkspace(), reg: metrics.NewRegistry()}
 			s.runWorker(ctx, cm, pending, env)
 		}()
 	}
@@ -761,7 +746,7 @@ func (s *Sweep) flushBatch() int {
 // runEnv is one worker's resettable execution context: the run's topology
 // cache, shared by the whole pool, plus the per-worker workspace (event
 // arena, MAC, scratch buffers) and metrics registry, both wiped in place
-// between jobs.
+// between pairs.
 type runEnv struct {
 	cache *topoCache
 	ws    *core.Workspace

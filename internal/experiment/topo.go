@@ -78,7 +78,7 @@ type coolestKey struct {
 // derivation the sweeps use when building fresh — and precomputes the
 // unit-disk adjacency, the CDS tree, and its statistics.
 func BuildTopology(params netmodel.Params, seed uint64) (*Topology, error) {
-	nw, err := netmodel.DeployConnected(params, rng.New(seed), 50)
+	nw, err := netmodel.DeployConnected(params, rng.New(seed), netmodel.DeployAttempts)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"addcrn/internal/core"
 	"addcrn/internal/netmodel"
 )
 
@@ -148,47 +147,5 @@ func TestSweepSharedCacheEquivalence(t *testing.T) {
 	}
 	if st.Hits <= cold.Hits {
 		t.Fatalf("warm pass did not hit: hits %d -> %d", cold.Hits, st.Hits)
-	}
-}
-
-// A sweep drawing workspaces from a pool is byte-identical to one building
-// its own, and returns the workspaces when done.
-func TestSweepWorkspacePoolEquivalence(t *testing.T) {
-	base := tinySweep(6)
-	baseRes, err := base.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pool := core.NewWorkspacePool(8)
-	pooled := tinySweep(6)
-	pooled.Workspaces = pool
-	pooledRes, err := pooled.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := pooledRes.FormatCSV(), baseRes.FormatCSV(); got != want {
-		t.Fatalf("pooled sweep diverged:\n--- fresh\n%s--- pooled\n%s", want, got)
-	}
-	st := pool.Stats()
-	if st.Gets == 0 || st.Puts != st.Gets {
-		t.Fatalf("pool stats = %+v, want every Get matched by a Put", st)
-	}
-	if st.Idle == 0 {
-		t.Fatalf("pool stats = %+v, want workspaces retained for the next sweep", st)
-	}
-
-	// A second pooled sweep reuses the retained workspaces bit-identically.
-	again := tinySweep(6)
-	again.Workspaces = pool
-	againRes, err := again.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := againRes.FormatCSV(), baseRes.FormatCSV(); got != want {
-		t.Fatal("reused-pool sweep diverged")
-	}
-	if st := pool.Stats(); st.Reuses == 0 {
-		t.Fatalf("pool stats = %+v, want reuses on the second sweep", st)
 	}
 }

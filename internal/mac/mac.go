@@ -323,9 +323,8 @@ type MAC struct {
 
 var _ spectrum.Observer = (*MAC)(nil)
 
-// validateConfig runs New's full validation of cfg and returns the root and
-// the contention window. Renew shares it so a renewed MAC accepts and
-// rejects exactly the configs a fresh one would.
+// validateConfig runs Renew's full validation of cfg and returns the root
+// and the contention window.
 func validateConfig(cfg Config) (root int32, window sim.Time, err error) {
 	if cfg.Network == nil || cfg.Engine == nil || cfg.Rand == nil {
 		return 0, 0, fmt.Errorf("mac: Network, Engine and Rand are required")
@@ -384,14 +383,10 @@ func validateConfig(cfg Config) (root int32, window sim.Time, err error) {
 // channelCount returns the number of channels cfg describes (at least one).
 func channelCount(cfg Config) int { return max(cfg.Channels, 1) }
 
-// subtreeCounts fills dst[v] with the number of nodes in v's subtree,
-// excluding the root itself (dst[root] stays 0 plus contributions of
-// descendants passing through — i.e. it matches New's historical sizing
-// walk exactly).
+// subtreeCounts adds to dst[v] the number of nodes in v's subtree,
+// excluding the root itself (dst[root] gets only contributions of
+// descendants passing through); dst must start zeroed.
 func subtreeCounts(parent []int32, root int32, dst []int32) {
-	for i := range dst {
-		dst[i] = 0
-	}
 	for v := range parent {
 		if int32(v) == root {
 			continue
@@ -402,71 +397,9 @@ func subtreeCounts(parent []int32, root int32, dst []int32) {
 	}
 }
 
-// New validates cfg, builds the tracker (with the MAC as its observer) and
-// returns the MAC ready to Start.
-func New(cfg Config) (*MAC, error) {
-	root, window, err := validateConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	nn := cfg.Network.NumNodes()
-	m := &MAC{
-		cfg:    cfg,
-		nodes:  make([]node, nn),
-		src:    cfg.Rand.Child("mac/backoff"),
-		parent: append([]int32(nil), cfg.Parent...),
-		slot:   sim.FromDuration(cfg.Network.Params.Slot),
-		window: window,
-		root:   root,
-	}
-	if f := cfg.Faults; f != nil {
-		m.retryCap = f.RetryCap
-		if m.retryCap <= 0 {
-			m.retryCap = DefaultRetryCap
-		}
-		m.lossSrc = f.Rand
-		if m.lossSrc == nil {
-			m.lossSrc = cfg.Rand.Child("mac/loss")
-		}
-	}
-	// Every packet that will ever transit node v is one of its own or one
-	// produced in its subtree, so sizing each queue to the subtree's node
-	// count up front makes steady-state pushes allocation-free (repair
-	// re-parenting can exceed the static bound; append then simply grows).
-	subtree := make([]int32, nn)
-	subtreeCounts(m.parent, root, subtree)
-	m.subtree = subtree
-	channels := channelCount(cfg)
-	m.sts = make([]state, nn)
-	if channels > 1 {
-		m.home = cfg.Home
-		m.deaf = newDeafness(nn)
-	}
-	for i := range m.nodes {
-		n := &m.nodes[i]
-		m.sts[i] = stateIdle
-		n.cwScale = 1
-		if subtree[i] > 0 {
-			n.queue = make([]Packet, 0, subtree[i])
-		}
-		// Bind the node's event bodies once; arming a timer on the hot
-		// path then allocates nothing.
-		id := int32(i)
-		n.expireFn = func(t sim.Time) { m.expire(id, t) }
-		n.endTxFn = func(t sim.Time) { m.endTx(id, t) }
-		n.postWaitFn = func(t sim.Time) { m.postWaitDone(id, t) }
-	}
-	m.trackers = make([]*spectrum.Tracker, channels)
-	for c := range m.trackers {
-		tr, err := spectrum.NewTracker(cfg.Network, cfg.PUSenseRange, cfg.SUSenseRange, m)
-		if err != nil {
-			return nil, err
-		}
-		m.trackers[c] = tr
-	}
-	m.wireTrackers()
-	return m, nil
-}
+// New validates cfg, builds the trackers (with the MAC as their observer)
+// and returns the MAC ready to Start.
+func New(cfg Config) (*MAC, error) { return Renew(nil, cfg) }
 
 // wireTrackers applies the MAC's standing tracker configuration: the shared
 // tables provider (if any) first, then the delivery filter. PUArrived only
@@ -519,30 +452,50 @@ func fetchOnce(tab **netmodel.CSRTable, radius float64, fetch func(float64) (*ne
 	return *tab, nil
 }
 
-// Renew rebuilds prev for cfg, reusing its allocations — node structs and
-// their queue backing arrays, the dense state array, the carrier-sense
-// tracker — whenever prev exists and both describe the same node count on a
-// single channel; otherwise it falls back to New. It validates cfg exactly
-// like New, and a renewed MAC is observationally identical to a fresh one:
-// every piece of per-run state restarts from its constructed value and the
-// backoff/loss streams are re-derived from cfg.Rand under the same labels.
+// Renew builds a MAC for cfg, reusing prev's allocations when prev is
+// non-nil: node structs and their queue backing arrays, the dense state
+// array, the carrier-sense trackers and the deafness tables, at any node or
+// channel count. It validates cfg before touching prev, so a rejected config
+// leaves prev as it was. A renewed MAC is observationally identical to a
+// fresh one: every piece of per-run state restarts from its constructed
+// value and the backoff/loss streams are derived from cfg.Rand under the
+// same labels.
 func Renew(prev *MAC, cfg Config) (*MAC, error) {
-	root, _, err := validateConfig(cfg)
+	root, window, err := validateConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if prev == nil || len(prev.nodes) != cfg.Network.NumNodes() || len(prev.trackers) > 1 || cfg.Channels > 1 {
-		return New(cfg)
-	}
 	m := prev
+	if m == nil {
+		m = &MAC{}
+	}
+	// Trackers beyond the previous run's channel count stay in the backing
+	// array, so a sweep alternating channel counts keeps every one of them.
+	channels := channelCount(cfg)
+	trackers := m.trackers[:min(channels, cap(m.trackers))]
+	for c := range channels {
+		if c == len(trackers) {
+			trackers = append(trackers, nil)
+		}
+		if trackers[c] == nil {
+			trackers[c], err = spectrum.NewTracker(cfg.Network, cfg.PUSenseRange, cfg.SUSenseRange, m)
+		} else {
+			err = trackers[c].Renew(cfg.Network, cfg.PUSenseRange, cfg.SUSenseRange, m)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	m.trackers = trackers
+
+	nn := cfg.Network.NumNodes()
 	m.cfg = cfg
 	m.src = rng.ReseedChild(m.src, cfg.Rand, "mac/backoff")
 	m.parent = append(m.parent[:0], cfg.Parent...)
 	m.slot = sim.FromDuration(cfg.Network.Params.Slot)
-	m.window = sim.FromDuration(cfg.Network.Params.ContentionWindow)
+	m.window = window
 	m.root = root
-	m.lossSrc = nil
-	m.retryCap = 0
+	m.lossSrc, m.retryCap = nil, 0
 	if f := cfg.Faults; f != nil {
 		m.retryCap = f.RetryCap
 		if m.retryCap <= 0 {
@@ -553,34 +506,42 @@ func Renew(prev *MAC, cfg Config) (*MAC, error) {
 			m.lossSrc = cfg.Rand.Child("mac/loss")
 		}
 	}
+	m.home = nil
+	if channels > 1 {
+		m.home = cfg.Home
+	}
+	m.deaf = m.deaf.renew(nn, channels)
+
+	if cap(m.nodes) < nn {
+		m.nodes = make([]node, nn)
+		for i := range m.nodes {
+			// Bind the node's event bodies once; arming a timer on the hot
+			// path then allocates nothing.
+			n, id := &m.nodes[i], int32(i)
+			n.expireFn = func(t sim.Time) { m.expire(id, t) }
+			n.endTxFn = func(t sim.Time) { m.endTx(id, t) }
+			n.postWaitFn = func(t sim.Time) { m.postWaitDone(id, t) }
+		}
+	}
+	m.nodes = m.nodes[:nn]
+	m.sts = zeroed(m.sts, nn)
+	m.subtree = zeroed(m.subtree, nn)
+	// Every packet that will ever transit node v is one of its own or one
+	// produced in its subtree, so sizing each queue to the subtree's node
+	// count up front makes steady-state pushes allocation-free (repair
+	// re-parenting can exceed the static bound; append then simply grows).
 	subtreeCounts(m.parent, root, m.subtree)
 	for i := range m.nodes {
 		n := &m.nodes[i]
-		n.down = false
-		if c := int(m.subtree[i]); cap(n.queue) < c {
+		q := n.queue[:0]
+		if c := int(m.subtree[i]); cap(q) < c {
 			// Round up to the next power of two: subtree sizes jitter from
 			// topology to topology, and exact-fit capacities would reallocate
 			// on every renewal that lands on a slightly larger deployment.
-			n.queue = make([]Packet, 0, 1<<bits.Len(uint(c-1)))
-		} else {
-			n.queue = n.queue[:0]
+			q = make([]Packet, 0, 1<<bits.Len(uint(c-1)))
 		}
-		n.head = 0
-		n.retries = 0
-		n.draw = 0
-		n.remaining = 0
-		n.timer = sim.Timer{}
-		n.serviceStart = 0
-		n.serviceActive = false
-		n.frozenSince = 0
-		n.cwScale = 1
-		n.txToken = 0
-		n.rxToken = 0
-		n.stats = NodeStats{}
+		*n = node{queue: q, cwScale: 1, expireFn: n.expireFn, endTxFn: n.endTxFn, postWaitFn: n.postWaitFn}
 		m.sts[i] = stateIdle
-	}
-	if err := m.trackers[0].Renew(cfg.Network, cfg.PUSenseRange, cfg.SUSenseRange, m); err != nil {
-		return nil, err
 	}
 	m.wireTrackers()
 	return m, nil
@@ -1064,8 +1025,29 @@ type deafness struct {
 	deaf  []bool
 }
 
-func newDeafness(nn int) *deafness {
-	return &deafness{start: make([]uint64, nn), onAir: make([]bool, nn), deaf: make([]bool, nn)}
+// renew returns the deafness tables for a run over nn nodes on the given
+// number of channels: nil on one channel, else d cleared in place (or new,
+// when d is nil).
+func (d *deafness) renew(nn, channels int) *deafness {
+	if channels == 1 {
+		return nil
+	}
+	if d == nil {
+		d = &deafness{}
+	}
+	*d = deafness{start: zeroed(d.start, nn), onAir: zeroed(d.onAir, nn), deaf: zeroed(d.deaf, nn)}
+	return d
+}
+
+// zeroed returns s resized to n zero elements, reusing its backing array
+// when the capacity fits.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // begin records node id starting a transmission toward parent.

@@ -343,7 +343,7 @@ func TestCollisionRetransmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	monitor := spectrum.NewRxMonitor(p.Alpha)
+	monitor := spectrum.RenewRxMonitor(nil, p.Alpha)
 	h := newHarness(t, nw, []int32{-1, 0, 0}, func(cfg *Config) {
 		cfg.Monitor = monitor
 		cfg.ExpBackoff = true
@@ -363,7 +363,7 @@ func TestMonitorCleanUnderPCR(t *testing.T) {
 	// With PCR-range sensing, no collisions can occur even with the
 	// monitor attached (Lemmas 2-3 end-to-end at MAC level).
 	nw := lineNetwork(t, 10, nil)
-	monitor := spectrum.NewRxMonitor(nw.Params.Alpha)
+	monitor := spectrum.RenewRxMonitor(nil, nw.Params.Alpha)
 	h := newHarness(t, nw, lineParents(10), func(cfg *Config) {
 		cfg.Monitor = monitor
 	})

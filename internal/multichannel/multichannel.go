@@ -65,8 +65,6 @@ type Options struct {
 	Seed uint64
 	// MaxVirtualTime bounds the run (default 2 virtual hours).
 	MaxVirtualTime time.Duration
-	// DeployAttempts bounds connectivity resampling (default 50).
-	DeployAttempts int
 }
 
 // Result reports a multi-channel run.
@@ -100,7 +98,7 @@ func Run(opts Options) (*Result, error) {
 	if opts.MaxVirtualTime <= 0 {
 		opts.MaxVirtualTime = 2 * time.Hour
 	}
-	nw, err := core.BuildNetwork(core.Options{Params: opts.Params, Seed: opts.Seed, DeployAttempts: opts.DeployAttempts})
+	nw, err := core.BuildNetwork(core.Options{Params: opts.Params, Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}

@@ -125,6 +125,10 @@ func NewCustomNetwork(p Params, su, pu []geom.Point) (*Network, error) {
 	return nw, nil
 }
 
+// DeployAttempts is how many deployments every entry point samples before
+// giving up on a connected one.
+const DeployAttempts = 50
+
 // DeployConnected deploys repeatedly (up to maxAttempts, each with a child
 // seed) until the secondary network's unit-disk graph is connected, matching
 // the paper's standing assumption. It returns ErrDisconnected (wrapped) when

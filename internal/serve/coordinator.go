@@ -261,7 +261,6 @@ func (s *Server) runReplay(j *Job) (*experiment.SweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sw.Workspaces = s.pool
 	sw.Checkpoint = journalPath(s.cfg.StateDir, j.ID)
 	sw.Resume = true
 	sw.ReplayOnly = true

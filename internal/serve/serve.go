@@ -3,9 +3,9 @@
 // deadlines, bounded retry, and a graceful drain/resume lifecycle.
 //
 // Robustness posture: the server never exceeds its configured bounds — a
-// fixed worker pool of reusable simulation workspaces, a bounded submission
-// queue (overflow is refused with Retry-After, never buffered), a topology
-// cache per job that is freed when the job ends, and per-client
+// fixed worker pool, a bounded submission queue (overflow is refused with
+// Retry-After, never buffered), a topology cache and simulation workspaces
+// per job attempt that are freed when the attempt ends, and per-client
 // token-bucket rate limits.
 // Every job transition is persisted atomically to the state directory and
 // every running sweep journals completed repetitions, so SIGTERM drains to
@@ -25,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"addcrn/internal/core"
 	"addcrn/internal/experiment"
 	"addcrn/internal/metrics"
 	"addcrn/internal/trace"
@@ -118,8 +117,8 @@ type serverStats struct {
 	duration  metrics.WallHistogram
 }
 
-// Stats is a point-in-time snapshot of the server's counters, bounds,
-// topology cache lookups and workspace pool state; /metrics exposes it.
+// Stats is a point-in-time snapshot of the server's counters, bounds and
+// topology cache lookups; /metrics exposes it.
 type Stats struct {
 	States           map[string]int
 	Submitted        int64
@@ -139,7 +138,6 @@ type Stats struct {
 	Running          int64
 	RunningPeak      int64
 	TopoCache        experiment.TopoCacheStats
-	Workspaces       core.WorkspacePoolStats
 	Config           struct{ Workers, Queue int }
 }
 
@@ -147,7 +145,6 @@ type Stats struct {
 // with New, start with Start, stop with Drain.
 type Server struct {
 	cfg   Config
-	pool  *core.WorkspacePool
 	limit *rateLimiter
 	stats serverStats
 	log   *slog.Logger
@@ -185,7 +182,6 @@ func New(cfg Config) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:     cfg,
-		pool:    core.NewWorkspacePool(cfg.Workers),
 		limit:   newRateLimiter(cfg.RatePerSec, cfg.RateBurst),
 		log:     logger,
 		jobs:    make(map[string]*Job),
@@ -419,8 +415,8 @@ func (s *Server) SpanPath(id string) string {
 	return spanPath(s.cfg.StateDir, id)
 }
 
-// Stats snapshots the server's counters, bounds, topology cache lookups
-// and workspace pool state.
+// Stats snapshots the server's counters, bounds and topology cache
+// lookups.
 func (s *Server) Stats() Stats {
 	return s.Telemetry().Stats
 }
@@ -453,7 +449,6 @@ func (s *Server) Telemetry() Telemetry {
 		Running:          s.stats.running.Current(),
 		RunningPeak:      s.stats.running.Peak(),
 		TopoCache:        experiment.TopoCacheStats{Hits: s.stats.topoHits.Value(), Misses: s.stats.topoMisses.Value()},
-		Workspaces:       s.pool.Stats(),
 	}
 	st.Config.Workers = s.cfg.Workers
 	st.Config.Queue = s.cfg.QueueDepth
@@ -644,7 +639,6 @@ func (s *Server) runAttempt(j *Job) (*experiment.SweepResult, error) {
 	// The sweep keeps its figure ID untouched: seed derivation labels
 	// include it, and byte-identity with `addc-experiments -fig <id>` is
 	// part of the service contract.
-	sw.Workspaces = s.pool
 	sw.Checkpoint = journalPath(s.cfg.StateDir, j.ID)
 	if j.Parent != "" && j.ShardOf > 1 {
 		// A shard job runs only its partition of the grid, journaling to

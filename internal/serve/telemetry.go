@@ -99,13 +99,6 @@ func writeProm(w io.Writer, t Telemetry) error {
 	counter("addc_topo_cache_hits_total", "topology cache lookups served from memory, summed over finished job attempts", t.TopoCache.Hits)
 	counter("addc_topo_cache_misses_total", "topology cache lookups that built a deployment, summed over finished job attempts", t.TopoCache.Misses)
 
-	wp := t.Workspaces
-	counter("addc_workspace_pool_gets_total", "workspace pool Get calls", wp.Gets)
-	counter("addc_workspace_pool_reuses_total", "workspace pool Gets served from the free list", wp.Reuses)
-	counter("addc_workspace_pool_puts_total", "workspace pool Put calls", wp.Puts)
-	counter("addc_workspace_pool_drops_total", "workspace pool Puts discarded because the free list was full", wp.Drops)
-	gauge("addc_workspace_pool_idle", "workspaces parked on the free list", float64(wp.Idle))
-
 	p.WallHistSnapshot("addc_job_queue_wait_seconds",
 		"wall time jobs spent queued before a worker picked them up", nil, t.QueueWait)
 	p.WallHistSnapshot("addc_job_execution_seconds",

@@ -85,32 +85,27 @@ func TestMetricsGoldenScrape(t *testing.T) {
 	}
 
 	required := map[string]string{
-		"addc_build_info":                  "gauge",
-		"addc_jobs_submitted_total":        "counter",
-		"addc_jobs_completed_total":        "counter",
-		"addc_jobs_failed_total":           "counter",
-		"addc_jobs_deadline_total":         "counter",
-		"addc_jobs_interrupted_total":      "counter",
-		"addc_job_retries_total":           "counter",
-		"addc_jobs_rejected_total":         "counter",
-		"addc_jobs_state":                  "gauge",
-		"addc_queue_depth":                 "gauge",
-		"addc_queue_depth_peak":            "gauge",
-		"addc_queue_capacity":              "gauge",
-		"addc_workers":                     "gauge",
-		"addc_workers_busy":                "gauge",
-		"addc_workers_busy_peak":           "gauge",
-		"addc_worker_utilization":          "gauge",
-		"addc_topo_cache_hits_total":       "counter",
-		"addc_topo_cache_misses_total":     "counter",
-		"addc_workspace_pool_gets_total":   "counter",
-		"addc_workspace_pool_reuses_total": "counter",
-		"addc_workspace_pool_puts_total":   "counter",
-		"addc_workspace_pool_drops_total":  "counter",
-		"addc_workspace_pool_idle":         "gauge",
-		"addc_job_queue_wait_seconds":      "histogram",
-		"addc_job_execution_seconds":       "histogram",
-		"addc_job_duration_seconds":        "histogram",
+		"addc_build_info":              "gauge",
+		"addc_jobs_submitted_total":    "counter",
+		"addc_jobs_completed_total":    "counter",
+		"addc_jobs_failed_total":       "counter",
+		"addc_jobs_deadline_total":     "counter",
+		"addc_jobs_interrupted_total":  "counter",
+		"addc_job_retries_total":       "counter",
+		"addc_jobs_rejected_total":     "counter",
+		"addc_jobs_state":              "gauge",
+		"addc_queue_depth":             "gauge",
+		"addc_queue_depth_peak":        "gauge",
+		"addc_queue_capacity":          "gauge",
+		"addc_workers":                 "gauge",
+		"addc_workers_busy":            "gauge",
+		"addc_workers_busy_peak":       "gauge",
+		"addc_worker_utilization":      "gauge",
+		"addc_topo_cache_hits_total":   "counter",
+		"addc_topo_cache_misses_total": "counter",
+		"addc_job_queue_wait_seconds":  "histogram",
+		"addc_job_execution_seconds":   "histogram",
+		"addc_job_duration_seconds":    "histogram",
 	}
 	for name, typ := range required {
 		f := fams[name]

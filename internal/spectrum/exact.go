@@ -30,9 +30,7 @@ type ExactModel struct {
 	receivers []geom.Point
 	numActive int
 
-	// eng and toggles are bound at Start: toggles[i] flips PU i's state and
-	// re-arms itself, so the steady-state activity process schedules events
-	// without allocating a closure per toggle.
+	// eng is bound at Start; toggles[i] is PU i's event body (see toggle).
 	eng     *sim.Engine
 	toggles []sim.EventFunc
 
@@ -43,44 +41,48 @@ type ExactModel struct {
 
 var _ PUModel = (*ExactModel)(nil)
 
-// NewExactModel builds the exact per-PU activity model over one tracker per
-// channel.
-func NewExactModel(nw *netmodel.Network, trackers []*Tracker, src *rng.Source) *ExactModel {
-	m := &ExactModel{
+// RenewExactModel builds the exact per-PU activity model over one tracker
+// per channel, reusing prev's allocations when prev is non-nil: the activity
+// masks, receiver points, toggle closures and both child randomness
+// sources, resized when the PU count changed. A renewed model is
+// observationally identical to a fresh one.
+func RenewExactModel(prev *ExactModel, nw *netmodel.Network, trackers []*Tracker, src *rng.Source) *ExactModel {
+	m := prev
+	if m == nil {
+		m = &ExactModel{}
+	}
+	n := len(nw.PU)
+	*m = ExactModel{
 		nw:        nw,
 		trackers:  trackers,
-		src:       src.Child("spectrum/exact"),
-		rcvSrc:    src.Child("spectrum/receivers"),
+		src:       rng.ReseedChild(m.src, src, "spectrum/exact"),
+		rcvSrc:    rng.ReseedChild(m.rcvSrc, src, "spectrum/receivers"),
 		slot:      sim.FromDuration(nw.Params.Slot),
-		active:    make([]bool, len(nw.PU)),
-		receivers: make([]geom.Point, len(nw.PU)),
+		active:    zeroed(m.active, n),
+		receivers: zeroed(m.receivers, n),
+		toggles:   m.toggles,
+		monTokens: m.monTokens,
 	}
+	for i := len(m.toggles); i < n; i++ {
+		m.toggles = append(m.toggles, m.toggle(int32(i)))
+	}
+	m.toggles = m.toggles[:n]
 	m.drawReceivers()
 	return m
 }
 
-// RenewExactModel rebuilds prev for a new run, reusing its allocations —
-// the activity masks, receiver points, toggle closures, and both child
-// randomness sources — whenever prev exists and serves the same PU count;
-// otherwise it falls back to NewExactModel. A renewed model is
-// observationally identical to a fresh one.
-func RenewExactModel(prev *ExactModel, nw *netmodel.Network, trackers []*Tracker, src *rng.Source) *ExactModel {
-	if prev == nil || len(prev.active) != len(nw.PU) {
-		return NewExactModel(nw, trackers, src)
+// toggle returns PU i's event body: flip its state and re-arm itself, so the
+// steady-state activity process schedules events without allocating a
+// closure per toggle.
+func (m *ExactModel) toggle(i int32) sim.EventFunc {
+	return func(now sim.Time) {
+		if m.active[i] {
+			m.deactivate(i, now)
+		} else {
+			m.activate(i, now)
+		}
+		m.scheduleToggle(i)
 	}
-	m := prev
-	m.nw = nw
-	m.trackers = trackers
-	m.src = rng.ReseedChild(m.src, src, "spectrum/exact")
-	m.rcvSrc = rng.ReseedChild(m.rcvSrc, src, "spectrum/receivers")
-	m.slot = sim.FromDuration(nw.Params.Slot)
-	clear(m.active)
-	m.numActive = 0
-	m.eng = nil
-	m.monitor = nil
-	m.busy = busyIntegral{}
-	m.drawReceivers()
-	return m
 }
 
 // drawReceivers samples each PU's synthetic intended receiver from the
@@ -97,28 +99,12 @@ func (m *ExactModel) drawReceivers() {
 // interference participates in SIR collision checking. Call before Start.
 func (m *ExactModel) AttachMonitor(mon *RxMonitor) {
 	m.monitor = mon
-	if len(m.monTokens) != len(m.nw.PU) {
-		m.monTokens = make([]int64, len(m.nw.PU))
-	}
+	m.monTokens = zeroed(m.monTokens, len(m.nw.PU))
 }
 
 // Start samples each PU's initial state and schedules its first toggle.
 func (m *ExactModel) Start(eng *sim.Engine) {
 	m.eng = eng
-	if len(m.toggles) != len(m.nw.PU) {
-		m.toggles = make([]sim.EventFunc, len(m.nw.PU))
-		for i := range m.toggles {
-			i := int32(i)
-			m.toggles[i] = func(now sim.Time) {
-				if m.active[i] {
-					m.deactivate(i, now)
-				} else {
-					m.activate(i, now)
-				}
-				m.scheduleToggle(i)
-			}
-		}
-	}
 	pt := m.nw.Params.ActiveProb
 	for i := range m.nw.PU {
 		if pt <= 0 {

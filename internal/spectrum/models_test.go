@@ -39,7 +39,7 @@ func TestExactModelMarginalActivity(t *testing.T) {
 	// Sample PU 0's state at many slot midpoints; the fraction active must
 	// approach p_t (the i.i.d. Bernoulli marginal).
 	nw, tr := modelFixture(t, 1, 0.3)
-	m := NewExactModel(nw, []*Tracker{tr}, rng.New(2))
+	m := RenewExactModel(nil, nw, []*Tracker{tr}, rng.New(2))
 	eng := sim.New()
 	m.Start(eng)
 	slot := sim.FromDuration(nw.Params.Slot)
@@ -59,7 +59,7 @@ func TestExactModelMarginalActivity(t *testing.T) {
 
 func TestExactModelActiveCountConsistent(t *testing.T) {
 	nw, tr := modelFixture(t, 3, 0.4)
-	m := NewExactModel(nw, []*Tracker{tr}, rng.New(4))
+	m := RenewExactModel(nil, nw, []*Tracker{tr}, rng.New(4))
 	eng := sim.New()
 	m.Start(eng)
 	slot := sim.FromDuration(nw.Params.Slot)
@@ -82,7 +82,7 @@ func TestExactModelActiveCountConsistent(t *testing.T) {
 
 func TestExactModelMeanActiveMatchesExpectation(t *testing.T) {
 	nw, tr := modelFixture(t, 5, 0.25)
-	m := NewExactModel(nw, []*Tracker{tr}, rng.New(6))
+	m := RenewExactModel(nil, nw, []*Tracker{tr}, rng.New(6))
 	eng := sim.New()
 	m.Start(eng)
 	slot := sim.FromDuration(nw.Params.Slot)
@@ -101,7 +101,7 @@ func TestExactModelMeanActiveMatchesExpectation(t *testing.T) {
 
 func TestExactModelSilentAndSaturated(t *testing.T) {
 	nwSilent, trSilent := modelFixture(t, 7, 0)
-	silent := NewExactModel(nwSilent, []*Tracker{trSilent}, rng.New(8))
+	silent := RenewExactModel(nil, nwSilent, []*Tracker{trSilent}, rng.New(8))
 	engS := sim.New()
 	silent.Start(engS)
 	engS.RunUntil(100 * sim.Millisecond)
@@ -113,7 +113,7 @@ func TestExactModelSilentAndSaturated(t *testing.T) {
 	}
 
 	nwFull, trFull := modelFixture(t, 9, 1)
-	full := NewExactModel(nwFull, []*Tracker{trFull}, rng.New(10))
+	full := RenewExactModel(nil, nwFull, []*Tracker{trFull}, rng.New(10))
 	engF := sim.New()
 	full.Start(engF)
 	if full.ActiveCount() != len(nwFull.PU) {
@@ -127,7 +127,7 @@ func TestExactModelSilentAndSaturated(t *testing.T) {
 
 func TestExactModelReceiversWithinRadius(t *testing.T) {
 	nw, tr := modelFixture(t, 11, 0.3)
-	m := NewExactModel(nw, []*Tracker{tr}, rng.New(12))
+	m := RenewExactModel(nil, nw, []*Tracker{tr}, rng.New(12))
 	for i := range nw.PU {
 		d := nw.PU[i].Dist(m.Receiver(i))
 		if d > nw.Params.RadiusPU+1e-9 {
@@ -139,7 +139,7 @@ func TestExactModelReceiversWithinRadius(t *testing.T) {
 func TestExactModelSlotAligned(t *testing.T) {
 	// All state-change events must land on slot boundaries.
 	nw, tr := modelFixture(t, 13, 0.5)
-	m := NewExactModel(nw, []*Tracker{tr}, rng.New(14))
+	m := RenewExactModel(nil, nw, []*Tracker{tr}, rng.New(14))
 	eng := sim.New()
 	m.Start(eng)
 	slot := sim.FromDuration(nw.Params.Slot)

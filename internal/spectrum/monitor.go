@@ -52,25 +52,16 @@ type monRx struct {
 	corrupted bool
 }
 
-// NewRxMonitor creates a monitor for path loss exponent alpha.
-func NewRxMonitor(alpha float64) *RxMonitor {
-	return &RxMonitor{alpha: alpha}
-}
-
-// RenewRxMonitor resets prev for a new run, reusing its slice capacity, or
-// builds a fresh monitor when prev is nil. A renewed monitor is
-// observationally identical to NewRxMonitor(alpha); any gain table must be
-// re-attached (topologies change between runs).
+// RenewRxMonitor returns a monitor for path loss exponent alpha, reusing
+// prev's slice capacity when prev is non-nil. Any gain table must be
+// (re-)attached: topologies change between runs.
 func RenewRxMonitor(prev *RxMonitor, alpha float64) *RxMonitor {
-	if prev == nil {
-		return NewRxMonitor(alpha)
+	m := prev
+	if m == nil {
+		m = &RxMonitor{}
 	}
-	prev.alpha = alpha
-	prev.gt = nil
-	prev.txs = prev.txs[:0]
-	prev.rxs = prev.rxs[:0]
-	prev.next = 0
-	return prev
+	*m = RxMonitor{alpha: alpha, txs: m.txs[:0], rxs: m.rxs[:0]}
+	return m
 }
 
 // SetGainTable attaches a memoized pathloss table. Node-registered endpoints

@@ -10,7 +10,7 @@ import (
 )
 
 func TestMonitorSingleLinkClean(t *testing.T) {
-	m := NewRxMonitor(4)
+	m := RenewRxMonitor(nil, 4)
 	tx := m.AddTransmitter(geom.Point{X: 0, Y: 0}, 10)
 	rx := m.BeginReception(geom.Point{X: 5, Y: 0}, geom.Point{X: 0, Y: 0}, 10, 6.3, tx)
 	if m.Ongoing() != 1 || m.ActiveTransmitters() != 1 {
@@ -26,7 +26,7 @@ func TestMonitorSingleLinkClean(t *testing.T) {
 }
 
 func TestMonitorCollisionFromLateInterferer(t *testing.T) {
-	m := NewRxMonitor(4)
+	m := RenewRxMonitor(nil, 4)
 	tx := m.AddTransmitter(geom.Point{X: 0, Y: 0}, 10)
 	rx := m.BeginReception(geom.Point{X: 10, Y: 0}, geom.Point{X: 0, Y: 0}, 10, 6.3, tx)
 	// A second transmitter right next to the receiver arrives mid-flight.
@@ -39,7 +39,7 @@ func TestMonitorCollisionFromLateInterferer(t *testing.T) {
 }
 
 func TestMonitorCorruptionIsSticky(t *testing.T) {
-	m := NewRxMonitor(4)
+	m := RenewRxMonitor(nil, 4)
 	tx := m.AddTransmitter(geom.Point{X: 0, Y: 0}, 10)
 	rx := m.BeginReception(geom.Point{X: 10, Y: 0}, geom.Point{X: 0, Y: 0}, 10, 6.3, tx)
 	jam := m.AddTransmitter(geom.Point{X: 11, Y: 0}, 10)
@@ -51,7 +51,7 @@ func TestMonitorCorruptionIsSticky(t *testing.T) {
 }
 
 func TestMonitorPreexistingInterferer(t *testing.T) {
-	m := NewRxMonitor(4)
+	m := RenewRxMonitor(nil, 4)
 	jam := m.AddTransmitter(geom.Point{X: 11, Y: 0}, 10)
 	tx := m.AddTransmitter(geom.Point{X: 0, Y: 0}, 10)
 	rx := m.BeginReception(geom.Point{X: 10, Y: 0}, geom.Point{X: 0, Y: 0}, 10, 6.3, tx)
@@ -63,7 +63,7 @@ func TestMonitorPreexistingInterferer(t *testing.T) {
 }
 
 func TestMonitorOwnSignalNotInterference(t *testing.T) {
-	m := NewRxMonitor(4)
+	m := RenewRxMonitor(nil, 4)
 	// Register transmitter BEFORE reception (the MAC's order): the
 	// reception must not count its own signal as interference.
 	tx := m.AddTransmitter(geom.Point{X: 0, Y: 0}, 10)
@@ -75,7 +75,7 @@ func TestMonitorOwnSignalNotInterference(t *testing.T) {
 }
 
 func TestMonitorDistantInterfererHarmless(t *testing.T) {
-	m := NewRxMonitor(4)
+	m := RenewRxMonitor(nil, 4)
 	tx := m.AddTransmitter(geom.Point{X: 0, Y: 0}, 10)
 	rx := m.BeginReception(geom.Point{X: 5, Y: 0}, geom.Point{X: 0, Y: 0}, 10, 6.3, tx)
 	far := m.AddTransmitter(geom.Point{X: 500, Y: 0}, 10)
@@ -87,7 +87,7 @@ func TestMonitorDistantInterfererHarmless(t *testing.T) {
 }
 
 func TestMonitorEndUnknownToken(t *testing.T) {
-	m := NewRxMonitor(4)
+	m := RenewRxMonitor(nil, 4)
 	if m.EndReception(12345) {
 		t.Error("unknown reception token reported success")
 	}
@@ -113,7 +113,7 @@ func TestMonitorMatchesBatchSIR(t *testing.T) {
 		rxPos := geom.Point{X: rnd.Float64() * 100, Y: rnd.Float64() * 100}
 		wantOK := interference.SIR(txs, 0, rxPos, alpha) >= eta
 
-		m := NewRxMonitor(alpha)
+		m := RenewRxMonitor(nil, alpha)
 		tokens := make([]int64, k)
 		for i, tx := range txs {
 			tokens[i] = m.AddTransmitter(tx.Pos, tx.Power)
@@ -130,7 +130,7 @@ func TestMonitorIncrementalOrderIrrelevant(t *testing.T) {
 	// Adding interferers before vs after BeginReception must agree for a
 	// non-corrupting scenario.
 	mk := func(before bool) bool {
-		m := NewRxMonitor(3)
+		m := RenewRxMonitor(nil, 3)
 		var jam int64
 		if before {
 			jam = m.AddTransmitter(geom.Point{X: 80, Y: 0}, 5)

@@ -56,7 +56,6 @@ require_families() {
         addc_queue_depth addc_queue_capacity \
         addc_workers addc_workers_busy addc_worker_utilization \
         addc_topo_cache_hits_total addc_topo_cache_misses_total \
-        addc_workspace_pool_gets_total addc_workspace_pool_reuses_total \
         addc_job_queue_wait_seconds addc_job_execution_seconds \
         addc_job_duration_seconds; do
         grep -q "^# TYPE $fam " "$1" ||
