@@ -13,7 +13,6 @@ import (
 
 	"addcrn/internal/cds"
 	"addcrn/internal/core"
-	"addcrn/internal/graphx"
 	"addcrn/internal/netmodel"
 	"addcrn/internal/pcr"
 	"addcrn/internal/rng"
@@ -98,10 +97,7 @@ func runInfo(args []string) error {
 	if err != nil {
 		return err
 	}
-	adj, err := graphx.UnitDisk(nw.Bounds(), nw.SU, nw.Params.RadiusSU)
-	if err != nil {
-		return err
-	}
+	adj := nw.Adjacency()
 	consts, err := pcr.Compute(nw.Params)
 	if err != nil {
 		return err

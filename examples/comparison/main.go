@@ -12,7 +12,6 @@ import (
 
 	"addcrn/internal/coolest"
 	"addcrn/internal/core"
-	"addcrn/internal/graphx"
 	"addcrn/internal/pcr"
 )
 
@@ -34,10 +33,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	adj, err := graphx.UnitDisk(nw.Bounds(), nw.SU, nw.Params.RadiusSU)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("topology: n=%d SUs, N=%d PUs, p_t=%.2f, PCR=%.1fm\n\n",
 		nw.Params.NumSU, nw.Params.NumPU, nw.Params.ActiveProb, consts.Range)
 
@@ -53,7 +48,7 @@ func run() error {
 	}
 	report("ADDC (CDS tree + PCR MAC)", addc)
 
-	coolParents, err := coolest.BuildParentsOn(adj, nw, consts.Range, coolest.MetricAccumulated)
+	coolParents, err := coolest.BuildParents(nw, consts.Range, coolest.MetricAccumulated)
 	if err != nil {
 		return err
 	}

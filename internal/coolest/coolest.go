@@ -73,19 +73,10 @@ func Temperatures(nw *netmodel.Network, sensingRange float64) []float64 {
 // toward the base station along its metric-optimal path; the base station's
 // entry is -1. The epsilon hop cost added to each node weight breaks
 // zero-temperature ties toward fewer hops (otherwise a cold network yields
-// arbitrary-length zero-cost paths).
+// arbitrary-length zero-cost paths). Paths run over nw's unit-disk graph
+// (nw.Adjacency), the same graph ADDC's CDS tree is built on.
 func BuildParents(nw *netmodel.Network, sensingRange float64, metric Metric) ([]int32, error) {
-	adj, err := graphx.UnitDisk(nw.Bounds(), nw.SU, nw.Params.RadiusSU)
-	if err != nil {
-		return nil, fmt.Errorf("coolest: adjacency: %w", err)
-	}
-	return BuildParentsOn(adj, nw, sensingRange, metric)
-}
-
-// BuildParentsOn is BuildParents over a caller-supplied adjacency (so a
-// comparison harness can share one unit-disk construction between ADDC and
-// Coolest).
-func BuildParentsOn(adj graphx.Adjacency, nw *netmodel.Network, sensingRange float64, metric Metric) ([]int32, error) {
+	adj := nw.Adjacency()
 	temps := Temperatures(nw, sensingRange)
 	weight := make([]float64, len(temps))
 	const hopEpsilon = 1e-6

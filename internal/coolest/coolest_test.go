@@ -156,17 +156,24 @@ func TestMetricString(t *testing.T) {
 	}
 }
 
+// BuildParents on a WithParams copy, whose adjacency the original already
+// memoized, matches a build on a fresh network over the same positions.
 func TestBuildParentsOnSharedAdjacency(t *testing.T) {
 	nw := fixture(t, 5)
-	adj, err := graphx.UnitDisk(nw.Bounds(), nw.SU, nw.Params.RadiusSU)
+	nw.Adjacency()
+	shared, err := nw.WithParams(nw.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := BuildParentsOn(adj, nw, 30, MetricAccumulated)
+	a, err := BuildParents(shared, 30, MetricAccumulated)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildParents(nw, 30, MetricAccumulated)
+	fresh, err := netmodel.NewCustomNetwork(nw.Params, nw.SU, nw.PU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := BuildParents(fresh, 30, MetricAccumulated)
 	if err != nil {
 		t.Fatal(err)
 	}

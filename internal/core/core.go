@@ -25,7 +25,6 @@ import (
 
 	"addcrn/internal/cds"
 	"addcrn/internal/fault"
-	"addcrn/internal/graphx"
 	"addcrn/internal/mac"
 	"addcrn/internal/metrics"
 	"addcrn/internal/netmodel"
@@ -303,24 +302,18 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 		return nil, &CanceledError{Cause: err}
 	}
 	stop = opts.Metrics.StartPhase("cds-tree")
-	adj, err := graphx.UnitDisk(nw.Bounds(), nw.SU, nw.Params.RadiusSU)
-	if err != nil {
-		stop(0)
-		return nil, fmt.Errorf("core: adjacency: %w", err)
-	}
-	tree, err := cds.Build(adj, netmodel.BaseStationID)
+	tree, err := BuildTree(nw)
 	stop(0)
 	if err != nil {
-		return nil, fmt.Errorf("core: CDS tree: %w", err)
+		return nil, err
 	}
 	return CollectContext(ctx, nw, tree.Parent, CollectConfig{
 		Seed:           opts.Seed,
 		PUModel:        opts.PUModel,
 		MaxVirtualTime: opts.MaxVirtualTime,
-		TreeStats:      tree.ComputeStats(adj),
+		TreeStats:      tree.ComputeStats(nw.Adjacency()),
 		Faults:         opts.Faults,
 		Tree:           tree,
-		Adj:            adj,
 		Workspace:      opts.Workspace,
 		Metrics:        opts.Metrics,
 		Sink:           opts.Sink,
@@ -339,13 +332,9 @@ func BuildNetwork(opts Options) (*netmodel.Network, error) {
 }
 
 // BuildTree constructs the CDS-based data collection tree over nw's
-// unit-disk graph, rooted at the base station.
+// unit-disk graph (nw.Adjacency), rooted at the base station.
 func BuildTree(nw *netmodel.Network) (*cds.Tree, error) {
-	adj, err := graphx.UnitDisk(nw.Bounds(), nw.SU, nw.Params.RadiusSU)
-	if err != nil {
-		return nil, fmt.Errorf("core: adjacency: %w", err)
-	}
-	tree, err := cds.Build(adj, netmodel.BaseStationID)
+	tree, err := cds.Build(nw.Adjacency(), netmodel.BaseStationID)
 	if err != nil {
 		return nil, fmt.Errorf("core: CDS tree: %w", err)
 	}
@@ -353,7 +342,10 @@ func BuildTree(nw *netmodel.Network) (*cds.Tree, error) {
 }
 
 // CollectConfig parameterizes a collection run over a prebuilt topology and
-// routing tree.
+// routing tree. The graphs a run reads — the unit-disk adjacency for fault
+// repair and the carrier-sense CSR tables — come from the network's own
+// memo (netmodel.Network.Adjacency, SUNeighborTable, PUNeighborTable), so
+// every run over one deployment shares a single build of each.
 type CollectConfig struct {
 	Seed           uint64
 	PUModel        spectrum.ModelKind
@@ -423,12 +415,6 @@ type CollectConfig struct {
 	// them process-wide (the `make guard` tier).
 	Guard bool
 
-	// Adj, when non-nil, is nw's unit-disk adjacency; the self-healing
-	// repairer then skips rebuilding it. Read-only.
-	Adj graphx.Adjacency
-	// Tables, when non-nil, supplies the carrier-sense CSR neighbor tables
-	// (memoized across runs sharing a deployment); see mac.Config.Tables.
-	Tables spectrum.NeighborTables
 	// Workspace, when non-nil, reuses one worker's simulation context across
 	// runs — the event arena, the MAC's per-node state, and the latency/hop
 	// scratch buffers are wiped in place instead of reallocated. A run with
@@ -748,7 +734,6 @@ func newRun(eng *sim.Engine, nw *netmodel.Network, parent []int32, cfg CollectCo
 		OnTxEnd:        cfg.OnTxEnd,
 		Metrics:        obs.macMetrics(),
 		DisableHandoff: cfg.DisableHandoff,
-		Tables:         cfg.Tables,
 		Monitor:        monitor,
 		NoFairnessWait: cfg.GenericCSMA,
 		ExpBackoff:     cfg.GenericCSMA,
@@ -822,7 +807,7 @@ func newRun(eng *sim.Engine, nw *netmodel.Network, parent []int32, cfg CollectCo
 		grd.checkTree(eng.Now()) // validate the initial routing tree
 	}
 
-	rep, err := scheduleFaults(eng, nw, m, plan, cfg.Tree, cfg.Adj, parent, res, rec)
+	rep, err := scheduleFaults(eng, nw, m, plan, cfg.Tree, parent, res, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -891,7 +876,7 @@ func validateChannels(cfg CollectConfig) error {
 // the self-healing repairer when the plan contains crash/recover events. It
 // returns nil when there is nothing to schedule.
 func scheduleFaults(eng *sim.Engine, nw *netmodel.Network, m *mac.MAC, plan *fault.Plan,
-	tree *cds.Tree, adj graphx.Adjacency, parent []int32, res *Result,
+	tree *cds.Tree, parent []int32, res *Result,
 	rec func(trace.Kind, int32, int64)) (*repairer, error) {
 	if plan == nil || len(plan.Events) == 0 {
 		return nil, nil
@@ -899,14 +884,7 @@ func scheduleFaults(eng *sim.Engine, nw *netmodel.Network, m *mac.MAC, plan *fau
 	var rep *repairer
 	for _, ev := range plan.Events {
 		if ev.Kind == fault.EventCrash || ev.Kind == fault.EventRecover {
-			if adj == nil {
-				var err error
-				adj, err = graphx.UnitDisk(nw.Bounds(), nw.SU, nw.Params.RadiusSU)
-				if err != nil {
-					return nil, fmt.Errorf("core: repair adjacency: %w", err)
-				}
-			}
-			rep = newRepairer(nw, adj, tree, parent, m.SetParent)
+			rep = newRepairer(nw, tree, parent, m.SetParent)
 			rep.onRepair = func(node, newParent int32, now sim.Time) {
 				res.Fault.Repairs++
 				rec(trace.KindRepair, node, int64(newParent))

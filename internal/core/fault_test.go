@@ -8,7 +8,6 @@ import (
 
 	"addcrn/internal/cds"
 	"addcrn/internal/fault"
-	"addcrn/internal/graphx"
 	"addcrn/internal/netmodel"
 	"addcrn/internal/trace"
 )
@@ -188,10 +187,7 @@ func TestRepairSurvivesDominatorLayerCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adj, err := graphx.UnitDisk(nw.Bounds(), nw.SU, nw.Params.RadiusSU)
-	if err != nil {
-		t.Fatal(err)
-	}
+	adj := nw.Adjacency()
 
 	// Pick the BFS layer holding the most dominators (so the crash actually
 	// tears a hole in the backbone).
@@ -211,7 +207,7 @@ func TestRepairSurvivesDominatorLayerCrash(t *testing.T) {
 		t.Fatal("tree has no dominators outside the root")
 	}
 
-	rep := newRepairer(nw, adj, tree, tree.Parent, nil)
+	rep := newRepairer(nw, tree, tree.Parent, nil)
 	crashed := map[int32]bool{}
 	for v := 1; v < nw.NumNodes(); v++ {
 		id := int32(v)

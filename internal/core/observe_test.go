@@ -7,7 +7,6 @@ import (
 
 	"addcrn/internal/cds"
 	"addcrn/internal/fault"
-	"addcrn/internal/graphx"
 	"addcrn/internal/metrics"
 	"addcrn/internal/netmodel"
 	"addcrn/internal/trace"
@@ -15,11 +14,7 @@ import (
 
 // treeStats recomputes the realized tree statistics the way RunContext does.
 func treeStats(nw *netmodel.Network, tree *cds.Tree) cds.Stats {
-	adj, err := graphx.UnitDisk(nw.Bounds(), nw.SU, nw.Params.RadiusSU)
-	if err != nil {
-		panic(err)
-	}
-	return tree.ComputeStats(adj)
+	return tree.ComputeStats(nw.Adjacency())
 }
 
 // instrumentedRun performs one fully instrumented collection (metrics

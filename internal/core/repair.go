@@ -41,13 +41,13 @@ type repairer struct {
 }
 
 // newRepairer snapshots the routing tree. tree may be nil (non-CDS routings);
-// levels then come from BFS over the adjacency.
-func newRepairer(nw *netmodel.Network, adj graphx.Adjacency, tree *cds.Tree, parent []int32,
+// levels then come from BFS over nw's adjacency.
+func newRepairer(nw *netmodel.Network, tree *cds.Tree, parent []int32,
 	setParent func(node, parent int32)) *repairer {
 	n := len(parent)
 	r := &repairer{
 		nw:        nw,
-		adj:       adj,
+		adj:       nw.Adjacency(),
 		parent:    append([]int32(nil), parent...),
 		alive:     make([]bool, n),
 		anchored:  make([]bool, n),
@@ -62,7 +62,7 @@ func newRepairer(nw *netmodel.Network, adj graphx.Adjacency, tree *cds.Tree, par
 		r.role = tree.Role
 		r.level = tree.Level
 	} else {
-		r.level = adj.BFSLevels(int(r.root))
+		r.level = r.adj.BFSLevels(int(r.root))
 	}
 	r.recomputeAnchored()
 	return r

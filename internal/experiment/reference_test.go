@@ -141,7 +141,7 @@ func referencePair(s *Sweep, xi, rep int, params netmodel.Params, seed uint64, e
 	consts, err := pcr.Compute(params)
 	var parents []int32
 	if err == nil {
-		parents, err = coolest.BuildParentsOn(topo.Adj, topo.NW, consts.Range, coolest.MetricAccumulated)
+		parents, err = coolest.BuildParents(topo.NW, consts.Range, coolest.MetricAccumulated)
 	}
 	var r *core.Result
 	if err == nil {

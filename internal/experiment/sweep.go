@@ -28,7 +28,6 @@ import (
 	"addcrn/internal/coolest"
 	"addcrn/internal/core"
 	"addcrn/internal/fault"
-	"addcrn/internal/graphx"
 	"addcrn/internal/metrics"
 	"addcrn/internal/netmodel"
 	"addcrn/internal/pcr"
@@ -776,10 +775,8 @@ func retryable(outs []runOutcome) bool {
 // hands to both runs of a pair.
 type runTopo struct {
 	nw        *netmodel.Network
-	adj       graphx.Adjacency
 	tree      *cds.Tree
 	treeStats cds.Stats
-	tables    spectrum.NeighborTables
 	parentsOf func(sensingRange float64) ([]int32, error)
 }
 
@@ -799,7 +796,7 @@ func (s *Sweep) topologyFor(params netmodel.Params, seed uint64, env *runEnv) (r
 			return runTopo{}, err
 		}
 		return runTopo{
-			nw: nw, adj: topo.Adj, tree: topo.Tree, treeStats: topo.Stats, tables: topo,
+			nw: nw, tree: topo.Tree, treeStats: topo.Stats,
 			parentsOf: func(r float64) ([]int32, error) { return topo.coolestParents(nw, r) },
 		}, nil
 	}
@@ -808,12 +805,9 @@ func (s *Sweep) topologyFor(params netmodel.Params, seed uint64, env *runEnv) (r
 		return runTopo{}, err
 	}
 	return runTopo{
-		// The freshly built Topology is also the pair's memoizing neighbor-
-		// table provider: without it both runs' carrier-sense trackers
-		// rebuild the same CSR tables from the raw Network.
-		nw: topo.NW, adj: topo.Adj, tree: topo.Tree, treeStats: topo.Stats, tables: topo,
+		nw: topo.NW, tree: topo.Tree, treeStats: topo.Stats,
 		parentsOf: func(r float64) ([]int32, error) {
-			return coolest.BuildParentsOn(topo.Adj, topo.NW, r, coolest.MetricAccumulated)
+			return coolest.BuildParents(topo.NW, r, coolest.MetricAccumulated)
 		},
 	}, nil
 }
@@ -884,8 +878,6 @@ func (s *Sweep) runPairOnce(ctx context.Context, xi, rep, attempt int, env *runE
 		DisableHandoff: s.DisableHandoff,
 		Guard:          s.Guard,
 		Faults:         s.Faults,
-		Adj:            topo.adj,
-		Tables:         topo.tables,
 		Workspace:      env.ws,
 	}
 

@@ -13,20 +13,19 @@
 // routing mutation (copy-on-write — fault runs re-parent their private
 // copy, never the shared tree), CSR tables and adjacency rows are only ever
 // read, and per-run parameter changes go through Network.WithParams, which
-// swaps the Params value on a shallow copy while sharing positions and
-// spatial grids. TestSharedTopologyImmutable pins the contract.
+// swaps the Params value on a shallow copy while sharing positions, spatial
+// grids and the network's memoized adjacency and CSR tables.
+// TestSharedTopologyImmutable pins the contract.
 package experiment
 
 import (
-	"fmt"
 	"sync"
 
 	"addcrn/internal/cds"
 	"addcrn/internal/coolest"
-	"addcrn/internal/graphx"
+	"addcrn/internal/core"
 	"addcrn/internal/netmodel"
 	"addcrn/internal/rng"
-	"addcrn/internal/spectrum"
 )
 
 // topoKey is the exact set of inputs a deployment depends on. Two parameter
@@ -50,19 +49,17 @@ func topoKeyOf(p netmodel.Params, seed uint64) topoKey {
 }
 
 // Topology is one memoized deployment plus the immutable artifacts derived
-// from it. All exported fields are read-only once built. The lazily built
-// tables are plain maps behind one mutex: a run looks up only a few, and
-// the lock held across a build keeps it to one build per key. It implements
-// spectrum.NeighborTables, memoizing one CSR build per sensing radius.
+// from it. All exported fields are read-only once built; the unit-disk
+// adjacency and the CSR neighbor tables are memoized by NW itself. The
+// lazily built Coolest trees are a plain map behind one mutex: a run looks
+// up only a few, and the lock held across a build keeps it to one build per
+// key.
 type Topology struct {
 	NW    *netmodel.Network
-	Adj   graphx.Adjacency
 	Tree  *cds.Tree
 	Stats cds.Stats
 
-	mu      sync.Mutex // guards the maps below
-	su      map[float64]*netmodel.CSRTable
-	pu      map[float64]*netmodel.CSRTable
+	mu      sync.Mutex // guards coolest
 	coolest map[coolestKey][]int32
 }
 
@@ -75,78 +72,47 @@ type coolestKey struct {
 }
 
 // BuildTopology deploys a connected network for (params, seed) — the same
-// derivation the sweeps use when building fresh — and precomputes the
-// unit-disk adjacency, the CDS tree, and its statistics.
+// derivation the sweeps use when building fresh — and precomputes the CDS
+// tree and its statistics.
 func BuildTopology(params netmodel.Params, seed uint64) (*Topology, error) {
 	nw, err := netmodel.DeployConnected(params, rng.New(seed), netmodel.DeployAttempts)
 	if err != nil {
 		return nil, err
 	}
-	adj, err := graphx.UnitDisk(nw.Bounds(), nw.SU, params.RadiusSU)
+	tree, err := core.BuildTree(nw)
 	if err != nil {
 		return nil, err
 	}
-	tree, err := cds.Build(adj, netmodel.BaseStationID)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: CDS tree: %w", err)
-	}
 	return &Topology{
 		NW:    nw,
-		Adj:   adj,
 		Tree:  tree,
-		Stats: tree.ComputeStats(adj),
+		Stats: tree.ComputeStats(nw.Adjacency()),
 	}, nil
-}
-
-// memo returns m[key], calling build and storing its result on a miss.
-// mu is held throughout, so concurrent callers wait for one build instead
-// of racing duplicates. Errors are not stored.
-func memo[K comparable, V any](mu *sync.Mutex, m *map[K]V, key K, build func() (V, error)) (V, error) {
-	mu.Lock()
-	defer mu.Unlock()
-	if v, ok := (*m)[key]; ok {
-		return v, nil
-	}
-	v, err := build()
-	if err != nil {
-		return v, err
-	}
-	if *m == nil {
-		*m = make(map[K]V)
-	}
-	(*m)[key] = v
-	return v, nil
-}
-
-// SUNeighborTable implements spectrum.NeighborTables with one build per
-// radius.
-func (t *Topology) SUNeighborTable(radius float64) (*netmodel.CSRTable, error) {
-	return memo(&t.mu, &t.su, radius, func() (*netmodel.CSRTable, error) {
-		return t.NW.SUNeighborTable(radius)
-	})
-}
-
-// PUNeighborTable implements spectrum.NeighborTables with one build per
-// radius.
-func (t *Topology) PUNeighborTable(radius float64) (*netmodel.CSRTable, error) {
-	return memo(&t.mu, &t.pu, radius, func() (*netmodel.CSRTable, error) {
-		return t.NW.PUNeighborTable(radius)
-	})
 }
 
 // coolestParents memoizes the Coolest routing tree (accumulated metric) for
 // (sensing range, p_t) on this topology. nw must be this topology's network
 // (with per-point params applied via WithParams); the returned slice is
 // shared and must be treated read-only — core copies it before any
-// mutation.
+// mutation. The mutex is held across the build, so concurrent callers wait
+// for one build instead of racing duplicates. Errors are not stored.
 func (t *Topology) coolestParents(nw *netmodel.Network, sensingRange float64) ([]int32, error) {
 	key := coolestKey{sensingRange: sensingRange, activeProb: nw.Params.ActiveProb}
-	return memo(&t.mu, &t.coolest, key, func() ([]int32, error) {
-		return coolest.BuildParentsOn(t.Adj, nw, sensingRange, coolest.MetricAccumulated)
-	})
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if parents, ok := t.coolest[key]; ok {
+		return parents, nil
+	}
+	parents, err := coolest.BuildParents(nw, sensingRange, coolest.MetricAccumulated)
+	if err != nil {
+		return nil, err
+	}
+	if t.coolest == nil {
+		t.coolest = make(map[coolestKey][]int32)
+	}
+	t.coolest[key] = parents
+	return parents, nil
 }
-
-var _ spectrum.NeighborTables = (*Topology)(nil)
 
 // topoCache memoizes Topology builds by their topological key for one
 // Sweep.Run, which creates it and drops it when the run returns: a job's

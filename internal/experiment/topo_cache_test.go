@@ -35,12 +35,17 @@ func TestTopoCacheHitsAndSize(t *testing.T) {
 		t.Fatalf("stats = %+v over %d entries, want 1 hit, 1 miss, 1 entry", st, len(c.m))
 	}
 
-	// Lazily built tables are built once per radius and then shared.
-	tab, err := a.SUNeighborTable(p.RadiusSU)
+	// The network's lazily built tables are built once per radius and
+	// shared with the WithParams copy a sweep run works on.
+	tab, err := a.NW.SUNeighborTable(p.RadiusSU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := b.SUNeighborTable(p.RadiusSU)
+	cp, err := b.NW.WithParams(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := cp.SUNeighborTable(p.RadiusSU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +92,7 @@ func TestTopoCacheConcurrentBounded(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := topo.SUNeighborTable(topo.NW.Params.RadiusSU); err != nil {
+				if _, err := topo.NW.SUNeighborTable(topo.NW.Params.RadiusSU); err != nil {
 					errs <- err
 					return
 				}

@@ -19,6 +19,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"addcrn/internal/geom"
@@ -73,15 +74,17 @@ func (s Spec) Zero() bool {
 	return s.CrashFrac == 0 && s.LinkLoss == 0 && s.AckLoss == 0 && s.Bursts == 0
 }
 
-// Validate checks that every field is in range.
+// Validate checks that every field is in range. The float checks are
+// written so that NaN fails them: a NaN fraction would otherwise pass as no
+// fault at all.
 func (s Spec) Validate() error {
-	if s.CrashFrac < 0 || s.CrashFrac > 1 {
+	if !(s.CrashFrac >= 0 && s.CrashFrac <= 1) {
 		return fmt.Errorf("fault: CrashFrac %v outside [0,1]", s.CrashFrac)
 	}
-	if s.LinkLoss < 0 || s.LinkLoss > 1 {
+	if !(s.LinkLoss >= 0 && s.LinkLoss <= 1) {
 		return fmt.Errorf("fault: LinkLoss %v outside [0,1]", s.LinkLoss)
 	}
-	if s.AckLoss < 0 || s.AckLoss > 1 {
+	if !(s.AckLoss >= 0 && s.AckLoss <= 1) {
 		return fmt.Errorf("fault: AckLoss %v outside [0,1]", s.AckLoss)
 	}
 	if s.CrashWindow < 0 || s.RecoverAfter < 0 || s.BurstLen < 0 {
@@ -93,8 +96,8 @@ func (s Spec) Validate() error {
 	if s.RetryCap < 0 {
 		return fmt.Errorf("fault: negative retry cap %d", s.RetryCap)
 	}
-	if s.BurstRadius < 0 {
-		return fmt.Errorf("fault: negative burst radius %v", s.BurstRadius)
+	if !(s.BurstRadius >= 0 && s.BurstRadius <= math.MaxFloat64) {
+		return fmt.Errorf("fault: burst radius %v is not finite and non-negative", s.BurstRadius)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -8,7 +9,7 @@ import (
 	"addcrn/internal/rng"
 )
 
-func testNetwork(t *testing.T) *netmodel.Network {
+func testNetwork(t testing.TB) *netmodel.Network {
 	t.Helper()
 	p := netmodel.ScaledDefaultParams()
 	p.NumSU = 100
@@ -51,6 +52,11 @@ func TestSpecValidate(t *testing.T) {
 		{Bursts: -1},
 		{RetryCap: -1},
 		{BurstRadius: -3},
+		{CrashFrac: math.NaN()},
+		{LinkLoss: math.NaN()},
+		{AckLoss: math.NaN()},
+		{BurstRadius: math.NaN()},
+		{BurstRadius: math.Inf(1)},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -194,4 +200,103 @@ func TestCompileRejectsInvalid(t *testing.T) {
 	if _, err := Compile(Spec{Bursts: 1}, nw, 0, rng.New(1)); err == nil {
 		t.Error("burst with no radius and no default compiled")
 	}
+}
+
+// FuzzFaultSpec feeds arbitrary field values through Validate and Compile
+// on a small deployment. Neither may panic, Compile must accept exactly the
+// specs Validate accepts (the default burst radius is positive), and an
+// accepted spec must compile to a well-formed plan: events sorted by (time,
+// kind, node); round(CrashFrac·n) distinct victims among the n SUs; one
+// recovery per victim after its crash when RecoverAfter is at least the
+// engine's microsecond tick, none otherwise; and every burst ending after it
+// starts, with a finite positive radius. Bursts is an int8 because
+// Compile's time and memory grow with it (two events per storm); the
+// properties concern the plan's shape, not its size.
+func FuzzFaultSpec(f *testing.F) {
+	nw := testNetwork(f)
+	f.Add(0.05, int64(500*time.Millisecond), int64(2*time.Second), 0.05, 0.02, 0, int8(2), int64(0), 0.0, uint64(1))
+	f.Add(0.2, int64(4*time.Second), int64(time.Second), 0.0, 0.0, 3, int8(2), int64(100*time.Millisecond), 7.5, uint64(3))
+	f.Add(1.0, int64(time.Microsecond), int64(500), 1.0, 1.0, 0, int8(0), int64(0), 0.0, uint64(5))
+	f.Add(math.NaN(), int64(0), int64(0), 0.0, 0.0, 0, int8(0), int64(0), 0.0, uint64(1))
+	f.Add(0.0, int64(0), int64(0), 0.0, 0.0, 0, int8(1), int64(-1), math.Inf(1), uint64(1))
+	f.Fuzz(func(t *testing.T, crashFrac float64, crashWindow, recoverAfter int64, linkLoss, ackLoss float64,
+		retryCap int, bursts int8, burstLen int64, burstRadius float64, seed uint64) {
+		spec := Spec{
+			CrashFrac:    crashFrac,
+			CrashWindow:  time.Duration(crashWindow),
+			RecoverAfter: time.Duration(recoverAfter),
+			LinkLoss:     linkLoss,
+			AckLoss:      ackLoss,
+			RetryCap:     retryCap,
+			Bursts:       int(bursts),
+			BurstLen:     time.Duration(burstLen),
+			BurstRadius:  burstRadius,
+		}
+		verr := spec.Validate()
+		plan, err := Compile(spec, nw, 40, rng.New(seed))
+		if (verr == nil) != (err == nil) {
+			t.Fatalf("Validate error %v but Compile error %v for %+v", verr, err, spec)
+		}
+		if err != nil {
+			return
+		}
+
+		n := nw.NumNodes() - 1
+		crashAt := map[int32]int64{}
+		recovered := map[int32]bool{}
+		startAt := map[[2]float64]int64{}
+		var ends int
+		for i, ev := range plan.Events {
+			if i > 0 {
+				p := plan.Events[i-1]
+				if ev.At < p.At || ev.At == p.At && (ev.Kind < p.Kind || ev.Kind == p.Kind && ev.Node < p.Node) {
+					t.Fatalf("events %d and %d out of order: %+v, %+v", i-1, i, p, ev)
+				}
+			}
+			switch ev.Kind {
+			case EventCrash:
+				if ev.Node < 1 || int(ev.Node) > n {
+					t.Fatalf("crash victim %d outside 1..%d", ev.Node, n)
+				}
+				if _, dup := crashAt[ev.Node]; dup {
+					t.Fatalf("node %d crashes twice", ev.Node)
+				}
+				crashAt[ev.Node] = int64(ev.At)
+			case EventRecover:
+				at, ok := crashAt[ev.Node]
+				if !ok || int64(ev.At) <= at || recovered[ev.Node] {
+					t.Fatalf("recovery of node %d at %v does not follow its one crash", ev.Node, ev.At)
+				}
+				recovered[ev.Node] = true
+			case EventBurstStart, EventBurstEnd:
+				if !(ev.Radius > 0 && ev.Radius <= math.MaxFloat64) {
+					t.Fatalf("burst radius %v is not finite and positive", ev.Radius)
+				}
+				key := [2]float64{ev.Pos.X, ev.Pos.Y}
+				if ev.Kind == EventBurstStart {
+					startAt[key] = int64(ev.At)
+				} else if at, ok := startAt[key]; !ok || int64(ev.At) <= at {
+					t.Fatalf("burst at %v ends at %v before it starts", ev.Pos, ev.At)
+				} else {
+					ends++
+				}
+			default:
+				t.Fatalf("unknown event kind %v", ev.Kind)
+			}
+		}
+		victims := len(crashAt)
+		if victims != len(plan.Crashed) || victims > n || math.Abs(float64(victims)-spec.CrashFrac*float64(n)) > 0.5+1e-9 {
+			t.Fatalf("%d victims (%d listed) for CrashFrac %v over %d SUs", victims, len(plan.Crashed), spec.CrashFrac, n)
+		}
+		wantRecoveries := 0
+		if spec.RecoverAfter >= time.Microsecond {
+			wantRecoveries = victims
+		}
+		if len(recovered) != wantRecoveries {
+			t.Fatalf("%d recoveries, want %d", len(recovered), wantRecoveries)
+		}
+		if ends != spec.Bursts {
+			t.Fatalf("%d complete bursts, want %d", ends, spec.Bursts)
+		}
+	})
 }

@@ -173,7 +173,9 @@ func (n *node) pop() Packet {
 
 // Config assembles a MAC instance.
 type Config struct {
-	// Network is the deployment.
+	// Network is the deployment. The carrier-sense trackers walk the CSR
+	// neighbor tables it memoizes, so every channel and every run over the
+	// same deployment shares one SU and one PU table.
 	Network *netmodel.Network
 	// Parent is the routing tree: Parent[v] is v's next hop, -1 for the
 	// base station (root). All parent chains must reach the root.
@@ -217,13 +219,6 @@ type Config struct {
 	// success. Plain CSMA needs it to escape hidden-terminal livelock;
 	// ADDC does not use it.
 	ExpBackoff bool
-
-	// Tables, when non-nil, supplies the carrier-sense CSR neighbor tables
-	// instead of having the tracker build them from the network — the hook
-	// through which memoized topologies (internal/experiment) share one
-	// table build across every run over the same deployment. The provider
-	// must describe exactly cfg.Network. Nil builds per MAC, as before.
-	Tables spectrum.NeighborTables
 
 	// Metrics, when non-nil, drives the observability instruments (backoff
 	// draws, freezes, contention wins/losses, retries) on the hot path; see
@@ -401,57 +396,6 @@ func subtreeCounts(parent []int32, root int32, dst []int32) {
 // and returns the MAC ready to Start.
 func New(cfg Config) (*MAC, error) { return Renew(nil, cfg) }
 
-// wireTrackers applies the MAC's standing tracker configuration: the shared
-// tables provider (if any) first, then the delivery filter. PUArrived only
-// matters to a transmitting node (the handoff abort), SpectrumBusy to one
-// mid-backoff, SpectrumFree to one frozen or awaiting; the trackers skip
-// the no-op deliveries (setState keeps the eligibility marks current).
-// Every channel senses at the same ranges, so C trackers share one SU and
-// one PU table.
-func (m *MAC) wireTrackers() {
-	tables := m.cfg.Tables
-	if len(m.trackers) > 1 {
-		if tables == nil {
-			tables = m.cfg.Network
-		}
-		tables = &sharedTables{src: tables}
-	}
-	m.elig = m.elig[:0]
-	for _, tr := range m.trackers {
-		if tables != nil {
-			tr.SetTables(tables)
-		}
-		tr.FilterTransitions(true)
-		m.elig = append(m.elig, tr.Eligibility())
-	}
-}
-
-// sharedTables fetches each CSR table from src once, so the trackers of a
-// multichannel MAC walk one table pair instead of building one per channel.
-type sharedTables struct {
-	src    spectrum.NeighborTables
-	su, pu *netmodel.CSRTable
-}
-
-func (t *sharedTables) SUNeighborTable(radius float64) (*netmodel.CSRTable, error) {
-	return fetchOnce(&t.su, radius, t.src.SUNeighborTable)
-}
-
-func (t *sharedTables) PUNeighborTable(radius float64) (*netmodel.CSRTable, error) {
-	return fetchOnce(&t.pu, radius, t.src.PUNeighborTable)
-}
-
-func fetchOnce(tab **netmodel.CSRTable, radius float64, fetch func(float64) (*netmodel.CSRTable, error)) (*netmodel.CSRTable, error) {
-	if *tab == nil {
-		t, err := fetch(radius)
-		if err != nil {
-			return nil, err
-		}
-		*tab = t
-	}
-	return *tab, nil
-}
-
 // Renew builds a MAC for cfg, reusing prev's allocations when prev is
 // non-nil: node structs and their queue backing arrays, the dense state
 // array, the carrier-sense trackers and the deafness tables, at any node or
@@ -543,7 +487,15 @@ func Renew(prev *MAC, cfg Config) (*MAC, error) {
 		*n = node{queue: q, cwScale: 1, expireFn: n.expireFn, endTxFn: n.endTxFn, postWaitFn: n.postWaitFn}
 		m.sts[i] = stateIdle
 	}
-	m.wireTrackers()
+	// PUArrived only matters to a transmitting node (the handoff abort),
+	// SpectrumBusy to one mid-backoff, SpectrumFree to one frozen or
+	// awaiting; the trackers skip the no-op deliveries (setState keeps the
+	// eligibility marks current).
+	m.elig = m.elig[:0]
+	for _, tr := range m.trackers {
+		tr.FilterTransitions(true)
+		m.elig = append(m.elig, tr.Eligibility())
+	}
 	return m, nil
 }
 

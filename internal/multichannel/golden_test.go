@@ -24,40 +24,6 @@ import (
 // transmission that had already left the air).
 const goldenDigest = "5f523be96589fffbdbe0982b07cfcc411005fb53cdf6aad37079584e9d1fc67c"
 
-// memoTables is a NeighborTables provider that builds each table once per
-// radius and counts the builds, standing in for a shared topology.
-type memoTables struct {
-	nw     *netmodel.Network
-	su, pu map[float64]*netmodel.CSRTable
-	builds int
-}
-
-func newMemoTables(nw *netmodel.Network) *memoTables {
-	return &memoTables{nw: nw, su: map[float64]*netmodel.CSRTable{}, pu: map[float64]*netmodel.CSRTable{}}
-}
-
-func (m *memoTables) SUNeighborTable(radius float64) (*netmodel.CSRTable, error) {
-	return m.memo(m.su, radius, m.nw.SUNeighborTable)
-}
-
-func (m *memoTables) PUNeighborTable(radius float64) (*netmodel.CSRTable, error) {
-	return m.memo(m.pu, radius, m.nw.PUNeighborTable)
-}
-
-func (m *memoTables) memo(cache map[float64]*netmodel.CSRTable, radius float64,
-	build func(float64) (*netmodel.CSRTable, error)) (*netmodel.CSRTable, error) {
-	if tab, ok := cache[radius]; ok {
-		return tab, nil
-	}
-	tab, err := build(radius)
-	if err != nil {
-		return nil, err
-	}
-	m.builds++
-	cache[radius] = tab
-	return tab, nil
-}
-
 // hashResult feeds every field of r into h in a fixed order.
 func hashResult(h hash.Hash, r *Result) {
 	var buf [8]byte
@@ -120,10 +86,10 @@ func TestGoldenResults(t *testing.T) {
 	}
 }
 
-// TestSharedTablesServeAllChannels checks that a collection takes its CSR
-// tables from CollectConfig.Tables — one SU and one PU table serve all C
-// trackers, and a second run on the same provider builds nothing — and that
-// the shared tables leave the result equal to Run's.
+// TestSharedTablesServeAllChannels checks that collections sharing one
+// network — its memoized CSR tables serve all C trackers, and a second run
+// reuses the first run's tables — give the same result as Run, which builds
+// its own network.
 func TestSharedTablesServeAllChannels(t *testing.T) {
 	opts := testOpts(9, 4)
 	plain, err := Run(opts)
@@ -142,20 +108,15 @@ func TestSharedTablesServeAllChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tabs := newMemoTables(nw)
 	for i := 0; i < 2; i++ {
 		res, err := core.Collect(nw, tree.Parent, core.CollectConfig{
 			Seed:           opts.Seed,
 			MaxVirtualTime: opts.MaxVirtualTime,
-			Tables:         tabs,
 			Channels:       opts.Channels,
 			Home:           home,
 		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if tabs.builds != 2 {
-			t.Fatalf("run %d: provider built %d tables, want one SU and one PU", i, tabs.builds)
 		}
 		got := []any{res.DelaySlots, res.Capacity, res.Delivered, res.TotalTransmissions,
 			res.TotalAborts, res.TotalDeafnessLosses, res.ChannelLoad, res.HopStats}

@@ -2,8 +2,10 @@ package netmodel
 
 import (
 	"fmt"
+	"sync"
 
 	"addcrn/internal/geom"
+	"addcrn/internal/graphx"
 )
 
 // CSRTable is a compressed-sparse-row neighbor table over a static
@@ -63,16 +65,64 @@ func BuildCSR(grid *geom.Grid, sources []geom.Point, radius float64) (*CSRTable,
 	return t, nil
 }
 
-// SUNeighborTable builds the SU→SU CSR table: row i lists every secondary
-// node (base station included) within radius of SU i — including SU i
-// itself, matching what a grid query centered on the node returns; callers
-// that need the open neighborhood skip the self entry.
-func (nw *Network) SUNeighborTable(radius float64) (*CSRTable, error) {
-	return BuildCSR(nw.SUGrid, nw.SU, radius)
+// derived memoizes the graphs a deployment's fixed positions determine:
+// the SU unit-disk adjacency and the CSR neighbor tables, one per radius.
+// The mutex is held across each build, so concurrent callers (the workers of
+// a sweep sharing one topology) wait for a single build instead of racing
+// duplicates. Every memoized graph is immutable once built.
+type derived struct {
+	mu     sync.Mutex
+	adj    graphx.Adjacency
+	su, pu map[float64]*CSRTable
 }
 
-// PUNeighborTable builds the PU→SU CSR table: row i lists every secondary
-// node within radius of PU i.
+// Adjacency returns the SU unit-disk graph at the communication radius r
+// (base station included), built on first use and shared by every later
+// caller and every WithParams copy. It is read-only.
+func (nw *Network) Adjacency() graphx.Adjacency {
+	d := nw.derived
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.adj == nil {
+		adj, err := graphx.UnitDisk(nw.Bounds(), nw.SU, nw.Params.RadiusSU)
+		if err != nil {
+			// buildGrids built the SU grid from these same arguments.
+			panic(fmt.Sprintf("netmodel: adjacency of a built network: %v", err))
+		}
+		d.adj = adj
+	}
+	return d.adj
+}
+
+// SUNeighborTable returns the SU→SU CSR table, built once per radius: row i
+// lists every secondary node (base station included) within radius of SU i
+// — including SU i itself, matching what a grid query centered on the node
+// returns; callers that need the open neighborhood skip the self entry.
+func (nw *Network) SUNeighborTable(radius float64) (*CSRTable, error) {
+	return nw.derived.table(&nw.derived.su, nw.SUGrid, nw.SU, radius)
+}
+
+// PUNeighborTable returns the PU→SU CSR table, built once per radius: row i
+// lists every secondary node within radius of PU i.
 func (nw *Network) PUNeighborTable(radius float64) (*CSRTable, error) {
-	return BuildCSR(nw.SUGrid, nw.PU, radius)
+	return nw.derived.table(&nw.derived.pu, nw.SUGrid, nw.PU, radius)
+}
+
+// table returns (*m)[radius], building and storing it on a miss. Errors are
+// not stored.
+func (d *derived) table(m *map[float64]*CSRTable, grid *geom.Grid, sources []geom.Point, radius float64) (*CSRTable, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if t, ok := (*m)[radius]; ok {
+		return t, nil
+	}
+	t, err := BuildCSR(grid, sources, radius)
+	if err != nil {
+		return nil, err
+	}
+	if *m == nil {
+		*m = make(map[float64]*CSRTable)
+	}
+	(*m)[radius] = t
+	return t, nil
 }

@@ -1,10 +1,13 @@
 package netmodel
 
 import (
+	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"addcrn/internal/geom"
+	"addcrn/internal/graphx"
 	"addcrn/internal/rng"
 )
 
@@ -251,5 +254,95 @@ func TestCSRRowsAscendInGridRank(t *testing.T) {
 			}
 			checkRowsAscendInRank(t, "clamped", tab, rank)
 		}
+	}
+}
+
+// TestNetworkMemoizesGraphs: goroutines calling Adjacency, SUNeighborTable
+// and PUNeighborTable on WithParams copies of one network all receive the
+// same memoized values, and each equals a fresh UnitDisk or BuildCSR over
+// the same positions. Run under -race it also checks the memo's locking.
+func TestNetworkMemoizesGraphs(t *testing.T) {
+	p := ScaledDefaultParams()
+	p.NumSU = 100
+	p.NumPU = 8
+	p.Area = 60
+	nw, err := Deploy(p, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	radii := []float64{p.RadiusSU, 2.5 * p.RadiusSU}
+	type graphs struct {
+		adj    graphx.Adjacency
+		su, pu []*CSRTable
+	}
+	got := make([]graphs, 8)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q := p
+			q.PacketBits += float64(w) // a protocol knob WithParams may change
+			cp, err := nw.WithParams(q)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			g := graphs{su: make([]*CSRTable, len(radii)), pu: make([]*CSRTable, len(radii))}
+			// Alternate the call order so builds of every key race.
+			for k := range radii {
+				if w%2 == 1 {
+					k = len(radii) - 1 - k
+				}
+				if g.su[k], err = cp.SUNeighborTable(radii[k]); err != nil {
+					t.Error(err)
+					return
+				}
+				if g.pu[k], err = cp.PUNeighborTable(radii[k]); err != nil {
+					t.Error(err)
+					return
+				}
+				g.adj = cp.Adjacency()
+			}
+			got[w] = g
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	fresh, err := graphx.UnitDisk(nw.Bounds(), nw.SU, p.RadiusSU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got[0].adj, fresh) {
+		t.Fatal("memoized adjacency differs from a fresh UnitDisk")
+	}
+	for k, r := range radii {
+		su, err := BuildCSR(nw.SUGrid, nw.SU, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pu, err := BuildCSR(nw.SUGrid, nw.PU, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[0].su[k], su) || !reflect.DeepEqual(got[0].pu[k], pu) {
+			t.Fatalf("radius %v: memoized tables differ from a fresh BuildCSR", r)
+		}
+	}
+	for w, g := range got {
+		if &g.adj[0] != &got[0].adj[0] {
+			t.Fatalf("goroutine %d received a different adjacency", w)
+		}
+		for k := range radii {
+			if g.su[k] != got[0].su[k] || g.pu[k] != got[0].pu[k] {
+				t.Fatalf("goroutine %d received different tables at radius %v", w, radii[k])
+			}
+		}
+	}
+	if tab, _ := nw.SUNeighborTable(radii[0]); tab != got[0].su[0] {
+		t.Fatal("the original network does not share its copies' memo")
 	}
 }

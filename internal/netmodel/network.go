@@ -30,6 +30,10 @@ type Network struct {
 	SUGrid *geom.Grid
 	// PUGrid indexes PU with cell size R.
 	PUGrid *geom.Grid
+
+	// derived holds the graphs memoized from the positions (see
+	// Adjacency); WithParams copies share it.
+	derived *derived
 }
 
 // NumNodes returns the number of secondary nodes including the base station.
@@ -39,13 +43,14 @@ func (nw *Network) NumNodes() int { return len(nw.SU) }
 func (nw *Network) Bounds() geom.Rect { return geom.Square(nw.Params.Area) }
 
 // WithParams returns a copy of nw that reports p as its parameters while
-// sharing every topology structure — positions and spatial grids — with nw.
-// It is how a memoized deployment serves a whole sweep axis: the protocol
-// knobs (slot length, contention window, activity probability, packet
-// budget, ...) vary per grid point, the placement does not. Every field of
-// p that shapes the deployment — NumSU, NumPU, Area, RadiusSU, RadiusPU —
-// must equal nw's; WithParams refuses otherwise, since the shared grids and
-// positions would silently describe a different network.
+// sharing every topology structure — positions, spatial grids, and the
+// memoized adjacency and neighbor tables — with nw. It is how a memoized
+// deployment serves a whole sweep axis: the protocol knobs (slot length,
+// contention window, activity probability, packet budget, ...) vary per
+// grid point, the placement does not. Every field of p that shapes the
+// deployment — NumSU, NumPU, Area, RadiusSU, RadiusPU — must equal nw's;
+// WithParams refuses otherwise, since the shared grids, positions and
+// graphs would silently describe a different network.
 func (nw *Network) WithParams(p Params) (*Network, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -150,6 +155,7 @@ func DeployConnected(p Params, src *rng.Source, maxAttempts int) (*Network, erro
 }
 
 func (nw *Network) buildGrids() error {
+	nw.derived = &derived{}
 	bounds := nw.Bounds()
 	var err error
 	nw.SUGrid, err = geom.NewGrid(bounds, nw.Params.RadiusSU, nw.SU)

@@ -12,12 +12,12 @@
 // touches is a pure function of its identity. The tracker therefore works
 // from CSR-packed neighbor tables (SU→SU within the coordination range,
 // PU→SU within the protection range) and walks one contiguous row per
-// transition — the static-topology fast path. The tables come from a
-// NeighborTables provider (the Network itself by default; a memoizing
-// Topology when runs share a deployment). A CSR row stores exactly the
-// grid's result sequence for the same query, so the row walk is
-// bit-identical to a per-event grid query (the tests keep such a grid
-// reference).
+// transition — the static-topology fast path. The tables belong to the
+// netmodel.Network, which builds each once per radius and shares it with
+// every tracker, channel and run over the same deployment (WithParams
+// copies included). A CSR row stores exactly the grid's result sequence for
+// the same query, so the row walk is bit-identical to a per-event grid
+// query (the tests keep such a grid reference).
 package spectrum
 
 import (
@@ -39,18 +39,6 @@ type Observer interface {
 	// node's PCR, regardless of the prior busy count. A transmitting node
 	// must abort (handoff) on this signal.
 	PUArrived(node int32, now sim.Time)
-}
-
-// NeighborTables supplies the CSR neighbor tables behind the indexed fast
-// path: row id of the SU table lists the secondary nodes within radius of
-// SU id, row i of the PU table the secondary nodes within radius of primary
-// user i. *netmodel.Network implements it by building a table per call; a
-// caching provider (internal/experiment's shared topology) satisfies the
-// same contract by memoizing per radius. Returned tables are immutable and
-// may be shared between trackers.
-type NeighborTables interface {
-	SUNeighborTable(radius float64) (*netmodel.CSRTable, error)
-	PUNeighborTable(radius float64) (*netmodel.CSRTable, error)
 }
 
 // TxKind distinguishes primary from secondary transmitters.
@@ -79,7 +67,6 @@ const (
 // which is reentrancy-safe without any copy.
 type Tracker struct {
 	nw       *netmodel.Network
-	tables   NeighborTables
 	puRange  float64
 	suRange  float64
 	observer Observer
@@ -115,7 +102,7 @@ type Tracker struct {
 	puOn   []uint64
 
 	// suTable and puTable are the CSR neighbor tables behind the indexed
-	// fast path, fetched lazily from the tables provider on first use.
+	// fast path, fetched lazily from the network on first use.
 	suTable *netmodel.CSRTable
 	puTable *netmodel.CSRTable
 }
@@ -133,11 +120,11 @@ func NewTracker(nw *netmodel.Network, puRange, suRange float64, observer Observe
 
 // Renew returns t to its just-constructed state over network nw with new
 // sensing ranges and observer, keeping the buffer pool and reusing every
-// backing array whose capacity still fits. The filter and the tables
-// provider reset to their defaults (re-install them as after NewTracker). A
-// renewed tracker is observationally identical to a fresh one: counters and
-// the filtered path's bitsets restart from zero, and the CSR tables are
-// re-fetched from the provider on next use.
+// backing array whose capacity still fits. The filter resets to its
+// default (re-install it as after NewTracker). A renewed tracker is
+// observationally identical to a fresh one: counters and the filtered
+// path's bitsets restart from zero, and the CSR tables are re-fetched from
+// the network on next use.
 func (t *Tracker) Renew(nw *netmodel.Network, puRange, suRange float64, observer Observer) error {
 	if puRange <= 0 || suRange <= 0 {
 		return fmt.Errorf("spectrum: sensing ranges must be positive, got pu=%v su=%v", puRange, suRange)
@@ -146,7 +133,6 @@ func (t *Tracker) Renew(nw *netmodel.Network, puRange, suRange float64, observer
 		return fmt.Errorf("spectrum: nil observer")
 	}
 	t.nw = nw
-	t.tables = nw
 	t.puRange = puRange
 	t.suRange = suRange
 	t.observer = observer
@@ -172,19 +158,6 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// SetTables replaces the provider the CSR tables are fetched from; nil
-// restores the network itself. Call it before the simulation starts — any
-// previously fetched tables are discarded.
-func (t *Tracker) SetTables(tb NeighborTables) {
-	if tb == nil {
-		tb = t.nw
-	}
-	t.tables = tb
-	t.suTable = nil
-	t.puTable = nil
-	t.puOn = t.puOn[:0]
-}
-
 // FilterTransitions(true) narrows delivery to the callbacks that can act:
 // SpectrumBusy to nodes the observer marked busy-eligible, SpectrumFree to
 // nodes it marked free-eligible (both in the tracker's Eligibility), and
@@ -202,9 +175,9 @@ func (t *Tracker) SetTables(tb NeighborTables) {
 //
 // With the filter on, primary users switch to lazy accounting: a PU toggle
 // flips the user's bit in puOn instead of touching the busy counters, and
-// walks only the row's bits that are also eligible (see addPULazy). Like
-// SetTables, call it before the simulation starts: the representations
-// must not change under registered transmitters.
+// walks only the row's bits that are also eligible (see addPULazy). Call
+// it before the simulation starts: the representations must not change
+// under registered transmitters.
 func (t *Tracker) FilterTransitions(on bool) {
 	t.filtered = on
 	t.puOn = t.puOn[:0]
@@ -315,10 +288,10 @@ func (t *Tracker) putBuf(buf []int32) {
 }
 
 // suRow returns SU id's CSR neighbor row, fetching the table from the
-// provider on first use.
+// network on first use.
 func (t *Tracker) suRow(id int32) []int32 {
 	if t.suTable == nil {
-		tab, err := t.tables.SUNeighborTable(t.suRange)
+		tab, err := t.nw.SUNeighborTable(t.suRange)
 		if err != nil {
 			panic(fmt.Sprintf("spectrum: SU neighbor table: %v", err))
 		}
@@ -327,11 +300,11 @@ func (t *Tracker) suRow(id int32) []int32 {
 	return t.suTable.Row(id)
 }
 
-// puTab returns the PU CSR table, fetching it from the provider on first
+// puTab returns the PU CSR table, fetching it from the network on first
 // use.
 func (t *Tracker) puTab() *netmodel.CSRTable {
 	if t.puTable == nil {
-		tab, err := t.tables.PUNeighborTable(t.puRange)
+		tab, err := t.nw.PUNeighborTable(t.puRange)
 		if err != nil {
 			panic(fmt.Sprintf("spectrum: PU neighbor table: %v", err))
 		}

@@ -42,6 +42,47 @@ func testNetwork(t *testing.T, seed uint64) *netmodel.Network {
 	return nw
 }
 
+// TestTrackersShareNetworkTables: trackers over one network — the channels
+// of a multichannel MAC, a tracker renewed for the next run, one renewed
+// onto a WithParams copy — all walk the CSR tables the network memoizes
+// instead of building their own.
+func TestTrackersShareNetworkTables(t *testing.T) {
+	nw := testNetwork(t, 21)
+	const puRange, suRange = 25.0, 20.0
+	wantSU, err := nw.SUNeighborTable(suRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPU, err := nw.PUNeighborTable(puRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := nw.WithParams(nw.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trs []*Tracker
+	for range 2 {
+		tr, err := NewTracker(nw, puRange, suRange, &recordingObserver{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trs = append(trs, tr)
+	}
+	for _, target := range []*netmodel.Network{nw, cp} {
+		for c, tr := range trs {
+			if err := tr.Renew(target, puRange, suRange, &recordingObserver{}); err != nil {
+				t.Fatal(err)
+			}
+			tr.AddSUTransmitter(1, 0)
+			tr.AddPUTransmitter(0, 0)
+			if tr.suTable != wantSU || tr.puTable != wantPU {
+				t.Fatalf("tracker %d walks tables other than the network's memo", c)
+			}
+		}
+	}
+}
+
 func TestTrackerValidation(t *testing.T) {
 	nw := testNetwork(t, 1)
 	if _, err := NewTracker(nw, 0, 10, &recordingObserver{}); err == nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -262,4 +263,62 @@ func TestRecoverSpansSealsNewlinelessTail(t *testing.T) {
 	if len(spans) != 3 || last != 3 {
 		t.Fatalf("append after seal: got %d spans (last %d), want 3/3", len(spans), last)
 	}
+}
+
+// FuzzRecoverSpans feeds arbitrary file contents to RecoverSpans, opened
+// the way the daemon reopens a job's span file. It must never panic. On
+// success the file must be empty or end in a newline, a rescan must return
+// the same spans and last sequence number, and a span that a sink seeded
+// with that number appends must read back with seq last+1.
+func FuzzRecoverSpans(f *testing.F) {
+	f.Add([]byte(""))
+	f.Add([]byte(`{"record":"span","job":"j1","seq":1,"event":"submitted","t_ms":5}` + "\n"))
+	f.Add([]byte(`{"record":"span","job":"j1","seq":1,"event":"submitted","t_ms":5}
+{"record":"span","job":"j1","seq":2,"event":"queued","t_ms":6}`))
+	f.Add([]byte(`{"record":"span","job":"j1","seq":1,"event":"submitted","t_ms":5}
+{"record":"span","job":"j1","seq":2,"eve`))
+	f.Add([]byte(`{"x":1,"rep":0,"algo":"addc"}
+{"record":"span","job":"j1","seq":7,"event":"done","t_ms":9}
+`))
+	path := filepath.Join(f.TempDir(), "job.spans.jsonl")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fh, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fh.Close()
+		spans, last, err := RecoverSpans(fh)
+		if err != nil {
+			return
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(got); n > 0 && got[n-1] != '\n' {
+			t.Fatalf("recovered file does not end in a newline: %q", got)
+		}
+		again, againLast, err := ScanSpans(bytes.NewReader(got))
+		if err != nil || againLast != last || !reflect.DeepEqual(again, spans) {
+			t.Fatalf("rescan: %d spans, last %d, err %v; recovery gave %d spans, last %d",
+				len(again), againLast, err, len(spans), last)
+		}
+
+		s := NewJSONLSpanSink(fh, "j1", last)
+		s.Emit(SpanEvent{Event: SpanQueued, WallMS: 1})
+		if err := s.Err(); err != nil {
+			t.Fatal(err)
+		}
+		got, err = os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, _, err := ScanSpans(bytes.NewReader(got))
+		if err != nil || len(after) != len(spans)+1 || after[len(spans)].Seq != last+1 {
+			t.Fatalf("appended span did not read back as seq %d: %d spans after, err %v", last+1, len(after), err)
+		}
+	})
 }
