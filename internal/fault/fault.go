@@ -18,8 +18,10 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"addcrn/internal/geom"
@@ -221,28 +223,13 @@ func Compile(spec Spec, nw *netmodel.Network, defaultBurstRadius float64, src *r
 		}
 	}
 
-	sortEvents(plan.Events)
+	slices.SortStableFunc(plan.Events, compareEvents)
 	return plan, nil
 }
 
-// sortEvents orders events by time, breaking ties by kind then node so the
-// schedule is a deterministic function of its inputs.
-func sortEvents(evs []Event) {
-	// Insertion sort: plans are small (tens to a few hundred events) and the
-	// slice is mostly sorted already.
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && eventLess(evs[j], evs[j-1]); j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
-}
-
-func eventLess(a, b Event) bool {
-	if a.At != b.At {
-		return a.At < b.At
-	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	return a.Node < b.Node
+// compareEvents orders events by time, breaking ties by kind then node so the
+// schedule is a deterministic function of its inputs; the stable sort keeps
+// events equal on all three in the order they were appended.
+func compareEvents(a, b Event) int {
+	return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Node, b.Node))
 }

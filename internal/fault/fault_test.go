@@ -2,11 +2,14 @@ package fault
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"addcrn/internal/geom"
 	"addcrn/internal/netmodel"
 	"addcrn/internal/rng"
+	"addcrn/internal/sim"
 )
 
 func testNetwork(t testing.TB) *netmodel.Network {
@@ -135,7 +138,7 @@ func TestCompileShape(t *testing.T) {
 	var crashes, recovers, starts, ends int
 	seen := make(map[int32]bool)
 	for i, ev := range plan.Events {
-		if i > 0 && eventLess(ev, plan.Events[i-1]) {
+		if i > 0 && compareEvents(ev, plan.Events[i-1]) < 0 {
 			t.Fatalf("events not sorted at %d", i)
 		}
 		switch ev.Kind {
@@ -299,4 +302,40 @@ func FuzzFaultSpec(f *testing.F) {
 			t.Fatalf("%d complete bursts, want %d", ends, spec.Bursts)
 		}
 	})
+}
+
+// insertionSortEvents is the plan sort Compile used before it switched to
+// slices.SortStableFunc: quadratic, but obviously stable and ordered by
+// (time, kind, node). It stays here as the reference the new sort must match.
+func insertionSortEvents(evs []Event) {
+	for i := 1; i < len(evs); i++ {
+		for j := i; j > 0 && compareEvents(evs[j], evs[j-1]) < 0; j-- {
+			evs[j], evs[j-1] = evs[j-1], evs[j]
+		}
+	}
+}
+
+// TestSortMatchesInsertionSort: on random plans dense in ties — including
+// events equal on (time, kind, node) that differ only in position — the
+// stable sort yields exactly the insertion sort's slice, so compiled plans
+// are unchanged.
+func TestSortMatchesInsertionSort(t *testing.T) {
+	src := rng.New(11)
+	for trial := 0; trial < 200; trial++ {
+		evs := make([]Event, src.UniformInt(0, 300))
+		for i := range evs {
+			evs[i] = Event{
+				At:   sim.Time(src.UniformInt(0, 20)),
+				Kind: EventKind(src.UniformInt(1, 4)),
+				Node: int32(src.UniformInt(-1, 4)),
+				Pos:  geom.Point{X: float64(i)},
+			}
+		}
+		want := slices.Clone(evs)
+		insertionSortEvents(want)
+		slices.SortStableFunc(evs, compareEvents)
+		if !slices.Equal(evs, want) {
+			t.Fatalf("trial %d: stable sort differs from insertion sort", trial)
+		}
+	}
 }

@@ -50,6 +50,25 @@ func TestValidateRejections(t *testing.T) {
 		{"zero window", func(p *Params) { p.ContentionWindow = 0 }},
 		{"window >= slot", func(p *Params) { p.ContentionWindow = p.Slot }},
 		{"zero packet", func(p *Params) { p.PacketBits = 0 }},
+		{"NaN area", func(p *Params) { p.Area = math.NaN() }},
+		{"infinite area", func(p *Params) { p.Area = math.Inf(1) }},
+		{"NaN alpha", func(p *Params) { p.Alpha = math.NaN() }},
+		{"infinite alpha", func(p *Params) { p.Alpha = math.Inf(1) }},
+		{"NaN PU power", func(p *Params) { p.PowerPU = math.NaN() }},
+		{"infinite PU power", func(p *Params) { p.PowerPU = math.Inf(1) }},
+		{"NaN PU radius", func(p *Params) { p.RadiusPU = math.NaN() }},
+		{"infinite PU radius", func(p *Params) { p.RadiusPU = math.Inf(1) }},
+		{"NaN PU SIR", func(p *Params) { p.SIRThresholdPUdB = math.NaN() }},
+		{"infinite PU SIR", func(p *Params) { p.SIRThresholdPUdB = math.Inf(-1) }},
+		{"NaN pt", func(p *Params) { p.ActiveProb = math.NaN() }},
+		{"NaN SU power", func(p *Params) { p.PowerSU = math.NaN() }},
+		{"infinite SU power", func(p *Params) { p.PowerSU = math.Inf(1) }},
+		{"NaN SU radius", func(p *Params) { p.RadiusSU = math.NaN() }},
+		{"infinite SU radius", func(p *Params) { p.RadiusSU = math.Inf(1) }},
+		{"NaN SU SIR", func(p *Params) { p.SIRThresholdSUdB = math.NaN() }},
+		{"infinite SU SIR", func(p *Params) { p.SIRThresholdSUdB = math.Inf(1) }},
+		{"NaN packet", func(p *Params) { p.PacketBits = math.NaN() }},
+		{"infinite packet", func(p *Params) { p.PacketBits = math.Inf(1) }},
 	}
 	for _, tt := range mutations {
 		t.Run(tt.name, func(t *testing.T) {
@@ -60,6 +79,45 @@ func TestValidateRejections(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParams: Validate never panics, and every Params it accepts has a
+// finite positive area, powers and radii, a finite α above 2, finite SIR
+// thresholds and p_t in [0, 1].
+func FuzzParams(f *testing.F) {
+	d := DefaultParams()
+	f.Add(d.Area, d.Alpha, d.NumPU, d.PowerPU, d.RadiusPU, d.SIRThresholdPUdB, d.ActiveProb,
+		d.NumSU, d.PowerSU, d.RadiusSU, d.SIRThresholdSUdB, int64(d.Slot), int64(d.ContentionWindow), d.PacketBits)
+	f.Add(math.NaN(), math.NaN(), 0, math.Inf(1), math.NaN(), math.NaN(), math.NaN(),
+		1, math.NaN(), math.Inf(1), math.Inf(-1), int64(1000), int64(500), math.NaN())
+	f.Add(1e-300, 2.0000001, 1, 1e308, 1e-9, -1e308, 1.0, 1, 5e-324, 1e308, 0.0, int64(2), int64(1), 1.0)
+	f.Fuzz(func(t *testing.T, area, alpha float64, numPU int, powerPU, radiusPU, sirPU, pt float64,
+		numSU int, powerSU, radiusSU, sirSU float64, slot, window int64, packet float64) {
+		p := Params{
+			Area: area, Alpha: alpha,
+			NumPU: numPU, PowerPU: powerPU, RadiusPU: radiusPU, SIRThresholdPUdB: sirPU, ActiveProb: pt,
+			NumSU: numSU, PowerSU: powerSU, RadiusSU: radiusSU, SIRThresholdSUdB: sirSU,
+			Slot: time.Duration(slot), ContentionWindow: time.Duration(window), PacketBits: packet,
+		}
+		if p.Validate() != nil {
+			return
+		}
+		posFinite := func(x float64) bool { return x > 0 && !math.IsInf(x, 0) && !math.IsNaN(x) }
+		for _, x := range []float64{p.Area, p.PowerPU, p.RadiusPU, p.PowerSU, p.RadiusSU, p.PacketBits} {
+			if !posFinite(x) {
+				t.Fatalf("accepted %+v with a non-finite or non-positive area, power, radius or packet size", p)
+			}
+		}
+		if !posFinite(p.Alpha) || p.Alpha <= 2 {
+			t.Fatalf("accepted alpha %v", p.Alpha)
+		}
+		if math.IsNaN(sirPU) || math.IsInf(sirPU, 0) || math.IsNaN(sirSU) || math.IsInf(sirSU, 0) {
+			t.Fatalf("accepted SIR thresholds %v, %v dB", sirPU, sirSU)
+		}
+		if math.IsNaN(pt) || pt < 0 || pt > 1 {
+			t.Fatalf("accepted p_t %v", pt)
+		}
+	})
 }
 
 func TestDerivedQuantities(t *testing.T) {

@@ -109,27 +109,33 @@ func (p Params) Bandwidth() float64 {
 	return p.PacketBits / p.Slot.Seconds()
 }
 
-// Validate reports the first violated model constraint, or nil.
+// Validate reports the first violated model constraint, or nil. Each float
+// check is written so that NaN fails it, and area, α, powers, radii and
+// packet size must also be finite.
 func (p Params) Validate() error {
 	switch {
-	case p.Area <= 0:
-		return fmt.Errorf("netmodel: area side must be positive, got %v", p.Area)
-	case p.Alpha <= 2:
-		return fmt.Errorf("netmodel: path loss exponent must exceed 2, got %v", p.Alpha)
+	case !positiveFinite(p.Area):
+		return fmt.Errorf("netmodel: area side must be positive and finite, got %v", p.Area)
+	case !(p.Alpha > 2 && p.Alpha <= math.MaxFloat64):
+		return fmt.Errorf("netmodel: path loss exponent must be finite and exceed 2, got %v", p.Alpha)
 	case p.NumPU < 0:
 		return fmt.Errorf("netmodel: number of PUs must be non-negative, got %d", p.NumPU)
-	case p.PowerPU <= 0:
-		return fmt.Errorf("netmodel: PU power must be positive, got %v", p.PowerPU)
-	case p.RadiusPU <= 0:
-		return fmt.Errorf("netmodel: PU radius must be positive, got %v", p.RadiusPU)
-	case p.ActiveProb < 0 || p.ActiveProb > 1:
+	case !positiveFinite(p.PowerPU):
+		return fmt.Errorf("netmodel: PU power must be positive and finite, got %v", p.PowerPU)
+	case !positiveFinite(p.RadiusPU):
+		return fmt.Errorf("netmodel: PU radius must be positive and finite, got %v", p.RadiusPU)
+	case !finite(p.SIRThresholdPUdB):
+		return fmt.Errorf("netmodel: PU SIR threshold must be finite, got %v dB", p.SIRThresholdPUdB)
+	case !(p.ActiveProb >= 0 && p.ActiveProb <= 1):
 		return fmt.Errorf("netmodel: PU activity probability must lie in [0,1], got %v", p.ActiveProb)
 	case p.NumSU <= 0:
 		return fmt.Errorf("netmodel: number of SUs must be positive, got %d", p.NumSU)
-	case p.PowerSU <= 0:
-		return fmt.Errorf("netmodel: SU power must be positive, got %v", p.PowerSU)
-	case p.RadiusSU <= 0:
-		return fmt.Errorf("netmodel: SU radius must be positive, got %v", p.RadiusSU)
+	case !positiveFinite(p.PowerSU):
+		return fmt.Errorf("netmodel: SU power must be positive and finite, got %v", p.PowerSU)
+	case !positiveFinite(p.RadiusSU):
+		return fmt.Errorf("netmodel: SU radius must be positive and finite, got %v", p.RadiusSU)
+	case !finite(p.SIRThresholdSUdB):
+		return fmt.Errorf("netmodel: SU SIR threshold must be finite, got %v dB", p.SIRThresholdSUdB)
 	case p.Slot <= 0:
 		return fmt.Errorf("netmodel: slot duration must be positive, got %v", p.Slot)
 	case p.ContentionWindow <= 0:
@@ -137,11 +143,17 @@ func (p Params) Validate() error {
 	case p.ContentionWindow >= p.Slot:
 		return fmt.Errorf("netmodel: contention window %v must be shorter than slot %v",
 			p.ContentionWindow, p.Slot)
-	case p.PacketBits <= 0:
-		return fmt.Errorf("netmodel: packet size must be positive, got %v", p.PacketBits)
+	case !positiveFinite(p.PacketBits):
+		return fmt.Errorf("netmodel: packet size must be positive and finite, got %v", p.PacketBits)
 	}
 	return nil
 }
+
+// positiveFinite reports 0 < x < +Inf; NaN fails.
+func positiveFinite(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+
+// finite reports that x is neither NaN nor infinite.
+func finite(x float64) bool { return x >= -math.MaxFloat64 && x <= math.MaxFloat64 }
 
 func dbToLinear(db float64) float64 {
 	return math.Pow(10, db/10)

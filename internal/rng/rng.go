@@ -24,12 +24,13 @@ type Source struct {
 	pcg  *rand.PCG
 	rnd  *rand.Rand
 
-	// geomQ/geomLogQ memoize the last Geometric denominator: the PU
-	// activity processes draw millions of geometric samples with the same
-	// one or two success probabilities, and ln(q) is half the cost of a
-	// sample. Reusing the cached value is bit-identical to recomputing it.
-	geomQ    float64
-	geomLogQ float64
+	// geomQ/geomLogQ memoize the last two Geometric denominators, most
+	// recent miss first: the PU activity processes draw millions of
+	// geometric samples, alternating between p_t and 1−p_t on one stream,
+	// and ln(q) is half the cost of a sample. Reusing a cached value is
+	// bit-identical to recomputing it.
+	geomQ    [2]float64
+	geomLogQ [2]float64
 }
 
 // pcgStream salts the PCG's second state word: the seed is the first word,
@@ -167,11 +168,18 @@ func (s *Source) Geometric(p float64) int64 {
 		u = s.rnd.Float64()
 	}
 	q := 1 - p
-	if q != s.geomQ {
-		s.geomQ = q
-		s.geomLogQ = math.Log(q)
+	var logQ float64
+	switch q {
+	case s.geomQ[0]:
+		logQ = s.geomLogQ[0]
+	case s.geomQ[1]:
+		logQ = s.geomLogQ[1]
+	default:
+		logQ = math.Log(q)
+		s.geomQ = [2]float64{q, s.geomQ[0]}
+		s.geomLogQ = [2]float64{logQ, s.geomLogQ[0]}
 	}
-	k := int64(math.Log(u) / s.geomLogQ)
+	k := int64(math.Log(u) / logQ)
 	if k < 0 {
 		k = 0
 	}

@@ -330,3 +330,32 @@ func BenchmarkSeedReseed(b *testing.B) {
 		uint64Sink += src.Uint64()
 	}
 }
+
+// TestGeometricMemoMatchesDirect: the spectrum model draws Geometric(p_t)
+// and Geometric(1−p_t) alternately from one stream, now and then another
+// probability; the memoized ln(1−p) must give exactly the samples of the
+// uncached inverse transform computed from a twin stream.
+func TestGeometricMemoMatchesDirect(t *testing.T) {
+	src, twin := New(29), New(29)
+	ps := []float64{0.3, 0.7, 0.3, 0.7, 0.01, 0.7, 0.3, 1, 0.99, 0, 0.3, 0.7, 1e-9}
+	for i := 0; i < 20000; i++ {
+		p := ps[i%len(ps)]
+		got := src.Geometric(p)
+		var want int64
+		switch {
+		case p >= 1:
+			want = 0
+		case p <= 0:
+			want = 1 << 40
+		default:
+			u := twin.Float64()
+			for u == 0 {
+				u = twin.Float64()
+			}
+			want = min(max(int64(math.Log(u)/math.Log(1-p)), 0), 1<<40)
+		}
+		if got != want {
+			t.Fatalf("draw %d: Geometric(%v) = %d, direct formula %d", i, p, got, want)
+		}
+	}
+}

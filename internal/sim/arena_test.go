@@ -29,7 +29,7 @@ func TestTimerHandleSurvivesSlotReuse(t *testing.T) {
 
 // TestPopOrderMatchesTotalOrder: equal-time events fire in scheduling order
 // and different times fire chronologically, across enough events to exercise
-// multi-level 4-ary sifts and free-list reuse.
+// equal-time buckets and free-list reuse.
 func TestPopOrderMatchesTotalOrder(t *testing.T) {
 	const rounds = 5
 	for round := 0; round < rounds; round++ {
@@ -68,7 +68,7 @@ func TestSteadyStateSchedulingAllocates0(t *testing.T) {
 		}
 	}
 	e.After(3, rearm)
-	// Warm up arena, heap and free list.
+	// Warm up arena, wheel and free list.
 	for i := 0; i < 16 && e.Step(); i++ {
 	}
 	allocs := testing.AllocsPerRun(100, func() {

@@ -31,10 +31,12 @@ func BenchmarkRearm(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkArenaChurn measures the cancel/re-arm cycle the carrier-sense
-// freeze path drives constantly: every iteration cancels a pending timer
-// (eager heap removal + slot release) and schedules a replacement (slot
-// reuse off the free list). Steady state must not allocate.
+// BenchmarkArenaChurn measures the cancel/re-arm pair the carrier-sense
+// freeze path drives constantly: every iteration cancels a pending timer (a
+// lazy mark; the dead entry stays queued until it is popped) and schedules
+// a replacement. Nothing pops here, so the arena grows by one entry per
+// iteration, amortized into B/op; BenchmarkSlotted measures cancellation
+// together with the pops that drop the dead entries.
 func BenchmarkArenaChurn(b *testing.B) {
 	e := New()
 	const live = 256 // one backoff timer per node at a mid-size operating point
@@ -52,8 +54,8 @@ func BenchmarkArenaChurn(b *testing.B) {
 }
 
 // BenchmarkResetReuse measures workspace-style engine recycling: fill the
-// arena, drain it, Reset, repeat. The arena, free list, and heap backings
-// must be retained across iterations.
+// arena, drain it, Reset, repeat. The arena, free list, and overflow heap
+// backings must be retained across iterations.
 func BenchmarkResetReuse(b *testing.B) {
 	e := New()
 	b.ReportAllocs()
@@ -64,4 +66,52 @@ func BenchmarkResetReuse(b *testing.B) {
 		e.Run()
 		e.Reset()
 	}
+}
+
+// BenchmarkSlotted drives the event shape of a collection run, one Step per
+// op: 32 PUs toggle on 1 ms slot boundaries after runs of 1–8 slots (the
+// longer runs overflow the wheel), and 256 SUs each hold a sub-slot backoff
+// that re-arms when it fires. Every PU toggle freezes its 20 neighboring
+// SUs: their backoffs are canceled and re-armed from the next slot, so
+// about 40% of the queue entries the engine pops are dead (reported as
+// dead/pop).
+func BenchmarkSlotted(b *testing.B) {
+	const pus, sus, freeze, slot = 32, 256, 20, Millisecond
+	e := New()
+	x := uint64(0x9e3779b97f4a7c15)
+	draw := func(n Time) Time {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return Time(x % uint64(n))
+	}
+	backoff := make([]Timer, sus)
+	suFn := make([]EventFunc, sus)
+	for i := range suFn {
+		suFn[i] = func(now Time) { backoff[i] = e.After(slot/2+draw(slot/2), suFn[i]) }
+		backoff[i] = e.After(draw(slot/2), suFn[i])
+	}
+	dead := 0
+	puFn := make([]EventFunc, pus)
+	for j := range puFn {
+		puFn[j] = func(now Time) {
+			next := (now/slot + 1) * slot
+			e.At(next+slot*draw(8), puFn[j])
+			for k := 0; k < freeze; k++ {
+				i := (j*freeze + k) % sus
+				if backoff[i].Active() {
+					dead++
+				}
+				backoff[i].Cancel()
+				backoff[i], _ = e.At(next+draw(slot/2), suFn[i])
+			}
+		}
+		e.At(slot*(1+draw(8)), puFn[j])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+	b.ReportMetric(float64(dead)/float64(dead+b.N), "dead/pop")
 }

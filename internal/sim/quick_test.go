@@ -6,6 +6,10 @@ import (
 	"testing/quick"
 )
 
+// quickDelay spreads a raw delay over 0–8671 µs, past two wheel spans, in
+// 300 distinct values so equal times still occur in small batches.
+func quickDelay(d uint16) Time { return Time(d%300) * 29 }
+
 // TestQuickExecutionOrder property-tests the engine's core contract: for
 // any batch of scheduled delays, events fire in nondecreasing time order,
 // with FIFO order among equal times, and the clock ends at the maximum.
@@ -19,7 +23,7 @@ func TestQuickExecutionOrder(t *testing.T) {
 		var log []fired
 		for i, d := range rawDelays {
 			i := i
-			e.After(Time(d%1000), func(now Time) {
+			e.After(quickDelay(d), func(now Time) {
 				log = append(log, fired{at: now, seq: i})
 			})
 		}
@@ -39,8 +43,8 @@ func TestQuickExecutionOrder(t *testing.T) {
 		}
 		var maxT Time
 		for _, d := range rawDelays {
-			if Time(d%1000) > maxT {
-				maxT = Time(d % 1000)
+			if quickDelay(d) > maxT {
+				maxT = quickDelay(d)
 			}
 		}
 		return len(log) == 0 || e.Now() == maxT
@@ -51,14 +55,15 @@ func TestQuickExecutionOrder(t *testing.T) {
 }
 
 // TestQuickCancellation property-tests that canceling an arbitrary subset
-// leaves exactly the complement to fire.
+// leaves exactly the complement to fire. Delays reach 9435 µs, past two
+// wheel spans.
 func TestQuickCancellation(t *testing.T) {
 	f := func(delays []uint8, cancelMask []bool) bool {
 		e := New()
 		firedCount := 0
 		var timers []Timer
 		for _, d := range delays {
-			timers = append(timers, e.After(Time(d), func(Time) { firedCount++ }))
+			timers = append(timers, e.After(Time(d)*37, func(Time) { firedCount++ }))
 		}
 		want := len(delays)
 		for i, timer := range timers {

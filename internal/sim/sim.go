@@ -9,22 +9,37 @@
 // meaningful. Parallelism lives one level up (independent repetitions of an
 // experiment run on separate engines; see internal/experiment).
 //
-// The event queue is a concrete indexed 4-ary heap over a pooled entry
-// arena: entries live in a flat slice, freed slots are recycled through a
-// free list, and the heap orders int32 arena indices. The (time, sequence)
-// sort keys are mirrored in a dense per-position key array, so sifts compare
-// against contiguous 16-byte keys (one cache line covers a 4-ary node's
-// children) instead of chasing arena entries. Scheduling an event in steady
-// state therefore allocates nothing, and heap maintenance runs without
-// interface-method dispatch. Because (time, sequence) is a strict total
-// order, the pop order — and with it every simulation result — is identical
-// to the binary container/heap implementation this replaced.
+// The event queue is a timing wheel with one FIFO bucket per microsecond,
+// backed by a 4-ary overflow heap. The paper's model is slotted (τ = 1 ms,
+// τ_c = 0.5 ms), so nearly every event falls within a few slots of the
+// clock and many share a microsecond. The wheel covers the wheelSpan
+// microseconds starting at its cursor: scheduling there appends to an
+// intrusive list threaded through the pooled entry arena and sets one
+// occupancy bit, popping takes a bucket's head, and a lazily canceled entry
+// is dropped at the head in O(1). When the cursor's bucket drains, the
+// occupancy bitmap locates the next occupied bucket with a word scan and
+// bits.TrailingZeros64. Events due at or beyond the span — long PU runs,
+// fault-plan events — wait in the overflow heap, keyed by (time, sequence).
+//
+// Pop order is exactly (time, sequence) with no sort. A bucket holds a
+// single timestamp, and its entries arrive in sequence order. An overflow
+// entry for time t was scheduled before any wheel entry for t, because the
+// cursor only moves forward; so when the cursor reaches t, t's overflow
+// entries are spliced in front of the bucket's list, and later pushes at t
+// append behind it. After RunUntil stops with the cursor ahead of the clock,
+// an event may be scheduled below the cursor: it goes to the overflow heap,
+// whose top is taken first while its time is below the cursor. Because the
+// order is the same strict total order, every simulation result is
+// identical to the binary container/heap implementation this engine
+// started from. The arena recycles freed slots through a free list, so
+// scheduling in steady state allocates nothing.
 
 package sim
 
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -69,11 +84,11 @@ type Timer struct {
 // already-canceled timer is a no-op. Cancel on a zero Timer is a no-op.
 //
 // Cancellation is lazy: the entry is only marked dead and the pop loop
-// discards it when it reaches the top of the heap. Canceled timers are
-// overwhelmingly near-future backoffs (carrier-sense freezes), so dead
-// entries surface within a contention window and never pile up, while the
-// cancel itself — the single hottest queue operation in a collection run —
-// costs two writes instead of an O(log n) heap repair.
+// discards it when it reaches the front of its bucket (or the overflow
+// heap's top). Canceled timers are overwhelmingly near-future backoffs
+// (carrier-sense freezes), so dead entries surface within a contention
+// window and never pile up, while the cancel itself — the single hottest
+// queue operation in a collection run — is one write instead of an unlink.
 func (t Timer) Cancel() {
 	e := t.eng
 	if e == nil {
@@ -102,17 +117,37 @@ func (t Timer) When() Time {
 // entry is one arena slot. gen increments every time the slot is released to
 // the free list, invalidating outstanding Timer handles. A nil fn while the
 // entry is still queued marks a lazily canceled event, discarded when it
-// reaches the top of the heap. The (time, sequence) sort key lives in the
-// engine's dense key array; at is duplicated here only for Timer.When and the
-// past-scheduling check.
+// reaches the front of the queue. next links the entry to its successor in a
+// wheel bucket (or in the overflow run being spliced into one); it is
+// meaningless for the bucket's tail and for entries in the overflow heap.
 type entry struct {
-	at  Time
-	fn  EventFunc
-	gen uint32
+	at   Time
+	fn   EventFunc
+	gen  uint32
+	next int32
 }
 
-// hkey is a heap sort key: events fire in (at, seq) order. Keys are stored
-// densely by heap position so sift comparisons stay on hot cache lines.
+// The wheel spans wheelSpan = 4096 µs, just over four of the paper's 1 ms
+// slots, so slot-aligned toggles and sub-slot backoffs land in buckets while
+// multi-slot PU runs and fault-plan events overflow. The span sets speed
+// only; pop order does not depend on it.
+const (
+	wheelBits  = 12
+	wheelSpan  = 1 << wheelBits
+	wheelMask  = wheelSpan - 1
+	wheelWords = wheelSpan / 64
+)
+
+// bucket is the FIFO of entries due at one wheel time, linked through
+// entry.next. head and tail are valid only while the bucket's occupancy bit
+// is set.
+type bucket struct {
+	head, tail int32
+}
+
+// hkey is an overflow-heap sort key: events fire in (at, seq) order. Keys are
+// stored densely by heap position so sift comparisons stay on hot cache
+// lines.
 type hkey struct {
 	at  Time
 	seq uint64
@@ -129,13 +164,24 @@ type Engine struct {
 	nsteps uint64
 
 	// arena holds every entry ever allocated; free lists recycled slots.
-	// heap is a 4-ary min-heap of arena indices ordered by (at, seq), with
-	// keys mirroring each position's sort key. The heap may hold lazily
-	// canceled entries awaiting their pop.
 	arena []entry
 	free  []int32
-	heap  []int32
-	keys  []hkey
+
+	// The wheel holds the events due in [cursor, cursor+wheelSpan), bucket
+	// t&wheelMask holding those due at t. occ has bit b set while bucket b
+	// is non-empty. Buckets may hold lazily canceled entries awaiting their
+	// pop.
+	cursor  Time
+	buckets [wheelSpan]bucket
+	occ     [wheelWords]uint64
+
+	// heap is the overflow queue: a 4-ary min-heap of arena indices ordered
+	// by (at, seq), with keys mirroring each position's sort key. It holds
+	// the events due at or beyond the wheel's span when scheduled, and those
+	// scheduled below the cursor after RunUntil stopped short. It may hold
+	// lazily canceled entries awaiting their pop.
+	heap []int32
+	keys []hkey
 
 	// Cooperative interrupt: poll is consulted every pollEvery executed
 	// events; a non-nil error stops the engine (see SetInterrupt).
@@ -167,6 +213,8 @@ func (e *Engine) Reset() {
 	for i := len(e.arena) - 1; i >= 0; i-- {
 		e.free = append(e.free, int32(i))
 	}
+	e.cursor = 0
+	e.occ = [wheelWords]uint64{}
 	e.heap = e.heap[:0]
 	e.keys = e.keys[:0]
 	e.now = 0
@@ -233,7 +281,11 @@ func (e *Engine) At(t Time, fn EventFunc) (Timer, error) {
 	en := &e.arena[idx]
 	en.at = t
 	en.fn = fn
-	e.heapPush(idx, hkey{at: t, seq: e.seq})
+	if t >= e.cursor && t-e.cursor < wheelSpan {
+		e.bucketPush(int(t&wheelMask), idx)
+	} else {
+		e.heapPush(idx, hkey{at: t, seq: e.seq})
+	}
 	e.seq++
 	return Timer{eng: e, idx: idx, gen: en.gen}, nil
 }
@@ -267,6 +319,42 @@ func (e *Engine) release(idx int32) {
 // nothing and returns false; distinguish the interrupted case from queue
 // exhaustion via InterruptErr.
 func (e *Engine) Step() bool {
+	if !e.polled() {
+		return false
+	}
+	idx, rewound, ok := e.front()
+	if !ok {
+		return false
+	}
+	e.fire(idx, rewound)
+	return true
+}
+
+// RunUntil executes events until the queue is exhausted, an interrupt poll
+// fires (see SetInterrupt and InterruptErr), or the next event is scheduled
+// strictly after deadline; the clock never passes deadline. It returns the
+// number of events executed.
+func (e *Engine) RunUntil(deadline Time) uint64 {
+	start := e.nsteps
+	for {
+		idx, rewound, ok := e.front()
+		if !ok || e.arena[idx].at > deadline || !e.polled() {
+			break
+		}
+		e.fire(idx, rewound)
+	}
+	return e.nsteps - start
+}
+
+// Run executes events until the queue is exhausted and returns the number
+// executed. Use RunUntil with a budget when events can re-arm forever.
+func (e *Engine) Run() uint64 {
+	return e.RunUntil(MaxTime)
+}
+
+// polled reports whether the engine may execute another event: no interrupt
+// has fired, and the poll, when this is its turn, returns nil.
+func (e *Engine) polled() bool {
 	if e.interruptErr != nil {
 		return false
 	}
@@ -280,71 +368,147 @@ func (e *Engine) Step() bool {
 			}
 		}
 	}
-	for len(e.heap) > 0 {
-		idx := e.heapPop()
-		en := &e.arena[idx]
-		fn := en.fn
-		at := en.at
-		// Recycle the slot before running the body: the event is no longer
-		// pending, its Timer handles must read inactive, and the body is free
-		// to reuse the slot for the events it schedules.
-		e.release(idx)
-		if fn == nil {
-			continue // lazily canceled; discard
+	return true
+}
+
+// front returns the arena index of the earliest pending live event without
+// removing it, discarding the lazily canceled entries ahead of it and moving
+// the cursor to the next occupied time when the cursor's bucket drains.
+// rewound reports that the event is the overflow heap's top, due below the
+// cursor, rather than the head of the cursor's bucket. ok is false when no
+// live event is pending.
+func (e *Engine) front() (idx int32, rewound, ok bool) {
+	for {
+		if len(e.heap) > 0 && e.keys[0].at < e.cursor {
+			idx = e.heap[0]
+			if e.arena[idx].fn != nil {
+				return idx, true, true
+			}
+			e.release(e.heapPop())
+			continue
 		}
-		e.now = at
-		e.nsteps++
-		fn(at)
+		b := int(e.cursor & wheelMask)
+		if !e.occupied(b) {
+			if !e.advance() {
+				return 0, false, false
+			}
+			continue
+		}
+		idx = e.buckets[b].head
+		if e.arena[idx].fn != nil {
+			return idx, false, true
+		}
+		e.bucketPop(b)
+		e.release(idx)
+	}
+}
+
+// fire removes the event front returned and executes it.
+func (e *Engine) fire(idx int32, rewound bool) {
+	if rewound {
+		e.heapPop()
+	} else {
+		e.bucketPop(int(e.cursor & wheelMask))
+	}
+	en := &e.arena[idx]
+	fn := en.fn
+	at := en.at
+	// Recycle the slot before running the body: the event is no longer
+	// pending, its Timer handles must read inactive, and the body is free to
+	// reuse the slot for the events it schedules.
+	e.release(idx)
+	e.now = at
+	e.nsteps++
+	fn(at)
+}
+
+// advance moves the cursor from its drained bucket to the earliest pending
+// time — the next occupied bucket or the overflow heap's top, whichever is
+// sooner — and splices the overflow entries due then in front of that
+// time's bucket. It reports false when both queues are empty. The heap holds
+// nothing below the cursor here: front takes those entries first.
+func (e *Engine) advance() bool {
+	next, ok := e.nextOccupied()
+	if len(e.heap) > 0 && (!ok || e.keys[0].at < next) {
+		next, ok = e.keys[0].at, true
+	}
+	if !ok {
+		return false
+	}
+	e.cursor = next
+	if len(e.heap) == 0 || e.keys[0].at != next {
 		return true
 	}
-	return false
+	// The overflow entries due at next were scheduled before every wheel
+	// entry for next, and the heap yields them in sequence order.
+	first := e.heapPop()
+	last := first
+	for len(e.heap) > 0 && e.keys[0].at == next {
+		idx := e.heapPop()
+		e.arena[last].next = idx
+		last = idx
+	}
+	b := int(next & wheelMask)
+	bk := &e.buckets[b]
+	if e.occupied(b) {
+		e.arena[last].next = bk.head
+	} else {
+		bk.tail = last
+		e.occ[b>>6] |= 1 << (b & 63)
+	}
+	bk.head = first
+	return true
 }
 
-// RunUntil executes events until the queue is exhausted, an interrupt poll
-// fires (see SetInterrupt and InterruptErr), or the next event is scheduled
-// strictly after deadline; the clock never passes deadline. It returns the
-// number of events executed.
-func (e *Engine) RunUntil(deadline Time) uint64 {
-	start := e.nsteps
-	for {
-		next, ok := e.peek()
-		if !ok {
-			break
-		}
-		if next > deadline {
-			break
-		}
-		if !e.Step() {
-			break
+// nextOccupied returns the time of the first occupied bucket after the
+// cursor's, which must be empty.
+func (e *Engine) nextOccupied() (Time, bool) {
+	p := int(e.cursor & wheelMask)
+	w := p >> 6
+	if m := e.occ[w] >> (p & 63); m != 0 {
+		return e.cursor + Time(bits.TrailingZeros64(m)), true
+	}
+	// Wrapping around to w itself finds its buckets below p, which lie a
+	// full turn ahead.
+	for i := 1; i <= wheelWords; i++ {
+		ww := (w + i) & (wheelWords - 1)
+		if m := e.occ[ww]; m != 0 {
+			b := ww<<6 + bits.TrailingZeros64(m)
+			return e.cursor + Time((b-p)&wheelMask), true
 		}
 	}
-	return e.nsteps - start
+	return 0, false
 }
 
-// Run executes events until the queue is exhausted and returns the number
-// executed. Use RunUntil with a budget when events can re-arm forever.
-func (e *Engine) Run() uint64 {
-	return e.RunUntil(MaxTime)
-}
+// occupied reports whether bucket b holds entries.
+func (e *Engine) occupied(b int) bool { return e.occ[b>>6]&(1<<(b&63)) != 0 }
 
-// peek returns the fire time of the earliest pending live entry without
-// executing anything. It discards lazily canceled entries sitting on the heap
-// top on the way, so the reported time is one an actual event will fire at.
-func (e *Engine) peek() (Time, bool) {
-	for len(e.heap) > 0 && e.arena[e.heap[0]].fn == nil {
-		e.release(e.heapPop())
+// bucketPush appends arena entry idx to bucket b.
+func (e *Engine) bucketPush(b int, idx int32) {
+	bk := &e.buckets[b]
+	if e.occupied(b) {
+		e.arena[bk.tail].next = idx
+	} else {
+		bk.head = idx
+		e.occ[b>>6] |= 1 << (b & 63)
 	}
-	if len(e.keys) == 0 {
-		return 0, false
-	}
-	return e.keys[0].at, true
+	bk.tail = idx
 }
 
-// The heap is 4-ary: parent of i is (i-1)/4, children are 4i+1..4i+4. A
-// wider node halves the tree height against a binary heap, and because the
-// four children's keys are adjacent in the dense key array, one comparison
-// round reads a single cache line — the right trade when the queue holds one
-// timer per node at n in the thousands.
+// bucketPop unlinks the head of non-empty bucket b.
+func (e *Engine) bucketPop(b int) {
+	bk := &e.buckets[b]
+	if bk.head != bk.tail {
+		bk.head = e.arena[bk.head].next
+		return
+	}
+	e.occ[b>>6] &^= 1 << (b & 63)
+}
+
+// The overflow heap is 4-ary: parent of i is (i-1)/4, children are
+// 4i+1..4i+4. A wider node halves the tree height against a binary heap, and
+// because the four children's keys are adjacent in the dense key array, one
+// comparison round reads a single cache line.
 
 func (e *Engine) heapPush(idx int32, k hkey) {
 	e.heap = append(e.heap, idx)

@@ -248,12 +248,12 @@ func (t Timer) Active() bool {
 	return en.gen == t.gen && en.fn != nil
 }
 
-// Pending returns the number of queued events. Lazily canceled events do not
-// count: they can never fire.
+// Pending returns the number of queued events: the arena entries that still
+// hold a body. Lazily canceled and released entries do not count.
 func (e *Engine) Pending() int {
 	n := 0
-	for _, idx := range e.heap {
-		if e.arena[idx].fn != nil {
+	for i := range e.arena {
+		if e.arena[i].fn != nil {
 			n++
 		}
 	}
