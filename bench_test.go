@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"addcrn/internal/central"
 	"addcrn/internal/coolest"
 	"addcrn/internal/core"
 	"addcrn/internal/experiment"
@@ -254,7 +253,7 @@ func BenchmarkAblationAggregatePU(b *testing.B) {
 func BenchmarkCentralizedBaseline(b *testing.B) {
 	var delay float64
 	for i := 0; i < b.N; i++ {
-		res, err := central.Run(central.Options{Params: benchParams(), Seed: uint64(i) + 1})
+		res, err := centralRun(centralOptions{Params: benchParams(), Seed: uint64(i) + 1})
 		if err != nil {
 			b.Fatal(err)
 		}

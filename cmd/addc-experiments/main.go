@@ -110,15 +110,9 @@ func run(args []string) error {
 	if *merge && *checkpoint == "" {
 		return fmt.Errorf("-merge requires -checkpoint (the merged journal's path, with shard journals beside it)")
 	}
-	var xs []float64
-	if *xsFlag != "" {
-		for _, field := range strings.Split(*xsFlag, ",") {
-			x, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
-			if err != nil {
-				return fmt.Errorf("-xs: %w", err)
-			}
-			xs = append(xs, x)
-		}
+	xs, err := parseXs(*xsFlag)
+	if err != nil {
+		return err
 	}
 
 	// SIGINT/SIGTERM stop sweeps cooperatively; completed repetitions are
@@ -184,17 +178,15 @@ func run(args []string) error {
 		if xs != nil {
 			sweep.Xs = xs
 		}
+		if err := sweep.CheckGrid(experiment.Limits{}); err != nil {
+			return err
+		}
 		if *checkpoint != "" {
 			sweep.Checkpoint = checkpointPath(*checkpoint, id, len(figures) > 1)
 			sweep.Resume = *resume
 		}
 		if *merge {
-			// Merge phase: assemble the shard journals into the unsharded
-			// journal, then replay it through the sweep's aggregation so the
-			// printed summary is the one the merged journal implies — byte
-			// for byte what a single-process run prints when coverage is
-			// complete.
-			if err := mergeShards(sweep, *allowMissing, *csv); err != nil {
+			if err := mergeShards(ctx, sweep, *allowMissing, *csv); err != nil {
 				return err
 			}
 			continue
@@ -233,35 +225,18 @@ func run(args []string) error {
 	return nil
 }
 
-// mergeShards assembles the shard journals beside sweep.Checkpoint into the
-// unsharded journal at sweep.Checkpoint, then replays that journal through
-// the sweep's index-order aggregation and prints the summary — byte for
-// byte what the single-process run prints when every shard is present.
-func mergeShards(sweep *experiment.Sweep, allowMissing, csv bool) error {
-	paths, err := experiment.ShardJournalGlob(sweep.Checkpoint)
-	if err != nil {
-		return err
+// mergeShards merges the shard journals beside sweep.Checkpoint into the
+// unsharded journal there and prints the summary it implies — byte for byte
+// what the single-process run prints when every shard is present.
+func mergeShards(ctx context.Context, sweep *experiment.Sweep, allowMissing, csv bool) error {
+	res, stats, err := sweep.Merge(ctx, experiment.MergeOptions{AllowMissing: allowMissing})
+	if stats != nil {
+		fmt.Fprintf(os.Stderr, "addc-experiments: merged %d journals (%d shards, %d entries, %d duplicate entries dropped) into %s\n",
+			stats.Journals, stats.Shards, stats.Entries, stats.Duplicates, sweep.Checkpoint)
+		if n := len(stats.MissingPairs); n > 0 {
+			fmt.Fprintf(os.Stderr, "addc-experiments: %d (x, rep) pairs missing — the summary below is partial; resume the failed shards or rerun with -resume on the merged journal\n", n)
+		}
 	}
-	if len(paths) == 0 {
-		return fmt.Errorf("no shard journals beside %s (shards journal to e.g. %s)",
-			sweep.Checkpoint, experiment.ShardJournalPath(sweep.Checkpoint, experiment.ShardSpec{Index: 1, Count: 3}))
-	}
-	stats, err := experiment.MergeJournals(sweep.Checkpoint, paths, experiment.MergeOptions{AllowMissing: allowMissing})
-	if err != nil {
-		return err
-	}
-	if want := sweep.GridHash(); stats.GridHash != want {
-		return fmt.Errorf("shard journals were written for grid %s, but these flags describe grid %s: rerun -merge with the same -fig/-reps/-seed/-xs/parameter flags the shards ran with",
-			stats.GridHash, want)
-	}
-	fmt.Fprintf(os.Stderr, "addc-experiments: merged %d journals (%d shards, %d entries, %d duplicate entries dropped) into %s\n",
-		len(paths), stats.Shards, stats.Entries, stats.Duplicates, sweep.Checkpoint)
-	if n := len(stats.MissingPairs); n > 0 {
-		fmt.Fprintf(os.Stderr, "addc-experiments: %d (x, rep) pairs missing — the summary below is partial; resume the failed shards or rerun with -resume on the merged journal\n", n)
-	}
-	sweep.Resume = true
-	sweep.ReplayOnly = true
-	res, err := sweep.Run()
 	if err != nil {
 		return err
 	}
@@ -271,6 +246,23 @@ func mergeShards(sweep *experiment.Sweep, allowMissing, csv bool) error {
 		fmt.Println(res.FormatTable())
 	}
 	return nil
+}
+
+// parseXs parses the -xs flag: comma-separated x values, nil when empty.
+// Whether each value suits the figure's axis is Sweep.CheckGrid's call.
+func parseXs(flagValue string) ([]float64, error) {
+	if flagValue == "" {
+		return nil, nil
+	}
+	var xs []float64
+	for _, field := range strings.Split(flagValue, ",") {
+		x, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
+		if err != nil {
+			return nil, fmt.Errorf("-xs: %w", err)
+		}
+		xs = append(xs, x)
+	}
+	return xs, nil
 }
 
 // checkpointPath derives the journal path for one figure: a multi-figure

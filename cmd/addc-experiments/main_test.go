@@ -1,8 +1,10 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -65,6 +67,62 @@ func TestRunRejectsBadShardFlags(t *testing.T) {
 			}
 		})
 	}
+}
+
+// -xs values a figure's axis cannot take are refused before anything runs:
+// non-finite values anywhere, fractional counts (6a's N, 6b's n, ext1's C)
+// that the sweep would truncate while printing the fraction, and points
+// whose parameters fail validation.
+func TestRunRejectsBadXs(t *testing.T) {
+	small := []string{"-reps", "1", "-num-su", "60", "-area", "50", "-num-pu", "2", "-max-virtual", "1m", "-workers", "1"}
+	for _, tc := range []struct{ fig, xs string }{
+		{"6a", "2.7"},
+		{"6a", "-3"},
+		{"6b", "60.5"},
+		{"ext1", "1.5"},
+		{"ext1", "0"},
+		{"6c", "NaN"},
+		{"6c", "0.1,+Inf"},
+		{"6c", "1.5"},
+		{"6d", "2"},
+	} {
+		t.Run(tc.fig+"/"+tc.xs, func(t *testing.T) {
+			err := run(append([]string{"-fig", tc.fig, "-xs", tc.xs}, small...))
+			if err == nil || !strings.Contains(err.Error(), "fig "+tc.fig) {
+				t.Fatalf("err = %v, want fig %s's grid check to refuse x = %s", err, tc.fig, tc.xs)
+			}
+		})
+	}
+}
+
+// FuzzParseXs: parseXs never panics, and a list it accepts parses back to
+// the same values from its shortest round-trip form.
+func FuzzParseXs(f *testing.F) {
+	for _, s := range []string{"", "0.1,0.2", " 1, 2 ,4", "2.7", "NaN", "-Inf,1e308", "0x1p-2", "1e400", "-0", ",", "zebra"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		xs, err := parseXs(in)
+		if err != nil || xs == nil {
+			return
+		}
+		fields := make([]string, len(xs))
+		for i, x := range xs {
+			fields[i] = strconv.FormatFloat(x, 'g', -1, 64)
+		}
+		back, err := parseXs(strings.Join(fields, ","))
+		if err != nil {
+			t.Fatalf("%q parsed to %v, whose formatted form %q does not parse: %v", in, xs, fields, err)
+		}
+		if len(back) != len(xs) {
+			t.Fatalf("%q parsed to %d values, its formatted form to %d", in, len(xs), len(back))
+		}
+		for i := range xs {
+			if math.Float64bits(back[i]) != math.Float64bits(xs[i]) {
+				t.Fatalf("%q: value %d is %v, re-parsed %v", in, i, xs[i], back[i])
+			}
+		}
+	})
 }
 
 // Merging with no shard journals present names the expected layout instead

@@ -8,6 +8,11 @@ package addcrn
 // test support), so this check fails when one appears. It also fails on an
 // allowlist entry that no longer matches, so the list cannot go stale.
 //
+// The same holds for whole packages: every package under internal/ must be
+// imported by a non-test file outside itself (test-support packages do not
+// count as importers), so a package only tests reach fails too, even when
+// its exports share their names with production code elsewhere.
+//
 // The scan is syntactic and deliberately coarse: it matches names, not
 // resolved objects, so a name counts as used when any identifier, selector
 // or composite-literal key in non-test code spells it outside a top-level
@@ -28,7 +33,8 @@ import (
 
 // exportAllowlist names the exports that legitimately have no production
 // caller, each with the reason. A key is "<package dir>.<Name>" for one
-// export or "<package dir>" for a whole package.
+// export or "<package dir>" for a whole package, which also exempts the
+// package from the importer check.
 var exportAllowlist = map[string]string{
 	"internal/core.Unwrap":                  "errors.Unwrap interface method",
 	"internal/graphx.Less":                  "heap.Interface method",
@@ -43,9 +49,11 @@ var exportAllowlist = map[string]string{
 }
 
 func TestExportsReachedFromProduction(t *testing.T) {
-	uses := map[string]bool{}  // names spelled in non-test code outside a declaration
-	var decls []exportDecl     // exported declarations under internal/
-	fset := token.NewFileSet() // shared so positions stay distinct
+	uses := map[string]bool{}     // names spelled in non-test code outside a declaration
+	var decls []exportDecl        // exported declarations under internal/
+	packages := map[string]bool{} // checked package dirs under internal/
+	imported := map[string]bool{} // package dirs a production file outside them imports
+	fset := token.NewFileSet()    // shared so positions stay distinct
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -66,7 +74,17 @@ func TestExportsReachedFromProduction(t *testing.T) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		// Packages named like net/http/httptest are test support: only
 		// tests import them, so their exports are exempt.
-		checked := strings.HasPrefix(dir, "internal/") && !strings.HasSuffix(dir, "test")
+		testSupport := strings.HasSuffix(dir, "test")
+		checked := strings.HasPrefix(dir, "internal/") && !testSupport
+		if checked {
+			packages[dir] = true
+		}
+		for _, imp := range f.Imports {
+			target, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), "addcrn/")
+			if ok && target != dir && !testSupport {
+				imported[target] = true
+			}
+		}
 		declared := map[*ast.Ident]bool{}
 		for _, d := range topLevelDecls(f) {
 			declared[d] = true
@@ -108,6 +126,21 @@ func TestExportsReachedFromProduction(t *testing.T) {
 	sort.Strings(unused)
 	for _, u := range unused {
 		t.Errorf("%s is exported but no non-test code names it; move it into a _test.go file or delete it", u)
+	}
+	var orphans []string
+	for dir := range packages {
+		if imported[dir] {
+			continue
+		}
+		if _, ok := exportAllowlist[dir]; ok {
+			allowed[dir] = true
+			continue
+		}
+		orphans = append(orphans, dir)
+	}
+	sort.Strings(orphans)
+	for _, dir := range orphans {
+		t.Errorf("package %s is imported by no non-test file outside it; move it into its callers' _test.go files or delete it", dir)
 	}
 	for key := range exportAllowlist {
 		if !allowed[key] {

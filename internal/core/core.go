@@ -210,6 +210,10 @@ type Result struct {
 	// ChannelLoad[c] is the fraction of completed transmissions carried on
 	// channel c; nil unless CollectConfig.Channels was set.
 	ChannelLoad []float64
+	// PUBusyFraction is the time-averaged fraction of PUs that were
+	// transmitting over the run, the empirical p_t (under the aggregate
+	// model, the fraction of nodes inside a blocking period).
+	PUBusyFraction float64
 	// MaxServiceSlots is the largest per-packet service time any node saw,
 	// in slots (Theorem 1's measured counterpart).
 	MaxServiceSlots float64
@@ -546,7 +550,8 @@ func (r *run) finish(now sim.Time, steps uint64) {
 	// Retain the (possibly grown) scratch backing for the next run.
 	r.ws.latencies, r.ws.hops = r.latencies, r.hops
 	fillFaultReport(r.res, r.nw, r.m, r.rep)
-	r.obs.finish(r.res, r.nw, r.m, r.tree, r.model.BusyFraction(now))
+	r.res.PUBusyFraction = r.model.BusyFraction(now)
+	r.obs.finish(r.res, r.nw, r.m, r.tree)
 	if r.grd != nil {
 		r.grd.finish(now)
 	}
@@ -746,7 +751,6 @@ func newRun(eng *sim.Engine, nw *netmodel.Network, parent []int32, cfg CollectCo
 			LinkLoss: cfg.Faults.LinkLoss,
 			AckLoss:  cfg.Faults.AckLoss,
 			RetryCap: cfg.Faults.RetryCap,
-			Rand:     src.Child("mac/loss"),
 		}
 		macCfg.OnPacketLost = func(pkt mac.Packet, node int32, now sim.Time, cause error) {
 			res.Lost++

@@ -101,8 +101,7 @@ func (o *observer) packetLost() {
 // finish records the end-of-run gauges: headline results, the PU busy
 // fraction, per-role transmission counters, and the theory comparator. It
 // also fills res.Theory.
-func (o *observer) finish(res *Result, nw *netmodel.Network, m *mac.MAC,
-	tree *cds.Tree, puBusyFraction float64) {
+func (o *observer) finish(res *Result, nw *netmodel.Network, m *mac.MAC, tree *cds.Tree) {
 	res.Theory = theoryCompare(nw.Params, res)
 	if o == nil {
 		return
@@ -111,7 +110,7 @@ func (o *observer) finish(res *Result, nw *netmodel.Network, m *mac.MAC,
 	o.reg.Gauge("core_capacity_bps").Set(res.Capacity)
 	o.reg.Gauge("core_delivery_ratio").Set(res.DeliveryRatio)
 	o.reg.Gauge("core_fairness_jain").Set(res.FairnessIndex)
-	o.reg.Gauge("spectrum_pu_busy_fraction").Set(puBusyFraction)
+	o.reg.Gauge("spectrum_pu_busy_fraction").Set(res.PUBusyFraction)
 	if res.Fault != nil {
 		o.reg.Counter("core_repairs_total").Add(int64(res.Fault.Repairs))
 		o.reg.Counter("core_crashes_total").Add(int64(res.Fault.Crashes))

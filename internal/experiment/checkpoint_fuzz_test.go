@@ -67,7 +67,7 @@ func FuzzLoadJournal(f *testing.F) {
 	})
 }
 
-// FuzzMergeJournals feeds two arbitrary shard journals to MergeJournals.
+// FuzzMergeJournals feeds two arbitrary shard journals to mergeJournals.
 // Merging must never panic; whether it succeeds, and the merged bytes and
 // stats when it does, must not depend on the order of the input paths; and
 // a merged journal, declared as the single shard of the same grid, must
@@ -105,8 +105,8 @@ func FuzzMergeJournals(f *testing.F) {
 			t.Fatal(err)
 		}
 		ab, ba := filepath.Join(dir, "ab.jsonl"), filepath.Join(dir, "ba.jsonl")
-		statsAB, errAB := MergeJournals(ab, []string{pa, pb}, MergeOptions{})
-		statsBA, errBA := MergeJournals(ba, []string{pb, pa}, MergeOptions{})
+		statsAB, errAB := mergeJournals(ab, []string{pa, pb}, MergeOptions{})
+		statsBA, errBA := mergeJournals(ba, []string{pb, pa}, MergeOptions{})
 		if (errAB == nil) != (errBA == nil) {
 			t.Fatalf("path order decides success: a,b -> %v; b,a -> %v", errAB, errBA)
 		}
@@ -138,7 +138,7 @@ func FuzzMergeJournals(f *testing.F) {
 			t.Fatal(err)
 		}
 		out := filepath.Join(dir, "out.jsonl")
-		st, err := MergeJournals(out, []string{again}, MergeOptions{})
+		st, err := mergeJournals(out, []string{again}, MergeOptions{})
 		if err != nil {
 			t.Fatalf("re-merging a merged journal: %v", err)
 		}

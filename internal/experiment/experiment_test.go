@@ -53,6 +53,55 @@ func sweepCurrent(p netmodel.Params, id string) float64 {
 	return math.NaN()
 }
 
+// Every figure's own axis is a valid grid at both operating points, so the
+// grid check refuses only what a caller put there; a count axis refuses a
+// fraction, every axis a non-finite x, and a limit what lies beyond it.
+func TestCheckGrid(t *testing.T) {
+	ids := append(append([]string(nil), FigureIDs...), "ext1", "ext2")
+	for _, base := range []netmodel.Params{netmodel.ScaledDefaultParams(), netmodel.DefaultParams()} {
+		for _, id := range ids {
+			s, err := NewFigureSweep(id, base, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.CheckGrid(Limits{}); err != nil {
+				t.Errorf("%s at n = %d: default axis refused: %v", id, base.NumSU, err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		id  string
+		x   float64
+		lim Limits
+		ok  bool
+	}{
+		{"6a", 3, Limits{}, true},
+		{"6a", 2.5, Limits{}, false},
+		{"6a", 4, Limits{NumPU: 3}, false},
+		{"6b", 80, Limits{NumSU: 80}, true},
+		{"6b", 81, Limits{NumSU: 80}, false},
+		{"6b", 1e12, Limits{}, false},
+		{"6c", 0.25, Limits{}, true},
+		{"6c", math.NaN(), Limits{}, false},
+		{"6c", math.Inf(-1), Limits{}, false},
+		{"6c", 0.25, Limits{GridCells: 10}, false},
+		{"ext1", 4, Limits{Channels: 4}, true},
+		{"ext1", 5, Limits{Channels: 4}, false},
+		{"ext1", 0, Limits{}, false},
+		{"ext1", 1.5, Limits{}, false},
+		{"ext2", 0.15, Limits{}, true},
+	} {
+		s, err := NewFigureSweep(tc.id, tinyBase(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Xs = []float64{tc.x}
+		if err := s.CheckGrid(tc.lim); (err == nil) != tc.ok {
+			t.Errorf("%s x = %v under %+v: CheckGrid = %v, want accepted = %v", tc.id, tc.x, tc.lim, err, tc.ok)
+		}
+	}
+}
+
 func TestNewFigureSweepUnknown(t *testing.T) {
 	if _, err := NewFigureSweep("9z", tinyBase(), 1); err == nil {
 		t.Error("unknown figure accepted")

@@ -31,6 +31,7 @@ func extensionSweep(s *Sweep, id string) bool {
 	case "ext1":
 		s.Title = "ADDC delay vs number of licensed channels (extension ext1)"
 		s.XLabel = "channels"
+		s.axis = axisChannels
 		s.Xs = []float64{1, 2, 3, 4, 6, 8}
 		s.configure = func(cfg *core.CollectConfig, nw *netmodel.Network, x float64) error {
 			home, err := multichannel.HomeChannels(nw, int(x), multichannel.AssignLeastPU)

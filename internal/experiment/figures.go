@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 
 	"addcrn/internal/netmodel"
 )
@@ -22,6 +23,7 @@ func NewFigureSweep(id string, base netmodel.Params, seed uint64) (*Sweep, error
 	case "6a":
 		s.Title = "Data collection delay vs number of PUs (Fig. 6a)"
 		s.XLabel = "N (PUs)"
+		s.axis = axisCount
 		s.Xs = scaleInts(base.NumPU, []float64{0.25, 0.5, 0.75, 1.0, 1.25, 1.5})
 		s.Apply = func(p netmodel.Params, x float64) netmodel.Params {
 			p.NumPU = int(x)
@@ -30,6 +32,7 @@ func NewFigureSweep(id string, base netmodel.Params, seed uint64) (*Sweep, error
 	case "6b":
 		s.Title = "Data collection delay vs number of SUs (Fig. 6b)"
 		s.XLabel = "n (SUs)"
+		s.axis = axisCount
 		s.Xs = scaleInts(base.NumSU, []float64{0.7, 0.85, 1.0, 1.15, 1.3, 1.5})
 		s.Apply = func(p netmodel.Params, x float64) netmodel.Params {
 			p.NumSU = int(x)
@@ -73,6 +76,70 @@ func NewFigureSweep(id string, base netmodel.Params, seed uint64) (*Sweep, error
 		}
 	}
 	return s, nil
+}
+
+// axis is what a sweep's x values are.
+type axis int
+
+const (
+	axisReal     axis = iota // a real parameter: p_t, α, a power, a fraction
+	axisCount                // a node count, truncated to int by Apply (6a, 6b)
+	axisChannels             // ext1's licensed channel count C
+)
+
+// Limits caps the grid points CheckGrid accepts; a zero field sets no cap.
+type Limits struct {
+	// NumSU and NumPU cap n and N.
+	NumSU, NumPU int
+	// GridCells caps the cells of the deployment's spatial indexes: the
+	// SU grid at cell size r_SU plus the PU grid at r_PU.
+	GridCells int
+	// Channels caps ext1's licensed channel count.
+	Channels int
+}
+
+// CheckGrid refuses, before anything runs, an x value that cannot be a grid
+// point of s: a non-finite x on any axis, a count (N, n or C) that is not a
+// whole number, parameters that fail Params.Validate, or a point beyond
+// lim. Without it such a point runs and fails every pair — or, at a count
+// axis, runs int(x) while the table prints x.
+func (s *Sweep) CheckGrid(lim Limits) error {
+	for _, x := range s.Xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("experiment: fig %s: x = %v is not finite", s.ID, x)
+		}
+		if s.axis != axisReal && (x != math.Trunc(x) || x < 0 || x > math.MaxInt32) {
+			return fmt.Errorf("experiment: fig %s: %s = %v is not a whole number in [0, 2^31)", s.ID, s.XLabel, x)
+		}
+		if s.axis == axisChannels && x < 1 {
+			return fmt.Errorf("experiment: fig %s: %v channels; at least one is needed", s.ID, x)
+		}
+		if s.axis == axisChannels && lim.Channels > 0 && x > float64(lim.Channels) {
+			return fmt.Errorf("experiment: fig %s: %v channels exceed the limit of %d", s.ID, x, lim.Channels)
+		}
+		p := s.Apply(s.Base, x)
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("experiment: fig %s at x = %v: %w", s.ID, x, err)
+		}
+		switch cells := gridCells(p.Area, p.RadiusSU) + gridCells(p.Area, p.RadiusPU); {
+		case lim.NumSU > 0 && p.NumSU > lim.NumSU:
+			return fmt.Errorf("experiment: fig %s at x = %v: %d SUs exceed the limit of %d", s.ID, x, p.NumSU, lim.NumSU)
+		case lim.NumPU > 0 && p.NumPU > lim.NumPU:
+			return fmt.Errorf("experiment: fig %s at x = %v: %d PUs exceed the limit of %d", s.ID, x, p.NumPU, lim.NumPU)
+		case lim.GridCells > 0 && cells > float64(lim.GridCells):
+			return fmt.Errorf("experiment: fig %s at x = %v: area %v makes %.3g grid cells, more than the limit of %d",
+				s.ID, x, p.Area, cells, lim.GridCells)
+		}
+	}
+	return nil
+}
+
+// gridCells is the cell count of a spatial grid over the area×area square
+// at the given cell size (see geom.NewGrid), as a float so that it cannot
+// overflow.
+func gridCells(area, cell float64) float64 {
+	side := math.Max(1, math.Ceil(area/cell))
+	return side * side
 }
 
 func scale(base float64, factors []float64) []float64 {

@@ -247,7 +247,7 @@ func TestSweepMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					replay := *s
-					replay.Checkpoint, replay.Resume, replay.ReplayOnly = refPath, true, true
+					replay.Checkpoint, replay.Resume, replay.replayOnly = refPath, true, true
 					replayed, err := replay.Run()
 					if err != nil {
 						t.Fatal(err)

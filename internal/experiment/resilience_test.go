@@ -185,10 +185,10 @@ func TestRetryableClassification(t *testing.T) {
 		want bool
 	}{
 		{[]runOutcome{{err: wrapped}}, true},
-		{[]runOutcome{{}, {coolest: true, err: wrapped}}, true},
+		{[]runOutcome{{}, {CheckpointEntry: CheckpointEntry{Algo: algoCoolest}, err: wrapped}}, true},
 		{[]runOutcome{{err: errors.New("deterministic")}}, false},
 		{[]runOutcome{{err: wrapped, canceled: true}}, false},
-		{[]runOutcome{{}, {coolest: true}}, false},
+		{[]runOutcome{{}, {CheckpointEntry: CheckpointEntry{Algo: algoCoolest}}}, false},
 	}
 	for i, c := range cases {
 		if got := retryable(c.outs); got != c.want {

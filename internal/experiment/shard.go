@@ -17,6 +17,7 @@
 package experiment
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -143,9 +144,8 @@ func (s *Sweep) gridHash(reps int) string {
 
 // GridHash returns the sweep's grid fingerprint with the effective
 // repetition count — the identity its shard journals are stamped with.
-// Callers (the merge CLI, the coordinator) compare it against a merge's
-// MergeStats.GridHash to catch flag drift between the shard and merge
-// phases.
+// Merge refuses shard journals stamped with another one, which catches
+// parameter drift between the shard and merge phases.
 func (s *Sweep) GridHash() string {
 	reps := s.Reps
 	if reps <= 0 {
@@ -171,16 +171,15 @@ func (s *Sweep) shardHeader(reps int) *ShardHeader {
 
 // ShardJournalPath derives the journal path of shard i/k from the base
 // checkpoint path: cp.jsonl -> cp.shard-2-of-3.jsonl. Every shard of one
-// sweep journals beside the base path, so the merge step can discover the
-// full set with ShardJournalGlob.
+// sweep journals beside the base path, so Merge can discover the full set.
 func ShardJournalPath(base string, sp ShardSpec) string {
 	ext := filepath.Ext(base)
 	return fmt.Sprintf("%s.shard-%d-of-%d%s", strings.TrimSuffix(base, ext), sp.Index, sp.Count, ext)
 }
 
-// ShardJournalGlob returns the glob matching every shard journal derived
+// shardJournalGlob returns the glob matching every shard journal derived
 // from base, sorted for deterministic merge input order.
-func ShardJournalGlob(base string) ([]string, error) {
+func shardJournalGlob(base string) ([]string, error) {
 	ext := filepath.Ext(base)
 	pattern := strings.TrimSuffix(base, ext) + ".shard-*-of-*" + ext
 	paths, err := filepath.Glob(pattern)
@@ -203,7 +202,7 @@ var (
 	ErrShardMismatch = errors.New("experiment: shard journal mismatch")
 )
 
-// MergeOptions tunes MergeJournals.
+// MergeOptions tunes a merge.
 type MergeOptions struct {
 	// AllowMissing tolerates absent shard journals (a shard that failed
 	// before its first flush) and missing shard indices: the merge then
@@ -212,14 +211,18 @@ type MergeOptions struct {
 	// shards are permanently failed; the strict default is for merges that
 	// promise byte-identity with an unsharded run.
 	AllowMissing bool
+	// gridHash, when non-empty, refuses journals stamped with another grid
+	// hash before anything is written.
+	gridHash string
 }
 
 // MergeStats reports what a merge assembled.
 type MergeStats struct {
 	// Shards is the fan-out count k declared by the journal headers.
 	Shards int
-	// GridHash is the grid fingerprint the journals agreed on; callers
-	// compare it to Sweep.GridHash to catch flag drift between phases.
+	// Journals is the number of shard journal files merged.
+	Journals int
+	// GridHash is the grid fingerprint the journals agreed on.
 	GridHash string
 	// Entries is the number of checkpoint entries written to the merged
 	// journal.
@@ -240,13 +243,13 @@ type MergeStats struct {
 // pairs.
 const maxMergePairs = 1 << 20
 
-// MergeJournals merges per-shard checkpoint journals into one merged
+// mergeJournals merges per-shard checkpoint journals into one merged
 // journal at out, validating coverage on the way:
 //
 //   - every journal must start with a ShardHeader declaring at most
 //     maxMergePairs (x, rep) pairs, and all headers must agree on sweep
-//     ID, grid hash, fan-out count and grid geometry (ErrShardMismatch
-//     otherwise);
+//     ID, grid hash, fan-out count and grid geometry, and with
+//     opts.gridHash when it is set (ErrShardMismatch otherwise);
 //   - the shard indices must tile 1..k with no duplicates (ErrShardGap /
 //     ErrShardOverlap), unless opts.AllowMissing relaxes the gap check;
 //   - an entry outside its declared shard's partition is ErrShardOverlap;
@@ -260,7 +263,7 @@ const maxMergePairs = 1 << 20
 // bytes an unsharded Workers=1 checkpointed run leaves behind. Incomplete or unjournaled pairs are reported in
 // MergeStats.MissingPairs; resuming the merged journal reruns exactly
 // those.
-func MergeJournals(out string, paths []string, opts MergeOptions) (*MergeStats, error) {
+func mergeJournals(out string, paths []string, opts MergeOptions) (*MergeStats, error) {
 	if len(paths) == 0 {
 		return nil, errors.New("experiment: no shard journals to merge")
 	}
@@ -332,7 +335,12 @@ func MergeJournals(out string, paths []string, opts MergeOptions) (*MergeStats, 
 	if ref == nil {
 		return nil, fmt.Errorf("%w: every shard journal is missing or empty", ErrShardGap)
 	}
+	if opts.gridHash != "" && ref.GridHash != opts.gridHash {
+		return nil, fmt.Errorf("%w: the shard journals were written for grid %s, but the sweep describes grid %s: merge with the parameters the shards ran with",
+			ErrShardMismatch, ref.GridHash, opts.gridHash)
+	}
 	stats.Shards = ref.Count
+	stats.Journals = len(paths)
 	stats.GridHash = ref.GridHash
 	if !opts.AllowMissing {
 		for i := 1; i <= ref.Count; i++ {
@@ -364,4 +372,31 @@ func MergeJournals(out string, paths []string, opts MergeOptions) (*MergeStats, 
 		return nil, err
 	}
 	return stats, nil
+}
+
+// Merge is the merge phase of a sharded sweep. It merges the shard journals
+// beside s.Checkpoint (see ShardJournalPath) into the unsharded journal at
+// s.Checkpoint, refusing journals written for another grid
+// (ErrShardMismatch), and replays that journal through the sweep's
+// index-order aggregation without executing anything. With every shard
+// present the journal and summary are byte-identical to a single-process
+// run's; opts.AllowMissing accepts holes, which the stats list.
+func (s *Sweep) Merge(ctx context.Context, opts MergeOptions) (*SweepResult, *MergeStats, error) {
+	paths, err := shardJournalGlob(s.Checkpoint)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(paths) == 0 {
+		return nil, nil, fmt.Errorf("experiment: no shard journals beside %s (shards journal to e.g. %s)",
+			s.Checkpoint, ShardJournalPath(s.Checkpoint, ShardSpec{Index: 1, Count: 3}))
+	}
+	opts.gridHash = s.GridHash()
+	stats, err := mergeJournals(s.Checkpoint, paths, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	replay := *s
+	replay.Resume, replay.replayOnly = true, true
+	res, err := replay.RunContext(ctx)
+	return res, stats, err
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -208,7 +209,7 @@ func checkShardedMerge(t *testing.T, mutate func(*Sweep)) {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			dir := t.TempDir()
 			base, paths := runShards(t, dir, k, mutate)
-			stats, err := MergeJournals(base, paths, MergeOptions{})
+			stats, err := mergeJournals(base, paths, MergeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +226,7 @@ func checkShardedMerge(t *testing.T, mutate func(*Sweep)) {
 			replay := shardTestSweep(dir, mutate)
 			replay.Checkpoint = base
 			replay.Resume = true
-			replay.ReplayOnly = true
+			replay.replayOnly = true
 			res, err := replay.Run()
 			if err != nil {
 				t.Fatal(err)
@@ -278,8 +279,8 @@ func TestShardedMergeAfterKillResume(t *testing.T) {
 	}
 
 	// The merge refuses while a pair is missing (no AllowMissing)...
-	if _, err := MergeJournals(base, paths, MergeOptions{}); err == nil {
-		if stats, _ := MergeJournals(base, paths, MergeOptions{}); len(stats.MissingPairs) == 0 {
+	if _, err := mergeJournals(base, paths, MergeOptions{}); err == nil {
+		if stats, _ := mergeJournals(base, paths, MergeOptions{}); len(stats.MissingPairs) == 0 {
 			t.Fatal("truncation removed nothing; test is vacuous")
 		}
 	}
@@ -298,7 +299,7 @@ func TestShardedMergeAfterKillResume(t *testing.T) {
 	if res.Resumed == 0 {
 		t.Fatal("resumed shard replayed nothing from its journal")
 	}
-	if _, err := MergeJournals(base, paths, MergeOptions{}); err != nil {
+	if _, err := mergeJournals(base, paths, MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	merged, err := os.ReadFile(base)
@@ -331,7 +332,7 @@ func TestShardedMergeWithFaultsAndGuards(t *testing.T) {
 
 	dir := t.TempDir()
 	base, paths := runShards(t, dir, 2, withFaults)
-	if _, err := MergeJournals(base, paths, MergeOptions{}); err != nil {
+	if _, err := mergeJournals(base, paths, MergeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	merged, err := os.ReadFile(base)
@@ -344,7 +345,7 @@ func TestShardedMergeWithFaultsAndGuards(t *testing.T) {
 	replay := shardTestSweep(dir, withFaults)
 	replay.Checkpoint = base
 	replay.Resume = true
-	replay.ReplayOnly = true
+	replay.replayOnly = true
 	res, err := replay.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -361,11 +362,11 @@ func TestMergeJournalsCoverageValidation(t *testing.T) {
 	base, paths := runShards(t, dir, 3, nil)
 
 	t.Run("gap", func(t *testing.T) {
-		_, err := MergeJournals(base, []string{paths[0], paths[2]}, MergeOptions{})
+		_, err := mergeJournals(base, []string{paths[0], paths[2]}, MergeOptions{})
 		if !errors.Is(err, ErrShardGap) {
 			t.Fatalf("err = %v, want ErrShardGap", err)
 		}
-		stats, err := MergeJournals(base, []string{paths[0], paths[2]}, MergeOptions{AllowMissing: true})
+		stats, err := mergeJournals(base, []string{paths[0], paths[2]}, MergeOptions{AllowMissing: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,7 +384,7 @@ func TestMergeJournalsCoverageValidation(t *testing.T) {
 		if err := os.WriteFile(dup, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err = MergeJournals(filepath.Join(dir, "out1.jsonl"), append([]string{dup}, paths...), MergeOptions{})
+		_, err = mergeJournals(filepath.Join(dir, "out1.jsonl"), append([]string{dup}, paths...), MergeOptions{})
 		if !errors.Is(err, ErrShardOverlap) {
 			t.Fatalf("err = %v, want ErrShardOverlap", err)
 		}
@@ -406,7 +407,7 @@ func TestMergeJournalsCoverageValidation(t *testing.T) {
 		if err := os.WriteFile(victim, grafted, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err = MergeJournals(filepath.Join(dir, "out2.jsonl"), []string{victim, paths[1], paths[2]}, MergeOptions{})
+		_, err = mergeJournals(filepath.Join(dir, "out2.jsonl"), []string{victim, paths[1], paths[2]}, MergeOptions{})
 		if !errors.Is(err, ErrShardOverlap) {
 			t.Fatalf("err = %v, want ErrShardOverlap", err)
 		}
@@ -415,7 +416,7 @@ func TestMergeJournalsCoverageValidation(t *testing.T) {
 	t.Run("mismatched-grid", func(t *testing.T) {
 		otherDir := t.TempDir()
 		_, otherPaths := runShards(t, otherDir, 3, func(s *Sweep) { s.Seed = 99 })
-		_, err := MergeJournals(filepath.Join(dir, "out3.jsonl"),
+		_, err := mergeJournals(filepath.Join(dir, "out3.jsonl"),
 			[]string{otherPaths[0], paths[1], paths[2]}, MergeOptions{})
 		if !errors.Is(err, ErrShardMismatch) {
 			t.Fatalf("err = %v, want ErrShardMismatch", err)
@@ -433,7 +434,7 @@ func TestMergeJournalsCoverageValidation(t *testing.T) {
 		if err := os.WriteFile(plain, data[idx+1:], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err = MergeJournals(filepath.Join(dir, "out4.jsonl"), []string{plain, paths[1], paths[2]}, MergeOptions{})
+		_, err = mergeJournals(filepath.Join(dir, "out4.jsonl"), []string{plain, paths[1], paths[2]}, MergeOptions{})
 		if !errors.Is(err, ErrShardMismatch) || !strings.Contains(err.Error(), "no shard header") {
 			t.Fatalf("err = %v, want headerless ErrShardMismatch", err)
 		}
@@ -447,7 +448,7 @@ func TestMergeJournalsIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	base, paths := runShards(t, dir, 2, nil)
 
-	first, err := MergeJournals(base, paths, MergeOptions{})
+	first, err := mergeJournals(base, paths, MergeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +469,7 @@ func TestMergeJournalsIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	again, err := MergeJournals(base, paths, MergeOptions{})
+	again, err := mergeJournals(base, paths, MergeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,5 +558,61 @@ func TestGridHashGolden(t *testing.T) {
 		if got := c.s.GridHash(); got != c.want {
 			t.Errorf("%s: grid hash %s, want %s", c.name, got, c.want)
 		}
+	}
+}
+
+// Sweep.Merge is the one merge phase the CLI and the coordinator share: it
+// finds the shard journals beside Checkpoint, merges them into the
+// unsharded run's journal and replays its summary; journals written for
+// another grid are refused before anything is written.
+func TestSweepMerge(t *testing.T) {
+	baselineDir := t.TempDir()
+	baseline := shardTestSweep(baselineDir, nil)
+	baseline.Checkpoint = filepath.Join(baselineDir, "cp.jsonl")
+	baseRes, err := baseline.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJournal, err := os.ReadFile(baseline.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	base, _ := runShards(t, dir, 2, nil)
+	s := shardTestSweep(dir, nil)
+	s.Checkpoint = base
+	res, stats, err := s.Merge(context.Background(), MergeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Journals != 2 || stats.Shards != 2 || len(stats.MissingPairs) != 0 {
+		t.Fatalf("stats = %+v, want 2 journals of 2 shards and full coverage", stats)
+	}
+	if got, want := res.FormatCSV(), baseRes.FormatCSV(); got != want {
+		t.Fatalf("merged CSV diverges:\n got:\n%s\n want:\n%s", got, want)
+	}
+	if res.Resumed != len(s.Xs)*s.Reps {
+		t.Fatalf("merge executed work: Resumed = %d, want %d", res.Resumed, len(s.Xs)*s.Reps)
+	}
+	if merged, err := os.ReadFile(base); err != nil || !bytes.Equal(merged, wantJournal) {
+		t.Fatalf("merged journal diverges from the unsharded run's (err %v):\n%s", err, merged)
+	}
+
+	foreign := t.TempDir()
+	base, _ = runShards(t, foreign, 2, nil)
+	other := shardTestSweep(foreign, func(s *Sweep) { s.Seed++ })
+	other.Checkpoint = base
+	if _, _, err := other.Merge(context.Background(), MergeOptions{}); !errors.Is(err, ErrShardMismatch) {
+		t.Fatalf("merge under another grid: err = %v, want ErrShardMismatch", err)
+	}
+	if _, err := os.Stat(base); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a refused merge wrote %s (stat err %v)", base, err)
+	}
+
+	empty := shardTestSweep(t.TempDir(), nil)
+	empty.Checkpoint = filepath.Join(t.TempDir(), "cp.jsonl")
+	if _, _, err := empty.Merge(context.Background(), MergeOptions{}); err == nil || !strings.Contains(err.Error(), "no shard journals") {
+		t.Fatalf("merge without shard journals: err = %v", err)
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"addcrn/internal/coolest"
 	"addcrn/internal/core"
 	"addcrn/internal/fault"
-	"addcrn/internal/metrics"
 	"addcrn/internal/netmodel"
 	"addcrn/internal/pcr"
 	"addcrn/internal/rng"
@@ -100,16 +99,11 @@ type Sweep struct {
 	// Shard, when non-zero, restricts execution to the (x, rep) pairs this
 	// shard owns (round-robin over the flattened grid index — see
 	// ShardSpec) and stamps the checkpoint journal with a ShardHeader so
-	// MergeJournals can validate coverage. Hash-derived per-pair seeds make
+	// Merge can validate coverage. Hash-derived per-pair seeds make
 	// every partition reproduce exactly what an unsharded run computes for
 	// the same pairs; k shard journals merge into the byte-identical
 	// journal and summary of a single-process run.
 	Shard ShardSpec
-	// ReplayOnly, with Resume, assembles the summary purely from journaled
-	// pairs without executing anything: missing pairs stay missing. The
-	// merge paths use it to render a (possibly partial) summary from a
-	// merged journal deterministically.
-	ReplayOnly bool
 	// FlushBatch overrides the journal flush batch (default 32 entries;
 	// the interval is always 500ms). The chaos harness sets batch 1 so a
 	// SIGKILLed shard has journaled every completed pair.
@@ -134,6 +128,13 @@ type Sweep struct {
 	// that run's CollectConfig (channels, fault plan) rather than through
 	// Apply to the parameters.
 	configure func(cfg *core.CollectConfig, nw *netmodel.Network, x float64) error
+	// axis says what the x values are, for CheckGrid.
+	axis axis
+	// replayOnly, with Resume, assembles the summary purely from journaled
+	// pairs without executing anything: missing pairs stay missing. Merge
+	// uses it to render a (possibly partial) summary from a merged journal
+	// deterministically.
+	replayOnly bool
 }
 
 // addcOnly reports whether each pair runs ADDC alone (the extension
@@ -214,76 +215,32 @@ func (r *SweepResult) MeanDelayRatio() float64 {
 
 func isNaN(f float64) bool { return f != f }
 
+// runOutcome is one algorithm's outcome for one (x, rep) pair: the journal
+// entry it is recorded as, plus what the journal does not keep.
 type runOutcome struct {
-	xi       int
-	rep      int
-	delay    float64
-	capacity float64
-	aborts   float64
-	// tightness, puBusy and fairness are ADDC-only metric summaries
-	// (negative tightness means "no TheoryReport for this run").
-	tightness float64
-	puBusy    float64
-	fairness  float64
-	// loss, repairs, drops and deafness are the ADDC run's extension
-	// columns: the fraction of packets destroyed by faults, self-healing
-	// re-parentings, retry-cap drops and deafness losses. All are zero on
-	// fault-free single-channel runs, so their journal fields stay absent.
-	loss     float64
-	repairs  int
-	drops    int
-	deafness int
-	coolest  bool
-	err      error
+	CheckpointEntry
+	// err is the typed failure behind Err (a plain error rebuilt from Err
+	// when the outcome was replayed from the journal).
+	err error
 	// canceled marks an outcome cut short by context cancellation: it is
 	// neither a result nor a failure, and is never journaled.
 	canceled bool
 }
 
-// entry converts the outcome to its checkpoint form.
-func (o runOutcome) entry(sweepID string) CheckpointEntry {
-	e := CheckpointEntry{
-		Sweep:     sweepID,
-		Xi:        o.xi,
-		Rep:       o.rep,
-		Algo:      algoADDC,
-		Delay:     o.delay,
-		Capacity:  o.capacity,
-		Aborts:    o.aborts,
-		Tightness: o.tightness,
-		PUBusy:    o.puBusy,
-		Fairness:  o.fairness,
-		Loss:      o.loss,
-		Repairs:   o.repairs,
-		Drops:     o.drops,
-		Deafness:  o.deafness,
-	}
-	if o.coolest {
-		e.Algo = algoCoolest
-	}
-	if o.err != nil {
-		e.Err = o.err.Error()
-	}
-	return e
+// outcome starts the algo outcome of the (xi, rep) pair.
+func (s *Sweep) outcome(xi, rep int, algo string) runOutcome {
+	return runOutcome{CheckpointEntry: CheckpointEntry{Sweep: s.ID, Xi: xi, Rep: rep, Algo: algo}}
 }
 
-// entryOutcome reconstructs a journaled outcome for replay.
-func entryOutcome(e CheckpointEntry) runOutcome {
-	o := runOutcome{
-		xi:        e.Xi,
-		rep:       e.Rep,
-		delay:     e.Delay,
-		capacity:  e.Capacity,
-		aborts:    e.Aborts,
-		tightness: e.Tightness,
-		puBusy:    e.PUBusy,
-		fairness:  e.Fairness,
-		loss:      e.Loss,
-		repairs:   e.Repairs,
-		drops:     e.Drops,
-		deafness:  e.Deafness,
-		coolest:   e.Algo == algoCoolest,
-	}
+// fail records err as the outcome, in its typed and its journaled form.
+func (o runOutcome) fail(err error, canceled bool) runOutcome {
+	o.err, o.Err, o.canceled = err, err.Error(), canceled
+	return o
+}
+
+// replayed is the outcome a journaled entry records.
+func replayed(e CheckpointEntry) runOutcome {
+	o := runOutcome{CheckpointEntry: e}
 	if e.Err != "" {
 		o.err = errors.New(e.Err)
 	}
@@ -349,7 +306,7 @@ func (s *Sweep) runWith(ctx context.Context, cache *topoCache) (*SweepResult, er
 	// A job is one (x, rep) pair that is pending AND owned here; its seeds
 	// derive from the pair alone, so resume and sharding compose naturally.
 	var pending []sweepJob
-	if !s.ReplayOnly {
+	if !s.replayOnly {
 		for xi := range s.Xs {
 			for rep := 0; rep < reps; rep++ {
 				if grid[xi][rep] == nil && s.Shard.owns(xi, rep, reps) {
@@ -388,14 +345,14 @@ func (s *Sweep) runWith(ctx context.Context, cache *topoCache) (*SweepResult, er
 	}
 
 	// One topology cache serves the whole pool; each worker owns a
-	// resettable simulation context (engine arena, MAC state, metrics
-	// registry, scratch buffers) wiped in place between pairs.
+	// resettable simulation context (engine arena, MAC state, scratch
+	// buffers) wiped in place between pairs.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			env := &runEnv{cache: cache, ws: core.NewWorkspace(), reg: metrics.NewRegistry()}
+			env := &runEnv{cache: cache, ws: core.NewWorkspace()}
 			s.runWorker(ctx, cm, pending, env)
 		}()
 	}
@@ -426,29 +383,29 @@ func (s *Sweep) runWith(ctx context.Context, cache *topoCache) (*SweepResult, er
 				}
 				if out.err != nil {
 					p.Failed++
-					p.LastError = out.err.Error()
+					p.LastError = out.Err
 					if firstErr == nil {
 						firstErr = out.err
 					}
 					continue
 				}
 				a := 0
-				if out.coolest {
+				if out.Algo == algoCoolest {
 					a = 1
 				}
-				delays[a] = append(delays[a], out.delay)
-				caps[a] = append(caps[a], out.capacity)
-				aborts[a] = append(aborts[a], out.aborts)
-				if !out.coolest {
-					if out.tightness >= 0 {
-						tight = append(tight, out.tightness)
+				delays[a] = append(delays[a], out.Delay)
+				caps[a] = append(caps[a], out.Capacity)
+				aborts[a] = append(aborts[a], out.Aborts)
+				if a == 0 {
+					if out.Tightness >= 0 {
+						tight = append(tight, out.Tightness)
 					}
-					puBusy = append(puBusy, out.puBusy)
-					fair = append(fair, out.fairness)
-					delivery = append(delivery, 1-out.loss)
-					repairs = append(repairs, float64(out.repairs))
-					drops = append(drops, float64(out.drops))
-					deaf = append(deaf, float64(out.deafness))
+					puBusy = append(puBusy, out.PUBusy)
+					fair = append(fair, out.Fairness)
+					delivery = append(delivery, 1-out.Loss)
+					repairs = append(repairs, float64(out.Repairs))
+					drops = append(drops, float64(out.Drops))
+					deaf = append(deaf, float64(out.Deafness))
 				}
 			}
 		}
@@ -606,7 +563,7 @@ func (c *committer) commit(groups [][]runOutcome) {
 		if len(outs) == 0 {
 			continue
 		}
-		c.grid[outs[0].xi][outs[0].rep] = outs
+		c.grid[outs[0].Xi][outs[0].Rep] = outs
 	}
 	if c.jr == nil {
 		return
@@ -630,7 +587,7 @@ func (c *committer) commit(groups [][]runOutcome) {
 		}
 		if journalable {
 			for _, o := range outs {
-				c.jr.Add(o.entry(c.sweep.ID))
+				c.jr.Add(o.CheckpointEntry)
 			}
 		}
 		c.frontier++
@@ -719,10 +676,10 @@ func (s *Sweep) loadCheckpoint(grid [][][]runOutcome, reps int) (*Journal, int, 
 			c, okC := pair[algoCoolest]
 			switch {
 			case okA && s.addcOnly():
-				grid[xi][rep] = []runOutcome{entryOutcome(a)}
+				grid[xi][rep] = []runOutcome{replayed(a)}
 				jr.Add(a)
 			case okA && okC:
-				grid[xi][rep] = []runOutcome{entryOutcome(a), entryOutcome(c)}
+				grid[xi][rep] = []runOutcome{replayed(a), replayed(c)}
 				jr.Add(a, c)
 			default:
 				continue
@@ -744,19 +701,10 @@ func (s *Sweep) flushBatch() int {
 
 // runEnv is one worker's resettable execution context: the run's topology
 // cache, shared by the whole pool, plus the per-worker workspace (event
-// arena, MAC, scratch buffers) and metrics registry, both wiped in place
-// between pairs.
+// arena, MAC, scratch buffers) wiped in place between pairs.
 type runEnv struct {
 	cache *topoCache
 	ws    *core.Workspace
-	reg   *metrics.Registry
-}
-
-// discard drops the worker's reusable state after a panic; the next job
-// rebuilds from scratch.
-func (env *runEnv) discard() {
-	env.ws = core.NewWorkspace()
-	env.reg = metrics.NewRegistry()
 }
 
 // retryable reports whether the pair failed for a reason a fresh seed can
@@ -823,7 +771,7 @@ func (s *Sweep) runPair(ctx context.Context, xi, rep int, env *runEnv) (outs []r
 			err := fmt.Errorf("experiment: sweep %s x[%d] rep %d panicked: %v\n%s",
 				s.ID, xi, rep, r, debug.Stack())
 			outs = s.failedPair(xi, rep, err, false)
-			env.discard()
+			env.ws = core.NewWorkspace() // the next pair rebuilds from scratch
 		}
 	}()
 	for attempt := 0; ; attempt++ {
@@ -836,9 +784,9 @@ func (s *Sweep) runPair(ctx context.Context, xi, rep int, env *runEnv) (outs []r
 
 // failedPair fails every outcome of the (xi, rep) pair with err.
 func (s *Sweep) failedPair(xi, rep int, err error, canceled bool) []runOutcome {
-	outs := []runOutcome{{xi: xi, rep: rep, err: err, canceled: canceled}}
+	outs := []runOutcome{s.outcome(xi, rep, algoADDC).fail(err, canceled)}
 	if !s.addcOnly() {
-		outs = append(outs, runOutcome{xi: xi, rep: rep, coolest: true, err: err, canceled: canceled})
+		outs = append(outs, s.outcome(xi, rep, algoCoolest).fail(err, canceled))
 	}
 	return outs
 }
@@ -881,54 +829,46 @@ func (s *Sweep) runPairOnce(ctx context.Context, xi, rep, attempt int, env *runE
 		Workspace:      env.ws,
 	}
 
-	// ADDC over the CDS tree with the realized tree statistics attached (so
-	// the Theorem 1 comparator evaluates the per-deployment bound),
-	// instrumented so every rep's tightness, PU busy fraction and fairness
-	// reach the point summary.
-	env.reg.Reset()
+	// ADDC over the CDS tree with the realized tree statistics attached, so
+	// the Theorem 1 comparator evaluates the per-deployment bound.
 	addcCfg := cfg
 	addcCfg.Tree = topo.tree
 	addcCfg.TreeStats = topo.treeStats
-	addcCfg.Metrics = env.reg
 	if s.configure != nil {
 		err = s.configure(&addcCfg, topo.nw, s.Xs[xi])
 	}
-	outs := make([]runOutcome, 0, 2)
 	var res *core.Result
 	if err == nil {
 		res, err = core.CollectContext(ctx, topo.nw, topo.tree.Parent, addcCfg)
 	}
+	o := s.outcome(xi, rep, algoADDC)
 	if err != nil {
-		outs = append(outs, runOutcome{xi: xi, rep: rep, err: err, canceled: isCanceled(err)})
+		o = o.fail(err, isCanceled(err))
 	} else {
-		o := runOutcome{
-			xi:        xi,
-			rep:       rep,
-			delay:     res.DelaySlots,
-			capacity:  res.Capacity,
-			aborts:    float64(res.TotalAborts),
-			tightness: -1,
-			puBusy:    env.reg.Gauge("spectrum_pu_busy_fraction").Value(),
-			fairness:  res.FairnessIndex,
-			loss:      float64(res.Lost) / float64(res.Expected),
-			deafness:  res.TotalDeafnessLosses,
-		}
+		o.Delay = res.DelaySlots
+		o.Capacity = res.Capacity
+		o.Aborts = float64(res.TotalAborts)
+		o.Tightness = -1
 		if res.Theory != nil {
-			o.tightness = res.Theory.ServiceTightness
+			o.Tightness = res.Theory.ServiceTightness
 		}
+		o.PUBusy = res.PUBusyFraction
+		o.Fairness = res.FairnessIndex
+		o.Loss = float64(res.Lost) / float64(res.Expected)
+		o.Deafness = res.TotalDeafnessLosses
 		if res.Fault != nil {
-			o.repairs, o.drops = res.Fault.Repairs, res.Fault.Drops
+			o.Repairs, o.Drops = res.Fault.Repairs, res.Fault.Drops
 		}
-		outs = append(outs, o)
 	}
+	outs := append(make([]runOutcome, 0, 2), o)
 	if s.addcOnly() {
 		return outs
 	}
 
-	// Coolest over its temperature tree, same topology, same seed, run
-	// uninstrumented. By default it runs the generic-CSMA profile
-	// (collisions, naive sensing, no fairness wait); SameMAC keeps ADDC's MAC
-	// for the routing-only ablation.
+	// Coolest over its temperature tree, same topology, same seed. By
+	// default it runs the generic-CSMA profile (collisions, naive sensing,
+	// no fairness wait); SameMAC keeps ADDC's MAC for the routing-only
+	// ablation.
 	consts, err := pcr.Compute(params)
 	if err == nil {
 		var parents []int32
@@ -938,15 +878,14 @@ func (s *Sweep) runPairOnce(ctx context.Context, xi, rep, attempt int, env *runE
 			res, err = core.CollectContext(ctx, topo.nw, parents, coolCfg)
 		}
 	}
+	o = s.outcome(xi, rep, algoCoolest)
 	if err != nil {
-		return append(outs, runOutcome{xi: xi, rep: rep, coolest: true, err: err, canceled: isCanceled(err)})
+		return append(outs, o.fail(err, isCanceled(err)))
 	}
-	return append(outs, runOutcome{
-		xi: xi, rep: rep, coolest: true,
-		delay:    res.DelaySlots,
-		capacity: res.Capacity,
-		aborts:   float64(res.TotalAborts + res.TotalCollisions),
-	})
+	o.Delay = res.DelaySlots
+	o.Capacity = res.Capacity
+	o.Aborts = float64(res.TotalAborts + res.TotalCollisions)
+	return append(outs, o)
 }
 
 // ctxErr reports ctx's cancellation state, treating an expired deadline as

@@ -263,10 +263,6 @@ type FaultProfile struct {
 	AckLoss float64
 	// RetryCap bounds attempts per packet; <= 0 means DefaultRetryCap.
 	RetryCap int
-	// Rand is the dedicated loss stream; nil derives "mac/loss" from
-	// Config.Rand. Keeping it separate from the backoff stream means a
-	// zero-probability profile consumes no randomness and perturbs nothing.
-	Rand *rng.Source
 }
 
 // DefaultRetryCap is the retry budget per packet when the profile leaves
@@ -312,6 +308,8 @@ type MAC struct {
 	root   int32
 
 	// Bounded-retry fault machine (zero-valued when Config.Faults is nil).
+	// lossSrc is the "mac/loss" child of Config.Rand: apart from the
+	// backoff stream, so a zero-probability profile perturbs nothing.
 	lossSrc  *rng.Source
 	retryCap int
 }
@@ -445,10 +443,7 @@ func Renew(prev *MAC, cfg Config) (*MAC, error) {
 		if m.retryCap <= 0 {
 			m.retryCap = DefaultRetryCap
 		}
-		m.lossSrc = f.Rand
-		if m.lossSrc == nil {
-			m.lossSrc = cfg.Rand.Child("mac/loss")
-		}
+		m.lossSrc = cfg.Rand.Child("mac/loss")
 	}
 	m.home = nil
 	if channels > 1 {

@@ -20,7 +20,6 @@ package serve
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"addcrn/internal/experiment"
@@ -202,7 +201,8 @@ func (s *Server) shardFinished(child *Job) {
 // shards journaled into the parent's journal, replay it through the
 // sweep's index-order aggregation, and store the summary. With every shard
 // done the result is byte-identical to the unsharded job's; with failed
-// shards it is the partial summary their surviving pairs imply.
+// shards it is the partial summary their surviving pairs imply. Shard
+// journals stamped with another grid hash than the job's fail the merge.
 func (s *Server) mergeShards(j *Job, failedShards int) {
 	s.setState(j, func() { j.Attempts++ })
 	j.spans.Emit(trace.SpanEvent{Event: trace.SpanStarted, Attempt: j.Attempts,
@@ -210,36 +210,27 @@ func (s *Server) mergeShards(j *Job, failedShards int) {
 	s.log.Info("merge started", "job_id", j.ID, "client", j.Client,
 		"state", StateRunning, "failed_shards", failedShards)
 
-	base := journalPath(s.cfg.StateDir, j.ID)
-	var paths []string
-	k := len(j.ShardIDs)
-	for i := 1; i <= k; i++ {
-		p := experiment.ShardJournalPath(base, experiment.ShardSpec{Index: i, Count: k})
-		if _, err := os.Stat(p); err == nil {
-			paths = append(paths, p)
+	// The merge replays the merged journal without executing anything: the
+	// summary is a pure function of the journal, so re-running this phase
+	// after a crash reproduces it exactly.
+	var (
+		res   *experiment.SweepResult
+		stats *experiment.MergeStats
+	)
+	sw, err := j.Spec.sweep(s.cfg.MaxJobWorkers)
+	if err == nil {
+		sw.Checkpoint = journalPath(s.cfg.StateDir, j.ID)
+		if j.spans != nil {
+			sw.Spans = j.spans
 		}
+		res, stats, err = sw.Merge(trace.WithJobID(s.baseCtx, j.ID), experiment.MergeOptions{AllowMissing: true})
 	}
-	if len(paths) == 0 {
-		s.terminate(j, StateFailed, trace.SpanFailed,
-			"serve: no shard journaled any results", nil, false)
-		s.stats.failed.Inc()
-		return
+	if stats != nil {
+		j.spans.Emit(trace.SpanEvent{Event: trace.SpanMerged, Attempt: j.Attempts,
+			Detail: fmt.Sprintf("%d entries from %d journals, %d pairs missing", stats.Entries, stats.Journals, len(stats.MissingPairs))})
 	}
-	stats, err := experiment.MergeJournals(base, paths, experiment.MergeOptions{AllowMissing: true})
 	if err != nil {
 		s.terminate(j, StateFailed, trace.SpanFailed, fmt.Sprintf("merge shards: %v", err), nil, false)
-		s.stats.failed.Inc()
-		return
-	}
-	j.spans.Emit(trace.SpanEvent{Event: trace.SpanMerged, Attempt: j.Attempts,
-		Detail: fmt.Sprintf("%d entries from %d journals, %d pairs missing", stats.Entries, len(paths), len(stats.MissingPairs))})
-
-	// Replay the merged journal through the sweep's aggregation. ReplayOnly
-	// executes nothing: the summary is a pure function of the journal, so
-	// re-running this phase after a crash reproduces it exactly.
-	res, err := s.runReplay(j)
-	if err != nil {
-		s.terminate(j, StateFailed, trace.SpanFailed, fmt.Sprintf("merge replay: %v", err), nil, false)
 		s.stats.failed.Inc()
 		return
 	}
@@ -252,20 +243,4 @@ func (s *Server) mergeShards(j *Job, failedShards int) {
 	s.stats.completed.Inc()
 	s.log.Info("merge finished", "job_id", j.ID, "client", j.Client, "state", StateDone,
 		"entries", stats.Entries, "missing_pairs", len(stats.MissingPairs))
-}
-
-// runReplay assembles the sweep summary from the parent's (merged) journal
-// without executing any simulations.
-func (s *Server) runReplay(j *Job) (*experiment.SweepResult, error) {
-	sw, err := j.Spec.sweep(s.cfg.MaxJobWorkers)
-	if err != nil {
-		return nil, err
-	}
-	sw.Checkpoint = journalPath(s.cfg.StateDir, j.ID)
-	sw.Resume = true
-	sw.ReplayOnly = true
-	if j.spans != nil {
-		sw.Spans = j.spans
-	}
-	return sw.RunContext(trace.WithJobID(s.baseCtx, j.ID))
 }

@@ -262,3 +262,53 @@ func TestCoordinatorPartialResultOnFailedShard(t *testing.T) {
 		t.Fatal("partial merge stored no CSV at all")
 	}
 }
+
+// The merge phase refuses shard journals written for another grid: when the
+// parent's spec no longer describes the grid its shards journaled (here its
+// seed is rewritten between two daemon lifetimes), the job fails instead of
+// storing a summary of someone else's pairs.
+func TestCoordinatorRejectsForeignGrid(t *testing.T) {
+	spec := shardedSpec(9, 2)
+	dir := t.TempDir()
+	first := newTestServer(t, Config{Workers: 2, StateDir: dir})
+	first.Start()
+	j, err := first.Submit(spec, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, first, j.ID, StateDone, 2*time.Minute)
+	first.Drain(time.Millisecond)
+
+	data, err := os.ReadFile(jobPath(dir, j.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parent Job
+	if err := json.Unmarshal(data, &parent); err != nil {
+		t.Fatal(err)
+	}
+	parent.State = StateCoordinating
+	parent.Spec.Seed++
+	if data, err = json.Marshal(&parent); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jobPath(dir, j.ID), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{journalPath(dir, j.ID), resultPath(dir, j.ID)} {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	second := newTestServer(t, Config{Workers: 2, StateDir: dir})
+	second.Start()
+	defer second.Drain(time.Millisecond)
+	failed := waitJob(t, second, j.ID, StateFailed, 2*time.Minute)
+	if !strings.Contains(failed.Error, "grid") {
+		t.Fatalf("merge error = %q, want it to name the grid mismatch", failed.Error)
+	}
+	if _, err := os.Stat(journalPath(dir, j.ID)); err == nil {
+		t.Fatal("a refused merge still wrote the merged journal")
+	}
+}

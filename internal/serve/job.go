@@ -98,9 +98,18 @@ type JobSpec struct {
 	Shards int `json:"shards,omitempty"`
 }
 
+// jobLimits caps every grid point a job may run, so that no spec can take
+// the daemon's memory: an out-of-memory failure kills every job, not one
+// pair. n and N stop at twice the paper's nominal 2000 and 400 (the SIR
+// gain table holds (n+N+1)² float64s, about 176 MiB at the caps), the
+// spatial grids at 2²² cells (16 MiB of int32 offsets each), and ext1 at 64
+// channels (it sweeps up to 8).
+var jobLimits = experiment.Limits{NumSU: 4000, NumPU: 800, GridCells: 1 << 22, Channels: 64}
+
 // Validate checks the spec without running it.
 func (s *JobSpec) Validate() error {
-	if _, err := experiment.NewFigureSweep(s.Figure, netmodel.ScaledDefaultParams(), 1); err != nil {
+	sw, err := s.sweep(0)
+	if err != nil {
 		return err
 	}
 	if s.Reps < 0 || s.Reps > 1000 {
@@ -118,9 +127,11 @@ func (s *JobSpec) Validate() error {
 	if s.Timeout < 0 || s.MaxVirtual < 0 {
 		return fmt.Errorf("serve: negative durations are invalid")
 	}
-	p := s.baseParams()
-	if err := p.Validate(); err != nil {
+	if err := sw.Base.Validate(); err != nil {
 		return fmt.Errorf("serve: base parameters: %w", err)
+	}
+	if err := sw.CheckGrid(jobLimits); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
 }

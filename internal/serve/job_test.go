@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -40,6 +41,10 @@ func FuzzJobSpec(f *testing.F) {
 		`{"figure":"6c","max_virtual":"soon"}`,
 		`{"figure":"6c","max_virtual":9223372036854775807,"seed":18446744073709551615}`,
 		`{"figure":"6c","num_su":-5,"area":1e308}`,
+		`{"figure":"6c","area":1000000}`,
+		`{"figure":"ext1","xs":[1e11]}`,
+		`{"figure":"6a","xs":[2.7]}`,
+		`{"figure":"6b","num_su":4000}`,
 		`[]`,
 		``,
 	} {
@@ -72,5 +77,77 @@ func FuzzJobSpec(f *testing.F) {
 		if err := back.Validate(); err != nil {
 			t.Fatalf("round-tripped spec %s no longer validates: %v", out, err)
 		}
+		checkGridWithinLimits(t, spec)
 	})
+}
+
+// checkGridWithinLimits asserts that every grid point of an accepted spec
+// stays within jobLimits, recomputing the point's size from its parameters.
+func checkGridWithinLimits(t *testing.T, spec JobSpec) {
+	t.Helper()
+	sw, err := spec.sweep(1)
+	if err != nil {
+		t.Fatalf("accepted spec %+v does not build its sweep: %v", spec, err)
+	}
+	for _, x := range sw.Xs {
+		p := sw.Apply(sw.Base, x)
+		cells := 0.0
+		for _, r := range []float64{p.RadiusSU, p.RadiusPU} {
+			side := math.Max(1, math.Ceil(p.Area/r))
+			cells += side * side
+		}
+		switch {
+		case math.IsNaN(x) || math.IsInf(x, 0):
+			t.Fatalf("spec %+v accepted with x = %v", spec, x)
+		case p.NumSU > jobLimits.NumSU || p.NumPU > jobLimits.NumPU:
+			t.Fatalf("spec %+v accepted with n = %d, N = %d at x = %v", spec, p.NumSU, p.NumPU, x)
+		case cells > float64(jobLimits.GridCells):
+			t.Fatalf("spec %+v accepted with %v grid cells at x = %v", spec, cells, x)
+		case spec.Figure == "ext1" && (x != math.Trunc(x) || x < 1 || x > float64(jobLimits.Channels)):
+			t.Fatalf("spec %+v accepted with %v channels", spec, x)
+		case (spec.Figure == "6a" || spec.Figure == "6b") && x != math.Trunc(x):
+			t.Fatalf("spec %+v accepted with a fractional count %v", spec, x)
+		}
+	}
+}
+
+// Specs whose grid points would exhaust the daemon's memory, or that a
+// count axis would silently truncate, are refused at submission; their
+// neighbors at the limits are accepted.
+func TestJobSpecGridLimits(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		ok   bool
+	}{
+		{`{"figure":"6c","area":1000000}`, false},
+		{`{"figure":"6c","area":20000}`, false},
+		{`{"figure":"6c","area":5000}`, true},
+		{`{"figure":"ext1","xs":[1e11]}`, false},
+		{`{"figure":"ext1","xs":[65]}`, false},
+		{`{"figure":"ext1","xs":[64]}`, true},
+		{`{"figure":"ext1","xs":[2.5]}`, false},
+		{`{"figure":"6a","xs":[2.7]}`, false},
+		{`{"figure":"6a","xs":[801]}`, false},
+		{`{"figure":"6a","xs":[800]}`, true},
+		{`{"figure":"6a","num_pu":700}`, false}, // the axis reaches 1.5·N = 1050
+		{`{"figure":"6b","xs":[100.5]}`, false},
+		{`{"figure":"6b","xs":[4001]}`, false},
+		{`{"figure":"6b","xs":[4000]}`, true},
+		{`{"figure":"6b","num_su":3000}`, false}, // the axis reaches 1.5·n = 4500
+		{`{"figure":"6c","num_su":100000}`, false},
+		{`{"figure":"6c","num_pu":100000}`, false},
+		{`{"figure":"6c","xs":[1.5]}`, false},
+	} {
+		var spec JobSpec
+		if err := json.Unmarshal([]byte(tc.spec), &spec); err != nil {
+			t.Fatal(err)
+		}
+		err := spec.Validate()
+		if ok := err == nil; ok != tc.ok {
+			t.Errorf("%s: Validate = %v, want accepted = %v", tc.spec, err, tc.ok)
+		}
+		if err == nil {
+			checkGridWithinLimits(t, spec)
+		}
+	}
 }
