@@ -90,6 +90,8 @@ func TestCheckGrid(t *testing.T) {
 		{"ext1", 0, Limits{}, false},
 		{"ext1", 1.5, Limits{}, false},
 		{"ext2", 0.15, Limits{}, true},
+		{"ext2", 1.5, Limits{}, false},
+		{"ext2", -0.05, Limits{}, false},
 	} {
 		s, err := NewFigureSweep(tc.id, tinyBase(), 1)
 		if err != nil {

@@ -25,6 +25,11 @@ const (
 	extensionCrashWindow = time.Second
 )
 
+// crashFaults is ext2's fault spec at crash fraction x.
+func crashFaults(x float64) *fault.Spec {
+	return &fault.Spec{CrashFrac: x, LinkLoss: extensionLinkLoss, CrashWindow: extensionCrashWindow}
+}
+
 // extensionSweep fills in ext1 or ext2; it reports false for any other id.
 func extensionSweep(s *Sweep, id string) bool {
 	switch id {
@@ -47,9 +52,10 @@ func extensionSweep(s *Sweep, id string) bool {
 	case "ext2":
 		s.Title = "ADDC delivery ratio vs SU crash fraction (extension ext2)"
 		s.XLabel = "crash-frac"
+		s.axis = axisCrashFrac
 		s.Xs = []float64{0, 0.05, 0.10, 0.20, 0.30}
 		s.configure = func(cfg *core.CollectConfig, _ *netmodel.Network, x float64) error {
-			cfg.Faults = &fault.Spec{CrashFrac: x, LinkLoss: extensionLinkLoss, CrashWindow: extensionCrashWindow}
+			cfg.Faults = crashFaults(x)
 			return nil
 		}
 	default:

@@ -82,9 +82,10 @@ func NewFigureSweep(id string, base netmodel.Params, seed uint64) (*Sweep, error
 type axis int
 
 const (
-	axisReal     axis = iota // a real parameter: p_t, α, a power, a fraction
-	axisCount                // a node count, truncated to int by Apply (6a, 6b)
-	axisChannels             // ext1's licensed channel count C
+	axisReal      axis = iota // a real parameter: p_t, α, a power, a fraction
+	axisCount                 // a node count, truncated to int by Apply (6a, 6b)
+	axisChannels              // ext1's licensed channel count C
+	axisCrashFrac             // ext2's SU crash fraction
 )
 
 // Limits caps the grid points CheckGrid accepts; a zero field sets no cap.
@@ -100,15 +101,16 @@ type Limits struct {
 
 // CheckGrid refuses, before anything runs, an x value that cannot be a grid
 // point of s: a non-finite x on any axis, a count (N, n or C) that is not a
-// whole number, parameters that fail Params.Validate, or a point beyond
-// lim. Without it such a point runs and fails every pair — or, at a count
-// axis, runs int(x) while the table prints x.
+// whole number, parameters that fail Params.Validate, a crash fraction whose
+// fault spec fails fault.Spec.Validate, or a point beyond lim. Without it
+// such a point runs and fails every pair — or, at a count axis, runs int(x)
+// while the table prints x.
 func (s *Sweep) CheckGrid(lim Limits) error {
 	for _, x := range s.Xs {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return fmt.Errorf("experiment: fig %s: x = %v is not finite", s.ID, x)
 		}
-		if s.axis != axisReal && (x != math.Trunc(x) || x < 0 || x > math.MaxInt32) {
+		if (s.axis == axisCount || s.axis == axisChannels) && (x != math.Trunc(x) || x < 0 || x > math.MaxInt32) {
 			return fmt.Errorf("experiment: fig %s: %s = %v is not a whole number in [0, 2^31)", s.ID, s.XLabel, x)
 		}
 		if s.axis == axisChannels && x < 1 {
@@ -116,6 +118,11 @@ func (s *Sweep) CheckGrid(lim Limits) error {
 		}
 		if s.axis == axisChannels && lim.Channels > 0 && x > float64(lim.Channels) {
 			return fmt.Errorf("experiment: fig %s: %v channels exceed the limit of %d", s.ID, x, lim.Channels)
+		}
+		if s.axis == axisCrashFrac {
+			if err := crashFaults(x).Validate(); err != nil {
+				return fmt.Errorf("experiment: fig %s at x = %v: %w", s.ID, x, err)
+			}
 		}
 		p := s.Apply(s.Base, x)
 		if err := p.Validate(); err != nil {

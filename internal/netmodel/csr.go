@@ -65,15 +65,86 @@ func BuildCSR(grid *geom.Grid, sources []geom.Point, radius float64) (*CSRTable,
 	return t, nil
 }
 
+// RankBits re-encodes a CSR table's rows as bitsets over SU grid rank
+// (geom.Grid.Ranks), the form a lazy carrier-sense walk intersects with
+// other rank bitsets word by word. Since a CSR row is strictly increasing
+// in rank, visiting a row's set bits in ascending order visits its nodes in
+// row order. A RankBits is immutable once built and must not be modified.
+type RankBits struct {
+	// Words is the length of one rank bitset: ⌈NumNodes/64⌉.
+	Words int
+	// Rows[i*Words:(i+1)*Words] is source i's row, and its set bits lie in
+	// the words Span[2i] up to Span[2i+1] (equal for an empty row). An SU
+	// row leaves out the source's own bit.
+	Rows []uint64
+	Span []int32
+	// Cover[id*CoverWords:(id+1)*CoverWords] holds, for a PU table, the
+	// primary users whose row contains SU id (bit i for PU i). An SU table
+	// has none: it is symmetric, so row id is already the set of SUs whose
+	// row contains id.
+	CoverWords int
+	Cover      []uint64
+}
+
+// newRankBits encodes tab, whose rows hold indices into ranks, as rank
+// bitsets. su says the sources are the SUs themselves: rows then drop the
+// self entry, and the table must be symmetric.
+func newRankBits(tab *CSRTable, ranks []int32, su bool) (*RankBits, error) {
+	np, w := tab.NumRows(), (len(ranks)+63)/64
+	b := &RankBits{Words: w, Rows: make([]uint64, np*w), Span: make([]int32, 2*np)}
+	for i := range np {
+		set := b.Rows[i*w : (i+1)*w]
+		prev := int32(-1)
+		for _, id := range tab.Row(int32(i)) {
+			r := ranks[id]
+			if r <= prev {
+				panic(fmt.Sprintf("netmodel: row %d of a CSR table is not in grid rank order", i))
+			}
+			prev = r
+			if su && id == int32(i) {
+				continue
+			}
+			if b.Span[2*i+1] == 0 {
+				b.Span[2*i] = r >> 6
+			}
+			b.Span[2*i+1] = r>>6 + 1
+			set[r>>6] |= 1 << (r & 63)
+		}
+	}
+	if su {
+		// Within includes a point by its distance from the center, which is
+		// symmetric; only its cell pruning could break that, by rounding.
+		for v := range np {
+			r := ranks[v]
+			for _, u := range tab.Row(int32(v)) {
+				if u != int32(v) && b.Rows[int(u)*w+int(r>>6)]&(1<<(r&63)) == 0 {
+					return nil, fmt.Errorf("netmodel: SU table is not symmetric: %d is in %d's row but not %d in %d's", u, v, v, u)
+				}
+			}
+		}
+		return b, nil
+	}
+	m := (np + 63) / 64
+	b.CoverWords, b.Cover = m, make([]uint64, len(ranks)*m)
+	for i := range np {
+		for _, id := range tab.Row(int32(i)) {
+			b.Cover[int(id)*m+i>>6] |= 1 << (i & 63)
+		}
+	}
+	return b, nil
+}
+
 // derived memoizes the graphs a deployment's fixed positions determine:
-// the SU unit-disk adjacency and the CSR neighbor tables, one per radius.
-// The mutex is held across each build, so concurrent callers (the workers of
-// a sweep sharing one topology) wait for a single build instead of racing
-// duplicates. Every memoized graph is immutable once built.
+// the SU unit-disk adjacency and the CSR neighbor tables with their rank
+// bitset encodings, one per radius. The mutex is held across each build, so
+// concurrent callers (the workers of a sweep sharing one topology) wait for
+// a single build instead of racing duplicates. Every memoized graph is
+// immutable once built.
 type derived struct {
-	mu     sync.Mutex
-	adj    graphx.Adjacency
-	su, pu map[float64]*CSRTable
+	mu             sync.Mutex
+	adj            graphx.Adjacency
+	su, pu         map[float64]*CSRTable
+	suBits, puBits map[float64]*RankBits
 }
 
 // Adjacency returns the SU unit-disk graph at the communication radius r
@@ -108,20 +179,52 @@ func (nw *Network) PUNeighborTable(radius float64) (*CSRTable, error) {
 	return nw.derived.table(&nw.derived.pu, nw.SUGrid, nw.PU, radius)
 }
 
-// table returns (*m)[radius], building and storing it on a miss. Errors are
-// not stored.
+// SUNeighborBits returns SUNeighborTable(radius) as rank bitsets, built
+// once per radius and shared like the table itself. It fails if the table
+// is not symmetric, which the lazy carrier-sense path relies on.
+func (nw *Network) SUNeighborBits(radius float64) (*RankBits, error) {
+	return nw.derived.bits(&nw.derived.suBits, &nw.derived.su, nw.SUGrid, nw.SU, radius, true)
+}
+
+// PUNeighborBits returns PUNeighborTable(radius) as rank bitsets, built
+// once per radius and shared like the table itself.
+func (nw *Network) PUNeighborBits(radius float64) (*RankBits, error) {
+	return nw.derived.bits(&nw.derived.puBits, &nw.derived.pu, nw.SUGrid, nw.PU, radius, false)
+}
+
+// table returns (*m)[radius], building the CSR table on a miss.
 func (d *derived) table(m *map[float64]*CSRTable, grid *geom.Grid, sources []geom.Point, radius float64) (*CSRTable, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return lookupOrBuild(m, radius, func() (*CSRTable, error) { return BuildCSR(grid, sources, radius) })
+}
+
+// bits returns (*m)[radius], encoding the CSR table (*tabs)[radius] on a
+// miss.
+func (d *derived) bits(m *map[float64]*RankBits, tabs *map[float64]*CSRTable, grid *geom.Grid, sources []geom.Point, radius float64, su bool) (*RankBits, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return lookupOrBuild(m, radius, func() (*RankBits, error) {
+		tab, err := lookupOrBuild(tabs, radius, func() (*CSRTable, error) { return BuildCSR(grid, sources, radius) })
+		if err != nil {
+			return nil, err
+		}
+		return newRankBits(tab, grid.Ranks(), su)
+	})
+}
+
+// lookupOrBuild returns (*m)[radius], building and storing it on a miss.
+// Errors are not stored. The caller holds the mutex.
+func lookupOrBuild[T any](m *map[float64]*T, radius float64, build func() (*T, error)) (*T, error) {
 	if t, ok := (*m)[radius]; ok {
 		return t, nil
 	}
-	t, err := BuildCSR(grid, sources, radius)
+	t, err := build()
 	if err != nil {
 		return nil, err
 	}
 	if *m == nil {
-		*m = make(map[float64]*CSRTable)
+		*m = make(map[float64]*T)
 	}
 	(*m)[radius] = t
 	return t, nil

@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"math/bits"
 	"reflect"
 	"sort"
 	"sync"
@@ -272,8 +273,9 @@ func TestNetworkMemoizesGraphs(t *testing.T) {
 	}
 	radii := []float64{p.RadiusSU, 2.5 * p.RadiusSU}
 	type graphs struct {
-		adj    graphx.Adjacency
-		su, pu []*CSRTable
+		adj            graphx.Adjacency
+		su, pu         []*CSRTable
+		suBits, puBits []*RankBits
 	}
 	got := make([]graphs, 8)
 	var wg sync.WaitGroup
@@ -288,17 +290,35 @@ func TestNetworkMemoizesGraphs(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			g := graphs{su: make([]*CSRTable, len(radii)), pu: make([]*CSRTable, len(radii))}
+			g := graphs{
+				su: make([]*CSRTable, len(radii)), pu: make([]*CSRTable, len(radii)),
+				suBits: make([]*RankBits, len(radii)), puBits: make([]*RankBits, len(radii)),
+			}
 			// Alternate the call order so builds of every key race.
 			for k := range radii {
 				if w%2 == 1 {
 					k = len(radii) - 1 - k
+				}
+				// Half the goroutines reach each table through its bitsets.
+				if w%4 < 2 {
+					if g.suBits[k], err = cp.SUNeighborBits(radii[k]); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 				if g.su[k], err = cp.SUNeighborTable(radii[k]); err != nil {
 					t.Error(err)
 					return
 				}
 				if g.pu[k], err = cp.PUNeighborTable(radii[k]); err != nil {
+					t.Error(err)
+					return
+				}
+				if g.suBits[k], err = cp.SUNeighborBits(radii[k]); err != nil {
+					t.Error(err)
+					return
+				}
+				if g.puBits[k], err = cp.PUNeighborBits(radii[k]); err != nil {
 					t.Error(err)
 					return
 				}
@@ -331,18 +351,101 @@ func TestNetworkMemoizesGraphs(t *testing.T) {
 		if !reflect.DeepEqual(got[0].su[k], su) || !reflect.DeepEqual(got[0].pu[k], pu) {
 			t.Fatalf("radius %v: memoized tables differ from a fresh BuildCSR", r)
 		}
+		checkRankBits(t, su, nw.SUGrid.Ranks(), got[0].suBits[k], true)
+		checkRankBits(t, pu, nw.SUGrid.Ranks(), got[0].puBits[k], false)
 	}
 	for w, g := range got {
 		if &g.adj[0] != &got[0].adj[0] {
 			t.Fatalf("goroutine %d received a different adjacency", w)
 		}
 		for k := range radii {
-			if g.su[k] != got[0].su[k] || g.pu[k] != got[0].pu[k] {
+			if g.su[k] != got[0].su[k] || g.pu[k] != got[0].pu[k] ||
+				g.suBits[k] != got[0].suBits[k] || g.puBits[k] != got[0].puBits[k] {
 				t.Fatalf("goroutine %d received different tables at radius %v", w, radii[k])
 			}
 		}
 	}
 	if tab, _ := nw.SUNeighborTable(radii[0]); tab != got[0].su[0] {
 		t.Fatal("the original network does not share its copies' memo")
+	}
+}
+
+// checkRankBits requires b to encode tab by definition: row i holds the
+// rank of every node in tab's row i (SU sources without their own) and its
+// span is tight, and for a PU table Cover row id holds every PU whose row
+// holds id.
+func checkRankBits(t *testing.T, tab *CSRTable, ranks []int32, b *RankBits, su bool) {
+	t.Helper()
+	has := func(set []uint64, k int32) bool { return set[k>>6]&(1<<(k&63)) != 0 }
+	np, nn := tab.NumRows(), len(ranks)
+	cover := make([][]int32, nn)
+	for i := range np {
+		set := b.Rows[i*b.Words : (i+1)*b.Words]
+		want := map[int32]bool{}
+		for _, id := range tab.Row(int32(i)) {
+			if su && id == int32(i) {
+				continue
+			}
+			want[ranks[id]] = true
+			cover[id] = append(cover[id], int32(i))
+		}
+		for r := range int32(nn) {
+			if has(set, r) != want[r] {
+				t.Fatalf("row %d: rank %d bit is %v, want %v", i, r, has(set, r), want[r])
+			}
+		}
+		lo, hi := b.Span[2*i], b.Span[2*i+1]
+		for k, x := range set {
+			if x != 0 && (int32(k) < lo || int32(k) >= hi) {
+				t.Fatalf("row %d: word %d set outside span [%d, %d)", i, k, lo, hi)
+			}
+		}
+		if lo < hi && (set[lo] == 0 || set[hi-1] == 0) {
+			t.Fatalf("row %d: span [%d, %d) is not tight", i, lo, hi)
+		}
+	}
+	if su {
+		return
+	}
+	m := b.CoverWords
+	for id := range nn {
+		set := b.Cover[id*m : (id+1)*m]
+		n := 0
+		for _, x := range set {
+			n += bits.OnesCount64(x)
+		}
+		if n != len(cover[id]) {
+			t.Fatalf("cover of %d holds %d sources, want %d", id, n, len(cover[id]))
+		}
+		for _, i := range cover[id] {
+			if !has(set, i) {
+				t.Fatalf("cover of %d misses PU %d", id, i)
+			}
+		}
+	}
+}
+
+// TestRankBitsRejectsAsymmetricSUTable: the lazy path reads an SU's own row
+// as the set of SUs whose row holds it, so an SU table with node 1 in 0's
+// row but not 0 in 1's is refused, while a symmetric one encodes.
+func TestRankBitsRejectsAsymmetricSUTable(t *testing.T) {
+	ranks := []int32{2, 0, 1}
+	for _, tc := range []struct {
+		offsets, flat []int32
+		ok            bool
+	}{
+		// Rows in rank order: 0 → {1, 2, 0}, 1 → {1, 2}, 2 → {1, 2, 0}.
+		{[]int32{0, 3, 5, 8}, []int32{1, 2, 0, 1, 2, 1, 2, 0}, false},
+		// 0 → {1, 0}, 1 → {1, 0}, 2 → {2}.
+		{[]int32{0, 2, 4, 5}, []int32{1, 0, 1, 0, 2}, true},
+	} {
+		tab := &CSRTable{offsets: tc.offsets, flat: tc.flat}
+		b, err := newRankBits(tab, ranks, true)
+		if (err == nil) != tc.ok {
+			t.Fatalf("rows %v: newRankBits error %v, want accepted = %v", tc.flat, err, tc.ok)
+		}
+		if err == nil {
+			checkRankBits(t, tab, ranks, b, true)
+		}
 	}
 }

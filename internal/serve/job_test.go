@@ -137,6 +137,8 @@ func TestJobSpecGridLimits(t *testing.T) {
 		{`{"figure":"6c","num_su":100000}`, false},
 		{`{"figure":"6c","num_pu":100000}`, false},
 		{`{"figure":"6c","xs":[1.5]}`, false},
+		{`{"figure":"ext2","xs":[0.3]}`, true},
+		{`{"figure":"ext2","xs":[1.5]}`, false},
 	} {
 		var spec JobSpec
 		if err := json.Unmarshal([]byte(tc.spec), &spec); err != nil {

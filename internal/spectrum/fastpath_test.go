@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"addcrn/internal/geom"
+	"addcrn/internal/netmodel"
+	"addcrn/internal/pcr"
+	"addcrn/internal/rng"
 	"addcrn/internal/sim"
 )
 
@@ -155,6 +158,93 @@ func TestIndexedSUTransitionAllocates0(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("CSR transition allocates %v/op, want 0", allocs)
+	}
+}
+
+// countingObserver counts deliveries and acts on none of them.
+type countingObserver struct{ busy, free, arrived int }
+
+func (o *countingObserver) SpectrumBusy(int32, sim.Time) { o.busy++ }
+func (o *countingObserver) SpectrumFree(int32, sim.Time) { o.free++ }
+func (o *countingObserver) PUArrived(int32, sim.Time)    { o.arrived++ }
+
+// filteredScaledTracker builds a filtered tracker at the n = 300 scaled
+// operating point with the derived PCR as both sensing ranges, in the
+// medium mix a running collection shows: about 4% of the nodes mid-backoff
+// and 4% frozen — some 8 of the ~99 in a PCR row — two SUs transmitting
+// and one PU active. It returns the SUs a benchmark may register: every
+// node but the base station and the background transmitters.
+func filteredScaledTracker(tb testing.TB, obs Observer) (*Tracker, []int32) {
+	p := netmodel.ScaledDefaultParams()
+	nw, err := netmodel.Deploy(p, rng.New(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	consts, err := pcr.Compute(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr, err := NewTracker(nw, consts.Range, consts.Range, obs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr.FilterTransitions(true)
+	elig := tr.Eligibility()
+	src := rng.New(2)
+	var ids []int32
+	for v := int32(1); v < int32(nw.NumNodes()); v++ {
+		switch k := src.Intn(25); {
+		case k == 0:
+			elig.Set(v, true, false)
+		case k == 1:
+			elig.Set(v, false, true)
+		case k == 2 && tr.nSuTx < 2:
+			tr.AddSUTransmitter(v, 0)
+			continue
+		}
+		ids = append(ids, v)
+	}
+	tr.AddPUTransmitter(0, 0)
+	return tr, ids
+}
+
+// TestFilteredSUTransitionAllocates0: the filtered add/remove pair, walking
+// rank bitsets with a stack-allocated visit closure, must not allocate.
+func TestFilteredSUTransitionAllocates0(t *testing.T) {
+	obs := &countingObserver{}
+	tr, ids := filteredScaledTracker(t, obs)
+	tr.AddSUTransmitter(ids[0], 0)
+	tr.RemoveSUTransmitter(ids[0], 0)
+	k := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		tr.AddSUTransmitter(ids[k], 0)
+		tr.RemoveSUTransmitter(ids[k], 0)
+		k = (k + 1) % len(ids)
+	})
+	if allocs != 0 {
+		t.Fatalf("filtered SU transition allocates %v/op, want 0", allocs)
+	}
+	if obs.busy == 0 || obs.free == 0 {
+		t.Fatalf("the pairs delivered %d busy and %d free callbacks; the eligibility mix is vacuous", obs.busy, obs.free)
+	}
+}
+
+// BenchmarkSUTransition measures one filtered SU register/unregister pair
+// — the spectrum tracker's share of every transmission start and end in
+// the MAC — at the n = 300 scaled operating point (see
+// filteredScaledTracker), cycling the transmitter over the deployment.
+func BenchmarkSUTransition(b *testing.B) {
+	b.ReportAllocs()
+	tr, ids := filteredScaledTracker(b, &countingObserver{})
+	k := 0
+	b.ResetTimer()
+	for range b.N {
+		tr.AddSUTransmitter(ids[k], 0)
+		tr.RemoveSUTransmitter(ids[k], 0)
+		k++
+		if k == len(ids) {
+			k = 0
+		}
 	}
 }
 

@@ -21,8 +21,8 @@ const (
 )
 
 // contractEvent is one logged step: a callback that acted ('B' freeze, 'F'
-// resume or transmit, 'A' handoff abort) or a scripted node step ('S', with
-// the state it led to).
+// resume or transmit, 'A' handoff abort), a scripted node step ('S', with
+// the state it led to) or a scripted BlockNode ('K') or UnblockNode ('U').
 type contractEvent struct {
 	what  byte
 	node  int32
@@ -120,11 +120,13 @@ type contractRun struct {
 }
 
 // runContractScript plays ops on channels trackers over nw, filtered (lazy
-// PU path) or not (eager reference). Each pair of bytes is one engine
-// event: b0%4 == 0 toggles PU b1%N on channel b0/4%C (switching it on only
-// when b0's top bit is set, so fewer than half the users are active), any
-// other value advances node b1%n one step — contend, expire or finish its
-// transmission.
+// path) or not (eager reference). Each pair of bytes is one engine event:
+// b0%4 == 0 toggles PU b1%N on channel b0/4%C (switching it on only when
+// b0's top bit is set, so fewer than half the users are active); b0%8 == 1
+// blocks node b1%n on channel b0/8%C when b0's top bit is set and the node
+// holds fewer than two blocks there, and otherwise lifts one of its blocks
+// (as fault bursts and the aggregate PU model do); any other value advances
+// node b1%n one step — contend, expire or finish its transmission.
 func runContractScript(t testing.TB, nw *netmodel.Network, puRange, suRange float64, channels int, filtered bool, ops []byte) contractRun {
 	nn, np := nw.NumNodes(), len(nw.PU)
 	m := &contractModel{st: make([]uint8, nn), filtered: filtered}
@@ -138,6 +140,7 @@ func runContractScript(t testing.TB, nw *netmodel.Network, puRange, suRange floa
 		m.elig = append(m.elig, tr.Eligibility())
 	}
 	puOn := make([]bool, channels*np)
+	blocks := make([]int8, channels*nn)
 	now := sim.Time(0)
 	for k := 0; k+1 < len(ops); k += 2 {
 		now++
@@ -156,6 +159,20 @@ func runContractScript(t testing.TB, nw *netmodel.Network, puRange, suRange floa
 			continue
 		}
 		v := int32(int(b1) % nn)
+		if b0%8 == 1 {
+			c := int(b0/8) % channels
+			switch k := &blocks[c*nn+int(v)]; {
+			case b0&0x80 != 0 && *k < 2:
+				*k++
+				m.log = append(m.log, contractEvent{what: 'K', node: v, ch: c})
+				m.trs[c].BlockNode(v, now)
+			case *k > 0:
+				*k--
+				m.log = append(m.log, contractEvent{what: 'U', node: v, ch: c})
+				m.trs[c].UnblockNode(v, now)
+			}
+			continue
+		}
 		tr := m.trs[m.ch(v)]
 		switch m.st[v] {
 		case stIdle:
@@ -206,7 +223,7 @@ func contractNetwork(t testing.TB, np int, seed uint64) (*netmodel.Network, floa
 	return nw, 20
 }
 
-// checkLazyMatchesEager runs ops through the lazy PU path and through the
+// checkLazyMatchesEager runs ops through the lazy path and through the
 // eager unfiltered path, and requires the same acting callbacks in the same
 // order, the same scripted outcomes and the same final busy counts.
 func checkLazyMatchesEager(t testing.TB, np, channels int, seed uint64, ops []byte) contractRun {
@@ -231,11 +248,11 @@ func checkLazyMatchesEager(t testing.TB, np, channels int, seed uint64, ops []by
 	return eager
 }
 
-// TestLazyPUPathMatchesEager is the tracker-level differential test of the
-// lazy PU path: randomized add/remove scripts, with reentrant transmissions
-// and handoff aborts inside the walks, at C ∈ {1, 4} and N ∈ {8, 100} (N =
-// 100 needs two mask words per node).
-func TestLazyPUPathMatchesEager(t *testing.T) {
+// TestLazyPathMatchesEager is the tracker-level differential test of the
+// lazy SU and PU paths: randomized add/remove and block/unblock scripts,
+// with reentrant transmissions and handoff aborts inside the walks, at
+// C ∈ {1, 4} and N ∈ {8, 100} (N = 100 needs two mask words per node).
+func TestLazyPathMatchesEager(t *testing.T) {
 	for _, channels := range []int{1, 4} {
 		for _, np := range []int{8, 100} {
 			t.Run(fmt.Sprintf("C%d_N%d", channels, np), func(t *testing.T) {
@@ -250,7 +267,7 @@ func TestLazyPUPathMatchesEager(t *testing.T) {
 						kinds[e.what]++
 					}
 				}
-				for _, k := range []byte{'B', 'F', 'A'} {
+				for _, k := range []byte{'B', 'F', 'A', 'K', 'U'} {
 					if kinds[k] == 0 {
 						t.Fatalf("no %q events; the script is vacuous (%v)", k, kinds)
 					}
@@ -260,11 +277,12 @@ func TestLazyPUPathMatchesEager(t *testing.T) {
 	}
 }
 
-// FuzzLazyPUPath runs the differential test on fuzzed scripts: cfg's low
-// bit picks C ∈ {1, 4}, the next N ∈ {8, 100}, the rest the deployment.
-func FuzzLazyPUPath(f *testing.F) {
+// FuzzLazyPath runs the differential test on fuzzed scripts: cfg's low bit
+// picks C ∈ {1, 4}, the next N ∈ {8, 100}, the rest the deployment.
+func FuzzLazyPath(f *testing.F) {
 	f.Add(uint8(0), []byte{0x80, 1, 1, 5, 2, 5, 0x80, 2, 3, 7, 0, 1})
 	f.Add(uint8(3), []byte{0x84, 9, 1, 40, 2, 40, 0x80, 70, 3, 40, 0x84, 9})
+	f.Add(uint8(1), []byte{2, 5, 3, 5, 0x89, 6, 2, 6, 3, 5, 0x81, 6, 9, 6, 3, 6})
 	f.Fuzz(func(t *testing.T, cfg uint8, ops []byte) {
 		channels, np := 1, 8
 		if cfg&1 != 0 {

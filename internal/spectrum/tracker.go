@@ -2,8 +2,8 @@
 // or SU) are active, and what each secondary node's carrier sensor observes
 // within its Proper Carrier-sensing Range (PCR).
 //
-// The core abstraction is a per-SU busy counter — the number of active
-// transmitters within PCR of that SU — maintained incrementally. Counter
+// The core abstraction is a per-SU busy count — the number of active
+// transmitters within PCR of that SU, plus node-local blocks. Its
 // transitions drive the MAC: 0 -> 1 freezes a backoff, -> 0 resumes it, and
 // a PU arrival during a transmission forces the spectrum handoff the
 // paper's Section I requires.
@@ -11,13 +11,21 @@
 // Because the deployment never moves, the set of nodes a transmitter
 // touches is a pure function of its identity. The tracker therefore works
 // from CSR-packed neighbor tables (SU→SU within the coordination range,
-// PU→SU within the protection range) and walks one contiguous row per
-// transition — the static-topology fast path. The tables belong to the
-// netmodel.Network, which builds each once per radius and shares it with
-// every tracker, channel and run over the same deployment (WithParams
-// copies included). A CSR row stores exactly the grid's result sequence for
-// the same query, so the row walk is bit-identical to a per-event grid
-// query (the tests keep such a grid reference).
+// PU→SU within the protection range) — the static-topology fast path. The
+// tables belong to the netmodel.Network, which builds each once per radius
+// and shares it with every tracker, channel and run over the same
+// deployment (WithParams copies included). A CSR row stores exactly the
+// grid's result sequence for the same query, so a row walk is bit-identical
+// to a per-event grid query (the tests keep such a grid reference).
+//
+// The tracker has two paths over those tables. The eager one, the default,
+// keeps every count in a counter and walks a transmitter's whole row per
+// transition. The lazy one, which the MAC selects with FilterTransitions,
+// keeps only the blocks in counters: a transition flips the transmitter's
+// bit in a bitset of active SUs or PUs and walks the row, re-encoded by the
+// network as a bitset over grid rank, ANDed with the few nodes whose
+// callback would act. The eager path stays as the reference the lazy one is
+// tested against.
 package spectrum
 
 import (
@@ -61,48 +69,50 @@ const (
 //
 // Observer callbacks may reenter the tracker (a resumed node can start a
 // transmission, which registers a new transmitter). Each mutating call
-// therefore applies all of its counter updates before delivering any
-// callback. The SU walks record crossings in a pooled buffer of their own
-// rather than shared scratch space, and the rows they walk are immutable,
-// which is reentrancy-safe without any copy.
+// therefore applies all of its medium updates before delivering any
+// callback. The eager walks record crossings in a pooled buffer of their
+// own rather than shared scratch space, the lazy walks re-read the live
+// bitsets after every callback, and the rows both walk are immutable, which
+// is reentrancy-safe without any copy.
 type Tracker struct {
 	nw       *netmodel.Network
 	puRange  float64
 	suRange  float64
 	observer Observer
-	busy     []int32
-	pool     [][]int32
+	// busy[id] is id's busy counter. Unfiltered, it counts every active
+	// transmitter within range plus the BlockNode blocks; filtered, it
+	// counts the blocks alone, and the SU and PU terms live in suTx and
+	// puOn.
+	busy []int32
+	pool [][]int32
 
-	// filtered selects the filtered delivery path with lazy primary-user
-	// accounting (see FilterTransitions). The fields below, up to the CSR
-	// tables, serve that path alone.
+	// filtered selects the filtered delivery path with lazy accounting (see
+	// FilterTransitions). The fields below, up to the CSR tables, serve that
+	// path alone.
 	filtered bool
 	// rank[id] is SU id's position in the SU grid's cell order and order
-	// is its inverse: the grid's own geom.Grid.Ranks and Order slices.
-	// Every CSR row is strictly increasing in rank, so visiting the set bits
-	// of a rank bitset in ascending order visits nodes in row order.
+	// is its inverse: the grid's own geom.Grid.Ranks and Order slices. A
+	// rank bit maps back to its node through order.
 	rank  []int32
 	order []int32
 	// elig holds the eligibility marks the observer writes (see
 	// Eligibility).
 	// suTx is a rank bitset of the registered SU transmitters, and nSuTx
-	// counts them so an empty medium skips the arrival scan outright.
+	// counts them so an empty medium skips the SU term and the arrival scan
+	// outright.
 	elig  Eligibility
 	suTx  []uint64
 	nSuTx int
-	// puRows[i*w:(i+1)*w] is PU i's CSR row as a rank bitset, and words
-	// puSpan[2i] up to puSpan[2i+1] are the ones it touches.
-	// puMask[id*m:(id+1)*m] holds the primary users whose protection range
-	// covers SU id, and puOn the active ones (m = len(puOn) words). The PU
-	// bitsets are built with the PU table on the first toggle; until then
-	// puOn is empty and no primary user covers any node.
-	puRows []uint64
-	puSpan []int32
-	puMask []uint64
+	// suBits and puBits are the network's rank-bitset encodings of the SU
+	// and PU tables, fetched on the first SU and PU toggle. puOn is a bitset
+	// of the active primary users (puBits.CoverWords words); until the first
+	// PU toggle it is empty and no primary user covers any node.
+	suBits *netmodel.RankBits
+	puBits *netmodel.RankBits
 	puOn   []uint64
 
-	// suTable and puTable are the CSR neighbor tables behind the indexed
-	// fast path, fetched lazily from the network on first use.
+	// suTable and puTable are the CSR neighbor tables behind the eager
+	// path, fetched lazily from the network on first use.
 	suTable *netmodel.CSRTable
 	puTable *netmodel.CSRTable
 }
@@ -123,8 +133,8 @@ func NewTracker(nw *netmodel.Network, puRange, suRange float64, observer Observe
 // backing array whose capacity still fits. The filter resets to its
 // default (re-install it as after NewTracker). A renewed tracker is
 // observationally identical to a fresh one: counters and the filtered
-// path's bitsets restart from zero, and the CSR tables are re-fetched from
-// the network on next use.
+// path's bitsets restart from zero, and the network's tables are re-fetched
+// on next use.
 func (t *Tracker) Renew(nw *netmodel.Network, puRange, suRange float64, observer Observer) error {
 	if puRange <= 0 || suRange <= 0 {
 		return fmt.Errorf("spectrum: sensing ranges must be positive, got pu=%v su=%v", puRange, suRange)
@@ -142,6 +152,8 @@ func (t *Tracker) Renew(nw *netmodel.Network, puRange, suRange float64, observer
 	t.filtered = false
 	t.nSuTx = 0
 	t.puOn = t.puOn[:0]
+	t.suBits = nil
+	t.puBits = nil
 	t.suTable = nil
 	t.puTable = nil
 	return nil
@@ -165,58 +177,49 @@ func zeroed[T any](s []T, n int) []T {
 // The observer must keep each mark equal to "would my callback do anything
 // for this node right now?" at every point a callback could fire — for the
 // MAC that means one Eligibility.Set on every state write that changes the
-// answer — and PUArrived must be a no-op for every non-transmitting node
-// (true for the MAC, whose only response is the spectrum handoff abort).
-// Under that contract the skipped calls are exactly the callbacks that
-// would have returned immediately, so results are bit-identical while a
-// transition stops paying one interface call per indifferent neighbor.
-// Every mark starts cleared. false restores unconditional delivery — the
-// default, and what recording observers (tests, tracing) need.
+// answer — SpectrumBusy must not mutate the tracker, and PUArrived must be a
+// no-op for every non-transmitting node (all true for the MAC, whose only
+// responses are a freeze and the spectrum handoff abort). Under that
+// contract the skipped calls are exactly the callbacks that would have
+// returned immediately, so results are bit-identical while a transition
+// stops paying one interface call per indifferent neighbor. Every mark
+// starts cleared. false restores unconditional delivery — the default, and
+// what recording observers (tests, tracing) need.
 //
-// With the filter on, primary users switch to lazy accounting: a PU toggle
-// flips the user's bit in puOn instead of touching the busy counters, and
-// walks only the row's bits that are also eligible (see addPULazy). Call
-// it before the simulation starts: the representations must not change
-// under registered transmitters.
+// With the filter on, transmitters switch to lazy accounting: an SU or PU
+// toggle flips the transmitter's bit in suTx or puOn instead of touching
+// the busy counters, and walks only the bits of its row that are also
+// eligible (see walk). A node's medium is then busy iff it is blocked, an
+// active SU transmitter other than itself has it in range, or an active PU
+// covers it. An SU must not be registered twice at once. Call it before
+// the simulation starts: the representations must not change under
+// registered transmitters.
 func (t *Tracker) FilterTransitions(on bool) {
 	t.filtered = on
 	t.puOn = t.puOn[:0]
+	t.nSuTx = 0
 	if !on {
 		return
 	}
-	nn := t.nw.NumNodes()
-	w := (nn + 63) / 64
+	w := (t.nw.NumNodes() + 63) / 64
 	t.elig = Eligibility{
-		rank:  t.rank,
-		busy:  zeroed(t.elig.busy, w),
-		free:  zeroed(t.elig.free, w),
-		flags: zeroed(t.elig.flags, nn),
+		rank: t.rank,
+		busy: zeroed(t.elig.busy, w),
+		free: zeroed(t.elig.free, w),
 	}
 	t.suTx = zeroed(t.suTx, w)
-	t.nSuTx = 0
 }
 
 // Eligibility holds what an observer keeps current under
 // FilterTransitions(true): whether SpectrumBusy, and whether SpectrumFree,
 // would act on each node. The observer writes it directly — one Set per
 // state change, with no call into the tracker — and the tracker reads it in
-// its walks. Each answer is stored twice, as a bit of a rank bitset for
-// the PU walks, which skip whole words of them, and as a bit of a per-node
-// byte for the SU walks, which probe every entry of a row and would
-// otherwise pay a rank lookup per entry.
+// its walks. Each answer is a bit of a rank bitset, which the walks AND
+// with a transmitter's row a word at a time.
 type Eligibility struct {
 	rank       []int32
 	busy, free []uint64
-	// flags[id] has eligBusy and eligFree set like id's bits in busy and
-	// free.
-	flags []uint8
 }
-
-// Eligibility.flags bits.
-const (
-	eligBusy uint8 = 1 << iota
-	eligFree
-)
 
 // Eligibility returns the tracker's eligibility bitsets. The value stays
 // valid until the next FilterTransitions or Renew.
@@ -228,25 +231,56 @@ func (e *Eligibility) Set(node int32, busy, free bool) {
 	r := e.rank[node]
 	w, bit := r>>6, uint64(1)<<(r&63)
 	b, f := e.busy[w]&^bit, e.free[w]&^bit
-	var fl uint8
 	if busy {
 		b |= bit
-		fl = eligBusy
 	}
 	if free {
 		f |= bit
-		fl |= eligFree
 	}
-	e.busy[w], e.free[w], e.flags[node] = b, f, fl
+	e.busy[w], e.free[w] = b, f
+}
+
+// suCount returns how many registered SU transmitters other than node
+// itself have node in range (lazy path): by symmetry, the transmitters in
+// node's own row.
+func (t *Tracker) suCount(node int32) int {
+	if t.nSuTx == 0 {
+		return 0
+	}
+	b := t.suBits
+	row := b.Rows[int(node)*b.Words:]
+	c := 0
+	for k := b.Span[2*node]; k < b.Span[2*node+1]; k++ {
+		c += bits.OnesCount64(row[k] & t.suTx[k])
+	}
+	return c
+}
+
+// suNear reports whether suCount(node) > 0.
+func (t *Tracker) suNear(node int32) bool {
+	if t.nSuTx == 0 {
+		return false
+	}
+	b := t.suBits
+	row := b.Rows[int(node)*b.Words:]
+	for k := b.Span[2*node]; k < b.Span[2*node+1]; k++ {
+		if row[k]&t.suTx[k] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // puNear reports whether any active primary user covers node (lazy path).
 func (t *Tracker) puNear(node int32) bool {
 	on := t.puOn
-	if len(on) == 1 {
-		return t.puMask[node]&on[0] != 0
+	if len(on) == 0 {
+		return false
 	}
-	mask := t.puMask[int(node)*len(on):]
+	mask := t.puBits.Cover[int(node)*len(on):]
+	if len(on) == 1 {
+		return mask[0]&on[0] != 0
+	}
 	for w, x := range on {
 		if mask[w]&x != 0 {
 			return true
@@ -256,19 +290,22 @@ func (t *Tracker) puNear(node int32) bool {
 }
 
 // puCount returns how many active primary users cover node (lazy path).
-func (t *Tracker) puCount(node int32) int32 {
+func (t *Tracker) puCount(node int32) int {
 	on := t.puOn
-	mask := t.puMask[int(node)*len(on):]
+	if len(on) == 0 {
+		return 0
+	}
+	mask := t.puBits.Cover[int(node)*len(on):]
 	c := 0
 	for w, x := range on {
 		c += bits.OnesCount64(mask[w] & x)
 	}
-	return int32(c)
+	return c
 }
 
 // Busy reports whether node currently senses the spectrum busy.
 func (t *Tracker) Busy(node int32) bool {
-	return t.busy[node] > 0 || t.puNear(node)
+	return t.busy[node] > 0 || t.puNear(node) || t.suNear(node)
 }
 
 // PURange returns the primary-protection sensing range.
@@ -313,39 +350,10 @@ func (t *Tracker) puTab() *netmodel.CSRTable {
 	return t.puTable
 }
 
-// buildPUBits fills the lazy path's PU bitsets from the PU table.
-func (t *Tracker) buildPUBits() {
-	tab := t.puTab()
-	np := tab.NumRows()
-	w := len(t.suTx)
-	m := (np + 63) / 64
-	t.puRows = zeroed(t.puRows, np*w)
-	t.puSpan = zeroed(t.puSpan, 2*np)
-	t.puMask = zeroed(t.puMask, len(t.rank)*m)
-	for i := range np {
-		row := tab.Row(int32(i))
-		set := t.puRows[i*w : (i+1)*w]
-		prev := int32(-1)
-		for _, id := range row {
-			r := t.rank[id]
-			if r <= prev {
-				panic(fmt.Sprintf("spectrum: PU %d's neighbor row is not in grid rank order", i))
-			}
-			prev = r
-			set[r>>6] |= 1 << (r & 63)
-			t.puMask[int(id)*m+i>>6] |= 1 << (i & 63)
-		}
-		if len(row) > 0 {
-			t.puSpan[2*i] = t.rank[row[0]] >> 6
-			t.puSpan[2*i+1] = prev>>6 + 1
-		}
-	}
-	t.puOn = zeroed(t.puOn, m)
-}
-
 // addNeighbors applies one transmitter registration over an explicit
-// neighbor sequence. nbrs is borrowed, never retained, and never written:
-// CSR rows pass their immutable backing array directly.
+// neighbor sequence on the eager (unfiltered) path. nbrs is borrowed, never
+// retained, and never written: CSR rows pass their immutable backing array
+// directly.
 func (t *Tracker) addNeighbors(nbrs []int32, kind TxKind, exclude int32, now sim.Time) {
 	rose := t.takeBuf()
 	// Phase 1: apply every counter update so the medium state is
@@ -353,61 +361,24 @@ func (t *Tracker) addNeighbors(nbrs []int32, kind TxKind, exclude int32, now sim
 	// counter keep the compiler from re-loading t.busy[node] after the
 	// store (it cannot prove rose does not alias the tracker).
 	busy := t.busy
-	if t.filtered {
-		// With the filter on, record only eligible crossings: delivery
-		// re-checks eligibility anyway, and a node that gains eligibility
-		// between here and delivery can only do so inside a callback of this
-		// batch — none of which (freezes) touch another node's eligibility —
-		// so the thinned buffer drops no delivery.
-		flags := t.elig.flags
-		for _, node := range nbrs {
-			if node == exclude {
-				continue
-			}
-			c := busy[node] + 1
-			busy[node] = c
-			// Under lazy PU accounting `busy` carries only secondary
-			// contributions, so a 0→1 here is a real medium transition only
-			// if no active primary already covers the node. PU bits cannot
-			// change inside this walk (toggles come from model events, never
-			// callbacks), so the check holds through delivery too.
-			if c == 1 && flags[node]&eligBusy != 0 && !t.puNear(node) {
-				rose = append(rose, node)
-			}
+	for _, node := range nbrs {
+		if node == exclude {
+			continue
 		}
-	} else {
-		for _, node := range nbrs {
-			if node == exclude {
-				continue
-			}
-			c := busy[node] + 1
-			busy[node] = c
-			if c == 1 {
-				rose = append(rose, node)
-			}
+		c := busy[node] + 1
+		busy[node] = c
+		if c == 1 {
+			rose = append(rose, node)
 		}
 	}
 	// Phase 2: callbacks (may reenter the tracker). A reentrant call may
 	// have changed a counter again, so re-verify the level each callback
-	// reports; the reentrant call delivered its own transitions. Eligibility
-	// is read per callback, not snapshotted: a reentrant state change keeps
-	// the marks current.
-	if t.filtered {
-		flags := t.elig.flags
-		for _, node := range rose {
-			if flags[node]&eligBusy != 0 && busy[node] > 0 {
-				t.observer.SpectrumBusy(node, now)
-			}
-		}
-	} else {
-		for _, node := range rose {
-			if busy[node] > 0 {
-				t.observer.SpectrumBusy(node, now)
-			}
+	// reports; the reentrant call delivered its own transitions.
+	for _, node := range rose {
+		if busy[node] > 0 {
+			t.observer.SpectrumBusy(node, now)
 		}
 	}
-	// Filtered trackers route primary users through addPULazy, so a PU
-	// registration here is always delivered unfiltered.
 	if kind == TxPU {
 		for _, node := range nbrs {
 			if node != exclude {
@@ -422,141 +393,137 @@ func (t *Tracker) addNeighbors(nbrs []int32, kind TxKind, exclude int32, now sim
 func (t *Tracker) removeNeighbors(nbrs []int32, now sim.Time, exclude int32) {
 	fell := t.takeBuf()
 	busy := t.busy
-	if t.filtered {
-		// Filtered recording, mirroring addNeighbors: a node that becomes
-		// free-eligible during this batch's callbacks froze against a medium
-		// those same callbacks made busy, so its delivery-time level check
-		// (busy == 0) fails regardless — skipping it here changes nothing.
-		flags := t.elig.flags
-		for _, node := range nbrs {
-			if node == exclude {
-				continue
-			}
-			c := busy[node] - 1
-			busy[node] = c
-			if c <= 0 {
-				if c < 0 {
-					panic(fmt.Sprintf("spectrum: negative busy count at node %d", node))
-				}
-				if flags[node]&eligFree != 0 && !t.puNear(node) {
-					fell = append(fell, node)
-				}
-			}
+	for _, node := range nbrs {
+		if node == exclude {
+			continue
 		}
-		for _, node := range fell {
-			if flags[node]&eligFree != 0 && busy[node] == 0 {
-				t.observer.SpectrumFree(node, now)
+		c := busy[node] - 1
+		busy[node] = c
+		if c <= 0 {
+			if c < 0 {
+				panic(fmt.Sprintf("spectrum: negative busy count at node %d", node))
 			}
+			fell = append(fell, node)
 		}
-	} else {
-		for _, node := range nbrs {
-			if node == exclude {
-				continue
-			}
-			c := busy[node] - 1
-			busy[node] = c
-			if c <= 0 {
-				if c < 0 {
-					panic(fmt.Sprintf("spectrum: negative busy count at node %d", node))
-				}
-				fell = append(fell, node)
-			}
-		}
-		for _, node := range fell {
-			// Re-verify: a reentrant registration during an earlier callback
-			// may have re-raised this node's counter.
-			if busy[node] == 0 {
-				t.observer.SpectrumFree(node, now)
-			}
+	}
+	for _, node := range fell {
+		// Re-verify: a reentrant registration during an earlier callback
+		// may have re-raised this node's counter.
+		if busy[node] == 0 {
+			t.observer.SpectrumFree(node, now)
 		}
 	}
 	t.putBuf(fell)
 }
 
-// AddSUTransmitter registers secondary node id as an active transmitter
-// (the node's own counter is excluded). This is the indexed fast path: it
-// walks id's precomputed CSR row.
-func (t *Tracker) AddSUTransmitter(id int32, now sim.Time) {
-	if t.filtered {
-		r := t.rank[id]
-		if w, bit := r>>6, uint64(1)<<(r&63); t.suTx[w]&bit == 0 {
-			t.suTx[w] |= bit
-			t.nSuTx++
+// walk calls visit for every node whose bit is set both in source i's row
+// of b and in set, in ascending rank order — which is the CSR row's own
+// order. The word of set under the walk is re-read above the current bit
+// after every visit, so a bit a callback flips for a later node is seen
+// exactly as a per-node read on a row walk would see it.
+func (t *Tracker) walk(b *netmodel.RankBits, i int32, set []uint64, visit func(node int32)) {
+	row := b.Rows[int(i)*b.Words:]
+	order := t.order
+	for k := b.Span[2*i]; k < b.Span[2*i+1]; k++ {
+		for x := row[k] & set[k]; x != 0; {
+			bit := bits.TrailingZeros64(x)
+			visit(order[int(k)<<6|bit])
+			x = row[k] & set[k] & (^uint64(0) << (bit + 1))
 		}
 	}
-	t.addNeighbors(t.suRow(id), TxSU, id, now)
 }
 
-// RemoveSUTransmitter reverses AddSUTransmitter.
-func (t *Tracker) RemoveSUTransmitter(id int32, now sim.Time) {
-	if t.filtered {
-		r := t.rank[id]
-		if w, bit := r>>6, uint64(1)<<(r&63); t.suTx[w]&bit != 0 {
-			t.suTx[w] &^= bit
-			t.nSuTx--
-		}
+// AddSUTransmitter registers secondary node id as an active transmitter
+// (the node's own counter is excluded). Unfiltered, it walks id's CSR row
+// eagerly; filtered, it sets id's suTx bit and visits only the row's
+// busy-eligible nodes — at n = 300 a handful out of ~100. That is
+// bit-identical to the eager walk: a skipped node is exactly one whose
+// callback would have returned immediately, the visits keep row order, and
+// since SpectrumBusy callbacks never mutate the tracker under the filter
+// contract, a visited node's medium crossed 0→1 exactly when it is
+// unblocked, uncovered by active PUs and id is its only active SU in range.
+func (t *Tracker) AddSUTransmitter(id int32, now sim.Time) {
+	if !t.filtered {
+		t.addNeighbors(t.suRow(id), TxSU, id, now)
+		return
 	}
-	t.removeNeighbors(t.suRow(id), now, id)
+	r := t.rank[id]
+	w, bit := r>>6, uint64(1)<<(r&63)
+	if t.suTx[w]&bit != 0 {
+		panic(fmt.Sprintf("spectrum: SU %d registered twice", id))
+	}
+	t.suTx[w] |= bit
+	t.nSuTx++
+	b := t.suRowBits()
+	busy := t.busy
+	t.walk(b, id, t.elig.busy, func(node int32) {
+		if busy[node] == 0 && !t.puNear(node) && t.suCount(node) == 1 {
+			t.observer.SpectrumBusy(node, now)
+		}
+	})
+}
+
+// RemoveSUTransmitter reverses AddSUTransmitter, visiting the row's
+// free-eligible nodes on the filtered path.
+func (t *Tracker) RemoveSUTransmitter(id int32, now sim.Time) {
+	if !t.filtered {
+		t.removeNeighbors(t.suRow(id), now, id)
+		return
+	}
+	r := t.rank[id]
+	w, bit := r>>6, uint64(1)<<(r&63)
+	if t.suTx[w]&bit == 0 {
+		panic(fmt.Sprintf("spectrum: SU %d is not registered", id))
+	}
+	t.suTx[w] &^= bit
+	t.nSuTx--
+	t.walkFree(t.suBits, id, now)
+}
+
+// suRowBits returns the SU table's rank bitsets, fetching them from the
+// network on first use.
+func (t *Tracker) suRowBits() *netmodel.RankBits {
+	if t.suBits == nil {
+		b, err := t.nw.SUNeighborBits(t.suRange)
+		if err != nil {
+			panic(fmt.Sprintf("spectrum: SU neighbor table: %v", err))
+		}
+		t.suBits = b
+	}
+	return t.suBits
+}
+
+// puRowBits returns the PU table's rank bitsets, fetching them from the
+// network and sizing puOn on the first PU toggle.
+func (t *Tracker) puRowBits() *netmodel.RankBits {
+	if len(t.puOn) == 0 {
+		b, err := t.nw.PUNeighborBits(t.puRange)
+		if err != nil {
+			panic(fmt.Sprintf("spectrum: PU neighbor table: %v", err))
+		}
+		t.puBits = b
+		t.puOn = zeroed(t.puOn, b.CoverWords)
+	}
+	return t.puBits
 }
 
 // AddPUTransmitter registers primary user i as an active transmitter,
 // delivering PUArrived to every secondary node within the protection range.
+// Filtered, it sets i's bit in puOn and visits only the row's busy-eligible
+// nodes and, for the handoff, its registered SU transmitters; like the
+// lazy SU walk, a visited node crossed 0→1 exactly when i is the only
+// active contribution to its medium. Double-registration bookkeeping is
+// the caller's: the PU models strictly alternate add/remove per user.
 func (t *Tracker) AddPUTransmitter(i int32, now sim.Time) {
-	if t.filtered {
-		t.addPULazy(i, now)
+	if !t.filtered {
+		t.addNeighbors(t.puTab().Row(i), TxPU, -1, now)
 		return
 	}
-	t.addNeighbors(t.puTab().Row(i), TxPU, -1, now)
-}
-
-// RemovePUTransmitter reverses AddPUTransmitter.
-func (t *Tracker) RemovePUTransmitter(i int32, now sim.Time) {
-	if t.filtered {
-		t.removePULazy(i, now)
-		return
-	}
-	t.removeNeighbors(t.puTab().Row(i), now, -1)
-}
-
-// walkPU calls visit for every node whose bit is set both in PU i's row and
-// in set, in ascending rank order — which is the CSR row's own order. The
-// word of set under the walk is re-read above the current bit after every
-// visit, so a bit a callback flips for a later node is seen exactly as a
-// per-node read on a row walk would see it.
-func (t *Tracker) walkPU(i int32, set []uint64, visit func(node int32)) {
-	w := len(set)
-	row := t.puRows[int(i)*w : (int(i)+1)*w]
-	order := t.order
-	lo, hi := t.puSpan[2*i], t.puSpan[2*i+1]
-	for k := lo; k < hi; k++ {
-		for x := row[k] & set[k]; x != 0; {
-			b := bits.TrailingZeros64(x)
-			visit(order[int(k)<<6|b])
-			x = row[k] & set[k] & (^uint64(0) << (b + 1))
-		}
-	}
-}
-
-// addPULazy registers primary user i on the filtered path: it sets i's bit
-// in puOn and visits only the row's busy-eligible nodes and, for the
-// handoff, its registered SU transmitters — at n = 300 a handful out of
-// ~100 covered nodes. Bit-identical to the eager walk: a skipped node is
-// exactly one whose callback would have returned immediately, the visits
-// keep row order, and for an eligible node the split total (busy plus
-// covering active PUs) crosses 0→1 exactly when the eager counter would,
-// since SpectrumBusy callbacks never mutate the tracker under the filter
-// contract. Double-registration bookkeeping is the caller's: the PU models
-// strictly alternate add/remove per user.
-func (t *Tracker) addPULazy(i int32, now sim.Time) {
-	if len(t.puOn) == 0 {
-		t.buildPUBits()
-	}
+	b := t.puRowBits()
 	t.puOn[i>>6] |= 1 << (i & 63)
 	busy := t.busy
-	t.walkPU(i, t.elig.busy, func(node int32) {
-		// The total count crossed 0→1 iff no secondary contribution and i
-		// is the only active PU covering node.
-		if busy[node] == 0 && t.puCount(node) == 1 {
+	t.walk(b, i, t.elig.busy, func(node int32) {
+		if busy[node] == 0 && t.puCount(node) == 1 && !t.suNear(node) {
 			t.observer.SpectrumBusy(node, now)
 		}
 	})
@@ -564,33 +531,43 @@ func (t *Tracker) addPULazy(i int32, now sim.Time) {
 	// second walk so every busy transition lands before any handoff abort
 	// reenters the tracker; an abort clears only its own suTx bit.
 	if t.nSuTx > 0 {
-		t.walkPU(i, t.suTx, func(node int32) { t.observer.PUArrived(node, now) })
+		t.walk(b, i, t.suTx, func(node int32) { t.observer.PUArrived(node, now) })
 	}
 }
 
-// removePULazy reverses addPULazy, visiting the row's free-eligible nodes.
-func (t *Tracker) removePULazy(i int32, now sim.Time) {
-	if len(t.puOn) == 0 {
-		t.buildPUBits()
+// RemovePUTransmitter reverses AddPUTransmitter, visiting the row's
+// free-eligible nodes on the filtered path.
+func (t *Tracker) RemovePUTransmitter(i int32, now sim.Time) {
+	if !t.filtered {
+		t.removeNeighbors(t.puTab().Row(i), now, -1)
+		return
 	}
+	b := t.puRowBits()
 	t.puOn[i>>6] &^= 1 << (i & 63)
+	t.walkFree(b, i, now)
+}
+
+// walkFree delivers SpectrumFree along source i's row of b after its
+// transmitter left the medium: a visited node's medium returned to zero
+// iff it is unblocked and no active SU or PU covers it. A reentrant
+// transmission started by an earlier resume covers later nodes before they
+// are visited, failing this check exactly like the eager delivery
+// re-verify would.
+func (t *Tracker) walkFree(b *netmodel.RankBits, i int32, now sim.Time) {
 	busy := t.busy
-	t.walkPU(i, t.elig.free, func(node int32) {
-		// The total count returned to zero iff both contributions are now
-		// zero. A reentrant AddSUTransmitter from an earlier resume raises
-		// busy before later nodes are visited, failing this check exactly
-		// like the eager delivery re-verify would.
-		if busy[node] == 0 && !t.puNear(node) {
+	t.walk(b, i, t.elig.free, func(node int32) {
+		if busy[node] == 0 && !t.puNear(node) && !t.suNear(node) {
 			t.observer.SpectrumFree(node, now)
 		}
 	})
 }
 
 // BlockNode raises node's busy counter by one without a spatial query; the
-// aggregate PU model uses it to impose a node-local primary blocking period.
+// aggregate PU model and fault bursts use it to impose a node-local
+// blocking period.
 func (t *Tracker) BlockNode(node int32, now sim.Time) {
 	t.busy[node]++
-	if t.busy[node] == 1 && !t.puNear(node) {
+	if t.busy[node] == 1 && !t.puNear(node) && !t.suNear(node) {
 		t.observer.SpectrumBusy(node, now)
 	}
 	t.observer.PUArrived(node, now)
@@ -599,7 +576,7 @@ func (t *Tracker) BlockNode(node int32, now sim.Time) {
 // UnblockNode reverses BlockNode.
 func (t *Tracker) UnblockNode(node int32, now sim.Time) {
 	t.busy[node]--
-	if t.busy[node] == 0 && !t.puNear(node) {
+	if t.busy[node] == 0 && !t.puNear(node) && !t.suNear(node) {
 		t.observer.SpectrumFree(node, now)
 	}
 	if t.busy[node] < 0 {

@@ -44,8 +44,9 @@ func testNetwork(t *testing.T, seed uint64) *netmodel.Network {
 
 // TestTrackersShareNetworkTables: trackers over one network — the channels
 // of a multichannel MAC, a tracker renewed for the next run, one renewed
-// onto a WithParams copy — all walk the CSR tables the network memoizes
-// instead of building their own.
+// onto a WithParams copy — all walk the CSR tables and, filtered, their
+// rank-bitset encodings that the network memoizes instead of building their
+// own.
 func TestTrackersShareNetworkTables(t *testing.T) {
 	nw := testNetwork(t, 21)
 	const puRange, suRange = 25.0, 20.0
@@ -54,6 +55,14 @@ func TestTrackersShareNetworkTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantPU, err := nw.PUNeighborTable(puRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSUBits, err := nw.SUNeighborBits(suRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPUBits, err := nw.PUNeighborBits(puRange)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +87,12 @@ func TestTrackersShareNetworkTables(t *testing.T) {
 			tr.AddPUTransmitter(0, 0)
 			if tr.suTable != wantSU || tr.puTable != wantPU {
 				t.Fatalf("tracker %d walks tables other than the network's memo", c)
+			}
+			tr.FilterTransitions(true)
+			tr.AddSUTransmitter(1, 0)
+			tr.AddPUTransmitter(0, 0)
+			if tr.suBits != wantSUBits || tr.puBits != wantPUBits {
+				t.Fatalf("filtered tracker %d walks bitsets other than the network's memo", c)
 			}
 		}
 	}
@@ -322,9 +337,10 @@ func TestModelKindString(t *testing.T) {
 	}
 }
 
-// BusyCount returns node's current busy counter.
+// BusyCount returns node's total busy count: its counter plus, on the lazy
+// path, the active SU and PU transmitters covering it.
 func (t *Tracker) BusyCount(node int32) int32 {
-	return t.busy[node] + t.puCount(node)
+	return t.busy[node] + int32(t.suCount(node)+t.puCount(node))
 }
 
 // SURange returns the secondary-coordination sensing range.
