@@ -81,9 +81,11 @@ type RankBits struct {
 	// Cover[id*CoverWords:(id+1)*CoverWords] holds, for a PU table, the
 	// primary users whose row contains SU id (bit i for PU i). An SU table
 	// has none: it is symmetric, so row id is already the set of SUs whose
-	// row contains id.
+	// row contains id. Touch[k*CoverWords:(k+1)*CoverWords] holds, for a
+	// PU table, the primary users whose row has a bit in word k.
 	CoverWords int
 	Cover      []uint64
+	Touch      []uint64
 }
 
 // newRankBits encodes tab, whose rows hold indices into ranks, as rank
@@ -125,10 +127,11 @@ func newRankBits(tab *CSRTable, ranks []int32, su bool) (*RankBits, error) {
 		return b, nil
 	}
 	m := (np + 63) / 64
-	b.CoverWords, b.Cover = m, make([]uint64, len(ranks)*m)
+	b.CoverWords, b.Cover, b.Touch = m, make([]uint64, len(ranks)*m), make([]uint64, w*m)
 	for i := range np {
 		for _, id := range tab.Row(int32(i)) {
 			b.Cover[int(id)*m+i>>6] |= 1 << (i & 63)
+			b.Touch[int(ranks[id]>>6)*m+i>>6] |= 1 << (i & 63)
 		}
 	}
 	return b, nil

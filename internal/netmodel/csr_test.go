@@ -423,6 +423,14 @@ func checkRankBits(t *testing.T, tab *CSRTable, ranks []int32, b *RankBits, su b
 			}
 		}
 	}
+	for k := range b.Words {
+		for i := range np {
+			touches := b.Rows[i*b.Words+k] != 0
+			if has(b.Touch[k*m:(k+1)*m], int32(i)) != touches {
+				t.Fatalf("touch of word %d: PU %d bit is %v, want %v", k, i, !touches, touches)
+			}
+		}
+	}
 }
 
 // TestRankBitsRejectsAsymmetricSUTable: the lazy path reads an SU's own row

@@ -24,13 +24,15 @@ type Source struct {
 	pcg  *rand.PCG
 	rnd  *rand.Rand
 
-	// geomQ/geomLogQ memoize the last two Geometric denominators, most
-	// recent miss first: the PU activity processes draw millions of
-	// geometric samples, alternating between p_t and 1−p_t on one stream,
-	// and ln(q) is half the cost of a sample. Reusing a cached value is
-	// bit-identical to recomputing it.
-	geomQ    [2]float64
-	geomLogQ [2]float64
+	// geom memoizes the last two Geometric denominators, and a miss
+	// replaces the older one (geomOld): the PU activity processes draw
+	// millions of geometric samples, alternating between p_t and 1−p_t on
+	// one stream. A miss pays ln(q) and the log formula; later hits look
+	// their draw up in the entry's threshold table (see geomMemo), skipping
+	// math.Log. Entries are replaced in place, so their tables' backing
+	// arrays are reused, and Reseed keeps them: each is a function of q.
+	geom    [2]geomMemo
+	geomOld int
 }
 
 // pcgStream salts the PCG's second state word: the seed is the first word,
@@ -82,8 +84,8 @@ func ChildSeedN(parent uint64, name string, n int) uint64 {
 
 // Reseed re-seeds s in place: afterwards its stream is bit-identical to a
 // freshly built source with the given seed, but no allocation happens. The
-// geometric memo survives — it is keyed by value and recomputing it is
-// bit-identical.
+// geometric memo and its tables survive — they are keyed by value and
+// recomputing them is bit-identical.
 func (s *Source) Reseed(seed uint64) {
 	s.seed = seed
 	s.pcg.Seed(seed, mix(seed, pcgStream))
@@ -162,24 +164,28 @@ func (s *Source) Geometric(p float64) int64 {
 	if p <= 0 {
 		return cap40
 	}
-	// Inverse transform: floor(ln(U) / ln(1-p)) with U in (0,1).
-	u := s.rnd.Float64()
-	for u == 0 {
-		u = s.rnd.Float64()
+	// Inverse transform: floor(ln(U) / ln(1-p)) with U = r·2⁻⁵³ in (0,1),
+	// where r is the PCG word rand.Rand.Float64 would consume.
+	r := s.pcg.Uint64() << 11 >> 11
+	for r == 0 {
+		r = s.pcg.Uint64() << 11 >> 11
 	}
 	q := 1 - p
-	var logQ float64
-	switch q {
-	case s.geomQ[0]:
-		logQ = s.geomLogQ[0]
-	case s.geomQ[1]:
-		logQ = s.geomLogQ[1]
-	default:
-		logQ = math.Log(q)
-		s.geomQ = [2]float64{q, s.geomQ[0]}
-		s.geomLogQ = [2]float64{logQ, s.geomLogQ[0]}
+	m := &s.geom[0]
+	if q != m.q {
+		m = &s.geom[1]
 	}
-	k := int64(math.Log(u) / logQ)
+	if q == m.q {
+		if k, ok := m.lookup(r); ok {
+			return k
+		}
+	} else {
+		m = &s.geom[s.geomOld]
+		s.geomOld ^= 1
+		m.q, m.logQ, m.stepsPerBit, m.t = q, math.Log(q), 0, 1<<53
+		m.bounds = m.bounds[:0]
+	}
+	k := int64(math.Log(float64(r)/(1<<53)) / m.logQ)
 	if k < 0 {
 		k = 0
 	}
@@ -187,4 +193,72 @@ func (s *Source) Geometric(p float64) int64 {
 		k = cap40
 	}
 	return k
+}
+
+// geomMemo is one memoized Geometric denominator q = 1−p with ln q and a
+// table of the inverse transform's thresholds on r. The draw is k exactly
+// when q^(k+1)·2⁵³ < r ≤ q^k·2⁵³, so bounds[k] brackets T = q^(k+1)·2⁵³
+// by [lo, hi]: r > bounds[k].hi and r < bounds[k-1].lo answer k. The
+// bracket is widened by 2⁻³⁰ of T plus two, far more than the formula's
+// rounding (under 2⁻⁴⁴ of T: ln u is within an ulp, |ln u| ≤ 37 and T's
+// k+1 products add an ulp each), so every answer outside the brackets is
+// the formula's. An r inside a bracket or beyond geomTableLen steps falls
+// back to the formula. The table grows lazily, one product per new step.
+type geomMemo struct {
+	q, logQ float64
+	// stepsPerBit = −ln 2 / ln q is the run length that halving u adds.
+	// The entry's first hit sets it and still draws by the formula, so an
+	// entry hit only once, as the aggregate model's per-node probabilities
+	// mostly are, builds nothing.
+	stepsPerBit float64
+	// t is the last threshold built, q^len(bounds)·2⁵³.
+	t      float64
+	bounds []geomBound
+}
+
+type geomBound struct{ lo, hi uint64 }
+
+// geomTableLen caps a memo's table: at q = 0.9, the run-length complement
+// of the paper's lowest p_t, a draw passes 64 steps with probability 0.1%.
+const geomTableLen = 64
+
+// lookup returns the draw for r, or false when the formula must decide.
+// It starts from an estimate that the chord under log₂ on each octave of r
+// keeps at or above the draw and, for q ≤ 0.9, at most one above it.
+func (m *geomMemo) lookup(r uint64) (int64, bool) {
+	if m.stepsPerBit == 0 {
+		m.stepsPerBit = -math.Ln2 / m.logQ
+		return 0, false
+	}
+	b := math.Float64bits(float64(r))
+	e := int(b>>52) - 1023                        // ⌊log₂ r⌋
+	f := float64(b&(1<<52-1)) * 0x1p-52           // r/2^e − 1 ≤ log₂(r/2^e)
+	k := int((float64(53-e) - f) * m.stepsPerBit) // ≥ ⌊ln u / ln q⌋
+	if uint(k) >= geomTableLen {
+		return 0, false
+	}
+	for len(m.bounds) <= k {
+		m.grow()
+	}
+	if r <= m.bounds[k].hi {
+		return 0, false // in the bracket, or the estimate fell short
+	}
+	for ; k > 0; k-- {
+		t := m.bounds[k-1]
+		if r < t.lo {
+			return int64(k), true
+		}
+		if r <= t.hi {
+			return 0, false
+		}
+	}
+	return 0, true
+}
+
+// grow appends the bracket of the next threshold.
+func (m *geomMemo) grow() {
+	m.t *= m.q
+	t := m.t
+	band := t*0x1p-30 + 2
+	m.bounds = append(m.bounds, geomBound{lo: uint64(max(t-band, 0)), hi: uint64(t+band) + 1})
 }

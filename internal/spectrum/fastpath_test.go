@@ -1,6 +1,7 @@
 package spectrum
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -277,5 +278,76 @@ func TestIndexedPathReentrancy(t *testing.T) {
 	}
 	if !anyBusy {
 		t.Fatal("reentrant AddSUTransmitter left no busy counters")
+	}
+}
+
+// BenchmarkPUFreeWalk measures the free walk of a filtered PU removal at
+// the n = 300 scaled operating point: every node in the leaving PU's row
+// is frozen (free-eligible), about half of them stay covered by a second
+// active PU, and two SUs outside the row transmit, so each remaining node
+// pays the SU check. One op is an add/remove pair of the first PU; the
+// add visits nothing (no node is busy-eligible), so the removal's walk is
+// the cost measured.
+func BenchmarkPUFreeWalk(b *testing.B) {
+	p := netmodel.ScaledDefaultParams()
+	nw, err := netmodel.Deploy(p, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	consts, err := pcr.Compute(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	obs := &countingObserver{}
+	tr, err := NewTracker(nw, consts.Range, consts.Range, obs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr.FilterTransitions(true)
+	tab, err := nw.PUNeighborTable(consts.Range)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The pair (leaving, staying) whose rows' overlap is closest to half
+	// of the leaving PU's row.
+	leaving, staying, best := int32(-1), int32(-1), 2.0
+	for i := range int32(len(nw.PU)) {
+		in := map[int32]bool{}
+		for _, v := range tab.Row(i) {
+			in[v] = true
+		}
+		for j := range int32(len(nw.PU)) {
+			shared := 0
+			for _, v := range tab.Row(j) {
+				if in[v] {
+					shared++
+				}
+			}
+			if d := math.Abs(float64(shared)/float64(len(in)) - 0.5); j != i && len(in) > 0 && d < best {
+				leaving, staying, best = i, j, d
+			}
+		}
+	}
+	elig := tr.Eligibility()
+	inRow := map[int32]bool{}
+	for _, v := range tab.Row(leaving) {
+		elig.Set(v, false, true)
+		inRow[v] = true
+	}
+	for v, sent := int32(1), 0; sent < 2; v++ {
+		if !inRow[v] {
+			tr.AddSUTransmitter(v, 0)
+			sent++
+		}
+	}
+	tr.AddPUTransmitter(staying, 0)
+	b.ResetTimer()
+	for range b.N {
+		tr.AddPUTransmitter(leaving, 0)
+		tr.RemovePUTransmitter(leaving, 0)
+	}
+	b.StopTimer()
+	if obs.free == 0 {
+		b.Fatal("no SpectrumFree delivered; the walk is vacuous")
 	}
 }

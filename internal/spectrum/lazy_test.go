@@ -112,11 +112,15 @@ func (o chanObserver) PUArrived(node int32, now sim.Time) {
 	m.endTx(node, now)
 }
 
-// contractRun is the observable outcome of one scripted run.
+// contractRun is the observable outcome of one scripted run. covered[w]
+// counts the free-eligible nodes a PU removal leaves covered by another
+// active PU on that channel whose bit lies in puOn word w: the nodes the
+// lazy free walk's cover mask skips.
 type contractRun struct {
-	log    []contractEvent
-	counts [][]int32
-	states []uint8
+	log     []contractEvent
+	counts  [][]int32
+	states  []uint8
+	covered [2]int
 }
 
 // runContractScript plays ops on channels trackers over nw, filtered (lazy
@@ -141,6 +145,12 @@ func runContractScript(t testing.TB, nw *netmodel.Network, puRange, suRange floa
 	}
 	puOn := make([]bool, channels*np)
 	blocks := make([]int8, channels*nn)
+	puTab, err := nw.PUNeighborTable(puRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cover := make([][2]int, channels*nn) // active PUs per channel, node and puOn word
+	var covered [2]int
 	now := sim.Time(0)
 	for k := 0; k+1 < len(ops); k += 2 {
 		now++
@@ -151,9 +161,23 @@ func runContractScript(t testing.TB, nw *netmodel.Network, puRange, suRange floa
 			switch on := &puOn[c*np+int(i)]; {
 			case *on:
 				*on = false
+				for _, v := range puTab.Row(i) {
+					cv := &cover[c*nn+int(v)]
+					cv[i>>6]--
+					if s := m.st[v]; m.ch(v) == c && (s == stFrozen || s == stAwaiting) {
+						for w, n := range cv {
+							if n > 0 {
+								covered[w]++
+							}
+						}
+					}
+				}
 				m.trs[c].RemovePUTransmitter(i, now)
 			case b0&0x80 != 0:
 				*on = true
+				for _, v := range puTab.Row(i) {
+					cover[c*nn+int(v)][i>>6]++
+				}
 				m.trs[c].AddPUTransmitter(i, now)
 			}
 			continue
@@ -194,7 +218,7 @@ func runContractScript(t testing.TB, nw *netmodel.Network, puRange, suRange floa
 		}
 		m.log = append(m.log, contractEvent{what: 'S', node: v, ch: m.ch(v), state: m.st[v]})
 	}
-	run := contractRun{log: m.log, states: m.st}
+	run := contractRun{log: m.log, states: m.st, covered: covered}
 	for _, tr := range m.trs {
 		counts := make([]int32, nn)
 		for v := range counts {
@@ -252,28 +276,71 @@ func checkLazyMatchesEager(t testing.TB, np, channels int, seed uint64, ops []by
 // lazy SU and PU paths: randomized add/remove and block/unblock scripts,
 // with reentrant transmissions and handoff aborts inside the walks, at
 // C ∈ {1, 4} and N ∈ {8, 100} (N = 100 needs two mask words per node).
+// The scripts must reach every acting callback and the free walk's cover
+// skip: a PU leaving while a free-eligible node in its row stays covered
+// by another active PU, from each puOn word.
 func TestLazyPathMatchesEager(t *testing.T) {
 	for _, channels := range []int{1, 4} {
 		for _, np := range []int{8, 100} {
 			t.Run(fmt.Sprintf("C%d_N%d", channels, np), func(t *testing.T) {
 				kinds := map[byte]int{}
+				var covered [2]int
 				for seed := uint64(1); seed <= 3; seed++ {
 					src := rng.New(seed)
 					ops := make([]byte, 8000)
 					for i := range ops {
 						ops[i] = byte(src.Intn(256))
 					}
-					for _, e := range checkLazyMatchesEager(t, np, channels, seed, ops).log {
+					run := checkLazyMatchesEager(t, np, channels, seed, ops)
+					for _, e := range run.log {
 						kinds[e.what]++
 					}
+					covered[0] += run.covered[0]
+					covered[1] += run.covered[1]
 				}
 				for _, k := range []byte{'B', 'F', 'A', 'K', 'U'} {
 					if kinds[k] == 0 {
 						t.Fatalf("no %q events; the script is vacuous (%v)", k, kinds)
 					}
 				}
+				if covered[0] == 0 || np > 64 && covered[1] == 0 {
+					t.Fatalf("PU removals left %v free-eligible nodes covered by another PU per puOn word; the cover skip is untested", covered)
+				}
 			})
 		}
+	}
+}
+
+// TestFreeWalkBeforeAnyPU: an SU transmission can end before any PU has
+// toggled, while the tracker holds no PU bitsets yet; its free walk must
+// still resume the neighbor it froze.
+func TestFreeWalkBeforeAnyPU(t *testing.T) {
+	nw, puRange := contractNetwork(t, 8, 1)
+	const suRange = 15
+	obs := &countingObserver{}
+	tr, err := NewTracker(nw, puRange, suRange, obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.FilterTransitions(true)
+	tab, err := nw.SUNeighborTable(suRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := int32(0)
+	for len(tab.Row(v)) < 2 {
+		v++
+	}
+	u := tab.Row(v)[0]
+	if u == v {
+		u = tab.Row(v)[1]
+	}
+	tr.AddSUTransmitter(v, 0)
+	elig := tr.Eligibility()
+	elig.Set(u, false, true)
+	tr.RemoveSUTransmitter(v, 1)
+	if obs.free != 1 {
+		t.Fatalf("ending %d's transmission delivered %d SpectrumFree, want 1 (to %d)", v, obs.free, u)
 	}
 }
 
