@@ -306,6 +306,9 @@ type MAC struct {
 	slot   sim.Time
 	window sim.Time // tau_c in microseconds
 	root   int32
+	// etaSU is the SU SIR threshold η_SU as a linear ratio, the reception
+	// criterion beginTx hands the monitor (a math.Pow, so derived once).
+	etaSU float64
 
 	// Bounded-retry fault machine (zero-valued when Config.Faults is nil).
 	// lossSrc is the "mac/loss" child of Config.Rand: apart from the
@@ -437,6 +440,7 @@ func Renew(prev *MAC, cfg Config) (*MAC, error) {
 	m.slot = sim.FromDuration(cfg.Network.Params.Slot)
 	m.window = window
 	m.root = root
+	m.etaSU = cfg.Network.Params.EtaSU()
 	m.lossSrc, m.retryCap = nil, 0
 	if f := cfg.Faults; f != nil {
 		m.retryCap = f.RetryCap
@@ -718,7 +722,7 @@ func (m *MAC) beginTx(id int32, now sim.Time) {
 		rxPos := m.cfg.Network.SU[m.parent[id]]
 		power := m.cfg.Network.Params.PowerSU
 		n.txToken = mon.AddTransmitterNode(id, selfPos, power)
-		n.rxToken = mon.BeginReceptionNode(m.parent[id], rxPos, id, selfPos, power, m.cfg.Network.Params.EtaSU(), n.txToken)
+		n.rxToken = mon.BeginReceptionNode(m.parent[id], rxPos, id, selfPos, power, m.etaSU, n.txToken)
 	}
 	m.deaf.begin(id, m.parent[id])
 	m.tracker(id).AddSUTransmitter(id, now)

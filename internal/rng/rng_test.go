@@ -227,13 +227,6 @@ func TestIntnAndInt63n(t *testing.T) {
 	}
 }
 
-func TestLogQuotient(t *testing.T) {
-	// ln(0.25)/ln(0.5) = 2.
-	if got := logQuotient(0.25, 0.5); math.Abs(got-2) > 1e-12 {
-		t.Errorf("logQuotient(0.25, 0.5) = %v, want 2", got)
-	}
-}
-
 func TestMixAvalanche(t *testing.T) {
 	// Flipping one input bit should change roughly half the output bits.
 	base := mix(12345, 67890)

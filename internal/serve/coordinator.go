@@ -229,9 +229,11 @@ func (s *Server) mergeShards(j *Job, failedShards int) {
 		j.spans.Emit(trace.SpanEvent{Event: trace.SpanMerged, Attempt: j.Attempts,
 			Detail: fmt.Sprintf("%d entries from %d journals, %d pairs missing", stats.Entries, stats.Journals, len(stats.MissingPairs))})
 	}
+	// As in the single-node path, the outcome is counted before terminate
+	// settles the job.
 	if err != nil {
-		s.terminate(j, StateFailed, trace.SpanFailed, fmt.Sprintf("merge shards: %v", err), nil, false)
 		s.stats.failed.Inc()
+		s.terminate(j, StateFailed, trace.SpanFailed, fmt.Sprintf("merge shards: %v", err), nil, false)
 		return
 	}
 	partial := len(stats.MissingPairs) > 0
@@ -239,8 +241,8 @@ func (s *Server) mergeShards(j *Job, failedShards int) {
 	if partial {
 		errMsg = fmt.Sprintf("serve: partial: %d shards failed, %d (x, rep) pairs missing", failedShards, len(stats.MissingPairs))
 	}
-	s.terminate(j, StateDone, trace.SpanDone, errMsg, res, partial)
 	s.stats.completed.Inc()
+	s.terminate(j, StateDone, trace.SpanDone, errMsg, res, partial)
 	s.log.Info("merge finished", "job_id", j.ID, "client", j.Client, "state", StateDone,
 		"entries", stats.Entries, "missing_pairs", len(stats.MissingPairs))
 }

@@ -689,19 +689,23 @@ func (s *Server) terminate(j *Job, state, spanEvent, errMsg string, res *experim
 		}
 	}
 	j.spans.Emit(trace.SpanEvent{Event: spanEvent, Attempt: j.Attempts, Detail: errMsg})
+	// The histograms record the job before setState publishes its terminal
+	// state, so a scrape that follows a reader seeing the job settled counts
+	// it.
+	finished := time.Now().UnixMilli()
+	if terminalState(state) {
+		if j.StartedAt > 0 && finished >= j.StartedAt {
+			s.stats.execution.Observe(time.Duration(finished-j.StartedAt) * time.Millisecond)
+		}
+		if j.SubmittedAt > 0 && finished >= j.SubmittedAt {
+			s.stats.duration.Observe(time.Duration(finished-j.SubmittedAt) * time.Millisecond)
+		}
+	}
 	s.setState(j, func() {
 		j.State = state
 		j.Error = errMsg
-		j.FinishedAt = time.Now().UnixMilli()
+		j.FinishedAt = finished
 	})
-	if terminalState(state) {
-		if j.StartedAt > 0 && j.FinishedAt >= j.StartedAt {
-			s.stats.execution.Observe(time.Duration(j.FinishedAt-j.StartedAt) * time.Millisecond)
-		}
-		if j.SubmittedAt > 0 && j.FinishedAt >= j.SubmittedAt {
-			s.stats.duration.Observe(time.Duration(j.FinishedAt-j.SubmittedAt) * time.Millisecond)
-		}
-	}
 	level := slog.LevelInfo
 	if state != StateDone {
 		level = slog.LevelWarn

@@ -52,6 +52,44 @@ func spanNames(spans []trace.SpanEvent) []string {
 	return out
 }
 
+// A job's latency histograms count it before its terminal state is
+// published, so a scrape that follows a client seeing the job done (as in
+// TestMetricsGoldenScrape) always includes it. The test holds the job table's
+// lock while a job settles: no reader can see the terminal state, and the
+// histograms must count the job all the same.
+func TestHistogramsCountJobBeforeItSettles(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	j, err := s.Submit(quickSpec(32), "order-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The server is not started, so the job stays queued and this goroutine
+	// settles it.
+	j.StartedAt = j.SubmittedAt
+
+	s.mu.Lock()
+	settled := make(chan struct{})
+	go func() {
+		defer close(settled)
+		s.terminate(j, StateDone, trace.SpanDone, "", nil, false)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.stats.execution.Count() < 1 || s.stats.duration.Count() < 1 {
+		if time.Now().After(deadline) {
+			s.mu.Unlock()
+			<-settled
+			t.Fatal("job not in the latency histograms while its terminal state waits to be published")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.mu.Unlock()
+	<-settled
+
+	if got, _ := s.Job(j.ID); got.State != StateDone {
+		t.Fatalf("job state %q, want %q", got.State, StateDone)
+	}
+}
+
 // The /metrics exposition is golden: it must survive the strict parser and
 // expose every required family with the right type.
 func TestMetricsGoldenScrape(t *testing.T) {

@@ -102,3 +102,119 @@ func TestCancelInertAcrossGenerations(t *testing.T) {
 		t.Fatal("canceled timer reports active")
 	}
 }
+
+// bucketLen returns the number of entries queued in the wheel bucket of
+// time t, walking its list.
+func bucketLen(e *Engine, t Time) int {
+	b := int(t & wheelMask)
+	if !e.occupied(b) {
+		return 0
+	}
+	n := 0
+	for idx := e.buckets[b].head; idx != listEnd; idx = e.arena[idx].next {
+		n++
+	}
+	return n
+}
+
+// TestCancelUnlinksWheelEntries: canceling the head, a middle entry and the
+// tail of multi-entry buckets, a bucket's only entries, and overflow entries
+// after they were spliced into a bucket removes each from the wheel at once
+// (Pending falls, the bucket shrinks, an emptied bucket loses its occupancy
+// bit), and the survivors fire in (time, sequence) order.
+func TestCancelUnlinksWheelEntries(t *testing.T) {
+	e := New()
+	var got []int
+	rec := func(id int) EventFunc { return func(Time) { got = append(got, id) } }
+	cancel := func(tm Timer, at Time, pending, queued int) {
+		t.Helper()
+		tm.Cancel()
+		if p := e.Pending(); p != pending {
+			t.Fatalf("Pending = %d after a cancel, want %d", p, pending)
+		}
+		if n := bucketLen(e, at); n != queued {
+			t.Fatalf("bucket of %d holds %d entries after a cancel, want %d", at, n, queued)
+		}
+	}
+
+	// Bucket 10: ids 0..4; cancel the head, a middle entry and the tail.
+	var ten [5]Timer
+	for i := range ten {
+		ten[i] = e.After(10, rec(i))
+	}
+	// Bucket 20: two entries, both canceled.
+	a, b := e.After(20, rec(10)), e.After(20, rec(11))
+	// Overflow: ids 20..22 due beyond the span, spliced in front of id 23,
+	// which an event at 100 schedules for the same time once the wheel
+	// reaches it. id 20 fires first and cancels the spliced entry behind it
+	// and the wheel entry, leaving id 21.
+	late := Time(wheelSpan + 50)
+	var over [3]Timer
+	var w Timer
+	over[0] = e.After(late, func(now Time) {
+		got = append(got, 20)
+		if n := bucketLen(e, now); n != 3 {
+			t.Fatalf("spliced bucket holds %d entries, want 3", n)
+		}
+		cancel(over[2], now, 2, 2)
+		cancel(w, now, 1, 1)
+	})
+	over[1] = e.After(late, rec(21))
+	over[2] = e.After(late, rec(22))
+	for _, o := range over {
+		if e.arena[o.idx].next != inHeap {
+			t.Fatal("entry due beyond the span is not in the overflow heap")
+		}
+	}
+	e.After(100, func(Time) {
+		got = append(got, 30)
+		w = e.After(late-100, rec(23))
+	})
+
+	cancel(ten[0], 10, 10, 4)
+	cancel(ten[2], 10, 9, 3)
+	cancel(ten[4], 10, 8, 2)
+	cancel(a, 20, 7, 1)
+	cancel(b, 20, 6, 0)
+	if e.occupied(20) {
+		t.Fatal("emptied bucket still marked occupied")
+	}
+	e.Run()
+	want := []int{1, 3, 30, 20, 21}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+}
+
+// TestFreezeChurnKeepsArenaAtLiveSize: a freeze/resume churn — cancel a
+// pending backoff, schedule its replacement — with no event ever fired
+// reuses the canceled entries' slots, so the arena stays at the number of
+// live timers.
+func TestFreezeChurnKeepsArenaAtLiveSize(t *testing.T) {
+	e := New()
+	nop := func(Time) {}
+	const live = 64
+	timers := make([]Timer, live)
+	for j := range timers {
+		timers[j] = e.After(Time(1+j*13%512), nop)
+	}
+	for i := 0; i < 10000; i++ {
+		j := i % live
+		timers[j].Cancel()
+		timers[j] = e.After(Time(1+(i*37)%512), nop)
+	}
+	if n := len(e.arena); n != live {
+		t.Fatalf("arena holds %d slots after the churn, want %d", n, live)
+	}
+	if p := e.Pending(); p != live {
+		t.Fatalf("Pending = %d, want %d", p, live)
+	}
+	if n := e.Run(); n != live {
+		t.Fatalf("Run fired %d events, want %d", n, live)
+	}
+}

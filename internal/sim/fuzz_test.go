@@ -103,6 +103,35 @@ func (s *script) delay() Time {
 // bodies cannot re-arm forever.
 const maxFuzzEvents = 400
 
+// engineSeeds is FuzzEngineOrder's seed corpus. Together the seeds must
+// cancel a non-head bucket entry and an overflow entry spliced into a
+// bucket (FuzzEngineOrder checks), the two unlinks a head-only queue never
+// performs.
+var engineSeeds = [][]byte{
+	{0, 0, 0, 1, 2, 2, 2},
+	{0, 4, 0, 0, 5, 0, 0, 6, 0, 0, 0, 3, 3, 2, 2, 2, 2},
+	{0, 8, 1, 2, 0, 2, 10, 4, 3, 1, 200, 0, 1, 5, 0, 2, 2, 2},
+	{0, 7, 255, 255, 3, 2, 0, 3, 0, 1, 50, 3, 1, 3, 4, 0, 0, 0, 2, 2},
+	{3, 5, 7, 9, 3, 4, 5, 6},
+	// Minimized failures of deliberately broken engines: overflow entries
+	// spliced behind a bucket's wheel entries, a delay of exactly the span
+	// kept on the wheel, and events below the cursor not taken first.
+	[]byte("0102211X1"),
+	[]byte("01272"),
+	[]byte("X19Z0"),
+	// Three entries at time 0, then the middle and the tail are canceled.
+	{0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2},
+	// Two overflow entries due one past the span; a Step splices both into
+	// a bucket and fires the first, whose body cancels the second.
+	{0, 6, 0, 6, 2, 2, 1, 2},
+}
+
+// scriptCover records which kinds of cancel a script performed.
+type scriptCover struct {
+	nonHead bool // a wheel entry behind its bucket's head
+	spliced bool // a wheel entry that was scheduled into the overflow heap
+}
+
 // FuzzEngineOrder runs random scripts against both the engine and refQueue
 // in lockstep: top-level schedules, cancels (of pending, fired and pre-Reset
 // timers), Steps, RunUntil deadlines that stop short of the next event
@@ -110,116 +139,128 @@ const maxFuzzEvents = 400
 // schedule and cancel reentrantly. Every fired event's id and time, the
 // clock and the pending count must match the reference exactly.
 func FuzzEngineOrder(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 1, 2, 2, 2})
-	f.Add([]byte{0, 4, 0, 0, 5, 0, 0, 6, 0, 0, 0, 3, 3, 2, 2, 2, 2})
-	f.Add([]byte{0, 8, 1, 2, 0, 2, 10, 4, 3, 1, 200, 0, 1, 5, 0, 2, 2, 2})
-	f.Add([]byte{0, 7, 255, 255, 3, 2, 0, 3, 0, 1, 50, 3, 1, 3, 4, 0, 0, 0, 2, 2})
-	f.Add([]byte{3, 5, 7, 9, 3, 4, 5, 6})
-	// Minimized failures of deliberately broken engines: overflow entries
-	// spliced behind a bucket's wheel entries, a delay of exactly the span
-	// kept on the wheel, and events below the cursor not taken first.
-	f.Add([]byte("0102211X1"))
-	f.Add([]byte("01272"))
-	f.Add([]byte("X19Z0"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 512 {
-			data = data[:512]
-		}
-		s := &script{b: data}
-		e := New()
-		ref := newRefQueue()
-		var timers []Timer
-		created := 0
+	var cov scriptCover
+	for _, seed := range engineSeeds {
+		f.Add(seed)
+		c := runEngineScript(f, seed)
+		cov.nonHead = cov.nonHead || c.nonHead
+		cov.spliced = cov.spliced || c.spliced
+	}
+	if !cov.nonHead || !cov.spliced {
+		f.Fatalf("seed scripts cancel a non-head bucket entry: %v, a spliced overflow entry: %v; want both", cov.nonHead, cov.spliced)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { runEngineScript(t, data) })
+}
 
-		var schedule func(d Time)
-		body := func(id int) EventFunc {
-			return func(now Time) {
-				ev, ok := ref.pop()
-				if !ok || ev.id != id || ev.at != now {
-					t.Fatalf("engine fired id %d at %d; reference wants %+v (ok=%v)", id, now, ev, ok)
-				}
-				switch s.byte() % 4 {
-				case 1:
-					schedule(s.delay())
-				case 2:
-					if len(timers) > 0 {
-						id := int(s.byte()) % len(timers)
-						timers[id].Cancel()
-						ref.cancel(id)
-					}
-				case 3:
-					schedule(s.delay())
-					schedule(s.delay())
-				}
-			}
-		}
-		schedule = func(d Time) {
-			if created >= maxFuzzEvents {
-				return
-			}
-			created++
-			id := len(timers)
-			ref.schedule(e.Now()+d, id)
-			timers = append(timers, e.After(d, body(id)))
-		}
-		check := func(op string) {
-			t.Helper()
-			if e.Now() != ref.now {
-				t.Fatalf("after %s: clock %d, reference %d", op, e.Now(), ref.now)
-			}
-			if got, want := e.Pending(), len(ref.live); got != want {
-				t.Fatalf("after %s: %d pending, reference %d", op, got, want)
-			}
-		}
+// runEngineScript runs one FuzzEngineOrder script and reports the kinds of
+// cancel it performed.
+func runEngineScript(t testing.TB, data []byte) (cov scriptCover) {
+	if len(data) > 512 {
+		data = data[:512]
+	}
+	s := &script{b: data}
+	e := New()
+	ref := newRefQueue()
+	var timers []Timer
+	var overflowed []bool // by id: the timer's entry was scheduled into the heap
+	created := 0
 
-		for len(s.b) > 0 {
-			switch s.byte() % 6 {
-			case 0:
-				schedule(s.delay())
-				check("schedule")
+	cancel := func(id int) {
+		tm := timers[id]
+		if en := &e.arena[tm.idx]; tm.Active() && en.next != inHeap {
+			cov.nonHead = cov.nonHead || e.buckets[en.at&wheelMask].head != tm.idx
+			cov.spliced = cov.spliced || overflowed[id]
+		}
+		tm.Cancel()
+		ref.cancel(id)
+	}
+	var schedule func(d Time)
+	body := func(id int) EventFunc {
+		return func(now Time) {
+			ev, ok := ref.pop()
+			if !ok || ev.id != id || ev.at != now {
+				t.Fatalf("engine fired id %d at %d; reference wants %+v (ok=%v)", id, now, ev, ok)
+			}
+			switch s.byte() % 4 {
 			case 1:
-				if len(timers) > 0 {
-					id := int(s.byte()) % len(timers)
-					timers[id].Cancel()
-					ref.cancel(id)
-				}
-				check("cancel")
+				schedule(s.delay())
 			case 2:
-				want := ref.next() >= 0
-				if got := e.Step(); got != want {
-					t.Fatalf("Step = %v, reference has an event: %v", got, want)
+				if len(timers) > 0 {
+					cancel(int(s.byte()) % len(timers))
 				}
-				check("Step")
 			case 3:
-				deadline := ref.now + s.delay()
-				e.RunUntil(deadline)
-				if e.Now() > deadline {
-					t.Fatalf("RunUntil(%d) moved the clock to %d", deadline, e.Now())
-				}
-				if i := ref.next(); i >= 0 && ref.evs[i].at <= deadline {
-					t.Fatalf("RunUntil(%d) left event %+v due", deadline, ref.evs[i])
-				}
-				check("RunUntil")
-			case 4:
-				// Schedule just past the clock: after a RunUntil that
-				// stopped short, this lands below the wheel's cursor.
-				schedule(Time(s.byte() % 4))
-				check("schedule below cursor")
-			case 5:
-				if s.byte()%4 != 0 {
-					continue
-				}
-				e.Reset()
-				*ref = *newRefQueue()
-				// Handles issued before the Reset stay in timers: canceling
-				// them must not touch the events scheduled after it.
-				check("Reset")
+				schedule(s.delay())
+				schedule(s.delay())
 			}
 		}
-		e.Run()
-		if i := ref.next(); i >= 0 {
-			t.Fatalf("Run returned with reference event %+v pending", ref.evs[i])
+	}
+	schedule = func(d Time) {
+		if created >= maxFuzzEvents {
+			return
 		}
-		check("Run")
-	})
+		created++
+		id := len(timers)
+		ref.schedule(e.Now()+d, id)
+		tm := e.After(d, body(id))
+		timers = append(timers, tm)
+		overflowed = append(overflowed, e.arena[tm.idx].next == inHeap)
+	}
+	check := func(op string) {
+		t.Helper()
+		if e.Now() != ref.now {
+			t.Fatalf("after %s: clock %d, reference %d", op, e.Now(), ref.now)
+		}
+		if got, want := e.Pending(), len(ref.live); got != want {
+			t.Fatalf("after %s: %d pending, reference %d", op, got, want)
+		}
+	}
+
+	for len(s.b) > 0 {
+		switch s.byte() % 6 {
+		case 0:
+			schedule(s.delay())
+			check("schedule")
+		case 1:
+			if len(timers) > 0 {
+				cancel(int(s.byte()) % len(timers))
+			}
+			check("cancel")
+		case 2:
+			want := ref.next() >= 0
+			if got := e.Step(); got != want {
+				t.Fatalf("Step = %v, reference has an event: %v", got, want)
+			}
+			check("Step")
+		case 3:
+			deadline := ref.now + s.delay()
+			e.RunUntil(deadline)
+			if e.Now() > deadline {
+				t.Fatalf("RunUntil(%d) moved the clock to %d", deadline, e.Now())
+			}
+			if i := ref.next(); i >= 0 && ref.evs[i].at <= deadline {
+				t.Fatalf("RunUntil(%d) left event %+v due", deadline, ref.evs[i])
+			}
+			check("RunUntil")
+		case 4:
+			// Schedule just past the clock: after a RunUntil that
+			// stopped short, this lands below the wheel's cursor.
+			schedule(Time(s.byte() % 4))
+			check("schedule below cursor")
+		case 5:
+			if s.byte()%4 != 0 {
+				continue
+			}
+			e.Reset()
+			*ref = *newRefQueue()
+			// Handles issued before the Reset stay in timers: canceling
+			// them must not touch the events scheduled after it.
+			check("Reset")
+		}
+	}
+	e.Run()
+	if i := ref.next(); i >= 0 {
+		t.Fatalf("Run returned with reference event %+v pending", ref.evs[i])
+	}
+	check("Run")
+	return cov
 }

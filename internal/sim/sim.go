@@ -15,11 +15,13 @@
 // clock and many share a microsecond. The wheel covers the wheelSpan
 // microseconds starting at its cursor: scheduling there appends to an
 // intrusive list threaded through the pooled entry arena and sets one
-// occupancy bit, popping takes a bucket's head, and a lazily canceled entry
-// is dropped at the head in O(1). When the cursor's bucket drains, the
-// occupancy bitmap locates the next occupied bucket with a word scan and
-// bits.TrailingZeros64. Events due at or beyond the span — long PU runs,
-// fault-plan events — wait in the overflow heap, keyed by (time, sequence).
+// occupancy bit, and popping takes a bucket's head. Canceling a wheel entry
+// unlinks it at once and recycles its slot, so the wheel holds only live
+// events: when the cursor's bucket drains, the occupancy bitmap locates the
+// next live event with a word scan and bits.TrailingZeros64. Events due at
+// or beyond the span — long PU runs, fault-plan events — wait in the
+// overflow heap, keyed by (time, sequence); a canceled heap entry is only
+// marked, and dropped when it reaches the heap's top.
 //
 // Pop order is exactly (time, sequence) with no sort. A bucket holds a
 // single timestamp, and its entries arrive in sequence order. An overflow
@@ -83,12 +85,15 @@ type Timer struct {
 // Cancel prevents the event from firing. Canceling an already-fired or
 // already-canceled timer is a no-op. Cancel on a zero Timer is a no-op.
 //
-// Cancellation is lazy: the entry is only marked dead and the pop loop
-// discards it when it reaches the front of its bucket (or the overflow
-// heap's top). Canceled timers are overwhelmingly near-future backoffs
-// (carrier-sense freezes), so dead entries surface within a contention
-// window and never pile up, while the cancel itself — the single hottest
-// queue operation in a collection run — is one write instead of an unlink.
+// A wheel entry is unlinked from its bucket and its slot recycled at once,
+// so the pop loop never meets it: canceled timers are overwhelmingly
+// near-future backoffs (carrier-sense freezes), 71% of all events a
+// small-grid sweep schedules. A bucket holds a single time and seldom more
+// than one entry, so the predecessor of a non-head entry is found by a walk
+// from the bucket's head rather than through a back link on every entry.
+// An entry in the overflow heap is only marked dead; it is released when it
+// reaches the heap's top or when its time's entries are spliced into a
+// bucket.
 func (t Timer) Cancel() {
 	e := t.eng
 	if e == nil {
@@ -98,7 +103,12 @@ func (t Timer) Cancel() {
 	if en.gen != t.gen || en.fn == nil {
 		return // already fired or already canceled
 	}
-	en.fn = nil
+	if en.next == inHeap {
+		en.fn = nil
+		return
+	}
+	e.unlink(t.idx)
+	e.release(t.idx)
 }
 
 // When returns the scheduled fire time (meaningful only while the event is
@@ -116,16 +126,22 @@ func (t Timer) When() Time {
 
 // entry is one arena slot. gen increments every time the slot is released to
 // the free list, invalidating outstanding Timer handles. A nil fn while the
-// entry is still queued marks a lazily canceled event, discarded when it
-// reaches the front of the queue. next links the entry to its successor in a
-// wheel bucket (or in the overflow run being spliced into one); it is
-// meaningless for the bucket's tail and for entries in the overflow heap.
+// entry is still queued marks a canceled overflow-heap entry, discarded when
+// it reaches the heap's top. next links a wheel entry to its successor in
+// its bucket, or holds listEnd at the bucket's tail; it holds inHeap while
+// the entry waits in the overflow heap.
 type entry struct {
 	at   Time
 	fn   EventFunc
 	gen  uint32
 	next int32
 }
+
+// Link values of entry.next besides arena indices.
+const (
+	listEnd int32 = -1
+	inHeap  int32 = -2
+)
 
 // The wheel spans wheelSpan = 4096 µs, just over four of the paper's 1 ms
 // slots, so slot-aligned toggles and sub-slot backoffs land in buckets while
@@ -169,8 +185,7 @@ type Engine struct {
 
 	// The wheel holds the events due in [cursor, cursor+wheelSpan), bucket
 	// t&wheelMask holding those due at t. occ has bit b set while bucket b
-	// is non-empty. Buckets may hold lazily canceled entries awaiting their
-	// pop.
+	// is non-empty. Every wheel entry is live: Cancel unlinks its entry.
 	cursor  Time
 	buckets [wheelSpan]bucket
 	occ     [wheelWords]uint64
@@ -284,6 +299,7 @@ func (e *Engine) At(t Time, fn EventFunc) (Timer, error) {
 	if t >= e.cursor && t-e.cursor < wheelSpan {
 		e.bucketPush(int(t&wheelMask), idx)
 	} else {
+		en.next = inHeap
 		e.heapPush(idx, hkey{at: t, seq: e.seq})
 	}
 	e.seq++
@@ -372,35 +388,23 @@ func (e *Engine) polled() bool {
 }
 
 // front returns the arena index of the earliest pending live event without
-// removing it, discarding the lazily canceled entries ahead of it and moving
-// the cursor to the next occupied time when the cursor's bucket drains.
+// removing it, discarding the canceled heap entries ahead of it and moving
+// the cursor to the next pending time when the cursor's bucket is empty.
 // rewound reports that the event is the overflow heap's top, due below the
 // cursor, rather than the head of the cursor's bucket. ok is false when no
 // live event is pending.
 func (e *Engine) front() (idx int32, rewound, ok bool) {
-	for {
-		if len(e.heap) > 0 && e.keys[0].at < e.cursor {
-			idx = e.heap[0]
-			if e.arena[idx].fn != nil {
-				return idx, true, true
-			}
-			e.release(e.heapPop())
-			continue
-		}
-		b := int(e.cursor & wheelMask)
-		if !e.occupied(b) {
-			if !e.advance() {
-				return 0, false, false
-			}
-			continue
-		}
-		idx = e.buckets[b].head
+	for len(e.heap) > 0 && e.keys[0].at < e.cursor {
+		idx = e.heap[0]
 		if e.arena[idx].fn != nil {
-			return idx, false, true
+			return idx, true, true
 		}
-		e.bucketPop(b)
-		e.release(idx)
+		e.release(e.heapPop())
 	}
+	if !e.occupied(int(e.cursor&wheelMask)) && !e.advance() {
+		return 0, false, false
+	}
+	return e.buckets[e.cursor&wheelMask].head, false, true
 }
 
 // fire removes the event front returned and executes it.
@@ -408,7 +412,7 @@ func (e *Engine) fire(idx int32, rewound bool) {
 	if rewound {
 		e.heapPop()
 	} else {
-		e.bucketPop(int(e.cursor & wheelMask))
+		e.unlink(idx)
 	}
 	en := &e.arena[idx]
 	fn := en.fn
@@ -422,12 +426,16 @@ func (e *Engine) fire(idx int32, rewound bool) {
 	fn(at)
 }
 
-// advance moves the cursor from its drained bucket to the earliest pending
-// time — the next occupied bucket or the overflow heap's top, whichever is
-// sooner — and splices the overflow entries due then in front of that
-// time's bucket. It reports false when both queues are empty. The heap holds
-// nothing below the cursor here: front takes those entries first.
+// advance moves the cursor from its empty bucket to the earliest pending
+// time — the next occupied bucket or the overflow heap's first live entry,
+// whichever is sooner — and splices the live overflow entries due then in
+// front of that time's bucket, releasing the canceled ones. It reports
+// false when no live event is pending. The heap holds nothing below the
+// cursor here: front takes those entries first.
 func (e *Engine) advance() bool {
+	for len(e.heap) > 0 && e.arena[e.heap[0]].fn == nil {
+		e.release(e.heapPop())
+	}
 	next, ok := e.nextOccupied()
 	if len(e.heap) > 0 && (!ok || e.keys[0].at < next) {
 		next, ok = e.keys[0].at, true
@@ -445,6 +453,10 @@ func (e *Engine) advance() bool {
 	last := first
 	for len(e.heap) > 0 && e.keys[0].at == next {
 		idx := e.heapPop()
+		if e.arena[idx].fn == nil {
+			e.release(idx)
+			continue
+		}
 		e.arena[last].next = idx
 		last = idx
 	}
@@ -453,6 +465,7 @@ func (e *Engine) advance() bool {
 	if e.occupied(b) {
 		e.arena[last].next = bk.head
 	} else {
+		e.arena[last].next = listEnd
 		bk.tail = last
 		e.occ[b>>6] |= 1 << (b & 63)
 	}
@@ -492,17 +505,34 @@ func (e *Engine) bucketPush(b int, idx int32) {
 		bk.head = idx
 		e.occ[b>>6] |= 1 << (b & 63)
 	}
+	e.arena[idx].next = listEnd
 	bk.tail = idx
 }
 
-// bucketPop unlinks the head of non-empty bucket b.
-func (e *Engine) bucketPop(b int) {
+// unlink removes wheel entry idx from its bucket, clearing the bucket's
+// occupancy bit when idx was its only entry. A bucket's entries share one
+// time and are few, so the predecessor of a non-head entry is found by a
+// walk from the head.
+func (e *Engine) unlink(idx int32) {
+	b := int(e.arena[idx].at & wheelMask)
 	bk := &e.buckets[b]
-	if bk.head != bk.tail {
-		bk.head = e.arena[bk.head].next
+	next := e.arena[idx].next
+	if bk.head == idx {
+		if next == listEnd {
+			e.occ[b>>6] &^= 1 << (b & 63)
+		} else {
+			bk.head = next
+		}
 		return
 	}
-	e.occ[b>>6] &^= 1 << (b & 63)
+	p := bk.head
+	for e.arena[p].next != idx {
+		p = e.arena[p].next
+	}
+	e.arena[p].next = next
+	if next == listEnd {
+		bk.tail = p
+	}
 }
 
 // The overflow heap is 4-ary: parent of i is (i-1)/4, children are
