@@ -347,8 +347,8 @@ func BuildTree(nw *netmodel.Network) (*cds.Tree, error) {
 
 // CollectConfig parameterizes a collection run over a prebuilt topology and
 // routing tree. The graphs a run reads — the unit-disk adjacency for fault
-// repair and the carrier-sense CSR tables — come from the network's own
-// memo (netmodel.Network.Adjacency, SUNeighborTable, PUNeighborTable), so
+// repair and the carrier-sense neighbor rows — come from the network's own
+// memo (netmodel.Network.Adjacency, SUNeighborBits, PUNeighborBits), so
 // every run over one deployment shares a single build of each.
 type CollectConfig struct {
 	Seed           uint64

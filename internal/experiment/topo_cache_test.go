@@ -35,9 +35,9 @@ func TestTopoCacheHitsAndSize(t *testing.T) {
 		t.Fatalf("stats = %+v over %d entries, want 1 hit, 1 miss, 1 entry", st, len(c.m))
 	}
 
-	// The network's lazily built tables are built once per radius and
-	// shared with the WithParams copy a sweep run works on.
-	tab, err := a.NW.SUNeighborTable(p.RadiusSU)
+	// The network's lazily built neighbor rows are built once per radius
+	// and shared with the WithParams copy a sweep run works on.
+	tab, err := a.NW.SUNeighborBits(p.RadiusSU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +45,12 @@ func TestTopoCacheHitsAndSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := cp.SUNeighborTable(p.RadiusSU)
+	again, err := cp.SUNeighborBits(p.RadiusSU)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tab != again {
-		t.Fatal("repeat lookup rebuilt the CSR table")
+		t.Fatal("repeat lookup rebuilt the neighbor rows")
 	}
 }
 
@@ -92,7 +92,7 @@ func TestTopoCacheConcurrentBounded(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := topo.NW.SUNeighborTable(topo.NW.Params.RadiusSU); err != nil {
+				if _, err := topo.NW.SUNeighborBits(topo.NW.Params.RadiusSU); err != nil {
 					errs <- err
 					return
 				}

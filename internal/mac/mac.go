@@ -492,7 +492,6 @@ func Renew(prev *MAC, cfg Config) (*MAC, error) {
 	// eligibility marks current).
 	m.elig = m.elig[:0]
 	for _, tr := range m.trackers {
-		tr.FilterTransitions(true)
 		m.elig = append(m.elig, tr.Eligibility())
 	}
 	return m, nil

@@ -31,11 +31,9 @@ func equalInt32(a, b []int32) bool {
 	return true
 }
 
-// TestCSRMatchesGridWithinRandom is the property test behind the static-
-// topology fast path: for random deployments and random radii, every CSR row
-// must contain exactly the index set a live grid query returns — the rows
-// must in fact preserve the grid's result order, which is what keeps the
-// tracker's fast path bit-identical to per-event queries.
+// TestCSRMatchesGridWithinRandom: for random deployments and random radii,
+// every CSR row over the SUs and over the PUs must contain exactly the
+// index set a live grid query returns, in the grid's result order.
 func TestCSRMatchesGridWithinRandom(t *testing.T) {
 	src := rng.New(42)
 	for trial := 0; trial < 20; trial++ {
@@ -51,11 +49,11 @@ func TestCSRMatchesGridWithinRandom(t *testing.T) {
 		// cell boundaries both ways.
 		radius := p.RadiusSU * (0.3 + 3*src.Float64())
 
-		suTab, err := nw.SUNeighborTable(radius)
+		suTab, err := BuildCSR(nw.SUGrid, nw.SU, radius)
 		if err != nil {
 			t.Fatal(err)
 		}
-		puTab, err := nw.PUNeighborTable(radius)
+		puTab, err := BuildCSR(nw.SUGrid, nw.PU, radius)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +103,7 @@ func TestCSRBoundaryAtExactRadius(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	suTab, err := nw.SUNeighborTable(radius)
+	suTab, err := BuildCSR(nw.SUGrid, nw.SU, radius)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +112,7 @@ func TestCSRBoundaryAtExactRadius(t *testing.T) {
 	if !equalInt32(row, want) {
 		t.Fatalf("BS row = %v, want %v", row, want)
 	}
-	puTab, err := nw.PUNeighborTable(radius)
+	puTab, err := BuildCSR(nw.SUGrid, nw.PU, radius)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +205,11 @@ func TestCSRRowsAscendInGridRank(t *testing.T) {
 		}
 		rank := rankOf(t, nw.SUGrid)
 		radius := p.RadiusSU * (0.3 + 4*src.Float64())
-		suTab, err := nw.SUNeighborTable(radius)
+		suTab, err := BuildCSR(nw.SUGrid, nw.SU, radius)
 		if err != nil {
 			t.Fatal(err)
 		}
-		puTab, err := nw.PUNeighborTable(radius)
+		puTab, err := BuildCSR(nw.SUGrid, nw.PU, radius)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,10 +256,11 @@ func TestCSRRowsAscendInGridRank(t *testing.T) {
 	}
 }
 
-// TestNetworkMemoizesGraphs: goroutines calling Adjacency, SUNeighborTable
-// and PUNeighborTable on WithParams copies of one network all receive the
-// same memoized values, and each equals a fresh UnitDisk or BuildCSR over
-// the same positions. Run under -race it also checks the memo's locking.
+// TestNetworkMemoizesGraphs: goroutines calling Adjacency, SUNeighborBits
+// and PUNeighborBits on WithParams copies of one network all receive the
+// same memoized values, and each equals a fresh UnitDisk, or the encoding of
+// a fresh BuildCSR, over the same positions. Run under -race it also checks
+// the memo's locking.
 func TestNetworkMemoizesGraphs(t *testing.T) {
 	p := ScaledDefaultParams()
 	p.NumSU = 100
@@ -274,7 +273,6 @@ func TestNetworkMemoizesGraphs(t *testing.T) {
 	radii := []float64{p.RadiusSU, 2.5 * p.RadiusSU}
 	type graphs struct {
 		adj            graphx.Adjacency
-		su, pu         []*CSRTable
 		suBits, puBits []*RankBits
 	}
 	got := make([]graphs, 8)
@@ -290,29 +288,14 @@ func TestNetworkMemoizesGraphs(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			g := graphs{
-				su: make([]*CSRTable, len(radii)), pu: make([]*CSRTable, len(radii)),
-				suBits: make([]*RankBits, len(radii)), puBits: make([]*RankBits, len(radii)),
-			}
+			g := graphs{suBits: make([]*RankBits, len(radii)), puBits: make([]*RankBits, len(radii))}
 			// Alternate the call order so builds of every key race.
 			for k := range radii {
 				if w%2 == 1 {
 					k = len(radii) - 1 - k
 				}
-				// Half the goroutines reach each table through its bitsets.
 				if w%4 < 2 {
-					if g.suBits[k], err = cp.SUNeighborBits(radii[k]); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-				if g.su[k], err = cp.SUNeighborTable(radii[k]); err != nil {
-					t.Error(err)
-					return
-				}
-				if g.pu[k], err = cp.PUNeighborTable(radii[k]); err != nil {
-					t.Error(err)
-					return
+					g.adj = cp.Adjacency()
 				}
 				if g.suBits[k], err = cp.SUNeighborBits(radii[k]); err != nil {
 					t.Error(err)
@@ -348,9 +331,6 @@ func TestNetworkMemoizesGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[0].su[k], su) || !reflect.DeepEqual(got[0].pu[k], pu) {
-			t.Fatalf("radius %v: memoized tables differ from a fresh BuildCSR", r)
-		}
 		checkRankBits(t, su, nw.SUGrid.Ranks(), got[0].suBits[k], true)
 		checkRankBits(t, pu, nw.SUGrid.Ranks(), got[0].puBits[k], false)
 	}
@@ -359,13 +339,12 @@ func TestNetworkMemoizesGraphs(t *testing.T) {
 			t.Fatalf("goroutine %d received a different adjacency", w)
 		}
 		for k := range radii {
-			if g.su[k] != got[0].su[k] || g.pu[k] != got[0].pu[k] ||
-				g.suBits[k] != got[0].suBits[k] || g.puBits[k] != got[0].puBits[k] {
-				t.Fatalf("goroutine %d received different tables at radius %v", w, radii[k])
+			if g.suBits[k] != got[0].suBits[k] || g.puBits[k] != got[0].puBits[k] {
+				t.Fatalf("goroutine %d received different rows at radius %v", w, radii[k])
 			}
 		}
 	}
-	if tab, _ := nw.SUNeighborTable(radii[0]); tab != got[0].su[0] {
+	if b, _ := nw.SUNeighborBits(radii[0]); b != got[0].suBits[0] {
 		t.Fatal("the original network does not share its copies' memo")
 	}
 }
@@ -433,7 +412,7 @@ func checkRankBits(t *testing.T, tab *CSRTable, ranks []int32, b *RankBits, su b
 	}
 }
 
-// TestRankBitsRejectsAsymmetricSUTable: the lazy path reads an SU's own row
+// TestRankBitsRejectsAsymmetricSUTable: the tracker reads an SU's own row
 // as the set of SUs whose row holds it, so an SU table with node 1 in 0's
 // row but not 0 in 1's is refused, while a symmetric one encodes.
 func TestRankBitsRejectsAsymmetricSUTable(t *testing.T) {

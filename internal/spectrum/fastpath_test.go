@@ -2,163 +2,44 @@ package spectrum
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
-	"addcrn/internal/geom"
 	"addcrn/internal/netmodel"
 	"addcrn/internal/pcr"
 	"addcrn/internal/rng"
 	"addcrn/internal/sim"
 )
 
-// AddTransmitter is the grid reference for the CSR fast path: it registers
-// an active transmitter at an arbitrary position via a live grid range
-// query. exclude names a secondary node whose own counter must not change
-// (the transmitter itself when an SU transmits); pass -1 for primary
-// transmitters. kind controls whether PUArrived fires and which sensing
-// radius applies. It drives unfiltered trackers only.
-func (t *Tracker) AddTransmitter(pos geom.Point, kind TxKind, exclude int32, now sim.Time) {
-	buf := t.gridQuery(pos, kind)
-	t.addNeighbors(buf, kind, exclude, now)
-	t.putBuf(buf)
-}
-
-// RemoveTransmitter unregisters a transmitter previously added with the
-// same position, kind and exclusion.
-func (t *Tracker) RemoveTransmitter(pos geom.Point, kind TxKind, exclude int32, now sim.Time) {
-	buf := t.gridQuery(pos, kind)
-	t.removeNeighbors(buf, now, exclude)
-	t.putBuf(buf)
-}
-
-func (t *Tracker) gridQuery(pos geom.Point, kind TxKind) []int32 {
-	if t.filtered {
-		panic("spectrum: the grid reference needs an unfiltered tracker")
-	}
-	radius := t.suRange
-	if kind == TxPU {
-		radius = t.puRange
-	}
-	return t.nw.SUGrid.Within(pos, radius, t.takeBuf())
-}
-
-// trackerOps abstracts how a transmitter script reaches the tracker, so the
-// same script can run on the CSR fast path and on a locally reimplemented
-// grid reference.
-type trackerOps struct {
-	addSU, removeSU func(id int32, now sim.Time)
-	addPU, removePU func(i int32, now sim.Time)
-}
-
-// csrOps drives the indexed fast path.
-func csrOps(tr *Tracker) trackerOps {
-	return trackerOps{
-		addSU:    tr.AddSUTransmitter,
-		removeSU: tr.RemoveSUTransmitter,
-		addPU:    tr.AddPUTransmitter,
-		removePU: tr.RemovePUTransmitter,
-	}
-}
-
-// gridOps is the reference implementation: a live grid range query per
-// transition through the arbitrary-position entry points, exactly what the
-// indexed path's precomputed CSR rows must replicate.
-func gridOps(tr *Tracker) trackerOps {
-	nw := tr.nw
-	return trackerOps{
-		addSU:    func(id int32, now sim.Time) { tr.AddTransmitter(nw.SU[id], TxSU, id, now) },
-		removeSU: func(id int32, now sim.Time) { tr.RemoveTransmitter(nw.SU[id], TxSU, id, now) },
-		addPU:    func(i int32, now sim.Time) { tr.AddTransmitter(nw.PU[i], TxPU, -1, now) },
-		removePU: func(i int32, now sim.Time) { tr.RemoveTransmitter(nw.PU[i], TxPU, -1, now) },
-	}
-}
-
-// TestIndexedPathMatchesGridPath drives an identical add/remove script
-// through the CSR fast path and the grid-query reference and requires the
-// observer callback streams — content AND order — to be identical. This is
-// the unit-level half of the bit-identity guarantee; the core-level
-// equivalence tests cover whole runs.
-func TestIndexedPathMatchesGridPath(t *testing.T) {
-	script := func(ops trackerOps) {
-		now := sim.Time(0)
-		for step := 0; step < 4; step++ {
-			for id := int32(1); id < 40; id += 3 {
-				ops.addSU(id, now)
-				now++
-			}
-			for i := int32(0); i < 6; i++ {
-				ops.addPU(i, now)
-				now++
-			}
-			for id := int32(1); id < 40; id += 3 {
-				ops.removeSU(id, now)
-				now++
-			}
-			for i := int32(0); i < 6; i++ {
-				ops.removePU(i, now)
-				now++
-			}
-		}
-	}
-
-	run := func(grid bool) (*recordingObserver, *Tracker) {
-		nw := testNetwork(t, 11)
-		obs := &recordingObserver{}
-		tr, err := NewTracker(nw, 28, 22, obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if grid {
-			script(gridOps(tr))
-		} else {
-			script(csrOps(tr))
-		}
-		return obs, tr
-	}
-
-	gridObs, gridTr := run(true)
-	csrObs, csrTr := run(false)
-	if !reflect.DeepEqual(gridObs.busy, csrObs.busy) {
-		t.Fatalf("SpectrumBusy streams diverge:\n grid %v\n csr  %v", gridObs.busy, csrObs.busy)
-	}
-	if !reflect.DeepEqual(gridObs.free, csrObs.free) {
-		t.Fatalf("SpectrumFree streams diverge:\n grid %v\n csr  %v", gridObs.free, csrObs.free)
-	}
-	if !reflect.DeepEqual(gridObs.arrived, csrObs.arrived) {
-		t.Fatalf("PUArrived streams diverge:\n grid %v\n csr  %v", gridObs.arrived, csrObs.arrived)
-	}
-	for id := int32(0); id < int32(gridTr.nw.NumNodes()); id++ {
-		if gridTr.BusyCount(id) != csrTr.BusyCount(id) {
-			t.Fatalf("node %d: busy count grid=%d csr=%d", id, gridTr.BusyCount(id), csrTr.BusyCount(id))
-		}
-	}
-	if len(gridObs.busy) == 0 || len(gridObs.arrived) == 0 {
-		t.Fatal("script produced no transitions; test is vacuous")
-	}
-}
-
-// TestIndexedSUTransitionAllocates0: the steady-state CSR add/remove cycle
-// must not allocate (pooled rise/fall buffers, immutable rows).
+// TestIndexedSUTransitionAllocates0: steady-state SU and PU add/remove
+// cycles with every eligibility mark set must not allocate (immutable rows,
+// stack-allocated visit closures).
 func TestIndexedSUTransitionAllocates0(t *testing.T) {
 	nw := testNetwork(t, 12)
-	tr, err := NewTracker(nw, 25, 25, &recordingObserver{})
+	obs := &countingObserver{}
+	tr, err := NewTracker(nw, 25, 25, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the CSR tables and the buffer pool.
+	markAll(tr, -1)
+	// Fetch the network's rows and size puOn.
 	tr.AddSUTransmitter(1, 0)
 	tr.RemoveSUTransmitter(1, 0)
 	tr.AddPUTransmitter(0, 0)
 	tr.RemovePUTransmitter(0, 0)
-	id := int32(1)
+	id, pu := int32(1), int32(0)
 	allocs := testing.AllocsPerRun(200, func() {
 		tr.AddSUTransmitter(id, 0)
+		tr.AddPUTransmitter(pu, 0)
 		tr.RemoveSUTransmitter(id, 0)
+		tr.RemovePUTransmitter(pu, 0)
 		id = id%int32(nw.NumNodes()-1) + 1
+		pu = (pu + 1) % int32(len(nw.PU))
 	})
 	if allocs != 0 {
-		t.Fatalf("CSR transition allocates %v/op, want 0", allocs)
+		t.Fatalf("SU and PU transitions allocate %v/op, want 0", allocs)
+	}
+	if obs.busy == 0 || obs.free == 0 || obs.arrived == 0 {
+		t.Fatalf("the cycles delivered %+v; the test is vacuous", *obs)
 	}
 }
 
@@ -169,13 +50,12 @@ func (o *countingObserver) SpectrumBusy(int32, sim.Time) { o.busy++ }
 func (o *countingObserver) SpectrumFree(int32, sim.Time) { o.free++ }
 func (o *countingObserver) PUArrived(int32, sim.Time)    { o.arrived++ }
 
-// filteredScaledTracker builds a filtered tracker at the n = 300 scaled
-// operating point with the derived PCR as both sensing ranges, in the
+// scaledTracker builds a tracker at the n = 300 scaled operating point with the derived PCR as both sensing ranges, in the
 // medium mix a running collection shows: about 4% of the nodes mid-backoff
 // and 4% frozen — some 8 of the ~99 in a PCR row — two SUs transmitting
 // and one PU active. It returns the SUs a benchmark may register: every
 // node but the base station and the background transmitters.
-func filteredScaledTracker(tb testing.TB, obs Observer) (*Tracker, []int32) {
+func scaledTracker(tb testing.TB, obs Observer) (*Tracker, []int32) {
 	p := netmodel.ScaledDefaultParams()
 	nw, err := netmodel.Deploy(p, rng.New(1))
 	if err != nil {
@@ -189,7 +69,6 @@ func filteredScaledTracker(tb testing.TB, obs Observer) (*Tracker, []int32) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tr.FilterTransitions(true)
 	elig := tr.Eligibility()
 	src := rng.New(2)
 	var ids []int32
@@ -209,11 +88,12 @@ func filteredScaledTracker(tb testing.TB, obs Observer) (*Tracker, []int32) {
 	return tr, ids
 }
 
-// TestFilteredSUTransitionAllocates0: the filtered add/remove pair, walking
-// rank bitsets with a stack-allocated visit closure, must not allocate.
+// TestFilteredSUTransitionAllocates0: the SU add/remove pair in a running
+// collection's eligibility mix, walking rank bitsets with a stack-allocated
+// visit closure, must not allocate.
 func TestFilteredSUTransitionAllocates0(t *testing.T) {
 	obs := &countingObserver{}
-	tr, ids := filteredScaledTracker(t, obs)
+	tr, ids := scaledTracker(t, obs)
 	tr.AddSUTransmitter(ids[0], 0)
 	tr.RemoveSUTransmitter(ids[0], 0)
 	k := 0
@@ -223,20 +103,20 @@ func TestFilteredSUTransitionAllocates0(t *testing.T) {
 		k = (k + 1) % len(ids)
 	})
 	if allocs != 0 {
-		t.Fatalf("filtered SU transition allocates %v/op, want 0", allocs)
+		t.Fatalf("SU transition allocates %v/op, want 0", allocs)
 	}
 	if obs.busy == 0 || obs.free == 0 {
 		t.Fatalf("the pairs delivered %d busy and %d free callbacks; the eligibility mix is vacuous", obs.busy, obs.free)
 	}
 }
 
-// BenchmarkSUTransition measures one filtered SU register/unregister pair
-// — the spectrum tracker's share of every transmission start and end in
-// the MAC — at the n = 300 scaled operating point (see
-// filteredScaledTracker), cycling the transmitter over the deployment.
+// BenchmarkSUTransition measures one SU register/unregister pair — the
+// spectrum tracker's share of every transmission start and end in the MAC
+// — at the n = 300 scaled operating point (see scaledTracker), cycling the
+// transmitter over the deployment.
 func BenchmarkSUTransition(b *testing.B) {
 	b.ReportAllocs()
-	tr, ids := filteredScaledTracker(b, &countingObserver{})
+	tr, ids := scaledTracker(b, &countingObserver{})
 	k := 0
 	b.ResetTimer()
 	for range b.N {
@@ -249,9 +129,10 @@ func BenchmarkSUTransition(b *testing.B) {
 	}
 }
 
-// TestIndexedPathReentrancy mirrors the grid path's reentrancy test on the
-// CSR path: an observer that registers a new transmitter from inside a
-// SpectrumFree callback must see consistent counters and no panic.
+// TestIndexedPathReentrancy: an observer that registers a new transmitter
+// from inside a SpectrumFree callback of a PU removal, with every
+// eligibility mark set, must leave the medium busy around it and see no
+// panic.
 func TestIndexedPathReentrancy(t *testing.T) {
 	nw := testNetwork(t, 13)
 	obs := &recordingObserver{}
@@ -259,13 +140,14 @@ func TestIndexedPathReentrancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	markAll(tr, -1)
 	obs.reenter = func(node int32) {
 		tr.AddSUTransmitter(node, 1)
 	}
 	tr.AddPUTransmitter(0, 0)
 	tr.RemovePUTransmitter(0, 1)
-	// The reentrant SU registration must be reflected in busy counters:
-	// at least the re-registered node's neighbors are busy again.
+	// The reentrant SU registration must be reflected in the medium: at
+	// least the re-registered node's neighbors are busy again.
 	anyBusy := false
 	for id := int32(0); id < int32(nw.NumNodes()); id++ {
 		if tr.Busy(id) {
@@ -277,12 +159,12 @@ func TestIndexedPathReentrancy(t *testing.T) {
 		t.Skip("PU 0 froze no nodes in this deployment; nothing to verify")
 	}
 	if !anyBusy {
-		t.Fatal("reentrant AddSUTransmitter left no busy counters")
+		t.Fatal("reentrant AddSUTransmitter left no node busy")
 	}
 }
 
-// BenchmarkPUFreeWalk measures the free walk of a filtered PU removal at
-// the n = 300 scaled operating point: every node in the leaving PU's row
+// BenchmarkPUFreeWalk measures the free walk of a PU removal at the n = 300
+// scaled operating point: every node in the leaving PU's row
 // is frozen (free-eligible), about half of them stay covered by a second
 // active PU, and two SUs outside the row transmit, so each remaining node
 // pays the SU check. One op is an add/remove pair of the first PU; the
@@ -303,22 +185,18 @@ func BenchmarkPUFreeWalk(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr.FilterTransitions(true)
-	tab, err := nw.PUNeighborTable(consts.Range)
-	if err != nil {
-		b.Fatal(err)
-	}
+	rows := bruteRows(nw, nw.PU, consts.Range)
 	// The pair (leaving, staying) whose rows' overlap is closest to half
 	// of the leaving PU's row.
 	leaving, staying, best := int32(-1), int32(-1), 2.0
 	for i := range int32(len(nw.PU)) {
 		in := map[int32]bool{}
-		for _, v := range tab.Row(i) {
+		for _, v := range rows[i] {
 			in[v] = true
 		}
 		for j := range int32(len(nw.PU)) {
 			shared := 0
-			for _, v := range tab.Row(j) {
+			for _, v := range rows[j] {
 				if in[v] {
 					shared++
 				}
@@ -330,7 +208,7 @@ func BenchmarkPUFreeWalk(b *testing.B) {
 	}
 	elig := tr.Eligibility()
 	inRow := map[int32]bool{}
-	for _, v := range tab.Row(leaving) {
+	for _, v := range rows[leaving] {
 		elig.Set(v, false, true)
 		inRow[v] = true
 	}

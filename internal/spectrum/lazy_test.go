@@ -10,18 +10,20 @@ import (
 	"addcrn/internal/sim"
 )
 
-// Node states of contractModel, the subset of the MAC's states the filter
-// contract speaks about.
+// Node states of contractModel: the subset of the MAC's states the
+// observer contract speaks about, and stListen, a node that acts on (logs)
+// every busy and free transition and keeps both marks whatever its medium.
 const (
 	stIdle uint8 = iota
 	stRunning
 	stFrozen
 	stAwaiting
 	stTx
+	stListen
 )
 
-// contractEvent is one logged step: a callback that acted ('B' freeze, 'F'
-// resume or transmit, 'A' handoff abort), a scripted node step ('S', with
+// contractEvent is one logged step: a callback that acted ('B' freeze or
+// listened busy, 'F' resume, transmit or listened free, 'A' handoff abort), a scripted node step ('S', with
 // the state it led to) or a scripted BlockNode ('K') or UnblockNode ('U').
 type contractEvent struct {
 	what  byte
@@ -30,33 +32,44 @@ type contractEvent struct {
 	state uint8
 }
 
-// contractModel is a miniature MAC over one tracker per channel. Node v
-// senses and transmits on channel v % C. It keeps the filter contract —
-// freeze on busy, resume or start transmitting (reentrantly) on free, abort
-// on a primary arrival while transmitting — and logs every callback that
-// acts. With filtered set it also writes the eligibility marks on every
-// state change, as mac.setState does; without it the trackers deliver
-// everything and the model ignores the callbacks that cannot act.
+// contractModel is a miniature MAC over one medium per channel. Node v
+// senses and transmits on channel v % C. It keeps the Tracker's observer
+// contract — freeze on busy, resume or start transmitting (reentrantly) on
+// free, abort on a primary arrival while transmitting — and logs every
+// callback that acts. Over production Trackers it also writes the
+// eligibility marks on every state change, as mac.setState does; the eager
+// reference delivers everything, and the model ignores the callbacks that
+// cannot act.
 type contractModel struct {
-	trs      []*Tracker
-	elig     []Eligibility
-	st       []uint8
-	filtered bool
-	log      []contractEvent
+	trs  []medium
+	elig []Eligibility
+	st   []uint8
+	log  []contractEvent
+	// suRows are the SU rows at the script's SU range, and listenBusy
+	// counts the listening nodes that already sensed the medium busy when
+	// an SU in range started: the busy walk must skip them.
+	suRows     [][]int32
+	listenBusy int
 }
 
 func (m *contractModel) ch(node int32) int { return int(node) % len(m.trs) }
 
 func (m *contractModel) set(node int32, s uint8) {
 	m.st[node] = s
-	if m.filtered {
-		m.elig[m.ch(node)].Set(node, s == stRunning, s == stFrozen || s == stAwaiting)
+	if m.elig != nil {
+		m.elig[m.ch(node)].Set(node, s == stRunning || s == stListen, s == stFrozen || s == stAwaiting || s == stListen)
 	}
 }
 
 func (m *contractModel) beginTx(node int32, now sim.Time) {
 	m.set(node, stTx)
-	m.trs[m.ch(node)].AddSUTransmitter(node, now)
+	c := m.ch(node)
+	for _, v := range m.suRows[node] {
+		if m.st[v] == stListen && m.ch(v) == c && m.trs[c].Busy(v) {
+			m.listenBusy++
+		}
+	}
+	m.trs[c].AddSUTransmitter(node, now)
 }
 
 // endTx releases the medium while node is still marked transmitting, then
@@ -74,11 +87,13 @@ type chanObserver struct {
 
 func (o chanObserver) SpectrumBusy(node int32, _ sim.Time) {
 	m := o.m
-	if m.ch(node) != o.c || m.st[node] != stRunning {
+	if m.ch(node) != o.c || m.st[node] != stRunning && m.st[node] != stListen {
 		return
 	}
 	m.log = append(m.log, contractEvent{what: 'B', node: node, ch: o.c})
-	m.set(node, stFrozen)
+	if m.st[node] == stRunning {
+		m.set(node, stFrozen)
+	}
 }
 
 func (o chanObserver) SpectrumFree(node int32, now sim.Time) {
@@ -100,6 +115,8 @@ func (o chanObserver) SpectrumFree(node int32, now sim.Time) {
 	case stAwaiting:
 		m.log = append(m.log, contractEvent{what: 'F', node: node, ch: o.c})
 		m.beginTx(node, now)
+	case stListen:
+		m.log = append(m.log, contractEvent{what: 'F', node: node, ch: o.c})
 	}
 }
 
@@ -115,40 +132,42 @@ func (o chanObserver) PUArrived(node int32, now sim.Time) {
 // contractRun is the observable outcome of one scripted run. covered[w]
 // counts the free-eligible nodes a PU removal leaves covered by another
 // active PU on that channel whose bit lies in puOn word w: the nodes the
-// lazy free walk's cover mask skips.
+// lazy free walk's cover mask skips. listenBusy is contractModel's.
 type contractRun struct {
-	log     []contractEvent
-	counts  [][]int32
-	states  []uint8
-	covered [2]int
+	log        []contractEvent
+	counts     [][]int32
+	states     []uint8
+	covered    [2]int
+	listenBusy int
 }
 
-// runContractScript plays ops on channels trackers over nw, filtered (lazy
-// path) or not (eager reference). Each pair of bytes is one engine event:
+// runContractScript plays ops on channels production Trackers over nw, or
+// on as many eager references (ref). Each pair of bytes is one engine event:
 // b0%4 == 0 toggles PU b1%N on channel b0/4%C (switching it on only when
 // b0's top bit is set, so fewer than half the users are active); b0%8 == 1
 // blocks node b1%n on channel b0/8%C when b0's top bit is set and the node
 // holds fewer than two blocks there, and otherwise lifts one of its blocks
 // (as fault bursts and the aggregate PU model do); any other value advances
-// node b1%n one step — contend, expire or finish its transmission.
-func runContractScript(t testing.TB, nw *netmodel.Network, puRange, suRange float64, channels int, filtered bool, ops []byte) contractRun {
+// node b1%n one step — contend (or, when b0's top two bits are set, start
+// listening), expire, finish its transmission or stop listening.
+func runContractScript(t testing.TB, nw *netmodel.Network, puRange, suRange float64, channels int, ref bool, ops []byte) contractRun {
 	nn, np := nw.NumNodes(), len(nw.PU)
-	m := &contractModel{st: make([]uint8, nn), filtered: filtered}
+	m := &contractModel{st: make([]uint8, nn), suRows: bruteRows(nw, nw.SU, suRange)}
 	for c := 0; c < channels; c++ {
+		if ref {
+			m.trs = append(m.trs, newEagerTracker(nw, puRange, suRange, chanObserver{m, c}))
+			continue
+		}
 		tr, err := NewTracker(nw, puRange, suRange, chanObserver{m, c})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr.FilterTransitions(filtered)
 		m.trs = append(m.trs, tr)
 		m.elig = append(m.elig, tr.Eligibility())
 	}
 	puOn := make([]bool, channels*np)
 	blocks := make([]int8, channels*nn)
-	puTab, err := nw.PUNeighborTable(puRange)
-	if err != nil {
-		t.Fatal(err)
-	}
+	puRows := bruteRows(nw, nw.PU, puRange)
 	cover := make([][2]int, channels*nn) // active PUs per channel, node and puOn word
 	var covered [2]int
 	now := sim.Time(0)
@@ -161,7 +180,7 @@ func runContractScript(t testing.TB, nw *netmodel.Network, puRange, suRange floa
 			switch on := &puOn[c*np+int(i)]; {
 			case *on:
 				*on = false
-				for _, v := range puTab.Row(i) {
+				for _, v := range puRows[i] {
 					cv := &cover[c*nn+int(v)]
 					cv[i>>6]--
 					if s := m.st[v]; m.ch(v) == c && (s == stFrozen || s == stAwaiting) {
@@ -175,7 +194,7 @@ func runContractScript(t testing.TB, nw *netmodel.Network, puRange, suRange floa
 				m.trs[c].RemovePUTransmitter(i, now)
 			case b0&0x80 != 0:
 				*on = true
-				for _, v := range puTab.Row(i) {
+				for _, v := range puRows[i] {
 					cover[c*nn+int(v)][i>>6]++
 				}
 				m.trs[c].AddPUTransmitter(i, now)
@@ -200,7 +219,9 @@ func runContractScript(t testing.TB, nw *netmodel.Network, puRange, suRange floa
 		tr := m.trs[m.ch(v)]
 		switch m.st[v] {
 		case stIdle:
-			if tr.Busy(v) {
+			if b0 >= 0xc0 {
+				m.set(v, stListen)
+			} else if tr.Busy(v) {
 				m.set(v, stFrozen)
 			} else {
 				m.set(v, stRunning)
@@ -213,12 +234,14 @@ func runContractScript(t testing.TB, nw *netmodel.Network, puRange, suRange floa
 			}
 		case stTx:
 			m.endTx(v, now)
+		case stListen:
+			m.set(v, stIdle)
 		default:
 			continue
 		}
 		m.log = append(m.log, contractEvent{what: 'S', node: v, ch: m.ch(v), state: m.st[v]})
 	}
-	run := contractRun{log: m.log, states: m.st, covered: covered}
+	run := contractRun{log: m.log, states: m.st, covered: covered, listenBusy: m.listenBusy}
 	for _, tr := range m.trs {
 		counts := make([]int32, nn)
 		for v := range counts {
@@ -247,14 +270,14 @@ func contractNetwork(t testing.TB, np int, seed uint64) (*netmodel.Network, floa
 	return nw, 20
 }
 
-// checkLazyMatchesEager runs ops through the lazy path and through the
-// eager unfiltered path, and requires the same acting callbacks in the same
+// checkLazyMatchesEager runs ops through production Trackers and through
+// the eager reference, and requires the same acting callbacks in the same
 // order, the same scripted outcomes and the same final busy counts.
 func checkLazyMatchesEager(t testing.TB, np, channels int, seed uint64, ops []byte) contractRun {
 	nw, puRange := contractNetwork(t, np, seed)
 	const suRange = 15
-	eager := runContractScript(t, nw, puRange, suRange, channels, false, ops)
-	lazy := runContractScript(t, nw, puRange, suRange, channels, true, ops)
+	eager := runContractScript(t, nw, puRange, suRange, channels, true, ops)
+	lazy := runContractScript(t, nw, puRange, suRange, channels, false, ops)
 	for k := range min(len(eager.log), len(lazy.log)) {
 		if eager.log[k] != lazy.log[k] {
 			t.Fatalf("event %d: eager %+v, lazy %+v", k, eager.log[k], lazy.log[k])
@@ -273,18 +296,21 @@ func checkLazyMatchesEager(t testing.TB, np, channels int, seed uint64, ops []by
 }
 
 // TestLazyPathMatchesEager is the tracker-level differential test of the
-// lazy SU and PU paths: randomized add/remove and block/unblock scripts,
+// Tracker's lazy SU and PU accounting against the eager reference
+// (eager_test.go): randomized add/remove and block/unblock scripts,
 // with reentrant transmissions and handoff aborts inside the walks, at
 // C ∈ {1, 4} and N ∈ {8, 100} (N = 100 needs two mask words per node).
-// The scripts must reach every acting callback and the free walk's cover
-// skip: a PU leaving while a free-eligible node in its row stays covered
-// by another active PU, from each puOn word.
+// The scripts must reach every acting callback, the free walk's cover
+// skip — a PU leaving while a free-eligible node in its row stays covered
+// by another active PU, from each puOn word — and an SU starting next to a
+// busy-eligible node whose medium is already busy.
 func TestLazyPathMatchesEager(t *testing.T) {
 	for _, channels := range []int{1, 4} {
 		for _, np := range []int{8, 100} {
 			t.Run(fmt.Sprintf("C%d_N%d", channels, np), func(t *testing.T) {
 				kinds := map[byte]int{}
 				var covered [2]int
+				listenBusy := 0
 				for seed := uint64(1); seed <= 3; seed++ {
 					src := rng.New(seed)
 					ops := make([]byte, 8000)
@@ -297,6 +323,7 @@ func TestLazyPathMatchesEager(t *testing.T) {
 					}
 					covered[0] += run.covered[0]
 					covered[1] += run.covered[1]
+					listenBusy += run.listenBusy
 				}
 				for _, k := range []byte{'B', 'F', 'A', 'K', 'U'} {
 					if kinds[k] == 0 {
@@ -305,6 +332,9 @@ func TestLazyPathMatchesEager(t *testing.T) {
 				}
 				if covered[0] == 0 || np > 64 && covered[1] == 0 {
 					t.Fatalf("PU removals left %v free-eligible nodes covered by another PU per puOn word; the cover skip is untested", covered)
+				}
+				if listenBusy == 0 {
+					t.Fatal("no SU started next to a listening node that already sensed busy; the busy walk's SU count is untested")
 				}
 			})
 		}
@@ -322,18 +352,14 @@ func TestFreeWalkBeforeAnyPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.FilterTransitions(true)
-	tab, err := nw.SUNeighborTable(suRange)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := bruteRows(nw, nw.SU, suRange)
 	v := int32(0)
-	for len(tab.Row(v)) < 2 {
+	for len(rows[v]) < 2 {
 		v++
 	}
-	u := tab.Row(v)[0]
+	u := rows[v][0]
 	if u == v {
-		u = tab.Row(v)[1]
+		u = rows[v][1]
 	}
 	tr.AddSUTransmitter(v, 0)
 	elig := tr.Eligibility()

@@ -2,30 +2,22 @@
 // or SU) are active, and what each secondary node's carrier sensor observes
 // within its Proper Carrier-sensing Range (PCR).
 //
-// The core abstraction is a per-SU busy count — the number of active
-// transmitters within PCR of that SU, plus node-local blocks. Its
-// transitions drive the MAC: 0 -> 1 freezes a backoff, -> 0 resumes it, and
-// a PU arrival during a transmission forces the spectrum handoff the
-// paper's Section I requires.
+// A node senses the medium busy while it is blocked, an active SU
+// transmitter other than itself has it in range, or an active PU covers it.
+// The transitions of that predicate drive the MAC: busy freezes a backoff,
+// free resumes it, and a PU arrival during a transmission forces the
+// spectrum handoff the paper's Section I requires.
 //
 // Because the deployment never moves, the set of nodes a transmitter
 // touches is a pure function of its identity. The tracker therefore works
-// from CSR-packed neighbor tables (SU→SU within the coordination range,
-// PU→SU within the protection range) — the static-topology fast path. The
-// tables belong to the netmodel.Network, which builds each once per radius
-// and shares it with every tracker, channel and run over the same
-// deployment (WithParams copies included). A CSR row stores exactly the
-// grid's result sequence for the same query, so a row walk is bit-identical
-// to a per-event grid query (the tests keep such a grid reference).
-//
-// The tracker has two paths over those tables. The eager one, the default,
-// keeps every count in a counter and walks a transmitter's whole row per
-// transition. The lazy one, which the MAC selects with FilterTransitions,
-// keeps only the blocks in counters: a transition flips the transmitter's
-// bit in a bitset of active SUs or PUs and walks the row, re-encoded by the
-// network as a bitset over grid rank, ANDed with the few nodes whose
-// callback would act. The eager path stays as the reference the lazy one is
-// tested against.
+// from neighbor rows the netmodel.Network builds once per radius (SU→SU
+// within the coordination range, PU→SU within the protection range) and
+// shares with every tracker, channel and run over the same deployment,
+// WithParams copies included. Each row is a bitset over the SU grid's rank
+// order, so its set bits run in the order a grid query returns the same
+// neighbors. A transition flips the transmitter's bit in a bitset of active
+// SUs or PUs, then walks its row ANDed with the few nodes whose callback
+// would act (see Eligibility). Only node-local blocks live in counters.
 package spectrum
 
 import (
@@ -36,29 +28,22 @@ import (
 	"addcrn/internal/sim"
 )
 
-// Observer receives carrier-sense transitions for secondary nodes. The MAC
-// implements this interface.
+// Observer receives carrier-sense transitions for secondary nodes, narrowed
+// to the nodes its eligibility marks name (see Tracker). The MAC implements
+// this interface.
 type Observer interface {
-	// SpectrumBusy fires when node's busy count rises from zero.
+	// SpectrumBusy fires when a busy-eligible node's medium turns busy.
 	SpectrumBusy(node int32, now sim.Time)
-	// SpectrumFree fires when node's busy count returns to zero.
+	// SpectrumFree fires when a free-eligible node's medium turns free.
 	SpectrumFree(node int32, now sim.Time)
-	// PUArrived fires when a primary transmitter becomes active within
-	// node's PCR, regardless of the prior busy count. A transmitting node
-	// must abort (handoff) on this signal.
+	// PUArrived fires at each registered SU transmitter within range of a
+	// primary transmitter that becomes active, and at every BlockNode,
+	// regardless of the prior medium. A transmitting node must abort
+	// (handoff) on this signal.
 	PUArrived(node int32, now sim.Time)
 }
 
-// TxKind distinguishes primary from secondary transmitters.
-type TxKind uint8
-
-// Transmitter kinds.
-const (
-	TxPU TxKind = iota + 1
-	TxSU
-)
-
-// Tracker maintains per-SU busy counters over a fixed deployment.
+// Tracker tracks the medium each SU senses over a fixed deployment.
 //
 // Two sensing radii exist because primary protection and secondary
 // coordination are different obligations: an active PU freezes every SU
@@ -67,29 +52,32 @@ const (
 // SUs within suRange (ADDC sets it to the PCR; the generic-CSMA baseline
 // uses a conventional 2r guard and pays for it in collisions).
 //
+// Delivery is narrowed to the callbacks that can act: SpectrumBusy to the
+// nodes the observer marked busy-eligible, SpectrumFree to those it marked
+// free-eligible (see Eligibility), and PUArrived to the registered SU
+// transmitters. The observer must keep each mark equal to "would my
+// callback do anything for this node right now?" at every point a callback
+// could fire — for the MAC that means one Eligibility.Set on every state
+// write that changes the answer. SpectrumBusy must not mutate the tracker,
+// and PUArrived must be a no-op for every non-transmitting node (both true
+// for the MAC, whose only responses are a freeze and the spectrum handoff
+// abort). BlockNode and UnblockNode deliver to their node regardless of
+// its marks. An SU must not be registered twice at once.
+//
 // Observer callbacks may reenter the tracker (a resumed node can start a
 // transmission, which registers a new transmitter). Each mutating call
-// therefore applies all of its medium updates before delivering any
-// callback. The eager walks record crossings in a pooled buffer of their
-// own rather than shared scratch space, the lazy walks re-read the live
-// bitsets after every callback, and the rows both walk are immutable, which
-// is reentrancy-safe without any copy.
+// therefore flips its transmitter's bit before delivering any callback,
+// and the walks re-read the live bitsets after every callback; the rows
+// themselves are immutable.
 type Tracker struct {
 	nw       *netmodel.Network
 	puRange  float64
 	suRange  float64
 	observer Observer
-	// busy[id] is id's busy counter. Unfiltered, it counts every active
-	// transmitter within range plus the BlockNode blocks; filtered, it
-	// counts the blocks alone, and the SU and PU terms live in suTx and
-	// puOn.
+	// busy[id] counts id's BlockNode blocks; the SU and PU terms of its
+	// medium live in suTx and puOn.
 	busy []int32
-	pool [][]int32
 
-	// filtered selects the filtered delivery path with lazy accounting (see
-	// FilterTransitions). The fields below, up to the CSR tables, serve that
-	// path alone.
-	filtered bool
 	// rank[id] is SU id's position in the SU grid's cell order and order
 	// is its inverse: the grid's own geom.Grid.Ranks and Order slices. A
 	// rank bit maps back to its node through order.
@@ -103,18 +91,13 @@ type Tracker struct {
 	elig  Eligibility
 	suTx  []uint64
 	nSuTx int
-	// suBits and puBits are the network's rank-bitset encodings of the SU
-	// and PU tables, fetched on the first SU and PU toggle. puOn is a bitset
-	// of the active primary users (puBits.CoverWords words); until the first
-	// PU toggle it is empty and no primary user covers any node.
+	// suBits and puBits are the network's rank-bitset rows, fetched on the
+	// first SU and PU toggle. puOn is a bitset of the active primary users
+	// (puBits.CoverWords words); until the first PU toggle it is empty and
+	// no primary user covers any node.
 	suBits *netmodel.RankBits
 	puBits *netmodel.RankBits
 	puOn   []uint64
-
-	// suTable and puTable are the CSR neighbor tables behind the eager
-	// path, fetched lazily from the network on first use.
-	suTable *netmodel.CSRTable
-	puTable *netmodel.CSRTable
 }
 
 // NewTracker builds a tracker for network nw with PU-protection sensing
@@ -129,12 +112,10 @@ func NewTracker(nw *netmodel.Network, puRange, suRange float64, observer Observe
 }
 
 // Renew returns t to its just-constructed state over network nw with new
-// sensing ranges and observer, keeping the buffer pool and reusing every
-// backing array whose capacity still fits. The filter resets to its
-// default (re-install it as after NewTracker). A renewed tracker is
-// observationally identical to a fresh one: counters and the filtered
-// path's bitsets restart from zero, and the network's tables are re-fetched
-// on next use.
+// sensing ranges and observer, reusing every backing array whose capacity
+// still fits. A renewed tracker is observationally identical to a fresh
+// one: blocks, transmitters and eligibility marks restart cleared, and the
+// network's rows are re-fetched on next use.
 func (t *Tracker) Renew(nw *netmodel.Network, puRange, suRange float64, observer Observer) error {
 	if puRange <= 0 || suRange <= 0 {
 		return fmt.Errorf("spectrum: sensing ranges must be positive, got pu=%v su=%v", puRange, suRange)
@@ -146,16 +127,17 @@ func (t *Tracker) Renew(nw *netmodel.Network, puRange, suRange float64, observer
 	t.puRange = puRange
 	t.suRange = suRange
 	t.observer = observer
-	t.busy = zeroed(t.busy, nw.NumNodes())
+	n := nw.NumNodes()
+	w := (n + 63) / 64
+	t.busy = zeroed(t.busy, n)
 	t.rank = nw.SUGrid.Ranks()
 	t.order = nw.SUGrid.Order()
-	t.filtered = false
+	t.elig = Eligibility{rank: t.rank, busy: zeroed(t.elig.busy, w), free: zeroed(t.elig.free, w)}
+	t.suTx = zeroed(t.suTx, w)
 	t.nSuTx = 0
 	t.puOn = t.puOn[:0]
 	t.suBits = nil
 	t.puBits = nil
-	t.suTable = nil
-	t.puTable = nil
 	return nil
 }
 
@@ -170,51 +152,11 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// FilterTransitions(true) narrows delivery to the callbacks that can act:
-// SpectrumBusy to nodes the observer marked busy-eligible, SpectrumFree to
-// nodes it marked free-eligible (both in the tracker's Eligibility), and
-// PUArrived to nodes that are registered SU transmitters at arrival time.
-// The observer must keep each mark equal to "would my callback do anything
-// for this node right now?" at every point a callback could fire — for the
-// MAC that means one Eligibility.Set on every state write that changes the
-// answer — SpectrumBusy must not mutate the tracker, and PUArrived must be a
-// no-op for every non-transmitting node (all true for the MAC, whose only
-// responses are a freeze and the spectrum handoff abort). Under that
-// contract the skipped calls are exactly the callbacks that would have
-// returned immediately, so results are bit-identical while a transition
-// stops paying one interface call per indifferent neighbor. Every mark
-// starts cleared. false restores unconditional delivery — the default, and
-// what recording observers (tests, tracing) need.
-//
-// With the filter on, transmitters switch to lazy accounting: an SU or PU
-// toggle flips the transmitter's bit in suTx or puOn instead of touching
-// the busy counters, and walks only the bits of its row that are also
-// eligible (see walk). A node's medium is then busy iff it is blocked, an
-// active SU transmitter other than itself has it in range, or an active PU
-// covers it. An SU must not be registered twice at once. Call it before
-// the simulation starts: the representations must not change under
-// registered transmitters.
-func (t *Tracker) FilterTransitions(on bool) {
-	t.filtered = on
-	t.puOn = t.puOn[:0]
-	t.nSuTx = 0
-	if !on {
-		return
-	}
-	w := (t.nw.NumNodes() + 63) / 64
-	t.elig = Eligibility{
-		rank: t.rank,
-		busy: zeroed(t.elig.busy, w),
-		free: zeroed(t.elig.free, w),
-	}
-	t.suTx = zeroed(t.suTx, w)
-}
-
-// Eligibility holds what an observer keeps current under
-// FilterTransitions(true): whether SpectrumBusy, and whether SpectrumFree,
-// would act on each node. The observer writes it directly — one Set per
-// state change, with no call into the tracker — and the tracker reads it in
-// its walks. Each answer is a bit of a rank bitset, which the walks AND
+// Eligibility holds the marks an observer keeps current: whether
+// SpectrumBusy, and whether SpectrumFree, would act on each node. Every
+// mark starts cleared. The observer writes them directly — one Set per
+// state change, with no call into the tracker — and the tracker reads them
+// in its walks. Each answer is a bit of a rank bitset, which the walks AND
 // with a transmitter's row a word at a time.
 type Eligibility struct {
 	rank       []int32
@@ -222,7 +164,7 @@ type Eligibility struct {
 }
 
 // Eligibility returns the tracker's eligibility bitsets. The value stays
-// valid until the next FilterTransitions or Renew.
+// valid until the next Renew.
 func (t *Tracker) Eligibility() Eligibility { return t.elig }
 
 // Set records whether SpectrumBusy (busy) and SpectrumFree (free) would act
@@ -241,7 +183,7 @@ func (e *Eligibility) Set(node int32, busy, free bool) {
 }
 
 // suCount returns how many registered SU transmitters other than node
-// itself have node in range (lazy path): by symmetry, the transmitters in
+// itself have node in range: by symmetry, the transmitters in
 // node's own row.
 func (t *Tracker) suCount(node int32) int {
 	if t.nSuTx == 0 {
@@ -271,7 +213,7 @@ func (t *Tracker) suNear(node int32) bool {
 	return false
 }
 
-// puNear reports whether any active primary user covers node (lazy path).
+// puNear reports whether any active primary user covers node.
 func (t *Tracker) puNear(node int32) bool {
 	on := t.puOn
 	if len(on) == 0 {
@@ -289,7 +231,7 @@ func (t *Tracker) puNear(node int32) bool {
 	return false
 }
 
-// puCount returns how many active primary users cover node (lazy path).
+// puCount returns how many active primary users cover node.
 func (t *Tracker) puCount(node int32) int {
 	on := t.puOn
 	if len(on) == 0 {
@@ -311,114 +253,9 @@ func (t *Tracker) Busy(node int32) bool {
 // PURange returns the primary-protection sensing range.
 func (t *Tracker) PURange() float64 { return t.puRange }
 
-func (t *Tracker) takeBuf() []int32 {
-	if n := len(t.pool); n > 0 {
-		buf := t.pool[n-1]
-		t.pool = t.pool[:n-1]
-		return buf[:0]
-	}
-	return make([]int32, 0, 64)
-}
-
-func (t *Tracker) putBuf(buf []int32) {
-	t.pool = append(t.pool, buf)
-}
-
-// suRow returns SU id's CSR neighbor row, fetching the table from the
-// network on first use.
-func (t *Tracker) suRow(id int32) []int32 {
-	if t.suTable == nil {
-		tab, err := t.nw.SUNeighborTable(t.suRange)
-		if err != nil {
-			panic(fmt.Sprintf("spectrum: SU neighbor table: %v", err))
-		}
-		t.suTable = tab
-	}
-	return t.suTable.Row(id)
-}
-
-// puTab returns the PU CSR table, fetching it from the network on first
-// use.
-func (t *Tracker) puTab() *netmodel.CSRTable {
-	if t.puTable == nil {
-		tab, err := t.nw.PUNeighborTable(t.puRange)
-		if err != nil {
-			panic(fmt.Sprintf("spectrum: PU neighbor table: %v", err))
-		}
-		t.puTable = tab
-	}
-	return t.puTable
-}
-
-// addNeighbors applies one transmitter registration over an explicit
-// neighbor sequence on the eager (unfiltered) path. nbrs is borrowed, never
-// retained, and never written: CSR rows pass their immutable backing array
-// directly.
-func (t *Tracker) addNeighbors(nbrs []int32, kind TxKind, exclude int32, now sim.Time) {
-	rose := t.takeBuf()
-	// Phase 1: apply every counter update so the medium state is
-	// consistent before any observer reacts. The local busy slice and
-	// counter keep the compiler from re-loading t.busy[node] after the
-	// store (it cannot prove rose does not alias the tracker).
-	busy := t.busy
-	for _, node := range nbrs {
-		if node == exclude {
-			continue
-		}
-		c := busy[node] + 1
-		busy[node] = c
-		if c == 1 {
-			rose = append(rose, node)
-		}
-	}
-	// Phase 2: callbacks (may reenter the tracker). A reentrant call may
-	// have changed a counter again, so re-verify the level each callback
-	// reports; the reentrant call delivered its own transitions.
-	for _, node := range rose {
-		if busy[node] > 0 {
-			t.observer.SpectrumBusy(node, now)
-		}
-	}
-	if kind == TxPU {
-		for _, node := range nbrs {
-			if node != exclude {
-				t.observer.PUArrived(node, now)
-			}
-		}
-	}
-	t.putBuf(rose)
-}
-
-// removeNeighbors reverses addNeighbors over the same neighbor sequence.
-func (t *Tracker) removeNeighbors(nbrs []int32, now sim.Time, exclude int32) {
-	fell := t.takeBuf()
-	busy := t.busy
-	for _, node := range nbrs {
-		if node == exclude {
-			continue
-		}
-		c := busy[node] - 1
-		busy[node] = c
-		if c <= 0 {
-			if c < 0 {
-				panic(fmt.Sprintf("spectrum: negative busy count at node %d", node))
-			}
-			fell = append(fell, node)
-		}
-	}
-	for _, node := range fell {
-		// Re-verify: a reentrant registration during an earlier callback
-		// may have re-raised this node's counter.
-		if busy[node] == 0 {
-			t.observer.SpectrumFree(node, now)
-		}
-	}
-	t.putBuf(fell)
-}
-
 // walk calls visit for every node whose bit is set both in source i's row
-// of b and in set, in ascending rank order — which is the CSR row's own
-// order. The word of set under the walk is re-read above the current bit
+// of b and in set, in ascending rank order — the order a grid query
+// returns the row's nodes in. The word of set under the walk is re-read above the current bit
 // after every visit, so a bit a callback flips for a later node is seen
 // exactly as a per-node read on a row walk would see it.
 func (t *Tracker) walk(b *netmodel.RankBits, i int32, set []uint64, visit func(node int32)) {
@@ -434,19 +271,13 @@ func (t *Tracker) walk(b *netmodel.RankBits, i int32, set []uint64, visit func(n
 }
 
 // AddSUTransmitter registers secondary node id as an active transmitter
-// (the node's own counter is excluded). Unfiltered, it walks id's CSR row
-// eagerly; filtered, it sets id's suTx bit and visits only the row's
-// busy-eligible nodes — at n = 300 a handful out of ~100. That is
-// bit-identical to the eager walk: a skipped node is exactly one whose
-// callback would have returned immediately, the visits keep row order, and
-// since SpectrumBusy callbacks never mutate the tracker under the filter
-// contract, a visited node's medium crossed 0→1 exactly when it is
+// (id's own medium is unaffected). It sets id's suTx bit and visits only
+// the row's busy-eligible nodes — at n = 300 a handful out of ~100. A
+// skipped node is exactly one whose callback would have returned at once,
+// the visits keep row order, and since SpectrumBusy callbacks never mutate
+// the tracker, a visited node's medium turned busy exactly when it is
 // unblocked, uncovered by active PUs and id is its only active SU in range.
 func (t *Tracker) AddSUTransmitter(id int32, now sim.Time) {
-	if !t.filtered {
-		t.addNeighbors(t.suRow(id), TxSU, id, now)
-		return
-	}
 	r := t.rank[id]
 	w, bit := r>>6, uint64(1)<<(r&63)
 	if t.suTx[w]&bit != 0 {
@@ -464,12 +295,8 @@ func (t *Tracker) AddSUTransmitter(id int32, now sim.Time) {
 }
 
 // RemoveSUTransmitter reverses AddSUTransmitter, visiting the row's
-// free-eligible nodes on the filtered path.
+// free-eligible nodes.
 func (t *Tracker) RemoveSUTransmitter(id int32, now sim.Time) {
-	if !t.filtered {
-		t.removeNeighbors(t.suRow(id), now, id)
-		return
-	}
 	r := t.rank[id]
 	w, bit := r>>6, uint64(1)<<(r&63)
 	if t.suTx[w]&bit == 0 {
@@ -480,7 +307,7 @@ func (t *Tracker) RemoveSUTransmitter(id int32, now sim.Time) {
 	t.walkFree(t.suBits, id, now)
 }
 
-// suRowBits returns the SU table's rank bitsets, fetching them from the
+// suRowBits returns the SU rows' rank bitsets, fetching them from the
 // network on first use.
 func (t *Tracker) suRowBits() *netmodel.RankBits {
 	if t.suBits == nil {
@@ -493,7 +320,7 @@ func (t *Tracker) suRowBits() *netmodel.RankBits {
 	return t.suBits
 }
 
-// puRowBits returns the PU table's rank bitsets, fetching them from the
+// puRowBits returns the PU rows' rank bitsets, fetching them from the
 // network and sizing puOn on the first PU toggle.
 func (t *Tracker) puRowBits() *netmodel.RankBits {
 	if len(t.puOn) == 0 {
@@ -507,18 +334,13 @@ func (t *Tracker) puRowBits() *netmodel.RankBits {
 	return t.puBits
 }
 
-// AddPUTransmitter registers primary user i as an active transmitter,
-// delivering PUArrived to every secondary node within the protection range.
-// Filtered, it sets i's bit in puOn and visits only the row's busy-eligible
-// nodes and, for the handoff, its registered SU transmitters; like the
-// lazy SU walk, a visited node crossed 0→1 exactly when i is the only
-// active contribution to its medium. Double-registration bookkeeping is
-// the caller's: the PU models strictly alternate add/remove per user.
+// AddPUTransmitter registers primary user i as an active transmitter. It
+// sets i's bit in puOn and visits only the row's busy-eligible nodes and,
+// for the handoff, the row's registered SU transmitters; like the SU walk,
+// a visited node's medium turned busy exactly when i is the only active
+// contribution to it. Double-registration bookkeeping is the caller's: the
+// PU models strictly alternate add/remove per user.
 func (t *Tracker) AddPUTransmitter(i int32, now sim.Time) {
-	if !t.filtered {
-		t.addNeighbors(t.puTab().Row(i), TxPU, -1, now)
-		return
-	}
 	b := t.puRowBits()
 	t.puOn[i>>6] |= 1 << (i & 63)
 	busy := t.busy
@@ -527,21 +349,17 @@ func (t *Tracker) AddPUTransmitter(i int32, now sim.Time) {
 			t.observer.SpectrumBusy(node, now)
 		}
 	})
-	// Arrival scan, mirroring the eager kind==TxPU delivery. Kept as a
-	// second walk so every busy transition lands before any handoff abort
-	// reenters the tracker; an abort clears only its own suTx bit.
+	// Arrival scan, kept as a second walk so every busy transition lands
+	// before any handoff abort reenters the tracker; an abort clears only
+	// its own suTx bit.
 	if t.nSuTx > 0 {
 		t.walk(b, i, t.suTx, func(node int32) { t.observer.PUArrived(node, now) })
 	}
 }
 
 // RemovePUTransmitter reverses AddPUTransmitter, visiting the row's
-// free-eligible nodes on the filtered path.
+// free-eligible nodes.
 func (t *Tracker) RemovePUTransmitter(i int32, now sim.Time) {
-	if !t.filtered {
-		t.removeNeighbors(t.puTab().Row(i), now, -1)
-		return
-	}
 	b := t.puRowBits()
 	t.puOn[i>>6] &^= 1 << (i & 63)
 	t.walkFree(b, i, now)
@@ -556,8 +374,7 @@ func (t *Tracker) RemovePUTransmitter(i int32, now sim.Time) {
 // cost no per-node check. No callback toggles a PU, so one cover word
 // holds for the whole word. The SU term stays a live per-node check: a
 // reentrant transmission started by an earlier resume covers later nodes
-// before they are visited, failing the check exactly like the eager
-// delivery re-verify would.
+// before they are visited, and they then stay busy.
 func (t *Tracker) walkFree(b *netmodel.RankBits, i int32, now sim.Time) {
 	row := b.Rows[int(i)*b.Words:]
 	free, busy, order := t.elig.free, t.busy, t.order

@@ -3,6 +3,7 @@ package spectrum
 import (
 	"testing"
 
+	"addcrn/internal/geom"
 	"addcrn/internal/netmodel"
 	"addcrn/internal/rng"
 	"addcrn/internal/sim"
@@ -44,20 +45,11 @@ func testNetwork(t *testing.T, seed uint64) *netmodel.Network {
 
 // TestTrackersShareNetworkTables: trackers over one network — the channels
 // of a multichannel MAC, a tracker renewed for the next run, one renewed
-// onto a WithParams copy — all walk the CSR tables and, filtered, their
-// rank-bitset encodings that the network memoizes instead of building their
-// own.
+// onto a WithParams copy — all walk the rank-bitset rows the network
+// memoizes instead of building their own.
 func TestTrackersShareNetworkTables(t *testing.T) {
 	nw := testNetwork(t, 21)
 	const puRange, suRange = 25.0, 20.0
-	wantSU, err := nw.SUNeighborTable(suRange)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPU, err := nw.PUNeighborTable(puRange)
-	if err != nil {
-		t.Fatal(err)
-	}
 	wantSUBits, err := nw.SUNeighborBits(suRange)
 	if err != nil {
 		t.Fatal(err)
@@ -85,14 +77,8 @@ func TestTrackersShareNetworkTables(t *testing.T) {
 			}
 			tr.AddSUTransmitter(1, 0)
 			tr.AddPUTransmitter(0, 0)
-			if tr.suTable != wantSU || tr.puTable != wantPU {
-				t.Fatalf("tracker %d walks tables other than the network's memo", c)
-			}
-			tr.FilterTransitions(true)
-			tr.AddSUTransmitter(1, 0)
-			tr.AddPUTransmitter(0, 0)
 			if tr.suBits != wantSUBits || tr.puBits != wantPUBits {
-				t.Fatalf("filtered tracker %d walks bitsets other than the network's memo", c)
+				t.Fatalf("tracker %d walks bitsets other than the network's memo", c)
 			}
 		}
 	}
@@ -122,8 +108,8 @@ func TestTrackerBusyCountsMatchBruteForce(t *testing.T) {
 	// count against direct distance computation.
 	puPos := nw.PU[0]
 	suID := int32(5)
-	tr.AddTransmitter(puPos, TxPU, -1, 0)
-	tr.AddTransmitter(nw.SU[suID], TxSU, suID, 0)
+	tr.AddPUTransmitter(0, 0)
+	tr.AddSUTransmitter(suID, 0)
 	for v := 0; v < nw.NumNodes(); v++ {
 		want := int32(0)
 		if nw.SU[v].Dist(puPos) <= 30 {
@@ -140,8 +126,8 @@ func TestTrackerBusyCountsMatchBruteForce(t *testing.T) {
 		}
 	}
 	// Remove both; all counters must return to zero.
-	tr.RemoveTransmitter(puPos, TxPU, -1, 1)
-	tr.RemoveTransmitter(nw.SU[suID], TxSU, suID, 1)
+	tr.RemovePUTransmitter(0, 1)
+	tr.RemoveSUTransmitter(suID, 1)
 	for v := 0; v < nw.NumNodes(); v++ {
 		if tr.BusyCount(int32(v)) != 0 {
 			t.Fatalf("node %d: residual busy count %d", v, tr.BusyCount(int32(v)))
@@ -149,6 +135,9 @@ func TestTrackerBusyCountsMatchBruteForce(t *testing.T) {
 	}
 }
 
+// TestTrackerKindSelectsRange: an SU transmitter makes busy exactly the
+// other SUs within the SU range of it, and a PU exactly the SUs within the
+// PU range, so the wider PU range reaches more nodes.
 func TestTrackerKindSelectsRange(t *testing.T) {
 	nw := testNetwork(t, 3)
 	obs := &recordingObserver{}
@@ -159,39 +148,66 @@ func TestTrackerKindSelectsRange(t *testing.T) {
 	if tr.PURange() != 40 || tr.SURange() != 15 {
 		t.Fatalf("ranges %v/%v", tr.PURange(), tr.SURange())
 	}
-	pos := nw.Bounds().Center()
-	tr.AddTransmitter(pos, TxSU, -1, 0)
-	suAffected := 0
-	for v := 0; v < nw.NumNodes(); v++ {
-		if tr.Busy(int32(v)) {
-			suAffected++
-			if nw.SU[v].Dist(pos) > 15 {
-				t.Fatalf("SU transmitter froze node %d beyond SU range", v)
+	affected := func(pos geom.Point, radius float64, self int32) int {
+		n := 0
+		for v := range int32(nw.NumNodes()) {
+			want := v != self && nw.SU[v].Dist(pos) <= radius
+			if tr.Busy(v) != want {
+				t.Fatalf("node %d at %.2f m: busy %v, want %v", v, nw.SU[v].Dist(pos), tr.Busy(v), want)
+			}
+			if want {
+				n++
 			}
 		}
+		return n
 	}
-	tr.RemoveTransmitter(pos, TxSU, -1, 1)
-	tr.AddTransmitter(pos, TxPU, -1, 2)
-	puAffected := 0
-	for v := 0; v < nw.NumNodes(); v++ {
-		if tr.Busy(int32(v)) {
-			puAffected++
-		}
-	}
+	su := nearestSU(nw, nw.PU[0])
+	tr.AddSUTransmitter(su, 0)
+	suAffected := affected(nw.SU[su], 15, su)
+	tr.RemoveSUTransmitter(su, 1)
+	tr.AddPUTransmitter(0, 2)
+	puAffected := affected(nw.PU[0], 40, -1)
 	if puAffected <= suAffected {
 		t.Errorf("PU range (40) affected %d nodes, SU range (15) affected %d", puAffected, suAffected)
 	}
 }
 
+// nearestSU returns the secondary node closest to pos.
+func nearestSU(nw *netmodel.Network, pos geom.Point) int32 {
+	best := int32(0)
+	for v := range int32(nw.NumNodes()) {
+		if nw.SU[v].Dist2(pos) < nw.SU[best].Dist2(pos) {
+			best = v
+		}
+	}
+	return best
+}
+
+// markAll sets every node's busy and free eligibility mark but skip's, so
+// tr delivers every busy and free transition to the others.
+func markAll(tr *Tracker, skip int32) {
+	elig := tr.Eligibility()
+	for v := range int32(len(tr.busy)) {
+		elig.Set(v, v != skip, v != skip)
+	}
+}
+
+// TestTrackerTransitionsAndPUArrived drives the eager reference with two
+// PUs at the same spot: the first makes its whole row busy and arrives at
+// every node, the second changes no busy state but arrives again, and the
+// row frees only when both have left.
 func TestTrackerTransitionsAndPUArrived(t *testing.T) {
-	nw := testNetwork(t, 4)
-	obs := &recordingObserver{}
-	tr, err := NewTracker(nw, 25, 25, obs)
+	base := testNetwork(t, 4)
+	c := base.Bounds().Center()
+	p := base.Params
+	p.NumPU = 2
+	nw, err := netmodel.NewCustomNetwork(p, base.SU, []geom.Point{c, c})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos := nw.Bounds().Center()
-	tr.AddTransmitter(pos, TxPU, -1, 0)
+	obs := &recordingObserver{}
+	tr := newEagerTracker(nw, 25, 25, obs)
+	tr.AddPUTransmitter(0, 0)
 	nBusy, nArrived := len(obs.busy), len(obs.arrived)
 	if nBusy == 0 || nArrived == 0 {
 		t.Fatal("no transitions delivered")
@@ -201,7 +217,7 @@ func TestTrackerTransitionsAndPUArrived(t *testing.T) {
 	}
 	// Second PU at the same spot: no new busy transitions (already busy),
 	// but PUArrived fires again.
-	tr.AddTransmitter(pos, TxPU, -1, 1)
+	tr.AddPUTransmitter(1, 1)
 	if len(obs.busy) != nBusy {
 		t.Errorf("redundant busy transitions: %d -> %d", nBusy, len(obs.busy))
 	}
@@ -209,11 +225,11 @@ func TestTrackerTransitionsAndPUArrived(t *testing.T) {
 		t.Errorf("PUArrived count %d, want %d", len(obs.arrived), 2*nArrived)
 	}
 	// Remove one: still busy, no free transitions.
-	tr.RemoveTransmitter(pos, TxPU, -1, 2)
+	tr.RemovePUTransmitter(0, 2)
 	if len(obs.free) != 0 {
 		t.Errorf("premature free transitions: %v", obs.free)
 	}
-	tr.RemoveTransmitter(pos, TxPU, -1, 3)
+	tr.RemovePUTransmitter(1, 3)
 	if len(obs.free) != nBusy {
 		t.Errorf("free count %d, want %d", len(obs.free), nBusy)
 	}
@@ -227,11 +243,11 @@ func TestTrackerExclusion(t *testing.T) {
 		t.Fatal(err)
 	}
 	suID := int32(7)
-	tr.AddTransmitter(nw.SU[suID], TxSU, suID, 0)
+	tr.AddSUTransmitter(suID, 0)
 	if tr.Busy(suID) {
 		t.Error("transmitter froze itself")
 	}
-	tr.RemoveTransmitter(nw.SU[suID], TxSU, suID, 1)
+	tr.RemoveSUTransmitter(suID, 1)
 	if tr.BusyCount(suID) != 0 {
 		t.Error("exclusion asymmetry left residual count")
 	}
@@ -270,25 +286,37 @@ func TestBlockUnblockNode(t *testing.T) {
 }
 
 func TestTrackerReentrantCallback(t *testing.T) {
-	// During RemoveTransmitter's callback phase, the observer registers a
-	// new transmitter (a resumed node starting to transmit). Counters must
+	// During a PU removal's callbacks, the observer registers a new
+	// transmitter (a resumed node starting to transmit). The medium must
 	// stay consistent and no stale SpectrumFree may be delivered for nodes
-	// the reentrant registration re-raised.
-	nw := testNetwork(t, 7)
+	// the reentrant registration re-raised. The PU sits on SU s, which
+	// carries no marks (it is about to transmit); every other node is
+	// marked both ways.
+	base := testNetwork(t, 7)
+	s := nearestSU(base, base.Bounds().Center())
+	p := base.Params
+	p.NumPU = 1
+	nw, err := netmodel.NewCustomNetwork(p, base.SU, []geom.Point{base.SU[s]})
+	if err != nil {
+		t.Fatal(err)
+	}
 	obs := &recordingObserver{}
 	tr, err := NewTracker(nw, 25, 25, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos := nw.Bounds().Center()
+	markAll(tr, s)
 	obs.reenter = func(node int32) {
-		tr.AddTransmitter(pos, TxSU, -1, 1)
+		tr.AddSUTransmitter(s, 1)
 	}
-	tr.AddTransmitter(pos, TxPU, -1, 0)
+	tr.AddPUTransmitter(0, 0)
 	busyNodes := append([]int32(nil), obs.busy...)
 	obs.busy, obs.free = nil, nil
-	tr.RemoveTransmitter(pos, TxPU, -1, 1)
-	// The reentrant SU transmitter occupies the same spot, so every node
+	tr.RemovePUTransmitter(0, 1)
+	if len(busyNodes) == 0 || obs.reenter != nil {
+		t.Fatalf("the PU froze %d nodes and its removal freed none; the test is vacuous", len(busyNodes))
+	}
+	// The reentrant SU transmitter occupies the PU's spot, so every node
 	// that was busy must still be busy now.
 	for _, v := range busyNodes {
 		if !tr.Busy(v) {
@@ -314,18 +342,29 @@ func TestTrackerReentrantCallback(t *testing.T) {
 	}
 }
 
+// TestTrackerPanicsOnNegativeCount: unbalanced bookkeeping — a block lifted
+// that was never imposed, an SU removed that is not registered, an SU
+// registered twice — panics instead of corrupting the medium.
 func TestTrackerPanicsOnNegativeCount(t *testing.T) {
 	nw := testNetwork(t, 8)
-	tr, err := NewTracker(nw, 25, 25, &recordingObserver{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("unbalanced remove did not panic")
+	for name, op := range map[string]func(tr *Tracker){
+		"unblocked node":  func(tr *Tracker) { tr.UnblockNode(3, 0) },
+		"unregistered SU": func(tr *Tracker) { tr.RemoveSUTransmitter(3, 0) },
+		"SU twice":        func(tr *Tracker) { tr.AddSUTransmitter(3, 0); tr.AddSUTransmitter(3, 0) },
+	} {
+		tr, err := NewTracker(nw, 25, 25, &recordingObserver{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	tr.RemoveTransmitter(nw.Bounds().Center(), TxPU, -1, 0)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			op(tr)
+		}()
+	}
 }
 
 func TestModelKindString(t *testing.T) {
@@ -337,8 +376,8 @@ func TestModelKindString(t *testing.T) {
 	}
 }
 
-// BusyCount returns node's total busy count: its counter plus, on the lazy
-// path, the active SU and PU transmitters covering it.
+// BusyCount returns node's total busy count: its blocks plus the active SU
+// and PU transmitters covering it.
 func (t *Tracker) BusyCount(node int32) int32 {
 	return t.busy[node] + int32(t.suCount(node)+t.puCount(node))
 }
