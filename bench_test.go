@@ -24,7 +24,6 @@ import (
 	"addcrn/internal/multichannel"
 	"addcrn/internal/netmodel"
 	"addcrn/internal/pcr"
-	"addcrn/internal/sim"
 	"addcrn/internal/spectrum"
 	"addcrn/internal/theory"
 	"addcrn/internal/trace"
@@ -383,44 +382,6 @@ func BenchmarkCollectN1000(b *testing.B) { benchCollectScaled(b, 1000) }
 
 // BenchmarkCollectN2000 is the 2000-SU counterpart.
 func BenchmarkCollectN2000(b *testing.B) { benchCollectScaled(b, 2000) }
-
-// noopObserver discards spectrum transitions; it isolates the tracker's own
-// cost in BenchmarkTrackerTransition.
-type noopObserver struct{}
-
-func (noopObserver) SpectrumBusy(int32, sim.Time) {}
-func (noopObserver) SpectrumFree(int32, sim.Time) {}
-func (noopObserver) PUArrived(int32, sim.Time)    {}
-
-// BenchmarkTrackerTransition measures one SU register/unregister pair on the
-// CSR fast path — the innermost operation of every transmission — over the
-// bench deployment with the derived PCR sensing ranges.
-func BenchmarkTrackerTransition(b *testing.B) {
-	b.ReportAllocs()
-	params := benchParams()
-	nw, err := core.BuildNetwork(core.Options{Params: params, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	consts, err := pcr.Compute(params)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, err := spectrum.NewTracker(nw, consts.Range, consts.Range, noopObserver{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm the lazily built CSR tables outside the timed region.
-	tr.AddSUTransmitter(1, 0)
-	tr.RemoveSUTransmitter(1, 0)
-	b.ResetTimer()
-	id := int32(1)
-	for i := 0; i < b.N; i++ {
-		tr.AddSUTransmitter(id, 0)
-		tr.RemoveSUTransmitter(id, 0)
-		id = id%int32(nw.NumNodes()-1) + 1
-	}
-}
 
 // BenchmarkCollectInstrumented runs the identical collection with a full
 // metrics registry and MAC-level tracing into a null sink. The acceptance
