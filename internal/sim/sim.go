@@ -50,7 +50,6 @@ type Time int64
 
 // Common time constants.
 const (
-	Microsecond Time = 1
 	Millisecond Time = 1000
 	Second      Time = 1000 * 1000
 

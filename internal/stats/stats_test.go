@@ -231,3 +231,24 @@ func TestSummaryString(t *testing.T) {
 		t.Error("empty summary string")
 	}
 }
+
+// Histogram counts xs into nbins equal-width bins spanning [lo, hi]; values
+// outside the range clamp into the boundary bins.
+func Histogram(xs []float64, lo, hi float64, nbins int) []int {
+	if nbins <= 0 || hi <= lo {
+		return nil
+	}
+	bins := make([]int, nbins)
+	width := (hi - lo) / float64(nbins)
+	for _, x := range xs {
+		i := int((x - lo) / width)
+		if i < 0 {
+			i = 0
+		}
+		if i >= nbins {
+			i = nbins - 1
+		}
+		bins[i]++
+	}
+	return bins
+}
