@@ -115,7 +115,8 @@ var engineSeeds = [][]byte{
 	{3, 5, 7, 9, 3, 4, 5, 6},
 	// Minimized failures of deliberately broken engines: overflow entries
 	// spliced behind a bucket's wheel entries, a delay of exactly the span
-	// kept on the wheel, and events below the cursor not taken first.
+	// kept on the wheel, and events scheduled below a cursor that RunUntil
+	// had moved past the clock not taken first.
 	[]byte("0102211X1"),
 	[]byte("01272"),
 	[]byte("X19Z0"),
@@ -135,9 +136,10 @@ type scriptCover struct {
 // FuzzEngineOrder runs random scripts against both the engine and refQueue
 // in lockstep: top-level schedules, cancels (of pending, fired and pre-Reset
 // timers), Steps, RunUntil deadlines that stop short of the next event
-// followed by schedules below the wheel's cursor, and Resets; event bodies
+// followed by schedules just past the clock, and Resets; event bodies
 // schedule and cancel reentrantly. Every fired event's id and time, the
-// clock and the pending count must match the reference exactly.
+// clock and the pending count must match the reference exactly, and the
+// wheel's cursor must never pass the clock.
 func FuzzEngineOrder(f *testing.F) {
 	var cov scriptCover
 	for _, seed := range engineSeeds {
@@ -213,6 +215,9 @@ func runEngineScript(t testing.TB, data []byte) (cov scriptCover) {
 		if got, want := e.Pending(), len(ref.live); got != want {
 			t.Fatalf("after %s: %d pending, reference %d", op, got, want)
 		}
+		if e.cursor > e.Now() {
+			t.Fatalf("after %s: wheel cursor %d is past the clock %d", op, e.cursor, e.Now())
+		}
 	}
 
 	for len(s.b) > 0 {
@@ -243,7 +248,8 @@ func runEngineScript(t testing.TB, data []byte) (cov scriptCover) {
 			check("RunUntil")
 		case 4:
 			// Schedule just past the clock: after a RunUntil that
-			// stopped short, this lands below the wheel's cursor.
+			// stopped short, this would land below a cursor that had
+			// moved past the clock.
 			schedule(Time(s.byte() % 4))
 			check("schedule below cursor")
 		case 5:

@@ -28,13 +28,12 @@
 // entry for time t was scheduled before any wheel entry for t, because the
 // cursor only moves forward; so when the cursor reaches t, t's overflow
 // entries are spliced in front of the bucket's list, and later pushes at t
-// append behind it. After RunUntil stops with the cursor ahead of the clock,
-// an event may be scheduled below the cursor: it goes to the overflow heap,
-// whose top is taken first while its time is below the cursor. Because the
-// order is the same strict total order, every simulation result is
-// identical to the binary container/heap implementation this engine
-// started from. The arena recycles freed slots through a free list, so
-// scheduling in steady state allocates nothing.
+// append behind it. RunUntil reads the next pending time without moving the
+// cursor, so the cursor never passes the clock and no event is scheduled
+// below it. Because the order is the same strict total order, every
+// simulation result is identical to the binary container/heap
+// implementation this engine started from. The arena recycles freed slots
+// through a free list, so scheduling in steady state allocates nothing.
 
 package sim
 
@@ -191,9 +190,8 @@ type Engine struct {
 
 	// heap is the overflow queue: a 4-ary min-heap of arena indices ordered
 	// by (at, seq), with keys mirroring each position's sort key. It holds
-	// the events due at or beyond the wheel's span when scheduled, and those
-	// scheduled below the cursor after RunUntil stopped short. It may hold
-	// lazily canceled entries awaiting their pop.
+	// the events due at or beyond the wheel's span when scheduled, and may
+	// hold lazily canceled entries awaiting their pop.
 	heap []int32
 	keys []hkey
 
@@ -295,7 +293,7 @@ func (e *Engine) At(t Time, fn EventFunc) (Timer, error) {
 	en := &e.arena[idx]
 	en.at = t
 	en.fn = fn
-	if t >= e.cursor && t-e.cursor < wheelSpan {
+	if t-e.cursor < wheelSpan {
 		e.bucketPush(int(t&wheelMask), idx)
 	} else {
 		en.next = inHeap
@@ -337,11 +335,11 @@ func (e *Engine) Step() bool {
 	if !e.polled() {
 		return false
 	}
-	idx, rewound, ok := e.front()
+	t, ok := e.next()
 	if !ok {
 		return false
 	}
-	e.fire(idx, rewound)
+	e.fire(t)
 	return true
 }
 
@@ -352,11 +350,11 @@ func (e *Engine) Step() bool {
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	start := e.nsteps
 	for {
-		idx, rewound, ok := e.front()
-		if !ok || e.arena[idx].at > deadline || !e.polled() {
+		t, ok := e.next()
+		if !ok || t > deadline || !e.polled() {
 			break
 		}
-		e.fire(idx, rewound)
+		e.fire(t)
 	}
 	return e.nsteps - start
 }
@@ -386,65 +384,51 @@ func (e *Engine) polled() bool {
 	return true
 }
 
-// front returns the arena index of the earliest pending live event without
-// removing it, discarding the canceled heap entries ahead of it and moving
-// the cursor to the next pending time when the cursor's bucket is empty.
-// rewound reports that the event is the overflow heap's top, due below the
-// cursor, rather than the head of the cursor's bucket. ok is false when no
-// live event is pending.
-func (e *Engine) front() (idx int32, rewound, ok bool) {
-	for len(e.heap) > 0 && e.keys[0].at < e.cursor {
-		idx = e.heap[0]
-		if e.arena[idx].fn != nil {
-			return idx, true, true
-		}
+// next returns the earliest pending time without moving the cursor: the
+// cursor's own when its bucket is occupied, else the sooner of the next
+// occupied bucket and the overflow heap's first live entry, releasing the
+// canceled heap entries ahead of that one. ok is false when no live event is
+// pending.
+func (e *Engine) next() (Time, bool) {
+	if e.occupied(int(e.cursor & wheelMask)) {
+		return e.cursor, true
+	}
+	for len(e.heap) > 0 && e.arena[e.heap[0]].fn == nil {
 		e.release(e.heapPop())
 	}
-	if !e.occupied(int(e.cursor&wheelMask)) && !e.advance() {
-		return 0, false, false
+	t, ok := e.nextOccupied()
+	if len(e.heap) > 0 && (!ok || e.keys[0].at < t) {
+		t, ok = e.keys[0].at, true
 	}
-	return e.buckets[e.cursor&wheelMask].head, false, true
+	return t, ok
 }
 
-// fire removes the event front returned and executes it.
-func (e *Engine) fire(idx int32, rewound bool) {
-	if rewound {
-		e.heapPop()
-	} else {
-		e.unlink(idx)
+// fire moves the cursor to t, the time next returned, and removes and
+// executes the first event due then.
+func (e *Engine) fire(t Time) {
+	if t != e.cursor {
+		e.advance(t)
 	}
+	idx := e.buckets[t&wheelMask].head
+	e.unlink(idx)
 	en := &e.arena[idx]
 	fn := en.fn
-	at := en.at
 	// Recycle the slot before running the body: the event is no longer
 	// pending, its Timer handles must read inactive, and the body is free to
 	// reuse the slot for the events it schedules.
 	e.release(idx)
-	e.now = at
+	e.now = t
 	e.nsteps++
-	fn(at)
+	fn(t)
 }
 
-// advance moves the cursor from its empty bucket to the earliest pending
-// time — the next occupied bucket or the overflow heap's first live entry,
-// whichever is sooner — and splices the live overflow entries due then in
-// front of that time's bucket, releasing the canceled ones. It reports
-// false when no live event is pending. The heap holds nothing below the
-// cursor here: front takes those entries first.
-func (e *Engine) advance() bool {
-	for len(e.heap) > 0 && e.arena[e.heap[0]].fn == nil {
-		e.release(e.heapPop())
-	}
-	next, ok := e.nextOccupied()
-	if len(e.heap) > 0 && (!ok || e.keys[0].at < next) {
-		next, ok = e.keys[0].at, true
-	}
-	if !ok {
-		return false
-	}
+// advance moves the cursor from its empty bucket to next, the earliest
+// pending time, and splices the live overflow entries due then in front of
+// that time's bucket, releasing the canceled ones.
+func (e *Engine) advance(next Time) {
 	e.cursor = next
 	if len(e.heap) == 0 || e.keys[0].at != next {
-		return true
+		return
 	}
 	// The overflow entries due at next were scheduled before every wheel
 	// entry for next, and the heap yields them in sequence order.
@@ -469,7 +453,6 @@ func (e *Engine) advance() bool {
 		e.occ[b>>6] |= 1 << (b & 63)
 	}
 	bk.head = first
-	return true
 }
 
 // nextOccupied returns the time of the first occupied bucket after the
