@@ -240,12 +240,6 @@ func BenchmarkAblationPCRSafety15(b *testing.B) {
 	benchADDCConfig(b, func(cfg *core.CollectConfig) { cfg.PCROverride = consts.Range * 1.5 })
 }
 
-// BenchmarkAblationAggregatePU swaps the exact PU model for the aggregate
-// blocking process.
-func BenchmarkAblationAggregatePU(b *testing.B) {
-	benchADDCConfig(b, func(cfg *core.CollectConfig) { cfg.PUModel = spectrum.ModelAggregate })
-}
-
 // BenchmarkCentralizedBaseline runs the genie-aided synchronized scheduler
 // on the same operating point as BenchmarkAblationBaseline; the delay gap
 // is the measured constant behind the order-optimality claim.

@@ -13,7 +13,6 @@
 //	addc-experiments -fig ext2        # ADDC delivery ratio vs crash fraction
 //	addc-experiments -fig curves      # delivery-progress SVG for one run
 //	addc-experiments -fig thm2        # Theorem 2 bound check (with PUs)
-//	addc-experiments -paper-scale     # paper-nominal parameters (slow!)
 //	addc-experiments -csv             # machine-readable output
 //
 // Long sweeps are interruptible and resumable: -checkpoint journals every
@@ -67,7 +66,6 @@ func run(args []string) error {
 		reps       = fs.Int("reps", 10, "repetitions per sweep point")
 		seed       = fs.Uint64("seed", 1, "root seed")
 		csv        = fs.Bool("csv", false, "emit CSV instead of tables")
-		paperScale = fs.Bool("paper-scale", false, "use the paper's nominal parameters with the aggregate PU model (very slow)")
 		handoff    = fs.Bool("handoff", true, "abort transmissions when a PU arrives (spectrum handoff)")
 		budget     = fs.Duration("max-virtual", 2*time.Hour, "virtual-time budget per run")
 		timeout    = fs.Duration("timeout", 0, "wall-clock budget for the whole invocation (0: none); expiry stops sweeps like SIGINT, printing partial results (combine with -checkpoint to resume)")
@@ -126,11 +124,6 @@ func run(args []string) error {
 	}
 
 	base := netmodel.ScaledDefaultParams()
-	model := spectrum.ModelExact
-	if *paperScale {
-		base = netmodel.DefaultParams()
-		model = spectrum.ModelAggregate
-	}
 	if *numSU > 0 {
 		base.NumSU = *numSU
 	}
@@ -167,7 +160,7 @@ func run(args []string) error {
 			return err
 		}
 		sweep.Reps = *reps
-		sweep.PUModel = model
+		sweep.PUModel = spectrum.ModelExact
 		sweep.DisableHandoff = !*handoff
 		sweep.MaxVirtualTime = *budget
 		sweep.SameMAC = *sameMAC

@@ -26,7 +26,6 @@ import (
 	"addcrn/internal/metrics"
 	"addcrn/internal/netmodel"
 	"addcrn/internal/pcr"
-	"addcrn/internal/spectrum"
 	"addcrn/internal/trace"
 )
 
@@ -65,7 +64,6 @@ func run(args []string) error {
 		seed    = fs.Uint64("seed", 1, "run seed")
 		runs    = fs.Int("runs", 1, "repeat the simulation with seeds seed, seed+1, ... reusing one simulation workspace between runs")
 		alg     = fs.String("alg", "addc", "algorithm: addc or coolest")
-		model   = fs.String("pu-model", "exact", "PU model: exact or aggregate")
 		budget  = fs.Duration("max-virtual", 30*time.Minute, "virtual-time budget")
 		timeout = fs.Duration("timeout", 0, "wall-clock budget for the whole invocation (0: none); expiry interrupts the run like SIGINT, reporting the partial delivery state")
 		handoff = fs.Bool("handoff", true, "abort transmissions on PU arrival")
@@ -108,18 +106,7 @@ func run(args []string) error {
 	params.SIRThresholdSUdB = *etaSU
 	params.ActiveProb = *pt
 
-	var kind spectrum.ModelKind
-	switch *model {
-	case "exact":
-		kind = spectrum.ModelExact
-	case "aggregate":
-		kind = spectrum.ModelAggregate
-	default:
-		return fmt.Errorf("unknown PU model %q", *model)
-	}
-
 	cfg := core.CollectConfig{
-		PUModel:        kind,
 		MaxVirtualTime: *budget,
 		DisableHandoff: !*handoff,
 		Guard:          *guard,
@@ -182,7 +169,6 @@ func run(args []string) error {
 		nw, err := core.BuildNetwork(core.Options{
 			Params:         params,
 			Seed:           topoSeed,
-			PUModel:        kind,
 			MaxVirtualTime: *budget,
 		})
 		if err != nil {
@@ -229,8 +215,8 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("algorithm=%s n=%d N=%d pt=%.2f alpha=%.1f seed=%d pu-model=%s\n",
-			*alg, params.NumSU, params.NumPU, params.ActiveProb, params.Alpha, runSeed, kind)
+		fmt.Printf("algorithm=%s n=%d N=%d pt=%.2f alpha=%.1f seed=%d pu-model=exact\n",
+			*alg, params.NumSU, params.NumPU, params.ActiveProb, params.Alpha, runSeed)
 		fmt.Printf("PCR: kappa=%.3f range=%.1fm\n", res.PCR.Kappa, res.PCR.Range)
 		fmt.Printf("delivered %d/%d in %v (%.0f slots)\n",
 			res.Delivered, res.Expected, res.Delay.Duration(), res.DelaySlots)

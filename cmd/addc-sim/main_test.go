@@ -16,13 +16,6 @@ func TestRunCoolestSmall(t *testing.T) {
 	}
 }
 
-func TestRunAggregateModel(t *testing.T) {
-	err := run([]string{"-n", "100", "-N", "3", "-area", "60", "-pu-model", "aggregate"})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunWithFaults(t *testing.T) {
 	err := run([]string{"-n", "100", "-N", "3", "-area", "60", "-seed", "2",
 		"-fault-crash", "0.1", "-fault-crash-window", "500ms", "-fault-loss", "0.05"})
@@ -34,7 +27,6 @@ func TestRunWithFaults(t *testing.T) {
 func TestRunRejectsBadInputs(t *testing.T) {
 	cases := [][]string{
 		{"-alg", "bogus", "-n", "100", "-N", "3", "-area", "60"},
-		{"-pu-model", "bogus", "-n", "100", "-N", "3", "-area", "60"},
 		{"-alpha", "1.0"},
 		{"-not-a-flag"},
 		{"-n", "100", "-N", "3", "-area", "60", "-fault-crash", "1.5"},

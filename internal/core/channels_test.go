@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"addcrn/internal/fault"
-	"addcrn/internal/spectrum"
 )
 
 // roundRobinHome gives node v home channel v mod channels.
@@ -41,7 +40,6 @@ func TestChannelsRejectedConfigs(t *testing.T) {
 	}{
 		{"generic-csma", func(c *CollectConfig) { c.GenericCSMA = true }, "GenericCSMA"},
 		{"sir-validate", func(c *CollectConfig) { c.SIRValidate = true }, "SIRValidate"},
-		{"aggregate", func(c *CollectConfig) { c.PUModel = spectrum.ModelAggregate }, "aggregate"},
 		{"faults", func(c *CollectConfig) { c.Faults = &fault.Spec{LinkLoss: 0.1} }, "Faults"},
 		{"nil-home", func(c *CollectConfig) { c.Home = nil }, "home slice"},
 		{"short-home", func(c *CollectConfig) { c.Home = c.Home[:n-1] }, "home slice"},

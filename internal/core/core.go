@@ -146,7 +146,7 @@ type Options struct {
 	// Seed makes the run reproducible; runs with equal Options are
 	// bit-identical.
 	Seed uint64
-	// PUModel selects the primary-user activity model (default exact).
+	// PUModel is zero or spectrum.ModelExact, the only PU model.
 	PUModel spectrum.ModelKind
 	// MaxVirtualTime bounds the simulated time (default 30 virtual
 	// minutes); exceeded budgets return ErrDeadline.
@@ -211,8 +211,7 @@ type Result struct {
 	// channel c; nil unless CollectConfig.Channels was set.
 	ChannelLoad []float64
 	// PUBusyFraction is the time-averaged fraction of PUs that were
-	// transmitting over the run, the empirical p_t (under the aggregate
-	// model, the fraction of nodes inside a blocking period).
+	// transmitting over the run, the empirical p_t.
 	PUBusyFraction float64
 	// MaxServiceSlots is the largest per-packet service time any node saw,
 	// in slots (Theorem 1's measured counterpart).
@@ -351,7 +350,8 @@ func BuildTree(nw *netmodel.Network) (*cds.Tree, error) {
 // memo (netmodel.Network.Adjacency, SUNeighborBits, PUNeighborBits), so
 // every run over one deployment shares a single build of each.
 type CollectConfig struct {
-	Seed           uint64
+	Seed uint64
+	// PUModel is zero or spectrum.ModelExact, the only PU model.
 	PUModel        spectrum.ModelKind
 	MaxVirtualTime time.Duration
 	// TreeStats, if set, is copied into the Result for reporting.
@@ -429,9 +429,8 @@ type CollectConfig struct {
 	// Channels splits the licensed spectrum into that many orthogonal
 	// channels, PU i licensed to channel i mod Channels, and Home assigns
 	// each node's receive channel (see mac.Config.Channels). Zero means the
-	// paper's single channel. More than one channel runs ADDC's profile with
-	// the exact PU model only: GenericCSMA, SIRValidate, the aggregate
-	// model and a non-zero Faults are rejected.
+	// paper's single channel. More than one channel runs ADDC's profile
+	// only: GenericCSMA, SIRValidate and a non-zero Faults are rejected.
 	Channels int
 	Home     []int
 }
@@ -535,7 +534,7 @@ type run struct {
 	latencies   []float64
 	hops        []float64
 	m           *mac.MAC
-	model       spectrum.PUModel
+	model       *spectrum.ExactModel
 	rep         *repairer
 	grd         *guard
 	obs         *observer
@@ -607,6 +606,9 @@ func (r *run) seal() (*Result, error) {
 // schedule — then starts it, leaving the run ready to step. Every renewable
 // component comes from ws, whose root source is reseeded in place.
 func newRun(eng *sim.Engine, nw *netmodel.Network, parent []int32, cfg CollectConfig, ws *Workspace) (*run, error) {
+	if cfg.PUModel != 0 && cfg.PUModel != spectrum.ModelExact {
+		return nil, fmt.Errorf("core: unknown PU model %v", cfg.PUModel)
+	}
 	if err := validateChannels(cfg); err != nil {
 		return nil, err
 	}
@@ -629,9 +631,6 @@ func newRun(eng *sim.Engine, nw *netmodel.Network, parent []int32, cfg CollectCo
 	}
 	if cfg.MaxVirtualTime <= 0 {
 		cfg.MaxVirtualTime = 30 * time.Minute
-	}
-	if cfg.PUModel == 0 {
-		cfg.PUModel = spectrum.ModelExact
 	}
 
 	if ws.src != nil {
@@ -826,22 +825,10 @@ func newRun(eng *sim.Engine, nw *netmodel.Network, parent []int32, cfg CollectCo
 		}
 	}
 
-	var model spectrum.PUModel
-	switch {
-	case cfg.PUModel == spectrum.ModelExact:
-		ws.exact = spectrum.RenewExactModel(ws.exact, nw, m.Trackers(), src)
-		exact := ws.exact
-		if monitor != nil {
-			exact.AttachMonitor(monitor)
-		}
-		model = exact
-	case cfg.PUModel == spectrum.ModelAggregate:
-		// The aggregate model has no physical PU transmitters, so primary
-		// interference cannot enter SIR checking; SU-SU collisions are
-		// still evaluated when a monitor is attached.
-		model = spectrum.NewAggregateModel(nw, m.Trackers()[0], src)
-	default:
-		return nil, fmt.Errorf("core: unknown PU model %v", cfg.PUModel)
+	model := spectrum.RenewExactModel(ws.exact, nw, m.Trackers(), src)
+	ws.exact = model
+	if monitor != nil {
+		model.AttachMonitor(monitor)
 	}
 	model.Start(eng)
 	m.Start()
@@ -856,9 +843,8 @@ func newRun(eng *sim.Engine, nw *netmodel.Network, parent []int32, cfg CollectCo
 }
 
 // validateChannels rejects the features a run on more than one channel does
-// not support. Each either assumes one medium (the SIR monitor, the
-// aggregate model's per-node blocking) or would move a node between
-// channels (fault repair re-parents).
+// not support. Each either assumes one medium (the SIR monitor) or would
+// move a node between channels (fault repair re-parents).
 func validateChannels(cfg CollectConfig) error {
 	for _, f := range []struct {
 		on   bool
@@ -866,7 +852,6 @@ func validateChannels(cfg CollectConfig) error {
 	}{
 		{cfg.GenericCSMA, "GenericCSMA"},
 		{cfg.SIRValidate, "SIRValidate"},
-		{cfg.PUModel == spectrum.ModelAggregate, "the aggregate PU model"},
 		{cfg.Faults != nil && !cfg.Faults.Zero(), "Faults"},
 	} {
 		if f.on && cfg.Channels > 1 {

@@ -224,47 +224,6 @@ func TestGenericCSMAProfile(t *testing.T) {
 	}
 }
 
-func TestCollectAggregateModel(t *testing.T) {
-	opts := smallOptions(19)
-	opts.PUModel = spectrum.ModelAggregate
-	res, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Delivered != res.Expected {
-		t.Fatalf("aggregate model delivered %d/%d", res.Delivered, res.Expected)
-	}
-}
-
-// TestAggregateVsExactAgreement cross-validates the two PU models: over a
-// few seeds, mean delays must agree within a loose factor (they share the
-// same marginal blocking probabilities but differ in correlation).
-func TestAggregateVsExactAgreement(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cross-validation is slow")
-	}
-	meanDelay := func(model spectrum.ModelKind) float64 {
-		var sum float64
-		const reps = 5
-		for seed := uint64(30); seed < 30+reps; seed++ {
-			opts := smallOptions(seed)
-			opts.PUModel = model
-			res, err := Run(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum += res.DelaySlots
-		}
-		return sum / reps
-	}
-	exact := meanDelay(spectrum.ModelExact)
-	aggregate := meanDelay(spectrum.ModelAggregate)
-	ratio := exact / aggregate
-	if ratio < 0.25 || ratio > 4 {
-		t.Errorf("exact/aggregate delay ratio %v (exact %v, aggregate %v)", ratio, exact, aggregate)
-	}
-}
-
 // TestTheorem2DelayBound checks the measured total delay respects Theorem
 // 2's bound evaluated with the realized tree degree.
 func TestTheorem2DelayBound(t *testing.T) {
@@ -298,8 +257,11 @@ func TestCollectUnknownModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Collect(nw, tree.Parent, CollectConfig{Seed: 1, PUModel: spectrum.ModelKind(9)}); err == nil {
-		t.Error("unknown PU model accepted")
+	// 2 was the retired aggregate model's value.
+	for _, kind := range []spectrum.ModelKind{2, 9} {
+		if _, err := Collect(nw, tree.Parent, CollectConfig{Seed: 1, PUModel: kind}); err == nil {
+			t.Errorf("unknown PU model %d accepted", kind)
+		}
 	}
 }
 

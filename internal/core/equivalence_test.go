@@ -195,8 +195,8 @@ func leastPUHome(nw *netmodel.Network, pcrRange float64, channels int) []int {
 
 // TestWorkspaceReuseAcrossRunShapes runs one workspace through runs of every
 // shape a sweep or an addc-sim -runs loop can hand it in turn — channel
-// counts, node and PU counts, fault and guard settings, MAC profiles and PU
-// models — and requires each to match a fresh run byte for byte. The MAC is
+// counts, node and PU counts, fault and guard settings and MAC profiles —
+// and requires each to match a fresh run byte for byte. The MAC is
 // renewed in place throughout, the second C = 4 run gets back the first
 // one's trackers, and the last run renews the deafness tables of the run
 // before it.
@@ -211,10 +211,6 @@ func TestWorkspaceReuseAcrossRunShapes(t *testing.T) {
 		{name: "smaller-n", seed: 43, n: 80, numPU: 4, area: 55, collectCfg: guard},
 		{name: "generic-csma-coolest", seed: 44, n: 120, numPU: 6, area: 65, coolest: true, collectCfg: func(c *CollectConfig) {
 			c.GenericCSMA = true
-		}},
-		{name: "aggregate", seed: 45, n: 120, numPU: 4, area: 65, collectCfg: func(c *CollectConfig) {
-			c.PUModel = spectrum.ModelAggregate
-			c.Guard = true
 		}},
 		{name: "c4-again", seed: 46, n: 120, numPU: 8, area: 65, channels: 4, collectCfg: guard},
 		{name: "c2-smaller-n", seed: 47, n: 80, numPU: 4, area: 55, channels: 2, collectCfg: guard},

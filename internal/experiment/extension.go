@@ -7,7 +7,6 @@ import (
 	"addcrn/internal/fault"
 	"addcrn/internal/multichannel"
 	"addcrn/internal/netmodel"
-	"addcrn/internal/spectrum"
 )
 
 // The extension figures go beyond the paper's evaluation (see DESIGN.md
@@ -44,9 +43,6 @@ func extensionSweep(s *Sweep, id string) bool {
 				return err
 			}
 			cfg.Channels, cfg.Home = int(x), home
-			// Licensing PU i to channel i mod C needs each PU's identity,
-			// which only the exact model keeps.
-			cfg.PUModel = spectrum.ModelExact
 			return nil
 		}
 	case "ext2":

@@ -11,7 +11,6 @@ import (
 
 	"addcrn/internal/geom"
 	"addcrn/internal/rng"
-	"addcrn/internal/spectrum"
 )
 
 // extensionTestSweep returns the ext1 or ext2 figure at the tiny operating
@@ -59,18 +58,6 @@ func TestChannelSweep(t *testing.T) {
 	table := res.FormatTable()
 	if !strings.Contains(table, "channels") || !strings.Contains(table, "ext1") || strings.Contains(table, "Coolest") {
 		t.Errorf("table malformed:\n%s", table)
-	}
-
-	// Per-channel licensing needs the exact model, so ext1 runs it whatever
-	// model the sweep names.
-	agg := extensionTestSweep(t, "ext1", 5, 1, 2)
-	agg.PUModel = spectrum.ModelAggregate
-	aggRes, err := agg.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Points, aggRes.Points) {
-		t.Errorf("ext1 under the aggregate model diverges:\n exact:     %+v\n aggregate: %+v", res.Points, aggRes.Points)
 	}
 }
 

@@ -52,7 +52,7 @@ type Sweep struct {
 	Reps int
 	// Seed derives every repetition's seed.
 	Seed uint64
-	// PUModel selects the primary activity model (default exact).
+	// PUModel is zero or spectrum.ModelExact, the only PU model.
 	PUModel spectrum.ModelKind
 	// MaxVirtualTime bounds each run (default 2 virtual hours).
 	MaxVirtualTime time.Duration

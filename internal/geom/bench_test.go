@@ -31,7 +31,7 @@ func BenchmarkGridWithin(b *testing.B) {
 }
 
 // BenchmarkGridCountWithin measures the counting variant used by the
-// aggregate PU model and temperature computation.
+// Coolest temperature computation and the CSR tables' sizing pass.
 func BenchmarkGridCountWithin(b *testing.B) {
 	g, queries := benchGrid(b, 2000)
 	b.ResetTimer()

@@ -137,8 +137,8 @@ var geomSink int64
 
 // BenchmarkGeometric times one draw in the exact model's pattern, which
 // alternates p_t and 1−p_t on one stream, at the paper's p_t range, and in
-// the aggregate model's, where each draw's p is its node's blocking
-// probability 1−(1−p_t)^k or its complement.
+// a per-node pattern, where each draw's p is one of 1024 blocking
+// probabilities 1−(1−p_t)^k or their complements.
 func BenchmarkGeometric(b *testing.B) {
 	for _, pt := range []float64{0.1, 0.3, 0.5} {
 		b.Run(fmt.Sprintf("alternating/pt=%v", pt), func(b *testing.B) {

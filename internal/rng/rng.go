@@ -208,8 +208,7 @@ type geomMemo struct {
 	q, logQ float64
 	// stepsPerBit = −ln 2 / ln q is the run length that halving u adds.
 	// The entry's first hit sets it and still draws by the formula, so an
-	// entry hit only once, as the aggregate model's per-node probabilities
-	// mostly are, builds nothing.
+	// entry hit only once builds nothing.
 	stepsPerBit float64
 	// t is the last threshold built, q^len(bounds)·2⁵³.
 	t      float64

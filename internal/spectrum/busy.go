@@ -4,7 +4,7 @@ import (
 	"addcrn/internal/sim"
 )
 
-// busyIntegral accumulates ∫ numActive dt incrementally: every model calls
+// busyIntegral accumulates ∫ numActive dt incrementally: the PU model calls
 // update with the pre-transition active count at each state change, and
 // fraction divides the integral by capacity·elapsed to yield the
 // time-averaged fraction of transmitters that were busy. The arithmetic is

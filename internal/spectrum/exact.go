@@ -39,8 +39,6 @@ type ExactModel struct {
 	busy      busyIntegral
 }
 
-var _ PUModel = (*ExactModel)(nil)
-
 // RenewExactModel builds the exact per-PU activity model over one tracker
 // per channel, reusing prev's allocations when prev is non-nil: the activity
 // masks, receiver points, toggle closures and both child randomness
@@ -120,14 +118,12 @@ func (m *ExactModel) Start(eng *sim.Engine) {
 	}
 }
 
-// ActiveCount returns how many PUs are currently transmitting.
-func (m *ExactModel) ActiveCount() int { return m.numActive }
-
 // Receiver returns the synthetic intended receiver of PU i.
 func (m *ExactModel) Receiver(i int) geom.Point { return m.receivers[i] }
 
-// BusyFraction implements PUModel: the time-averaged fraction of PUs that
-// were transmitting (the empirical p_t).
+// BusyFraction returns the time-averaged fraction of PUs that were
+// transmitting through virtual time now, the empirical p_t. It is 0 before
+// any time has elapsed.
 func (m *ExactModel) BusyFraction(now sim.Time) float64 {
 	return m.busy.fraction(now, m.numActive, len(m.nw.PU))
 }

@@ -147,9 +147,9 @@ type contractRun struct {
 // b0's top bit is set, so fewer than half the users are active); b0%8 == 1
 // blocks node b1%n on channel b0/8%C when b0's top bit is set and the node
 // holds fewer than two blocks there, and otherwise lifts one of its blocks
-// (as fault bursts and the aggregate PU model do); any other value advances
-// node b1%n one step — contend (or, when b0's top two bits are set, start
-// listening), expire, finish its transmission or stop listening.
+// (as fault bursts do); any other value advances node b1%n one step —
+// contend (or, when b0's top two bits are set, start listening), expire,
+// finish its transmission or stop listening.
 func runContractScript(t testing.TB, nw *netmodel.Network, puRange, suRange float64, channels int, ref bool, ops []byte) contractRun {
 	nn, np := nw.NumNodes(), len(nw.PU)
 	m := &contractModel{st: make([]uint8, nn), suRows: bruteRows(nw, nw.SU, suRange)}

@@ -1,50 +1,16 @@
 package spectrum
 
-import (
-	"addcrn/internal/sim"
-)
-
-// PUModel drives primary-user activity against a Tracker. Implementations
-// schedule their own events on the engine; they keep re-arming forever, so
-// the simulation driver decides when to stop stepping.
-type PUModel interface {
-	// Start schedules the model's initial events.
-	Start(eng *sim.Engine)
-	// ActiveCount returns the number of currently active primary
-	// transmitters (virtual ones count per blocked node in the aggregate
-	// model); used by tests and progress reporting.
-	ActiveCount() int
-	// BusyFraction returns the time-averaged fraction of the model's
-	// transmitters (PUs, or blocked nodes for the aggregate model) that
-	// were active through virtual time now — the observed counterpart of
-	// the paper's activity probability p_t. It is 0 before any time has
-	// elapsed.
-	BusyFraction(now sim.Time) float64
-}
-
 // ModelKind selects a PU activity model.
 type ModelKind uint8
 
-// Available PU activity models (see DESIGN.md for the substitution
-// rationale).
-const (
-	// ModelExact simulates each PU's i.i.d. Bernoulli(p_t) slot activity
-	// individually — the paper's model verbatim.
-	ModelExact ModelKind = iota + 1
-	// ModelAggregate collapses the PUs around each SU into one on/off
-	// blocking process with the exact per-slot blocking probability,
-	// trading inter-SU correlation for large-sweep speed.
-	ModelAggregate
-)
+// ModelExact simulates each PU's i.i.d. Bernoulli(p_t) slot activity
+// individually — the paper's model verbatim, and the only PU model.
+const ModelExact ModelKind = 1
 
 // String implements fmt.Stringer.
 func (k ModelKind) String() string {
-	switch k {
-	case ModelExact:
+	if k == ModelExact {
 		return "exact"
-	case ModelAggregate:
-		return "aggregate"
-	default:
-		return "unknown"
 	}
+	return "unknown"
 }

@@ -154,91 +154,8 @@ func TestExactModelSlotAligned(t *testing.T) {
 	}
 }
 
-func TestAggregateModelBlockProb(t *testing.T) {
-	nw, tr := modelFixture(t, 15, 0.3)
-	m := NewAggregateModel(nw, tr, rng.New(16))
-	for v := 0; v < nw.NumNodes(); v++ {
-		k := nw.PUGrid.CountWithin(nw.SU[v], tr.PURange())
-		want := 1 - math.Pow(0.7, float64(k))
-		if math.Abs(m.BlockProb(int32(v))-want) > 1e-12 {
-			t.Fatalf("node %d block prob %v, want %v", v, m.BlockProb(int32(v)), want)
-		}
-	}
-}
-
-func TestAggregateModelMarginalBlocking(t *testing.T) {
-	nw, tr := modelFixture(t, 17, 0.3)
-	m := NewAggregateModel(nw, tr, rng.New(18))
-	eng := sim.New()
-	m.Start(eng)
-	slot := sim.FromDuration(nw.Params.Slot)
-	// Pick the node with the highest blocking probability for signal.
-	node := int32(0)
-	for v := 0; v < nw.NumNodes(); v++ {
-		if m.BlockProb(int32(v)) > m.BlockProb(node) {
-			node = int32(v)
-		}
-	}
-	q := m.BlockProb(node)
-	if q <= 0 {
-		t.Skip("no PU near any node in this draw")
-	}
-	blocked := 0
-	const slots = 20000
-	for s := 0; s < slots; s++ {
-		eng.RunUntil(sim.Time(s)*slot + slot/2)
-		if m.Blocked(node) {
-			blocked++
-		}
-	}
-	frac := float64(blocked) / slots
-	if math.Abs(frac-q) > 0.03 {
-		t.Errorf("node blocked fraction %v, want ~%v", frac, q)
-	}
-}
-
-func TestAggregateModelTracksBusyCounters(t *testing.T) {
-	nw, tr := modelFixture(t, 19, 0.4)
-	m := NewAggregateModel(nw, tr, rng.New(20))
-	eng := sim.New()
-	m.Start(eng)
-	for s := 0; s < 200; s++ {
-		eng.RunUntil(sim.Time(s) * sim.Millisecond)
-		for v := 0; v < nw.NumNodes(); v++ {
-			if m.Blocked(int32(v)) != tr.Busy(int32(v)) {
-				t.Fatalf("slot %d node %d: Blocked=%v Busy=%v",
-					s, v, m.Blocked(int32(v)), tr.Busy(int32(v)))
-			}
-		}
-	}
-}
-
-func TestAggregateModelZeroPUs(t *testing.T) {
-	p := netmodel.ScaledDefaultParams()
-	p.NumSU = 40
-	p.Area = 50
-	p.NumPU = 0
-	nw, err := netmodel.Deploy(p, rng.New(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewTracker(nw, 30, 30, nullObserver{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewAggregateModel(nw, tr, rng.New(22))
-	eng := sim.New()
-	m.Start(eng)
-	if eng.Step() || m.ActiveCount() != 0 {
-		t.Error("zero-PU aggregate model scheduled activity")
-	}
-}
-
-// BlockProb returns node's per-slot blocking probability.
-func (m *AggregateModel) BlockProb(node int32) float64 { return m.blockProb[node] }
-
-// Blocked reports whether node is currently blocked by primary activity.
-func (m *AggregateModel) Blocked(node int32) bool { return m.blocked[node] }
+// ActiveCount returns how many PUs are currently transmitting.
+func (m *ExactModel) ActiveCount() int { return m.numActive }
 
 // IsActive reports whether PU i currently transmits.
 func (m *ExactModel) IsActive(i int) bool { return m.active[i] }

@@ -250,9 +250,6 @@ func (t *Tracker) Busy(node int32) bool {
 	return t.busy[node] > 0 || t.puNear(node) || t.suNear(node)
 }
 
-// PURange returns the primary-protection sensing range.
-func (t *Tracker) PURange() float64 { return t.puRange }
-
 // walk calls visit for every node whose bit is set both in source i's row
 // of b and in set, in ascending rank order — the order a grid query
 // returns the row's nodes in. The word of set under the walk is re-read above the current bit
@@ -412,9 +409,8 @@ func (t *Tracker) puCover(k int) uint64 {
 	return c
 }
 
-// BlockNode raises node's busy counter by one without a spatial query; the
-// aggregate PU model and fault bursts use it to impose a node-local
-// blocking period.
+// BlockNode raises node's busy counter by one without a spatial query; fault
+// bursts use it to impose a node-local blocking period.
 func (t *Tracker) BlockNode(node int32, now sim.Time) {
 	t.busy[node]++
 	if t.busy[node] == 1 && !t.puNear(node) && !t.suNear(node) {

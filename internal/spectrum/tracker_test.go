@@ -368,8 +368,8 @@ func TestTrackerPanicsOnNegativeCount(t *testing.T) {
 }
 
 func TestModelKindString(t *testing.T) {
-	if ModelExact.String() != "exact" || ModelAggregate.String() != "aggregate" {
-		t.Error("model kind strings wrong")
+	if ModelExact.String() != "exact" {
+		t.Error("exact model kind string wrong")
 	}
 	if ModelKind(9).String() != "unknown" {
 		t.Error("unknown model kind string wrong")
@@ -381,6 +381,9 @@ func TestModelKindString(t *testing.T) {
 func (t *Tracker) BusyCount(node int32) int32 {
 	return t.busy[node] + int32(t.suCount(node)+t.puCount(node))
 }
+
+// PURange returns the primary-protection sensing range.
+func (t *Tracker) PURange() float64 { return t.puRange }
 
 // SURange returns the secondary-coordination sensing range.
 func (t *Tracker) SURange() float64 { return t.suRange }
